@@ -19,14 +19,13 @@ from .bialgebra import (BASIS, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                         dual_bracket_table, find_rmatrix, mcybe_check,
                         rmatrix_gauge, schouten)
 from .quantization import (HopfPresentation, VerificationError,
-                           build_coproduct, central_element,
+                           build_antipode, build_coproduct, central_element,
                            check_realization, closed_forms,
                            coproduct_of_element, family_rewrite,
                            first_order_cocommutator, first_order_residuals,
-                           matrix_delta, quantize, solve_antipode,
-                           swap_transport, verify_all, verify_antipode,
-                           verify_coassoc, verify_counit,
-                           verify_homomorphism)
+                           matrix_delta, quantize, swap_transport,
+                           verify_all, verify_antipode, verify_coassoc,
+                           verify_counit, verify_homomorphism)
 from .poisson import (CHART, COORDS, COORDS2, CoordPoly, GroupCoords,
                       PoissonStructure, chart_change, chart_change_inverse,
                       group_compose, group_pullback, jacobi_check,

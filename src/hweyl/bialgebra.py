@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .params import DEFAULT_ORDER, ParamPoly, as_fraction
+from .params import DEFAULT_ORDER, ParamPoly, as_fraction, parse_rational
 from .freealg import GEN_AM, GEN_AP, GEN_M, FreeElement
 from .tensor import TensorElement, wedge2, wedge3
 
@@ -208,14 +208,7 @@ class Cocommutator:
         unknown = set(data) - set(_COEFF_NAMES)
         if unknown:
             raise ValueError(f"unknown cocommutator fields: {sorted(unknown)}")
-        vals = {}
-        for key, raw in data.items():
-            if not isinstance(raw, str):
-                raise ValueError(f"field {key!r} must be a string rational, got {raw!r}")
-            try:
-                vals[key] = Fraction(raw)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"field {key!r}: {exc}") from None
+        vals = {key: parse_rational(key, raw) for key, raw in data.items()}
         kwargs = {k: vals.get(k, 0) for k in _COEFF_NAMES[:6]}
         for ck in ("c1", "c2", "c3"):
             if ck in vals:
@@ -283,12 +276,7 @@ class RMatrix:
         unknown = set(data) - set(names)
         if unknown:
             raise ValueError(f"unknown r-matrix fields: {sorted(unknown)}")
-        vals = {}
-        for key, raw in data.items():
-            if not isinstance(raw, str):
-                raise ValueError(f"field {key!r} must be a string rational, got {raw!r}")
-            vals[key] = Fraction(raw)
-        return cls(**vals)
+        return cls(**{key: parse_rational(key, raw) for key, raw in data.items()})
 
     def to_json(self):
         return {"xi": _scalar_str(self.xi),
@@ -340,7 +328,6 @@ def _ad3(g, x, t):
 
 
 def _raw2_to_tensor(raw, order):
-    gens = [FreeElement.generator(name, order) for name in BASIS]
     terms = {}
     for (i, j), c in raw.items():
         terms[((BASIS[i],), (BASIS[j],))] = _promote(c, order)

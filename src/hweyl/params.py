@@ -30,6 +30,20 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def parse_rational(field, raw) -> Fraction:
+    """Strict parse of one JSON input field: a string rational like ``"-2/3"``.
+
+    Anything else, a zero denominator included, raises ``ValueError`` naming
+    the field.
+    """
+    if not isinstance(raw, str):
+        raise ValueError(f"field {field!r}: must be a string rational, got {raw!r}")
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"field {field!r}: {exc}") from None
+
+
 def monomial_factors(exps) -> list:
     out = []
     for name, e in zip(PARAMS, exps):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .params import DEFAULT_ORDER, ParamPoly, as_fraction
+from .params import DEFAULT_ORDER, ParamPoly, as_fraction, parse_rational
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -278,22 +278,17 @@ class GroupCoords:
     @classmethod
     def from_json(cls, data):
         """Accept a JSON triple [m, a_minus, a_plus] of string rationals."""
+        names = ("m", "a_minus", "a_plus")
         if isinstance(data, dict):
-            unknown = set(data) - {"m", "a_minus", "a_plus"}
+            unknown = set(data) - set(names)
             if unknown:
                 raise ValueError(f"unknown coordinate fields: {sorted(unknown)}")
-            vals = [data.get("m", "0"), data.get("a_minus", "0"),
-                    data.get("a_plus", "0")]
+            vals = [data.get(name, "0") for name in names]
         elif isinstance(data, list) and len(data) == 3:
             vals = data
         else:
             raise ValueError("group element must be a [m, a_minus, a_plus] triple")
-        fracs = []
-        for v in vals:
-            if not isinstance(v, str):
-                raise ValueError(f"coordinate {v!r} must be a string rational")
-            fracs.append(Fraction(v))
-        return cls.point(*fracs)
+        return cls.point(*(parse_rational(n, v) for n, v in zip(names, vals)))
 
     def to_json(self):
         return [str(self.m.constant_value()),

@@ -1,8 +1,9 @@
 """Quantization of the classified bialgebra families into Hopf algebras.
 
-Builds the matrix form of each family's cocommutator, exponentiates it into
-the deformed coproduct, attaches the compatible commutation rules, counit and
-antipode, and machine-verifies every Hopf axiom by exact truncated series.
+Builds the matrix form theta of each family's cocommutator, exponentiates it
+into the deformed coproduct (exp(-theta)) and the antipode (exp(theta)),
+attaches the compatible commutation rules and counit, and machine-verifies
+every Hopf axiom by exact truncated series.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
                       RewriteSystem, commutator, exp_element, exp_matrix2,
                       nc_mul, normal_form)
 from .tensor import TensorElement, flip, outer, tensor_mul
-from .bialgebra import (TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
+from .bialgebra import (_IDX, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
                         BialgebraClass, Cocommutator)
 
 
 class VerificationError(RuntimeError):
-    """A Hopf axiom failed to verify, or the antipode solve is inconsistent."""
+    """A Hopf axiom, the confluence of the rewrite rules or the centrality of
+    the central element failed to verify."""
 
 
 #: Primitive generator and non-primitive vector of each quantizable family.
@@ -28,8 +30,6 @@ _FAMILY_SHAPE = {
     TYPE_I_MINUS: (GEN_AM, (GEN_AP, GEN_M)),
     TYPE_II: (GEN_M, (GEN_AM, GEN_AP)),
 }
-
-_IDX = {GEN_AM: 0, GEN_AP: 1, GEN_M: 2}
 
 
 def primitive_generator(tag):
@@ -114,6 +114,29 @@ def build_coproduct(cls, order=DEFAULT_ORDER):
                 acc = acc + outer(FreeElement.generator(vj, order), exp_neg[i][j])
         cop[vi] = acc
     return cop
+
+
+def build_antipode(cls, rewrite):
+    """Antipode of the deformed coproduct: -prim on the primitive generator,
+    and gamma(v_j) = -sum_k v_k exp(theta)[j][k] on the non-primitive vector.
+
+    With E = exp(-theta), the left axiom is m(gamma (x) id) Delta(v_i) =
+    v_i + sum_j gamma(v_j) E_ij = 0.  The entries of E commute, so E^-1 =
+    exp(theta) solves it; an antipode is unique, so this is the antipode.
+    """
+    order = rewrite.order
+    if cls.tag == TRIVIAL:
+        return {name: -FreeElement.generator(name, order) for name in GENERATORS}
+    theta, vector = matrix_delta(cls, order)
+    prim = primitive_generator(cls.tag)
+    gamma = {prim: -FreeElement.generator(prim, order)}
+    exp_pos = exp_matrix2(theta)
+    for j, vj in enumerate(vector):
+        acc = FreeElement.zero(order)
+        for k, vk in enumerate(vector):
+            acc = acc + nc_mul(FreeElement.generator(vk, order), exp_pos[j][k])
+        gamma[vj] = -normal_form(acc, rewrite)
+    return gamma
 
 
 def exprel_series(scale, order):
@@ -230,29 +253,6 @@ def _antipode_residual(coproduct, rs, antipode, name, side="left"):
     return normal_form(acc, rs)
 
 
-def solve_antipode(coproduct, rewrite, order=None):
-    """Find the antipode order-by-order in parameter degree.
-
-    The degree-0 part is gamma(X) = -X; each next degree is fixed by the
-    left antipode axiom.  Raise VerificationError when no solution exists
-    (which signals an inconsistent coproduct).
-    """
-    order = order or rewrite.order
-    gamma = {name: -FreeElement.generator(name, rewrite.order)
-             for name in GENERATORS}
-    for degree in range(1, order + 1):
-        for name in GENERATORS:
-            res = _antipode_residual(coproduct, rewrite, gamma, name)
-            part = res.homogeneous_part(degree)
-            if part:
-                gamma[name] = gamma[name] - part
-    for name in GENERATORS:
-        if _antipode_residual(coproduct, rewrite, gamma, name):
-            raise VerificationError(
-                f"no antipode for {name} at order {order}: the coproduct is inconsistent")
-    return gamma
-
-
 # -- the Hopf presentation -------------------------------------------------------
 
 class HopfPresentation:
@@ -363,7 +363,8 @@ def quantize(family, order=DEFAULT_ORDER, params=None, values=None, verify=True)
 
     ``params`` maps parameter names to rationals (None entries stay symbolic);
     ``values`` may override with explicit degree-1 ParamPoly values.  With
-    ``verify`` the four Hopf axioms are machine-checked before returning.
+    ``verify`` the four Hopf axioms are machine-checked before returning;
+    with ``verify=False`` nothing checks the antipode (``verify_all`` does).
     """
     cls = _resolve_class(family, order, params, values)
     if cls.tag not in (TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL):
@@ -373,7 +374,7 @@ def quantize(family, order=DEFAULT_ORDER, params=None, values=None, verify=True)
     if bad:
         raise VerificationError(f"rewrite rules are not confluent on {bad}")
     coproduct = build_coproduct(cls, order)
-    antipode = solve_antipode(coproduct, rewrite, order)
+    antipode = build_antipode(cls, rewrite)
     counit = {name: ParamPoly.zero(order) for name in GENERATORS}
     hp = HopfPresentation(
         family=cls.tag, order=order,
@@ -571,7 +572,10 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
 
     Applies [A-,A+] - M, [A-,M] - (a1/2) M^2, [A+,M], and C - lambda to every
     monomial x^n, n <= max_degree; reports True where all residuals vanish.
+    A negative ``max_degree`` would check nothing, so it raises ValueError.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     if isinstance(cls, str):
         cls = BialgebraClass.symbolic(cls, order)
     if cls.tag != TYPE_I_PLUS:

@@ -385,6 +385,8 @@ def test_cocommutator_json_defaults_and_strictness():
     with pytest.raises(ValueError):
         Cocommutator.from_json({"a1": "x"})
     with pytest.raises(ValueError):
+        Cocommutator.from_json({"a1": "1/0"})
+    with pytest.raises(ValueError):
         Cocommutator.from_json(["1"])
 
 
@@ -393,4 +395,6 @@ def test_rmatrix_json():
     assert r == RMatrix(1, 0, 0)
     with pytest.raises(ValueError):
         RMatrix.from_json({"x": "1"})
+    with pytest.raises(ValueError):
+        RMatrix.from_json({"xi": "1/0"})
     assert r.to_json() == {"xi": "1", "beta_plus": "0", "beta_minus": "0"}

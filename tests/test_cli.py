@@ -170,6 +170,17 @@ def test_coboundary_classical_ybe_point(capsys):
     assert "schouten: 0" in out
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("coboundary", '{"xi":"1/0"}'),
+    ("classify", '{"a1":"1/0"}'),
+])
+def test_zero_denominator_exits_1_without_traceback(capsys, command, doc):
+    code, out, err = run(capsys, command, doc)
+    assert code == 1
+    assert out == ""
+    assert "invalid input: field" in err and "Traceback" not in err
+
+
 def test_coboundary_json(capsys):
     code, out, _ = run(capsys, "coboundary", '{"xi":"2"}', "--format", "json")
     assert code == 0
@@ -203,6 +214,13 @@ def test_realize(capsys):
     assert code == 0
     assert "[A-,A+] = M: PASS" in out
     assert "C = lambda: PASS" in out
+
+
+def test_realize_negative_degree_exits_1(capsys):
+    code, out, err = run(capsys, "realize", "--order", "2", "--degree", "-1")
+    assert code == 1
+    assert "PASS" not in out
+    assert "invalid input: max_degree must be >= 0" in err
 
 
 # -- global behavior ---------------------------------------------------------------------

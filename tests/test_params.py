@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hweyl.params import PARAMS, ParamPoly, as_fraction
+from hweyl.params import PARAMS, ParamPoly, as_fraction, parse_rational
 
 
 def sym(name, order=6):
@@ -125,6 +125,22 @@ def test_as_fraction():
     assert ParamPoly.const("1/3").constant_term() == Fraction(1, 3)
     with pytest.raises(ValueError):
         (sym("a1") + 1).as_fraction()
+
+
+@pytest.mark.parametrize("raw,message", [
+    ("1/0", "field 'xi': Fraction(1, 0)"),
+    ("x", "field 'xi': Invalid literal"),
+    (1, "field 'xi': must be a string rational, got 1"),
+])
+def test_parse_rational_rejects_with_the_field_name(raw, message):
+    with pytest.raises(ValueError) as exc:
+        parse_rational("xi", raw)
+    assert str(exc.value).startswith(message)
+
+
+def test_parse_rational_accepts_string_rationals():
+    assert parse_rational("xi", "-2/3") == Fraction(-2, 3)
+    assert parse_rational("xi", "0") == 0
 
 
 def test_immutable():

@@ -72,6 +72,10 @@ def test_group_json():
         GroupCoords.from_json({"q": "1"})
     with pytest.raises(ValueError):
         GroupCoords.from_json([1, 2, 3])
+    with pytest.raises(ValueError):
+        GroupCoords.from_json(["0", "1/0", "0"])
+    with pytest.raises(ValueError):
+        GroupCoords.from_json({"m": "1/0"})
 
 
 # -- bracket ------------------------------------------------------------------------

@@ -11,13 +11,14 @@ from hweyl.tensor import TensorElement, flip, outer, tensor_mul
 from hweyl.bialgebra import (TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
                              BialgebraClass, Cocommutator)
 from hweyl.quantization import (HopfPresentation, VerificationError,
+                                _antipode_residual, build_antipode,
                                 build_coproduct, central_element,
                                 check_realization, closed_forms,
                                 coproduct_of_element, exprel_series,
                                 family_rewrite, first_order_cocommutator,
                                 first_order_residuals, matrix_delta, quantize,
-                                solve_antipode, swap_transport, verify_all,
-                                verify_antipode, verify_coassoc, verify_counit,
+                                swap_transport, verify_all, verify_antipode,
+                                verify_coassoc, verify_counit,
                                 verify_homomorphism)
 
 K = 3
@@ -215,12 +216,25 @@ def test_antipode_zero_parameters():
         assert hp.antipode[name] == -gen(name)
 
 
+def test_antipode_type_i_minus_closed_form():
+    # swap image of the I+ closed form: A+ <-> A-, M -> -M, a1 -> -b1, a3 -> -b2
+    order = 6
+    hp = quantize(TYPE_I_MINUS, order=order)
+    am, ap, m = gen(GEN_AM, order), gen(GEN_AP, order), gen(GEN_M, order)
+    e_pos = exp_element(am * sym("b1", order))
+    assert hp.antipode[GEN_AM] == -am
+    assert hp.antipode[GEN_M] == normal_form(-nc_mul(m, e_pos), hp.rewrite)
+    expected = normal_form(
+        -nc_mul(ap, e_pos) - nc_mul(nc_mul(m, am), e_pos) * sym("b2", order),
+        hp.rewrite)
+    assert hp.antipode[GEN_AP] == expected
+
+
 def test_antipode_type_ii_diagonal():
     cls = BialgebraClass(TYPE_II, normalized=Cocommutator(
         a2=sym("a2"), b3=sym("b3")))
     rs = family_rewrite(cls, K)
-    cop = build_coproduct(cls, K)
-    gamma = solve_antipode(cop, rs)
+    gamma = build_antipode(cls, rs)
     m = gen(GEN_M)
     expected = normal_form(
         -nc_mul(gen(GEN_AM), exp_element(m * -sym("a2"))), rs)
@@ -228,14 +242,54 @@ def test_antipode_type_ii_diagonal():
     assert gamma[GEN_M] == -m
 
 
-def test_solve_antipode_inconsistent_coproduct():
-    # a coproduct without the X (x) 1 part cannot satisfy the antipode axiom
-    cop = build_coproduct(BialgebraClass.symbolic(TYPE_II, K), K)
-    one = FreeElement.one(K)
-    broken = dict(cop)
-    broken[GEN_M] = outer(one, gen(GEN_M))
-    with pytest.raises(VerificationError):
-        solve_antipode(broken, family_rewrite(BialgebraClass.symbolic(TYPE_II, K), K))
+def test_inconsistent_coproduct_fails_the_antipode_gate():
+    # a coproduct without the X (x) 1 part has no antipode: the gate must say so
+    hp = quantize(TYPE_II, order=K, verify=False)
+    broken = dict(hp.coproduct)
+    broken[GEN_M] = outer(FreeElement.one(K), gen(GEN_M))
+    bad = HopfPresentation(
+        family=hp.family, order=hp.order, values=hp.values,
+        rewrite=hp.rewrite, coproduct=broken, counit=hp.counit,
+        antipode=hp.antipode, bialgebra_class=hp.bialgebra_class)
+    left, right = verify_antipode(bad)[GEN_M]
+    assert left and right
+    assert verify_all(bad)["antipode"] is False
+
+
+def _solve_antipode(coproduct, rewrite):
+    """Oracle: fix the antipode degree by degree from the left axiom,
+    starting from gamma(X) = -X in parameter degree 0."""
+    order = rewrite.order
+    gamma = {name: -FreeElement.generator(name, order) for name in GENERATORS}
+    for degree in range(1, order + 1):
+        for name in GENERATORS:
+            res = _antipode_residual(coproduct, rewrite, gamma, name)
+            part = res.homogeneous_part(degree)
+            if part:
+                gamma[name] = gamma[name] - part
+    for name in GENERATORS:
+        assert not _antipode_residual(coproduct, rewrite, gamma, name)
+    return gamma
+
+
+_ORACLE_CASES = [
+    (TYPE_I_PLUS, None),
+    (TYPE_I_PLUS, {"a1": 1, "a3": 0}),
+    (TYPE_I_PLUS, {"a1": 0, "a3": Fraction(-2, 3)}),
+    (TYPE_I_MINUS, None),
+    (TYPE_I_MINUS, {"b1": Fraction(1, 2), "b2": 1}),
+    (TYPE_II, None),
+    (TYPE_II, {"a2": 1, "a3": 0, "b2": Fraction(-1, 2), "b3": 1}),
+    (TYPE_II, {"a2": 0, "a3": 1, "b2": 1, "b3": 0}),
+    (TRIVIAL, None),
+]
+
+
+@pytest.mark.parametrize("tag,params", _ORACLE_CASES)
+def test_build_antipode_matches_degree_by_degree_oracle(tag, params):
+    for order in range(1, 7):
+        hp = quantize(tag, order=order, params=params, verify=False)
+        assert hp.antipode == _solve_antipode(hp.coproduct, hp.rewrite), order
 
 
 # -- first order --------------------------------------------------------------------------
@@ -373,6 +427,12 @@ def test_realization_classical_limit():
     cls = BialgebraClass(TYPE_I_PLUS, normalized=Cocommutator(a1=0, a3=0))
     rep = check_realization(cls, max_degree=4, order=2)
     assert all(rep.values())
+
+
+def test_realization_refuses_an_empty_range():
+    assert all(check_realization(TYPE_I_PLUS, max_degree=0, order=2).values())
+    with pytest.raises(ValueError):
+        check_realization(TYPE_I_PLUS, max_degree=-1, order=2)
 
 
 def test_realization_bracket_on_constant():
