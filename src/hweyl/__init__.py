@@ -12,10 +12,10 @@ from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                       nc_mul, normal_form)
 from .tensor import TensorElement, flip, outer, tensor_mul, wedge2, wedge3
 from .bialgebra import (BASIS, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
-                        TYPE_II, SWAP_AUTOMORPHISM, BialgebraClass,
-                        Cocommutator, LieStructure, RMatrix,
-                        apply_automorphism, classify, coboundary_delta,
-                        cocycle_residuals, cojacobi_residuals,
+                        TYPE_II, BRACKET, SWAP_AUTOMORPHISM, BialgebraClass,
+                        Cocommutator, RMatrix, apply_automorphism,
+                        classify, coboundary_delta, cocycle_residuals,
+                        cojacobi_residuals,
                         dual_bracket_table, find_rmatrix, mcybe_check,
                         rmatrix_gauge, schouten)
 from .quantization import (HopfPresentation, VerificationError,
@@ -26,7 +26,7 @@ from .quantization import (HopfPresentation, VerificationError,
                            matrix_delta, quantize, swap_transport,
                            verify_all, verify_antipode, verify_coassoc,
                            verify_counit, verify_homomorphism)
-from .poisson import (CHART, COORDS, COORDS2, CoordPoly, GroupCoords,
+from .poisson import (CHART, COORDS, COORDS2, GroupCoords,
                       PoissonStructure, chart_change, chart_change_inverse,
                       group_compose, group_pullback, jacobi_check,
                       linear_bracket_table, pl_bracket,

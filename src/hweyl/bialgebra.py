@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .params import DEFAULT_ORDER, ParamPoly, as_fraction, parse_rational
+from .params import DEFAULT_ORDER, ParamPoly, as_fraction, as_scalar, parse_rational
 from .freealg import GEN_AM, GEN_AP, GEN_M, FreeElement
 from .tensor import TensorElement, wedge2, wedge3
 
@@ -30,12 +30,6 @@ INVALID = "INVALID"
 _COEFF_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
 
 
-def _coerce(value):
-    if isinstance(value, ParamPoly):
-        return value
-    return as_fraction(value)
-
-
 def _addin(d, key, val):
     acc = d.get(key)
     total = val if acc is None else acc + val
@@ -45,60 +39,29 @@ def _addin(d, key, val):
         del d[key]
 
 
-class LieStructure:
-    """A 3-dimensional Lie algebra on the basis (A-, A+, M), exact rationals."""
+#: The Heisenberg-Weyl bracket [A-, A+] = M with M central: [e_i, e_j] as a
+#: sparse vector over BASIS, for the ordered index pairs where it is nonzero.
+BRACKET = {(0, 1): {2: Fraction(1)}, (1, 0): {2: Fraction(-1)}}
+_NO_BRACKET = {}
 
-    __slots__ = ("brackets",)
 
-    def __init__(self, brackets):
-        table = {}
-        for (i, j), vec in brackets.items():
-            if not (0 <= i < j <= 2):
-                raise ValueError("brackets must be keyed on index pairs i < j")
-            clean = {k: as_fraction(v) for k, v in vec.items() if v}
-            if clean:
-                table[(i, j)] = clean
-        object.__setattr__(self, "brackets", table)
-        self._check_jacobi()
+def _bracket(i, j):
+    return BRACKET.get((i, j), _NO_BRACKET)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieStructure is immutable")
 
-    @classmethod
-    def heisenberg_weyl(cls):
-        """[A-, A+] = M, with M central."""
-        return cls({(0, 1): {2: Fraction(1)}})
-
-    def bracket(self, i, j):
-        """[e_i, e_j] as a sparse vector over the basis."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
-
-    def bracket_vectors(self, x, y):
-        out = {}
-        for i, xi in x.items():
-            if not xi:
+def _bracket_vectors(x, y):
+    """[x, y] for sparse vectors over BASIS."""
+    out = {}
+    for i, xi in x.items():
+        if not xi:
+            continue
+        for j, yj in y.items():
+            c = xi * yj
+            if not c:
                 continue
-            for j, yj in y.items():
-                c = xi * yj
-                if not c:
-                    continue
-                for k, f in self.bracket(i, j).items():
-                    _addin(out, k, f * c)
-        return out
-
-    def _check_jacobi(self):
-        e = [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
-        acc = {}
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            inner = self.bracket_vectors(e[j], e[k])
-            for idx, v in self.bracket_vectors(e[i], inner).items():
-                _addin(acc, idx, v)
-        if acc:
-            raise ValueError(f"structure constants violate the Jacobi identity: {acc}")
+            for k, f in _bracket(i, j).items():
+                _addin(out, k, f * c)
+    return out
 
 
 class Cocommutator:
@@ -114,12 +77,12 @@ class Cocommutator:
     def __init__(self, a1=0, a2=0, a3=0, b1=0, b2=0, b3=0,
                  c1=None, c2=None, c3=None):
         vals = {
-            "a1": _coerce(a1), "a2": _coerce(a2), "a3": _coerce(a3),
-            "b1": _coerce(b1), "b2": _coerce(b2), "b3": _coerce(b3),
+            "a1": as_scalar(a1), "a2": as_scalar(a2), "a3": as_scalar(a3),
+            "b1": as_scalar(b1), "b2": as_scalar(b2), "b3": as_scalar(b3),
         }
-        vals["c1"] = _coerce(c1) if c1 is not None else Fraction(0)
-        vals["c2"] = _coerce(c2) if c2 is not None else vals["b1"]
-        vals["c3"] = _coerce(c3) if c3 is not None else -vals["a1"]
+        vals["c1"] = as_scalar(c1) if c1 is not None else Fraction(0)
+        vals["c2"] = as_scalar(c2) if c2 is not None else vals["b1"]
+        vals["c3"] = as_scalar(c3) if c3 is not None else -vals["a1"]
         for name in _COEFF_NAMES:
             object.__setattr__(self, name, vals[name])
 
@@ -216,7 +179,7 @@ class Cocommutator:
         return cls(**kwargs)
 
     def to_json(self):
-        return {n: _scalar_str(getattr(self, n)) for n in _COEFF_NAMES}
+        return {n: str(getattr(self, n)) for n in _COEFF_NAMES}
 
 
 class RMatrix:
@@ -225,9 +188,9 @@ class RMatrix:
     __slots__ = ("xi", "beta_plus", "beta_minus")
 
     def __init__(self, xi=0, beta_plus=0, beta_minus=0):
-        object.__setattr__(self, "xi", _coerce(xi))
-        object.__setattr__(self, "beta_plus", _coerce(beta_plus))
-        object.__setattr__(self, "beta_minus", _coerce(beta_minus))
+        object.__setattr__(self, "xi", as_scalar(xi))
+        object.__setattr__(self, "beta_plus", as_scalar(beta_plus))
+        object.__setattr__(self, "beta_minus", as_scalar(beta_minus))
 
     def __setattr__(self, name, value):
         raise AttributeError("RMatrix is immutable")
@@ -279,13 +242,9 @@ class RMatrix:
         return cls(**{key: parse_rational(key, raw) for key, raw in data.items()})
 
     def to_json(self):
-        return {"xi": _scalar_str(self.xi),
-                "beta_plus": _scalar_str(self.beta_plus),
-                "beta_minus": _scalar_str(self.beta_minus)}
-
-
-def _scalar_str(v):
-    return str(v)
+        return {"xi": str(self.xi),
+                "beta_plus": str(self.beta_plus),
+                "beta_minus": str(self.beta_minus)}
 
 
 def _promote(scalar, order):
@@ -305,24 +264,24 @@ def _order_of(*scalars, default=DEFAULT_ORDER):
 
 # -- adjoint actions on index tensors ----------------------------------------
 
-def _ad2(g, x, t):
+def _ad2(x, t):
     out = {}
     for (i, j), c in t.items():
-        for k, f in g.bracket(x, i).items():
+        for k, f in _bracket(x, i).items():
             _addin(out, (k, j), f * c)
-        for k, f in g.bracket(x, j).items():
+        for k, f in _bracket(x, j).items():
             _addin(out, (i, k), f * c)
     return out
 
 
-def _ad3(g, x, t):
+def _ad3(x, t):
     out = {}
     for (i, j, k), c in t.items():
-        for m, f in g.bracket(x, i).items():
+        for m, f in _bracket(x, i).items():
             _addin(out, (m, j, k), f * c)
-        for m, f in g.bracket(x, j).items():
+        for m, f in _bracket(x, j).items():
             _addin(out, (i, m, k), f * c)
-        for m, f in g.bracket(x, k).items():
+        for m, f in _bracket(x, k).items():
             _addin(out, (i, j, m), f * c)
     return out
 
@@ -341,31 +300,30 @@ def _raw3_to_tensor(raw, order):
     return TensorElement(3, terms, order)
 
 
-def _cocycle_raw(delta, g):
+def _cocycle_raw(delta):
     """Residual of the 1-cocycle identity for each basis pair, as index tensors."""
     residuals = []
     rows = [delta.full_row(i) for i in range(3)]
     for (i, j) in WEDGE_PAIRS:
         acc = {}
         # delta([e_i, e_j])
-        for k, f in g.bracket(i, j).items():
+        for k, f in _bracket(i, j).items():
             for key, c in rows[k].items():
                 _addin(acc, key, f * c)
         # + ad_{e_j} delta(e_i) - ad_{e_i} delta(e_j)
-        for key, c in _ad2(g, j, rows[i]).items():
+        for key, c in _ad2(j, rows[i]).items():
             _addin(acc, key, c)
-        for key, c in _ad2(g, i, rows[j]).items():
+        for key, c in _ad2(i, rows[j]).items():
             _addin(acc, key, -c)
         residuals.append(acc)
     return residuals
 
 
-def cocycle_residuals(delta, g=None, order=None):
+def cocycle_residuals(delta, order=None):
     """delta([X,Y]) - [delta(X), 1(x)Y + Y(x)1] - [1(x)X + X(x)1, delta(Y)]
     for the basis pairs (A-,A+), (A-,M), (A+,M), as rank-2 tensors."""
-    g = g or LieStructure.heisenberg_weyl()
     order = order or delta.param_order() or DEFAULT_ORDER
-    return [_raw2_to_tensor(raw, order) for raw in _cocycle_raw(delta, g)]
+    return [_raw2_to_tensor(raw, order) for raw in _cocycle_raw(delta)]
 
 
 def dual_bracket_table(delta):
@@ -445,15 +403,14 @@ def _mat_inv(m):
     return tuple(tuple(v / det for v in row) for row in adj)
 
 
-def check_automorphism(basis_change, g=None):
+def check_automorphism(basis_change):
     """Raise unless the basis change preserves every Lie bracket."""
-    g = g or LieStructure.heisenberg_weyl()
     B = _mat(basis_change)
     for (i, j) in WEDGE_PAIRS:
-        lhs = g.bracket_vectors({p: B[p][i] for p in range(3)},
+        lhs = _bracket_vectors({p: B[p][i] for p in range(3)},
                                 {q: B[q][j] for q in range(3)})
         rhs = {}
-        for k, f in g.bracket(i, j).items():
+        for k, f in _bracket(i, j).items():
             for p in range(3):
                 _addin(rhs, p, f * B[p][k])
         diff = dict(lhs)
@@ -465,13 +422,12 @@ def check_automorphism(basis_change, g=None):
     return B
 
 
-def apply_automorphism(delta, basis_change, g=None):
+def apply_automorphism(delta, basis_change):
     """Transport delta to the new basis: delta' = (phi (x) phi)^{-1} o delta o phi.
 
     ``basis_change`` columns are the images of (A-, A+, M) under phi.
     """
-    g = g or LieStructure.heisenberg_weyl()
-    B = check_automorphism(basis_change, g)
+    B = check_automorphism(basis_change)
     Binv = _mat_inv(B)
     rows = [delta.full_row(i) for i in range(3)]
     new_rows = []
@@ -506,9 +462,8 @@ SWAP_AUTOMORPHISM = ((Fraction(0), Fraction(1), Fraction(0)),
 
 # -- coboundary machinery ------------------------------------------------------
 
-def schouten(r, g=None, order=None):
+def schouten(r, order=None):
     """Schouten bracket [[r, r]] as an alternating rank-3 tensor."""
-    g = g or LieStructure.heisenberg_weyl()
     order = order or _order_of(r.xi, r.beta_plus, r.beta_minus)
     comps = r.components()
     out = {}
@@ -517,18 +472,17 @@ def schouten(r, g=None, order=None):
             coeff = c1 * c2
             if not coeff:
                 continue
-            for k, f in g.bracket(a, c).items():
+            for k, f in _bracket(a, c).items():
                 _addin(out, (k, b, d), f * coeff)
-            for k, f in g.bracket(b, c).items():
+            for k, f in _bracket(b, c).items():
                 _addin(out, (a, k, d), f * coeff)
-            for k, f in g.bracket(b, d).items():
+            for k, f in _bracket(b, d).items():
                 _addin(out, (a, c, k), f * coeff)
     return _raw3_to_tensor(out, order)
 
 
-def mcybe_check(omega, g=None):
+def mcybe_check(omega):
     """True iff the adjoint action of every basis element annihilates omega."""
-    g = g or LieStructure.heisenberg_weyl()
     if omega.rank != 3:
         raise ValueError("expected a rank-3 tensor")
     if not omega.is_alternating():
@@ -541,16 +495,15 @@ def mcybe_check(omega, g=None):
                 raise ValueError("tensor slots must be single generators")
             idx.append(_IDX[w[0]])
         raw[tuple(idx)] = coeff
-    return all(not _ad3(g, x, raw) for x in range(3))
+    return all(not _ad3(x, raw) for x in range(3))
 
 
-def coboundary_delta(r, g=None):
+def coboundary_delta(r):
     """The cocommutator delta(X) = [1(x)X + X(x)1, r] induced by an r-matrix."""
-    g = g or LieStructure.heisenberg_weyl()
     comps = r.components()
     rows = []
     for x in range(3):
-        moved = _ad2(g, x, comps)
+        moved = _ad2(x, comps)
         rows.append([moved.get(pair, Fraction(0)) for pair in WEDGE_PAIRS])
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
     return Cocommutator(a1, a2, a3, b1, b2, b3, c1=c1, c2=c2, c3=c3)
@@ -560,15 +513,14 @@ def _coeff_vector(delta):
     return [getattr(delta, n) for n in _COEFF_NAMES]
 
 
-def find_rmatrix(delta, g=None):
+def find_rmatrix(delta):
     """Solve delta = coboundary_delta(r) for r; None when no solution exists.
 
     The solve is exact; free directions (for the Heisenberg-Weyl algebra the
     beta coefficients, see :func:`rmatrix_gauge`) are set to zero.
     """
-    g = g or LieStructure.heisenberg_weyl()
     basis = [RMatrix(1, 0, 0), RMatrix(0, 1, 0), RMatrix(0, 0, 1)]
-    columns = [[as_fraction(v) for v in _coeff_vector(coboundary_delta(r, g))]
+    columns = [[as_fraction(v) for v in _coeff_vector(coboundary_delta(r))]
                for r in basis]
     rhs = list(_coeff_vector(delta))
     rows = [[columns[j][i] for j in range(3)] for i in range(9)]
@@ -602,14 +554,13 @@ def find_rmatrix(delta, g=None):
     return RMatrix(*sol)
 
 
-def rmatrix_gauge(g=None):
+def rmatrix_gauge():
     """Names of the r-matrix coefficients that never affect the cocommutator."""
-    g = g or LieStructure.heisenberg_weyl()
     names = ("xi", "beta_plus", "beta_minus")
     basis = [RMatrix(1, 0, 0), RMatrix(0, 1, 0), RMatrix(0, 0, 1)]
     free = []
     for name, r in zip(names, basis):
-        if coboundary_delta(r, g).is_zero:
+        if coboundary_delta(r).is_zero:
             free.append(name)
     return tuple(free)
 
@@ -663,13 +614,12 @@ class BialgebraClass:
         return f"BialgebraClass({self.tag}, normalized={self.normalized!r})"
 
 
-def classify(delta, g=None):
+def classify(delta):
     """Classify a rational cocommutator into TRIVIAL / I+ / I- / II / INVALID."""
     if delta.is_symbolic:
         raise TypeError("classification needs rational coefficients")
-    g = g or LieStructure.heisenberg_weyl()
 
-    cocycle = _cocycle_raw(delta, g)
+    cocycle = _cocycle_raw(delta)
     bad_pairs = [pair for pair, raw in zip(WEDGE_PAIRS, cocycle) if raw]
     if bad_pairs:
         return BialgebraClass(INVALID, failures={
@@ -697,7 +647,7 @@ def classify(delta, g=None):
         B = _IDENTITY
         tag = TYPE_II
 
-    normalized = apply_automorphism(delta, B, g) if B is not _IDENTITY else delta
+    normalized = apply_automorphism(delta, B) if B is not _IDENTITY else delta
     expected_zero = {
         TYPE_I_PLUS: ("a2", "b1", "b2", "b3"),
         TYPE_I_MINUS: ("a1", "a2", "a3", "b3"),
@@ -708,6 +658,6 @@ def classify(delta, g=None):
 
     coboundary = (not normalized.a1 and not normalized.a3 and not normalized.b1
                   and not normalized.b2 and normalized.a2 == normalized.b3)
-    rmatrix = find_rmatrix(normalized, g) if coboundary else None
+    rmatrix = find_rmatrix(normalized) if coboundary else None
     return BialgebraClass(tag, normalized=normalized, automorphism=B,
                           coboundary=coboundary, rmatrix=rmatrix)

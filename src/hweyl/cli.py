@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -276,7 +277,7 @@ def _poisson_grouplaw_checks():
 
     def mat_mul(a, b):
         return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)),
-                               po.CoordPoly.zero(po.COORDS))
+                               ParamPoly.zero(math.inf, po.COORDS))
                            for j in range(3)) for i in range(3))
 
     matrix_ok = True

@@ -1,21 +1,22 @@
-"""Exact polynomials in the deformation parameters, truncated by total degree.
+"""Exact sparse commutative polynomials over named variables.
 
-Every formal series in the engine has coefficients in this ring: multivariate
-polynomials over Fraction in the named deformation parameters, with all terms
-of total degree above a fixed truncation order discarded.
+``ParamPoly`` is the one polynomial class of the engine.  Over the
+deformation parameters PARAMS, truncated at a total degree K, it is the
+coefficient ring of every formal series (free-algebra elements, tensors,
+Hopf structure maps).  Over the group coordinates (``poisson.COORDS``) with
+``order=math.inf`` nothing is truncated, and the coefficients may themselves
+be parameter polynomials.  The module also holds the strict rational parser
+and the signed-sum renderer shared by all printed output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 #: Parameter names, fixing the exponent-vector layout and the rendering order.
 PARAMS = ("a1", "a2", "a3", "b1", "b2", "b3",
           "c1", "c2", "c3", "xi", "beta_plus", "beta_minus", "lambda")
-
-_INDEX = {name: i for i, name in enumerate(PARAMS)}
-_NVARS = len(PARAMS)
-_UNIT = (0,) * _NVARS
 
 #: Default truncation order for deformation series.
 DEFAULT_ORDER = 6
@@ -44,9 +45,16 @@ def parse_rational(field, raw) -> Fraction:
         raise ValueError(f"field {field!r}: {exc}") from None
 
 
-def monomial_factors(exps) -> list:
+def as_scalar(value):
+    """A coefficient as given when it is a ParamPoly, else as a Fraction."""
+    if isinstance(value, ParamPoly):
+        return value
+    return as_fraction(value)
+
+
+def monomial_factors(exps, names=PARAMS) -> list:
     out = []
-    for name, e in zip(PARAMS, exps):
+    for name, e in zip(names, exps):
         if e == 1:
             out.append(name)
         elif e:
@@ -55,7 +63,7 @@ def monomial_factors(exps) -> list:
 
 
 def monomial_key(exps):
-    # graded, then lex with earlier parameters first
+    # graded, then lex with earlier variables first
     return (sum(exps), tuple(-e for e in exps))
 
 
@@ -71,39 +79,54 @@ def coeff_prefix(coeff: Fraction, body: str) -> str:
 
 
 def join_signed(items) -> str:
-    """Render ``(coeff, body)`` pairs as a sum with `` + ``/`` - `` separators."""
+    """Render ``(coeff, body)`` pairs as a sum with `` + ``/`` - `` separators.
+
+    A ParamPoly coefficient has no sign of its own: it is bracketed and
+    always joined with `` + ``.
+    """
     parts = []
     for coeff, body in items:
         if not coeff:
             continue
-        piece = coeff_prefix(abs(coeff), body)
-        if not parts:
-            parts.append(f"-{piece}" if coeff < 0 else piece)
+        if isinstance(coeff, ParamPoly):
+            piece, negative = (f"({coeff})*{body}" if body else f"({coeff})"), False
         else:
-            parts.append(f" - {piece}" if coeff < 0 else f" + {piece}")
+            piece, negative = coeff_prefix(abs(coeff), body), coeff < 0
+        if not parts:
+            parts.append(f"-{piece}" if negative else piece)
+        else:
+            parts.append(f" - {piece}" if negative else f" + {piece}")
     return "".join(parts) if parts else "0"
 
 
 class ParamPoly:
-    """Truncated polynomial in the deformation parameters.
+    """Sparse commutative polynomial over a tuple of named variables.
 
-    Instances are immutable; arithmetic between polynomials requires equal
-    truncation orders, and every result is re-truncated and stripped of zero
-    terms, so representations are canonical.
+    Terms map exponent vectors (one entry per name in ``names``) to nonzero
+    coefficients.  Terms of total degree above ``order`` are discarded;
+    ``order=math.inf`` keeps every term.  Coefficients are Fractions, or,
+    over variables other than PARAMS, may be ParamPoly over PARAMS (the
+    coefficient ring of the symbolic coordinate polynomials).
+
+    Instances are immutable; arithmetic between polynomials over the same
+    variables requires equal orders, and every result is re-truncated and
+    stripped of zero terms, so representations are canonical.  A rational,
+    or a parameter polynomial times a polynomial over other variables, acts
+    coefficient-wise.
     """
 
-    __slots__ = ("terms", "order")
+    __slots__ = ("terms", "order", "names")
 
-    def __init__(self, terms, order):
+    def __init__(self, terms, order, names=PARAMS):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         clean = {}
         for exps, coeff in terms.items():
-            if sum(exps) > order or not coeff:
-                continue
-            clean[exps] = coeff
+            if coeff and sum(exps) <= order:
+                clean[exps] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "names", names)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
@@ -111,35 +134,55 @@ class ParamPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order=DEFAULT_ORDER):
-        return cls({}, order)
+    def zero(cls, order=DEFAULT_ORDER, names=PARAMS):
+        return cls({}, order, names)
 
     @classmethod
-    def one(cls, order=DEFAULT_ORDER):
-        return cls({_UNIT: Fraction(1)}, order)
+    def one(cls, order=DEFAULT_ORDER, names=PARAMS):
+        return cls.const(1, order, names)
 
     @classmethod
-    def const(cls, value, order=DEFAULT_ORDER):
-        return cls({_UNIT: as_fraction(value)}, order)
+    def const(cls, value, order=DEFAULT_ORDER, names=PARAMS):
+        return cls({(0,) * len(names): as_scalar(value)}, order, names)
 
     @classmethod
-    def symbol(cls, name, order=DEFAULT_ORDER):
-        if name not in _INDEX:
-            raise ValueError(f"unknown parameter {name!r}")
-        exps = [0] * _NVARS
-        exps[_INDEX[name]] = 1
-        return cls({tuple(exps): Fraction(1)}, order)
+    def symbol(cls, name, order=DEFAULT_ORDER, names=PARAMS):
+        if name not in names:
+            raise ValueError(f"unknown variable {name!r}")
+        exps = [0] * len(names)
+        exps[names.index(name)] = 1
+        return cls({tuple(exps): Fraction(1)}, order, names)
 
     # -- helpers -----------------------------------------------------------
 
+    def _like(self, terms):
+        """A polynomial in self's ring from terms already within its order;
+        only zero coefficients are dropped."""
+        out = object.__new__(ParamPoly)
+        object.__setattr__(out, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(out, "order", self.order)
+        object.__setattr__(out, "names", self.names)
+        return out
+
+    def _is_coefficient(self, other):
+        """True when ``other`` scales self term by term."""
+        if isinstance(other, (int, Fraction)):
+            return True
+        return (isinstance(other, ParamPoly) and other.names == PARAMS
+                and self.names != PARAMS)
+
     def _promote(self, other):
-        if isinstance(other, ParamPoly):
+        """``other`` as a polynomial over self's variables; None (for
+        NotImplemented) when it is no polynomial or rational at all."""
+        if isinstance(other, ParamPoly) and other.names == self.names:
             if other.order != self.order:
                 raise ValueError(
                     f"mismatched truncation orders: {self.order} vs {other.order}")
             return other
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly.const(other, self.order)
+        if self._is_coefficient(other):
+            return ParamPoly.const(other, self.order, self.names)
+        if isinstance(other, ParamPoly):
+            raise ValueError("polynomials live over different variable lists")
         return None
 
     def __bool__(self):
@@ -150,12 +193,12 @@ class ParamPoly:
         return not self.terms
 
     def is_constant(self):
-        return all(e == _UNIT for e in self.terms)
+        return all(not any(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(_UNIT, Fraction(0))
+    def constant_term(self):
+        return self.terms.get((0,) * len(self.names), Fraction(0))
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
         return self.constant_term()
@@ -171,19 +214,23 @@ class ParamPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
+        if not (isinstance(other, ParamPoly) and other.names is self.names
+                and other.order == self.order):
+            if isinstance(other, ParamPoly) and other._is_coefficient(self):
+                return other + self
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return ParamPoly(terms, self.order)
+            acc = terms.get(exps)
+            terms[exps] = coeff if acc is None else acc + coeff
+        return self._like(terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
+        if not isinstance(other, (ParamPoly, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -191,41 +238,53 @@ class ParamPoly:
         return (-self) + other
 
     def __neg__(self):
-        return ParamPoly({e: -c for e, c in self.terms.items()}, self.order)
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
+        if not (isinstance(other, ParamPoly) and other.names is self.names
+                and other.order == self.order):
+            if self._is_coefficient(other):
+                return self._like({e: c * other for e, c in self.terms.items()})
+            if isinstance(other, ParamPoly) and other._is_coefficient(self):
+                return other * self
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
         order = self.order
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         terms = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > order:
+            room = order - sum(e1)
+            for e2, d2, c2 in right:
+                if d2 > room:
                     continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return ParamPoly(terms, order)
+                key = tuple(map(add, e1, e2))
+                coeff = c1 * c2
+                acc = terms.get(key)
+                terms[key] = coeff if acc is None else acc + coeff
+        return self._like(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not defined")
-        out = ParamPoly.one(self.order)
-        for _ in range(n):
+        if n == 0:
+            return ParamPoly.one(self.order, self.names)
+        out = self
+        for _ in range(n - 1):
             out = out * self
             if not out:
                 break
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.const(other, self.order)
+        if self._is_coefficient(other):
+            other = ParamPoly.const(other, self.order, self.names)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return (self.order == other.order and self.names == other.names
+                and self.terms == other.terms)
 
     __hash__ = None
 
@@ -233,39 +292,49 @@ class ParamPoly:
 
     def truncate(self, order):
         """Copy of self in the ring truncated at ``order`` (may be lower or higher)."""
-        return ParamPoly(self.terms, order)
+        return ParamPoly(self.terms, order, self.names)
 
     def homogeneous_part(self, degree):
-        return ParamPoly(
-            {e: c for e, c in self.terms.items() if sum(e) == degree}, self.order)
+        return self._like({e: c for e, c in self.terms.items() if sum(e) == degree})
+
+    def partial(self, index):
+        """Derivative in the variable ``names[index]``."""
+        terms = {}
+        for exps, coeff in self.terms.items():
+            e = exps[index]
+            if e:
+                terms[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
+        return self._like(terms)
 
     def subs(self, values):
-        """Substitute parameters; values may be rationals or ParamPoly of this ring.
+        """Substitute variables by rationals or polynomials.
 
-        Parameters not named in ``values`` are left alone.
+        When every value is a rational or a polynomial over self's variables,
+        variables not named in ``values`` are left alone.  A polynomial value
+        over other variables moves the result into its ring; then every
+        variable of self needs a value.
         """
-        resolved = {}
-        for name, val in values.items():
-            if name not in _INDEX:
-                raise ValueError(f"unknown parameter {name!r}")
-            if isinstance(val, ParamPoly):
-                if val.order != self.order:
-                    raise ValueError("substitution value has a different truncation order")
-                resolved[_INDEX[name]] = val
-            else:
-                resolved[_INDEX[name]] = ParamPoly.const(val, self.order)
-        out = ParamPoly.zero(self.order)
+        unknown = set(values) - set(self.names)
+        if unknown:
+            raise ValueError(f"unknown variable {sorted(unknown)[0]!r}")
+        ring = next((v for v in values.values()
+                     if isinstance(v, ParamPoly) and v.names != self.names), self)
+        order, names = ring.order, ring.names
+        images = {name: val if isinstance(val, ParamPoly)
+                  else ParamPoly.const(val, order, names)
+                  for name, val in values.items()}
+        out = ParamPoly.zero(order, names)
         for exps, coeff in self.terms.items():
-            factor = ParamPoly.const(coeff, self.order)
-            for i, e in enumerate(exps):
+            factor = ParamPoly.const(coeff, order, names)
+            for name, e in zip(self.names, exps):
                 if not e:
                     continue
-                if i in resolved:
-                    factor = factor * resolved[i] ** e
-                else:
-                    key = [0] * _NVARS
-                    key[i] = e
-                    factor = factor * ParamPoly({tuple(key): Fraction(1)}, self.order)
+                image = images.get(name)
+                if image is None:
+                    if ring is not self:
+                        raise ValueError(f"no image for variable {name!r}")
+                    image = ParamPoly.symbol(name, order, names)
+                factor = factor * image ** e
                 if not factor:
                     break
             out = out + factor
@@ -278,7 +347,7 @@ class ParamPoly:
 
     def __str__(self):
         return join_signed(
-            (coeff, "*".join(monomial_factors(exps)))
+            (coeff, "*".join(monomial_factors(exps, self.names)))
             for exps, coeff in self.sorted_terms())
 
     def __repr__(self):

@@ -1,16 +1,20 @@
 """Heisenberg group law and the multiparametric Poisson-Lie bracket.
 
-The coordinate functions (a_minus, a_plus, m) generate an exact-rational
-commutative polynomial algebra; the group law composes coordinates, and the
+The coordinate functions (a_minus, a_plus, m) generate a commutative
+polynomial algebra: ParamPoly over the variable list COORDS (or its doubled
+copy COORDS2) with ``order=math.inf``, so no term is ever truncated.  Their
+coefficients are rationals, or ParamPoly over the deformation parameters for
+symbolic bracket coefficients.  The group law composes coordinates, and the
 classified bialgebra coefficients induce a Poisson bracket whose Jacobi and
-homomorphism properties are verified polynomially (no truncation needed).
+homomorphism properties are verified polynomially.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .params import DEFAULT_ORDER, ParamPoly, as_fraction, parse_rational
+from .params import DEFAULT_ORDER, ParamPoly, as_scalar, parse_rational
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -20,205 +24,18 @@ COORDS2 = COORDS + ("a_minus'", "a_plus'", "m'")
 CHART = ("x1", "x2", "x3")
 
 
-def _coerce(value):
-    if isinstance(value, ParamPoly):
-        return value
-    return as_fraction(value)
+def _coord(name, names=COORDS) -> ParamPoly:
+    """The coordinate function ``name`` as a polynomial over ``names``."""
+    return ParamPoly.symbol(name, math.inf, names)
 
 
-class CoordPoly:
-    """Sparse commutative polynomial over named variables.
+def _coord_const(value, names=COORDS) -> ParamPoly:
+    """A constant (rational or ParamPoly) as a polynomial over ``names``."""
+    return ParamPoly.const(value, math.inf, names)
 
-    Coefficients are exact rationals or ParamPoly (for symbolic bracket
-    coefficients); no degree truncation is applied.
-    """
 
-    __slots__ = ("names", "terms")
-
-    def __init__(self, names, terms):
-        names = tuple(names)
-        clean = {}
-        for exps, coeff in terms.items():
-            if len(exps) != len(names):
-                raise ValueError("exponent vector does not match the variable list")
-            if coeff:
-                clean[tuple(exps)] = coeff
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordPoly is immutable")
-
-    @classmethod
-    def zero(cls, names):
-        return cls(names, {})
-
-    @classmethod
-    def const(cls, value, names):
-        value = _coerce(value)
-        if not value:
-            return cls(names, {})
-        return cls(names, {(0,) * len(names): value})
-
-    @classmethod
-    def var(cls, name, names):
-        exps = [0] * len(names)
-        exps[names.index(name)] = 1
-        return cls(names, {tuple(exps): Fraction(1)})
-
-    def _promote(self, other):
-        if isinstance(other, CoordPoly):
-            if other.names != self.names:
-                raise ValueError("polynomials live over different variable lists")
-            return other
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return CoordPoly.const(other, self.names)
-        return None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
-            terms[exps] = coeff if acc is None else acc + coeff
-        return CoordPoly(self.names, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CoordPoly(self.names, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return CoordPoly(self.names,
-                             {e: c * other for e, c in self.terms.items()})
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                coeff = c1 * c2
-                if not coeff:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(key)
-                terms[key] = coeff if acc is None else acc + coeff
-        return CoordPoly(self.names, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return CoordPoly(self.names,
-                             {e: other * c for e, c in self.terms.items()})
-        return NotImplemented
-
-    def __pow__(self, n):
-        out = CoordPoly.const(1, self.names)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def partial(self, index):
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if not e:
-                continue
-            key = exps[:index] + (e - 1,) + exps[index + 1:]
-            add = coeff * e
-            acc = terms.get(key)
-            terms[key] = add if acc is None else acc + add
-        return CoordPoly(self.names, terms)
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def linear_part(self):
-        return CoordPoly(self.names,
-                         {e: c for e, c in self.terms.items() if sum(e) == 1})
-
-    def constant_value(self):
-        if any(sum(e) for e in self.terms):
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.names), Fraction(0))
-
-    def subs_vars(self, images):
-        """Map every variable through ``images`` (name -> CoordPoly) into the
-        target algebra; unmapped variables are not allowed."""
-        target = next(iter(images.values())).names
-        out = CoordPoly.zero(target)
-        for exps, coeff in self.terms.items():
-            factor = CoordPoly.const(coeff, target)
-            for name, e in zip(self.names, exps):
-                if not e:
-                    continue
-                if name not in images:
-                    raise ValueError(f"no image for variable {name!r}")
-                factor = factor * images[name] ** e
-            out = out + factor
-        return out
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(),
-                       key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
-        parts = []
-        for exps, coeff in items:
-            factors = []
-            for name, e in zip(self.names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if isinstance(coeff, ParamPoly):
-                cs = str(coeff)
-                piece = f"({cs})*{mono}" if mono else f"({cs})"
-                parts.append(f" + {piece}" if parts else piece)
-                continue
-            piece = mono or None
-            if coeff < 0:
-                c = -coeff
-                body = (f"{c}" if not piece else
-                        piece if c == 1 else
-                        f"{c}*{piece}" if c.denominator == 1 else f"({c})*{piece}")
-                parts.append(f" - {body}" if parts else f"-{body}")
-            else:
-                body = (f"{coeff}" if not piece else
-                        piece if coeff == 1 else
-                        f"{coeff}*{piece}" if coeff.denominator == 1 else f"({coeff})*{piece}")
-                parts.append(f" + {body}" if parts else body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"CoordPoly({self})"
+#: The coordinate functions over COORDS and over COORDS2, built once.
+_GENS = {names: tuple(_coord(n, names) for n in names) for names in (COORDS, COORDS2)}
 
 
 class GroupCoords:
@@ -227,9 +44,8 @@ class GroupCoords:
     __slots__ = ("m", "a_minus", "a_plus")
 
     def __init__(self, m, a_minus, a_plus):
-        names = m.names if isinstance(m, CoordPoly) else COORDS
-        conv = (lambda v: v if isinstance(v, CoordPoly)
-                else CoordPoly.const(v, names))
+        names = m.names if isinstance(m, ParamPoly) else COORDS
+        conv = lambda v: v if isinstance(v, ParamPoly) else _coord_const(v, names)
         object.__setattr__(self, "m", conv(m))
         object.__setattr__(self, "a_minus", conv(a_minus))
         object.__setattr__(self, "a_plus", conv(a_plus))
@@ -239,27 +55,25 @@ class GroupCoords:
 
     @classmethod
     def identity(cls, names=COORDS):
-        zero = CoordPoly.zero(names)
+        zero = _coord_const(0, names)
         return cls(zero, zero, zero)
 
     @classmethod
     def point(cls, m, a_minus, a_plus, names=COORDS):
-        return cls(CoordPoly.const(m, names),
-                   CoordPoly.const(a_minus, names),
-                   CoordPoly.const(a_plus, names))
+        return cls(_coord_const(m, names), _coord_const(a_minus, names),
+                   _coord_const(a_plus, names))
 
     @classmethod
     def generic(cls, suffix, names):
         """Element whose coordinates are the variables m<suffix>, etc."""
-        return cls(CoordPoly.var(f"m{suffix}", names),
-                   CoordPoly.var(f"a_minus{suffix}", names),
-                   CoordPoly.var(f"a_plus{suffix}", names))
+        return cls(_coord(f"m{suffix}", names), _coord(f"a_minus{suffix}", names),
+                   _coord(f"a_plus{suffix}", names))
 
     def matrix(self):
         """Upper-triangular 3x3 representation [[1, a-, m + a- a+], ...]."""
         names = self.m.names
-        one = CoordPoly.const(1, names)
-        zero = CoordPoly.zero(names)
+        one = _coord_const(1, names)
+        zero = _coord_const(0, names)
         return ((one, self.a_minus, self.m + self.a_minus * self.a_plus),
                 (zero, one, self.a_plus),
                 (zero, zero, one))
@@ -291,9 +105,8 @@ class GroupCoords:
         return cls.point(*(parse_rational(n, v) for n, v in zip(names, vals)))
 
     def to_json(self):
-        return [str(self.m.constant_value()),
-                str(self.a_minus.constant_value()),
-                str(self.a_plus.constant_value())]
+        return [str(self.m.as_fraction()), str(self.a_minus.as_fraction()),
+                str(self.a_plus.as_fraction())]
 
 
 def group_compose(g1: GroupCoords, g2: GroupCoords) -> GroupCoords:
@@ -313,7 +126,7 @@ class PoissonStructure:
     def __init__(self, a1=0, a2=0, a3=0, b1=0, b2=0, b3=0):
         for name, val in (("a1", a1), ("a2", a2), ("a3", a3),
                           ("b1", b1), ("b2", b2), ("b3", b3)):
-            object.__setattr__(self, name, _coerce(val))
+            object.__setattr__(self, name, as_scalar(val))
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonStructure is immutable")
@@ -338,9 +151,7 @@ class PoissonStructure:
         table = {}
         for block in (0, 1) if len(names) == 6 else (0,):
             off = 3 * block
-            am = CoordPoly.var(names[off + 0], names)
-            ap = CoordPoly.var(names[off + 1], names)
-            m = CoordPoly.var(names[off + 2], names)
+            am, ap, m = _GENS[names][off:off + 3]
             table[(off, off + 1)] = am * self.a1 + ap * self.b1
             table[(off, off + 2)] = (am * self.a2 + ap * self.b2 + m * self.b1
                                      - am * am * (self.a1 * Fraction(1, 2)))
@@ -349,7 +160,7 @@ class PoissonStructure:
         return table
 
 
-def pl_bracket(f: CoordPoly, g: CoordPoly, ps: PoissonStructure) -> CoordPoly:
+def pl_bracket(f: ParamPoly, g: ParamPoly, ps: PoissonStructure) -> ParamPoly:
     """Bracket extended from the generator table by bilinearity and Leibniz."""
     if f.names != g.names:
         raise ValueError("polynomials live over different variable lists")
@@ -357,7 +168,7 @@ def pl_bracket(f: CoordPoly, g: CoordPoly, ps: PoissonStructure) -> CoordPoly:
     if names not in (COORDS, COORDS2):
         raise ValueError("the bracket is defined on the coordinate algebra")
     table = ps.bracket_table(names)
-    out = CoordPoly.zero(names)
+    out = _coord_const(0, names)
     for i in range(len(names)):
         fi = f.partial(i)
         if not fi:
@@ -379,39 +190,34 @@ def pl_bracket(f: CoordPoly, g: CoordPoly, ps: PoissonStructure) -> CoordPoly:
     return out
 
 
-def jacobi_check(ps: PoissonStructure, names=COORDS) -> CoordPoly:
+def jacobi_check(ps: PoissonStructure, names=COORDS) -> ParamPoly:
     """Cyclic sum {f, {g, h}} over the coordinate triple; zero iff the
     bialgebra constraint equations hold."""
-    am, ap, m = (CoordPoly.var(n, names) for n in names[:3])
-    acc = CoordPoly.zero(names)
+    am, ap, m = _GENS[names][:3]
+    acc = _coord_const(0, names)
     for f, g, h in ((am, ap, m), (ap, m, am), (m, am, ap)):
         acc = acc + pl_bracket(f, pl_bracket(g, h, ps), ps)
     return acc
 
 
-def group_pullback(f: CoordPoly) -> CoordPoly:
+def group_pullback(f: ParamPoly) -> ParamPoly:
     """Pull back a coordinate polynomial along the group law, landing in the
     doubled algebra (unprimed and primed copies)."""
     if f.names != COORDS:
         raise ValueError("expected a polynomial over the base coordinates")
-    am = CoordPoly.var("a_minus", COORDS2)
-    ap = CoordPoly.var("a_plus", COORDS2)
-    m = CoordPoly.var("m", COORDS2)
-    amp = CoordPoly.var("a_minus'", COORDS2)
-    app = CoordPoly.var("a_plus'", COORDS2)
-    mp = CoordPoly.var("m'", COORDS2)
+    am, ap, m, amp, app, mp = _GENS[COORDS2]
     images = {
         "m": m + mp - am * app,
         "a_minus": am + amp,
         "a_plus": ap + app,
     }
-    return f.subs_vars(images)
+    return f.subs(images)
 
 
 def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
     """Residual Delta{u,v} - {Delta u, Delta v} per coordinate pair, where
     Delta is the group-law pullback and the doubled bracket acts copy-wise."""
-    base = {n: CoordPoly.var(n, COORDS) for n in COORDS}
+    base = dict(zip(COORDS, _GENS[COORDS]))
     out = {}
     for u, v in (("a_minus", "a_plus"), ("a_minus", "m"), ("a_plus", "m")):
         lhs = group_pullback(pl_bracket(base[u], base[v], ps))
@@ -420,20 +226,16 @@ def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
     return out
 
 
-def chart_change(p: CoordPoly) -> CoordPoly:
+def chart_change(p: ParamPoly) -> ParamPoly:
     """Rewrite a coordinate polynomial in the chart x1 = a-, x2 = a+,
     x3 = m + a- a+."""
-    x1 = CoordPoly.var("x1", CHART)
-    x2 = CoordPoly.var("x2", CHART)
-    x3 = CoordPoly.var("x3", CHART)
-    return p.subs_vars({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2})
+    x1, x2, x3 = (_coord(n, CHART) for n in CHART)
+    return p.subs({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2})
 
 
-def chart_change_inverse(p: CoordPoly) -> CoordPoly:
-    am = CoordPoly.var("a_minus", COORDS)
-    ap = CoordPoly.var("a_plus", COORDS)
-    m = CoordPoly.var("m", COORDS)
-    return p.subs_vars({"x1": am, "x2": ap, "x3": m + am * ap})
+def chart_change_inverse(p: ParamPoly) -> ParamPoly:
+    am, ap, m = _GENS[COORDS]
+    return p.subs({"x1": am, "x2": ap, "x3": m + am * ap})
 
 
 def linear_bracket_table(ps: PoissonStructure):
@@ -442,8 +244,7 @@ def linear_bracket_table(ps: PoissonStructure):
     table = {}
     for (i, j), poly in ps.bracket_table(COORDS).items():
         vec = {}
-        lin = poly.linear_part()
-        for exps, coeff in lin.terms.items():
+        for exps, coeff in poly.homogeneous_part(1).terms.items():
             vec[exps.index(1)] = coeff
         table[(i, j)] = vec
     return table

@@ -14,7 +14,7 @@ from .params import DEFAULT_ORDER, ParamPoly, as_fraction
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
                       RewriteSystem, commutator, exp_element, exp_matrix2,
                       nc_mul, normal_form)
-from .tensor import TensorElement, flip, outer, tensor_mul
+from .tensor import TensorElement, _slot_product, flip, outer, tensor_mul
 from .bialgebra import (_IDX, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
                         BialgebraClass, Cocommutator)
 
@@ -259,18 +259,20 @@ class HopfPresentation:
     """A quantized family: rewrite rules, coproduct, counit and antipode.
 
     Deformation parameters are carried as degree-1 ParamPoly values so the
-    series grading stays intact; rational parameter choices are rendered by
-    substituting the symbols away.
+    series grading stays intact: a rational choice q of a parameter is the
+    value q * <symbol>, and ``concrete`` maps the names chosen that way to q.
+    When every parameter is concrete, rendering substitutes the symbols away.
     """
 
-    __slots__ = ("family", "order", "values", "rewrite", "coproduct",
-                 "counit", "antipode", "bialgebra_class")
+    __slots__ = ("family", "order", "values", "concrete", "rewrite",
+                 "coproduct", "counit", "antipode", "bialgebra_class")
 
     def __init__(self, family, order, values, rewrite, coproduct, counit,
-                 antipode, bialgebra_class):
+                 antipode, bialgebra_class, concrete=None):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "concrete", concrete or {})
         object.__setattr__(self, "rewrite", rewrite)
         object.__setattr__(self, "coproduct", coproduct)
         object.__setattr__(self, "counit", counit)
@@ -281,28 +283,19 @@ class HopfPresentation:
         raise AttributeError("HopfPresentation is immutable")
 
     def param_display(self):
-        """Parameter values as symbol names (symbolic) or rational strings."""
-        out = {}
-        for name, val in self.values.items():
-            if val == ParamPoly.symbol(name, self.order):
-                out[name] = name
-            else:
-                sym = ParamPoly.symbol(name, self.order)
-                const = val.subs({name: 1})
-                if const.is_constant() and val == sym * const.constant_term():
-                    out[name] = str(const.constant_term())
-                else:
-                    out[name] = str(val)
-        return out
+        """Parameter values as rational strings (concrete) or series."""
+        return {name: str(self.concrete.get(name, val))
+                for name, val in self.values.items()}
 
     @property
     def is_concrete(self):
-        return all(d != n for n, d in self.param_display().items()) \
-            if self.values else False
+        return bool(self.values) and self.concrete.keys() == self.values.keys()
 
     def _render(self, obj):
         if self.is_concrete:
-            obj = obj.subs({name: 1 for name in self.values})
+            grading = {name for val in self.values.values() for exps in val.terms
+                       for name, e in zip(val.names, exps) if e}
+            obj = obj.subs(dict.fromkeys(grading, 1))
             obj = obj.truncate_words(self.order)
         return str(obj)
 
@@ -377,10 +370,11 @@ def quantize(family, order=DEFAULT_ORDER, params=None, values=None, verify=True)
     antipode = build_antipode(cls, rewrite)
     counit = {name: ParamPoly.zero(order) for name in GENERATORS}
     hp = HopfPresentation(
-        family=cls.tag, order=order,
-        values=_family_values(cls, order) if cls.tag != TRIVIAL else {},
+        family=cls.tag, order=order, values=_family_values(cls, order),
         rewrite=rewrite, coproduct=coproduct, counit=counit,
-        antipode=antipode, bialgebra_class=cls)
+        antipode=antipode, bialgebra_class=cls,
+        concrete={n: v for n, v in cls.family_params().items()
+                  if not isinstance(v, ParamPoly)})
     if verify:
         failed = [name for name, ok in verify_all(hp).items() if not ok]
         if failed:
@@ -653,29 +647,16 @@ def _swap_elem(x: FreeElement, target_rs) -> FreeElement:
 
 
 def _swap_tensor(t: TensorElement, target_rs) -> TensorElement:
-    order = t.order
-    acc = TensorElement.zero(t.rank, order)
+    terms = {}
     for slots, coeff in t.terms.items():
         elems = []
         sign = 1
         for w in slots:
             image, s = _swap_word(w)
             sign *= s
-            elems.append(normal_form(FreeElement.from_word(image, order), target_rs))
-        partial = {(): coeff * sign}
-        for elem in elems:
-            nxt = {}
-            for key, c in partial.items():
-                for word, wc in elem.terms.items():
-                    prod = c * wc
-                    if not prod:
-                        continue
-                    k = key + (word,)
-                    old = nxt.get(k)
-                    nxt[k] = prod if old is None else old + prod
-            partial = nxt
-        acc = acc + TensorElement(t.rank, partial, order)
-    return acc
+            elems.append(normal_form(FreeElement.from_word(image, t.order), target_rs))
+        _slot_product(elems, coeff * sign, terms)
+    return TensorElement(t.rank, terms, t.order)
 
 
 def swap_transport(hp) -> HopfPresentation:
@@ -684,10 +665,11 @@ def swap_transport(hp) -> HopfPresentation:
         raise ValueError("swap transport applies to the I+ / I- families")
     order = hp.order
     target_tag = TYPE_I_MINUS if hp.family == TYPE_I_PLUS else TYPE_I_PLUS
-    if hp.family == TYPE_I_PLUS:
-        new_values = {"b1": -hp.values["a1"], "b2": -hp.values["a3"]}
-    else:
-        new_values = {"a1": -hp.values["b1"], "a3": -hp.values["b2"]}
+    renames = ({"a1": "b1", "a3": "b2"} if hp.family == TYPE_I_PLUS
+               else {"b1": "a1", "b2": "a3"})
+    new_values = {new: -hp.values[old] for old, new in renames.items()}
+    concrete = {new: -hp.concrete[old] for old, new in renames.items()
+                if old in hp.concrete}
 
     # transported commutation rules first (their right-hand sides are series
     # in M, whose swap images are already normal words)
@@ -726,7 +708,7 @@ def swap_transport(hp) -> HopfPresentation:
     return HopfPresentation(
         family=target_tag, order=order, values=new_values, rewrite=rewrite,
         coproduct=coproduct, counit={n: ParamPoly.zero(order) for n in GENERATORS},
-        antipode=antipode, bialgebra_class=cls)
+        antipode=antipode, bialgebra_class=cls, concrete=concrete)
 
 
 # -- closed-form display ----------------------------------------------------------------

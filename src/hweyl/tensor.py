@@ -157,26 +157,32 @@ class TensorElement:
         return f"TensorElement(rank={self.rank}, {self}, order={self.order})"
 
 
-def outer(*factors: FreeElement) -> TensorElement:
-    """Tensor product of 2 or 3 free-algebra elements."""
-    rank = len(factors)
-    order = factors[0].order
-    if any(f.order != order for f in factors):
-        raise ValueError("mismatched truncation orders")
-    terms = {((), ) * rank: ParamPoly.one(order)}
-    out = {(): ParamPoly.one(order)}
-    for f in factors:
-        nxt = {}
-        for slots, coeff in out.items():
-            for word, c in f.terms.items():
-                prod = coeff * c
+def _slot_product(elems, coeff, into):
+    """Add coeff * elems[0] (x) elems[1] (x) ... to ``into``, a dict from word
+    tuples to coefficients, and return it."""
+    partial = {(): coeff}
+    last = len(elems) - 1
+    for n, elem in enumerate(elems):
+        out = into if n == last else {}
+        for slots, c in partial.items():
+            for word, wc in elem.terms.items():
+                prod = c * wc
                 if not prod:
                     continue
                 key = slots + (word,)
-                acc = nxt.get(key)
-                nxt[key] = prod if acc is None else acc + prod
-        out = nxt
-    return TensorElement(rank, out, order)
+                acc = out.get(key)
+                out[key] = prod if acc is None else acc + prod
+        partial = out
+    return into
+
+
+def outer(*factors: FreeElement) -> TensorElement:
+    """Tensor product of 2 or 3 free-algebra elements."""
+    order = factors[0].order
+    if any(f.order != order for f in factors):
+        raise ValueError("mismatched truncation orders")
+    return TensorElement(len(factors), _slot_product(factors, ParamPoly.one(order), {}),
+                         order)
 
 
 def tensor_mul(u: TensorElement, v: TensorElement, rs: RewriteSystem) -> TensorElement:
@@ -185,30 +191,14 @@ def tensor_mul(u: TensorElement, v: TensorElement, rs: RewriteSystem) -> TensorE
         raise ValueError(f"rank mismatch: {u.rank} vs {v.rank}")
     if u.order != v.order or u.order != rs.order:
         raise ValueError("mismatched truncation orders")
-    acc = TensorElement.zero(u.rank, u.order)
+    terms = {}
     for s1, c1 in u.terms.items():
         for s2, c2 in v.terms.items():
             coeff = c1 * c2
-            if not coeff:
-                continue
-            # normal-order each concatenated slot, then distribute the results
-            slot_elems = [
-                normal_form(FreeElement.from_word(w1 + w2, u.order), rs)
-                for w1, w2 in zip(s1, s2)]
-            partial = {(): coeff}
-            for elem in slot_elems:
-                nxt = {}
-                for slots, c in partial.items():
-                    for word, wc in elem.terms.items():
-                        prod = c * wc
-                        if not prod:
-                            continue
-                        key = slots + (word,)
-                        old = nxt.get(key)
-                        nxt[key] = prod if old is None else old + prod
-                partial = nxt
-            acc = acc + TensorElement(u.rank, partial, u.order)
-    return acc
+            if coeff:
+                _slot_product([normal_form(FreeElement.from_word(w1 + w2, u.order), rs)
+                               for w1, w2 in zip(s1, s2)], coeff, terms)
+    return TensorElement(u.rank, terms, u.order)
 
 
 def flip(u: TensorElement) -> TensorElement:

@@ -7,9 +7,9 @@ import pytest
 from hweyl.params import ParamPoly
 from hweyl.freealg import FreeElement, RewriteSystem, commutator
 from hweyl.tensor import TensorElement, outer, tensor_mul, wedge3
-from hweyl.bialgebra import (BASIS, INVALID, TRIVIAL, TYPE_I_MINUS,
+from hweyl.bialgebra import (BASIS, BRACKET, INVALID, TRIVIAL, TYPE_I_MINUS,
                              TYPE_I_PLUS, TYPE_II, SWAP_AUTOMORPHISM,
-                             BialgebraClass, Cocommutator, LieStructure,
+                             BialgebraClass, Cocommutator,
                              RMatrix, apply_automorphism, classify,
                              coboundary_delta, cocycle_residuals,
                              cojacobi_residuals, dual_bracket_table,
@@ -74,18 +74,15 @@ def cojacobi_oracle_is_zero(delta, order=K):
 # -- Lie structure ---------------------------------------------------------------
 
 def test_heisenberg_weyl_brackets():
-    g = LieStructure.heisenberg_weyl()
-    assert g.bracket(0, 1) == {2: Fraction(1)}
-    assert g.bracket(1, 0) == {2: Fraction(-1)}
-    assert g.bracket(2, 0) == {} and g.bracket(2, 1) == {}
-
-
-def test_jacobi_violation_rejected():
-    # [e0,e1]=e2, [e0,e2]=e1, [e1,e2]=e0 is so(2,1)-like and fine
-    LieStructure({(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {0: 1}})
-    # [e0,e1]=e2, [e0,e2]=e0 breaks Jacobi on (e0,e1,e2)
-    with pytest.raises(ValueError):
-        LieStructure({(0, 1): {2: 1}, (0, 2): {0: 1}})
+    # [A-, A+] = M; every ordered pair agrees with the undeformed PBW rules
+    assert BRACKET[(0, 1)] == {2: Fraction(1)}
+    rs = RewriteSystem.undeformed(K)
+    gens = [FreeElement.generator(name, K) for name in BASIS]
+    for i, j in itertools.product(range(3), repeat=2):
+        expected = FreeElement.zero(K)
+        for k, f in BRACKET.get((i, j), {}).items():
+            expected = expected + gens[k] * f
+        assert commutator(gens[i], gens[j], rs) == expected
 
 
 # -- cocycle condition --------------------------------------------------------------

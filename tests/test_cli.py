@@ -97,6 +97,14 @@ def test_quantize_concrete_type_ii_relation(capsys):
     assert "[A-,A+] = M - M^2 + (2/3)*M^3" in out
 
 
+def test_quantize_parameter_equal_to_one_is_concrete(capsys):
+    code, out, _ = run(capsys, "quantize", '{"a1":"1"}', "--order", "3")
+    assert code == 0
+    assert "parameters: a1 = 1, a3 = 0" in out
+    series = out.split("\nrelations:\n", 1)[1]
+    assert "a1" not in series and "(1/2)*M^2" in series
+
+
 def test_quantize_invalid_input_exits_2(capsys):
     code, _, err = run(capsys, "quantize", '{"a1":"1","a3":"1","b1":"1","b3":"2"}')
     assert code == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hweyl.params import ParamPoly
 from hweyl.bialgebra import (TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
                              BialgebraClass, Cocommutator, cojacobi_residuals,
                              dual_bracket_table)
-from hweyl.poisson import (CHART, COORDS, COORDS2, CoordPoly, GroupCoords,
+from hweyl.poisson import (CHART, COORDS, COORDS2, GroupCoords,
                            PoissonStructure, chart_change,
                            chart_change_inverse, group_compose,
                            group_pullback, jacobi_check, linear_bracket_table,
@@ -16,7 +17,7 @@ from hweyl.poisson import (CHART, COORDS, COORDS2, CoordPoly, GroupCoords,
 
 
 def var(name, names=COORDS):
-    return CoordPoly.var(name, names)
+    return ParamPoly.symbol(name, math.inf, names)
 
 
 def sym(name):
@@ -43,7 +44,8 @@ def test_group_matrix_cross_check():
 
     def mat_mul(a, b):
         return tuple(tuple(
-            sum((a[i][k] * b[k][j] for k in range(3)), CoordPoly.zero(COORDS))
+            sum((a[i][k] * b[k][j] for k in range(3)),
+                ParamPoly.zero(math.inf, COORDS))
             for j in range(3)) for i in range(3))
 
     for _ in range(100):
@@ -87,6 +89,9 @@ def test_bracket_on_generators():
     expected_am_m = (am * sym("a2") + ap * sym("b2") + m * sym("b1")
                      - am * am * (sym("a1") * Fraction(1, 2)))
     assert pl_bracket(am, m, ps) == expected_am_m
+    assert str(pl_bracket(am, m, ps)) == \
+        "(a2)*a_minus + (b2)*a_plus + (b1)*m + (-(1/2)*a1)*a_minus^2"
+    assert str(am * Fraction(-2, 3) + m * m - 1) == "-1 - (2/3)*a_minus + m^2"
     expected_ap_m = (am * sym("a3") + ap * sym("b3") - m * sym("a1")
                      + ap * ap * (sym("b1") * Fraction(1, 2)))
     assert pl_bracket(ap, m, ps) == expected_ap_m
@@ -171,7 +176,7 @@ class _PerturbedStructure(PoissonStructure):
         fixed = {}
         for key, poly in table.items():
             if key[1] == key[0] + 1 and key[0] % 3 == 0:
-                ap = CoordPoly.var(names[key[0] + 1], names)
+                ap = ParamPoly.symbol(names[key[0] + 1], math.inf, names)
                 poly = poly + ap * ap
             fixed[key] = poly
         return fixed
@@ -186,10 +191,10 @@ def test_homomorphism_detects_perturbed_bracket():
 def test_pullback_is_group_law():
     m = var("m")
     image = group_pullback(m)
-    am = CoordPoly.var("a_minus", COORDS2)
-    app = CoordPoly.var("a_plus'", COORDS2)
-    mp = CoordPoly.var("m'", COORDS2)
-    m2 = CoordPoly.var("m", COORDS2)
+    am = ParamPoly.symbol("a_minus", math.inf, COORDS2)
+    app = ParamPoly.symbol("a_plus'", math.inf, COORDS2)
+    mp = ParamPoly.symbol("m'", math.inf, COORDS2)
+    m2 = ParamPoly.symbol("m", math.inf, COORDS2)
     assert image == m2 + mp - am * app
 
 
@@ -197,9 +202,9 @@ def test_pullback_is_group_law():
 
 def test_chart_change_examples():
     m = var("m")
-    x1 = CoordPoly.var("x1", CHART)
-    x2 = CoordPoly.var("x2", CHART)
-    x3 = CoordPoly.var("x3", CHART)
+    x1 = ParamPoly.symbol("x1", math.inf, CHART)
+    x2 = ParamPoly.symbol("x2", math.inf, CHART)
+    x3 = ParamPoly.symbol("x3", math.inf, CHART)
     assert chart_change(m) == x3 - x1 * x2
     assert chart_change(var("a_minus")) == x1
     assert chart_change_inverse(x3) == m + var("a_minus") * var("a_plus")
@@ -208,10 +213,11 @@ def test_chart_change_examples():
 def test_chart_roundtrip_random():
     rng = random.Random(63)
     for _ in range(20):
-        p = CoordPoly.zero(COORDS)
+        p = ParamPoly.zero(math.inf, COORDS)
         for _ in range(5):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
-            p = p + CoordPoly(COORDS, {exps: Fraction(rng.randint(-4, 4))})
+            p = p + ParamPoly({exps: Fraction(rng.randint(-4, 4))}, math.inf,
+                              COORDS)
         assert chart_change_inverse(chart_change(p)) == p
 
 

@@ -483,6 +483,21 @@ def test_hopf_json_roundtrip_concrete():
     assert rebuilt.to_json() == doc
 
 
+def test_concrete_parameter_equal_to_one_is_not_symbolic():
+    hp = quantize(TYPE_I_PLUS, params={"a1": 1, "a3": 2})
+    assert hp.param_display() == {"a1": "1", "a3": "2"}
+    assert hp.is_concrete
+    assert HopfPresentation.from_json(hp.to_json()).concrete == {"a1": 1, "a3": 2}
+
+
+def test_swap_transport_carries_concrete_values():
+    source = quantize(TYPE_I_PLUS, order=K, params={"a1": 2, "a3": 1})
+    transported = swap_transport(source)
+    direct = quantize(TYPE_I_MINUS, order=K, params={"b1": -2, "b2": -1})
+    assert transported.concrete == direct.concrete
+    assert transported.to_json() == direct.to_json()
+
+
 def test_closed_forms_mention_exponential():
     hp = quantize(TYPE_I_PLUS, order=2)
     lines = closed_forms(hp)["coproduct"]
