@@ -249,9 +249,11 @@ class RewriteSystem:
     g*h.  Construction checks the termination witness: everything in the rule
     beyond the reordered word h*g must either be a shorter word or carry
     parameter degree >= 1, so rewriting always terminates under truncation.
+
+    The normal form of each word is rewritten once and kept with the system.
     """
 
-    __slots__ = ("name", "rules", "order")
+    __slots__ = ("name", "rules", "order", "_forms")
 
     def __init__(self, name, rules, order):
         if set(rules) != set(REDEXES):
@@ -271,9 +273,20 @@ class RewriteSystem:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "rules", dict(rules))
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_forms", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
+
+    def _form(self, word) -> FreeElement:
+        """Normal form of the word with coefficient 1, rewritten once per word."""
+        form = self._forms.get(word)
+        if form is None:
+            form = FreeElement(
+                _rewrite([(word, ParamPoly.one(self.order))], self, rightmost=False),
+                self.order)
+            self._forms[word] = form
+        return form
 
     @classmethod
     def undeformed(cls, order=DEFAULT_ORDER):
@@ -294,7 +307,15 @@ class RewriteSystem:
         return out
 
     def check_confluence(self):
-        """Reduce every length-3 word with two strategies; return mismatches."""
+        """Reduce every length-3 word with two strategies; return mismatches.
+
+        The construction checks the termination witness, so by Bergman's
+        diamond lemma (Adv. Math. 29 (1978) 178-218) the system is confluent,
+        and every word has one normal form, exactly when every ambiguity
+        resolves.  Each rule's left side is a pair of letters, so the only
+        ambiguities are the overlaps g*h*k of two rules, which are words of
+        length 3: agreeing on all of them is enough.
+        """
         bad = []
         for w1 in GENERATORS:
             for w2 in GENERATORS:
@@ -316,12 +337,9 @@ def _first_inversion(word, rightmost=False):
     return None
 
 
-def normal_form(x: FreeElement, rs: RewriteSystem, rightmost=False) -> FreeElement:
-    """Rewrite x into the ordered-word basis; strategy-independent at order K."""
-    if x.order != rs.order:
-        raise ValueError("element and rewrite system have different truncation orders")
+def _rewrite(stack, rs, rightmost):
+    """Rewrite the (word, coeff) pairs on the stack until every word is normal."""
     out = {}
-    stack = list(x.terms.items())
     while stack:
         word, coeff = stack.pop()
         if not coeff:
@@ -335,6 +353,25 @@ def normal_form(x: FreeElement, rs: RewriteSystem, rightmost=False) -> FreeEleme
         prefix, suffix = word[:i], word[i + 2:]
         for rw, rc in rule.terms.items():
             stack.append((prefix + rw + suffix, coeff * rc))
+    return out
+
+
+def normal_form(x: FreeElement, rs: RewriteSystem, rightmost=False) -> FreeElement:
+    """Rewrite x into the ordered-word basis; strategy-independent at order K.
+
+    The default (leftmost) strategy reads each word's normal form from the
+    rewrite system's memo; ``rightmost`` rewrites every term afresh.
+    """
+    if x.order != rs.order:
+        raise ValueError("element and rewrite system have different truncation orders")
+    if rightmost:
+        return FreeElement(_rewrite(list(x.terms.items()), rs, rightmost), x.order)
+    out = {}
+    for word, coeff in x.terms.items():
+        for w, c in rs._form(word).terms.items():
+            prod = coeff * c
+            acc = out.get(w)
+            out[w] = prod if acc is None else acc + prod
     return FreeElement(out, x.order)
 
 

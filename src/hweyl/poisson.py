@@ -167,7 +167,12 @@ def pl_bracket(f: ParamPoly, g: ParamPoly, ps: PoissonStructure) -> ParamPoly:
     names = f.names
     if names not in (COORDS, COORDS2):
         raise ValueError("the bracket is defined on the coordinate algebra")
-    table = ps.bracket_table(names)
+    return _bracket(f, g, ps.bracket_table(names))
+
+
+def _bracket(f: ParamPoly, g: ParamPoly, table) -> ParamPoly:
+    """``pl_bracket`` with the generator table of f's variable list given."""
+    names = f.names
     out = _coord_const(0, names)
     for i in range(len(names)):
         fi = f.partial(i)
@@ -194,9 +199,10 @@ def jacobi_check(ps: PoissonStructure, names=COORDS) -> ParamPoly:
     """Cyclic sum {f, {g, h}} over the coordinate triple; zero iff the
     bialgebra constraint equations hold."""
     am, ap, m = _GENS[names][:3]
+    table = ps.bracket_table(names)
     acc = _coord_const(0, names)
     for f, g, h in ((am, ap, m), (ap, m, am), (m, am, ap)):
-        acc = acc + pl_bracket(f, pl_bracket(g, h, ps), ps)
+        acc = acc + _bracket(f, _bracket(g, h, table), table)
     return acc
 
 
@@ -218,10 +224,11 @@ def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
     """Residual Delta{u,v} - {Delta u, Delta v} per coordinate pair, where
     Delta is the group-law pullback and the doubled bracket acts copy-wise."""
     base = dict(zip(COORDS, _GENS[COORDS]))
+    table, table2 = ps.bracket_table(COORDS), ps.bracket_table(COORDS2)
     out = {}
     for u, v in (("a_minus", "a_plus"), ("a_minus", "m"), ("a_plus", "m")):
-        lhs = group_pullback(pl_bracket(base[u], base[v], ps))
-        rhs = pl_bracket(group_pullback(base[u]), group_pullback(base[v]), ps)
+        lhs = group_pullback(_bracket(base[u], base[v], table))
+        rhs = _bracket(group_pullback(base[u]), group_pullback(base[v]), table2)
         out[f"{{{u},{v}}}"] = lhs - rhs
     return out
 

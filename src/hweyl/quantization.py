@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .params import DEFAULT_ORDER, ParamPoly, as_fraction
+from .params import DEFAULT_ORDER, ParamPoly, as_fraction, parse_rational
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
                       RewriteSystem, commutator, exp_element, exp_matrix2,
                       nc_mul, normal_form)
@@ -202,17 +202,12 @@ def family_rewrite(cls, order=DEFAULT_ORDER):
 
 # -- coproduct / counit / antipode extension to arbitrary elements -------------
 
-def coproduct_of_element(coproduct, rs, x: FreeElement) -> TensorElement:
-    """Algebra-map extension of the coproduct to a free-algebra element."""
-    order = x.order
-    one = FreeElement.one(order)
-    unit = outer(one, one)
-    out = TensorElement.zero(2, order)
+def coproduct_of_element(hp, x: FreeElement) -> TensorElement:
+    """Algebra-map extension of the presentation's coproduct to a free-algebra
+    element."""
+    out = TensorElement.zero(2, x.order)
     for word, coeff in x.terms.items():
-        acc = unit
-        for letter in word:
-            acc = tensor_mul(acc, coproduct[letter], rs)
-        out = out + acc * coeff
+        out = out + hp._delta(word) * coeff
     return out
 
 
@@ -225,32 +220,27 @@ def counit_of_word(counit, word, order):
     return acc
 
 
-def antipode_of_element(antipode, rs, x: FreeElement) -> FreeElement:
-    """Anti-multiplicative extension of the antipode, in normal form."""
-    order = x.order
-    out = FreeElement.zero(order)
+def antipode_of_element(hp, x: FreeElement) -> FreeElement:
+    """Anti-multiplicative extension of the presentation's antipode, in
+    normal form."""
+    out = FreeElement.zero(x.order)
     for word, coeff in x.terms.items():
-        acc = FreeElement.one(order)
-        for letter in reversed(word):
-            acc = nc_mul(acc, antipode[letter])
-        out = out + acc * coeff
-    return normal_form(out, rs)
+        out = out + hp._gamma(word) * coeff
+    return out
 
 
-def _antipode_residual(coproduct, rs, antipode, name, side="left"):
+def _antipode_residual(hp, name, side="left"):
     """m(gamma (x) id) Delta(X)  or  m(id (x) gamma) Delta(X); the counit term
     vanishes on generators."""
-    order = rs.order
+    order = hp.order
     acc = FreeElement.zero(order)
-    for (u, w), coeff in coproduct[name].terms.items():
+    for (u, w), coeff in hp.coproduct[name].terms.items():
         if side == "left":
-            elem = nc_mul(antipode_of_element(antipode, rs, FreeElement.from_word(u, order)),
-                          FreeElement.from_word(w, order))
+            elem = nc_mul(hp._gamma(u), FreeElement.from_word(w, order))
         else:
-            elem = nc_mul(FreeElement.from_word(u, order),
-                          antipode_of_element(antipode, rs, FreeElement.from_word(w, order)))
+            elem = nc_mul(FreeElement.from_word(u, order), hp._gamma(w))
         acc = acc + elem * coeff
-    return normal_form(acc, rs)
+    return normal_form(acc, hp.rewrite)
 
 
 # -- the Hopf presentation -------------------------------------------------------
@@ -262,10 +252,14 @@ class HopfPresentation:
     series grading stays intact: a rational choice q of a parameter is the
     value q * <symbol>, and ``concrete`` maps the names chosen that way to q.
     When every parameter is concrete, rendering substitutes the symbols away.
+
+    Delta and gamma of each word are computed once and kept with the
+    presentation whose maps they extend.
     """
 
     __slots__ = ("family", "order", "values", "concrete", "rewrite",
-                 "coproduct", "counit", "antipode", "bialgebra_class")
+                 "coproduct", "counit", "antipode", "bialgebra_class",
+                 "_deltas", "_gammas")
 
     def __init__(self, family, order, values, rewrite, coproduct, counit,
                  antipode, bialgebra_class, concrete=None):
@@ -278,9 +272,36 @@ class HopfPresentation:
         object.__setattr__(self, "counit", counit)
         object.__setattr__(self, "antipode", antipode)
         object.__setattr__(self, "bialgebra_class", bialgebra_class)
+        object.__setattr__(self, "_deltas", {})
+        object.__setattr__(self, "_gammas", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfPresentation is immutable")
+
+    def _delta(self, word) -> TensorElement:
+        """Delta(word), built by prefix: Delta(word[:-1]) * Delta(word[-1])."""
+        delta = self._deltas.get(word)
+        if delta is None:
+            if word:
+                delta = tensor_mul(self._delta(word[:-1]), self.coproduct[word[-1]],
+                                   self.rewrite)
+            else:
+                one = FreeElement.one(self.order)
+                delta = outer(one, one)
+            self._deltas[word] = delta
+        return delta
+
+    def _gamma(self, word) -> FreeElement:
+        """gamma(word): the letters' antipodes multiplied in reverse order,
+        in normal form."""
+        gamma = self._gammas.get(word)
+        if gamma is None:
+            acc = FreeElement.one(self.order)
+            for letter in reversed(word):
+                acc = nc_mul(acc, self.antipode[letter])
+            gamma = normal_form(acc, self.rewrite)
+            self._gammas[word] = gamma
+        return gamma
 
     def param_display(self):
         """Parameter values as rational strings (concrete) or series."""
@@ -325,7 +346,7 @@ class HopfPresentation:
         order = int(doc["order"])
         params = {}
         for name, disp in doc.get("parameters", {}).items():
-            params[name] = None if disp == name else Fraction(disp)
+            params[name] = None if disp == name else parse_rational(name, disp)
         return quantize(family, order=order, params=params)
 
     def __repr__(self):
@@ -389,7 +410,7 @@ def verify_homomorphism(hp) -> dict:
     out = {}
     for (g, h), rhs in hp.rewrite.rules.items():
         lhs = tensor_mul(hp.coproduct[g], hp.coproduct[h], hp.rewrite)
-        out[f"{g}*{h}"] = lhs - coproduct_of_element(hp.coproduct, hp.rewrite, rhs)
+        out[f"{g}*{h}"] = lhs - coproduct_of_element(hp, rhs)
     return out
 
 
@@ -397,9 +418,7 @@ def _extend_slot(hp, t: TensorElement, slot: int) -> TensorElement:
     order = t.order
     terms = {}
     for (u, w), coeff in t.terms.items():
-        word = u if slot == 0 else w
-        inner = coproduct_of_element(hp.coproduct, hp.rewrite,
-                                     FreeElement.from_word(word, order))
+        inner = hp._delta(u if slot == 0 else w)
         for (p, q), c in inner.terms.items():
             key = (p, q, w) if slot == 0 else (u, p, q)
             prod = coeff * c
@@ -444,8 +463,7 @@ def verify_antipode(hp) -> dict:
     out = {}
     for name in GENERATORS:
         out[name] = (
-            _antipode_residual(hp.coproduct, hp.rewrite, hp.antipode, name, "left"),
-            _antipode_residual(hp.coproduct, hp.rewrite, hp.antipode, name, "right"))
+            _antipode_residual(hp, name, "left"), _antipode_residual(hp, name, "right"))
     return out
 
 
@@ -654,7 +672,7 @@ def _swap_tensor(t: TensorElement, target_rs) -> TensorElement:
         for w in slots:
             image, s = _swap_word(w)
             sign *= s
-            elems.append(normal_form(FreeElement.from_word(image, t.order), target_rs))
+            elems.append(target_rs._form(image))
         _slot_product(elems, coeff * sign, terms)
     return TensorElement(t.rank, terms, t.order)
 

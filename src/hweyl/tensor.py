@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .params import DEFAULT_ORDER, ParamPoly, join_signed, monomial_factors, monomial_key
-from .freealg import FreeElement, RewriteSystem, normal_form, word_factors, word_key, word_str
+from .freealg import FreeElement, RewriteSystem, word_factors, word_key, word_str
 
 _PERM_SIGN = {perm: sign for perm, sign in zip(
     ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)),
@@ -196,8 +196,8 @@ def tensor_mul(u: TensorElement, v: TensorElement, rs: RewriteSystem) -> TensorE
         for s2, c2 in v.terms.items():
             coeff = c1 * c2
             if coeff:
-                _slot_product([normal_form(FreeElement.from_word(w1 + w2, u.order), rs)
-                               for w1, w2 in zip(s1, s2)], coeff, terms)
+                _slot_product([rs._form(w1 + w2) for w1, w2 in zip(s1, s2)],
+                              coeff, terms)
     return TensorElement(u.rank, terms, u.order)
 
 

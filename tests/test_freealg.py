@@ -203,6 +203,20 @@ def test_confluence_all_families(tag):
     assert rs.check_confluence() == []
 
 
+def test_confluence_catches_a_terminating_system_that_breaks_jacobi():
+    # [A+,M] = A+, [A-,M] = 0, [A-,A+] = M meets the termination witness (the
+    # extra A+ is a shorter word), but the Jacobi sum on A-, A+, M is M, not 0
+    one = ParamPoly.one(K)
+    rs = RewriteSystem("jacobi-breaking", {
+        (GEN_AP, GEN_M): FreeElement({(GEN_M, GEN_AP): one, (GEN_AP,): one}, K),
+        (GEN_AM, GEN_M): FreeElement({(GEN_M, GEN_AM): one}, K),
+        (GEN_AM, GEN_AP): FreeElement({(GEN_AP, GEN_AM): one, (GEN_M,): one}, K),
+    }, K)
+    word = FreeElement.from_word((GEN_AM, GEN_AP, GEN_M), K)
+    assert (GEN_AM, GEN_AP, GEN_M) in rs.check_confluence()
+    assert normal_form(word, rs) - normal_form(word, rs, rightmost=True) == -gen(GEN_M)
+
+
 @pytest.mark.parametrize("tag", [None, TYPE_I_PLUS, TYPE_II])
 def test_associativity_short_words(tag):
     order = 4

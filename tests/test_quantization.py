@@ -11,7 +11,7 @@ from hweyl.tensor import TensorElement, flip, outer, tensor_mul
 from hweyl.bialgebra import (TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
                              BialgebraClass, Cocommutator)
 from hweyl.quantization import (HopfPresentation, VerificationError,
-                                _antipode_residual, build_antipode,
+                                build_antipode,
                                 build_coproduct, central_element,
                                 check_realization, closed_forms,
                                 coproduct_of_element, exprel_series,
@@ -256,6 +256,37 @@ def test_inconsistent_coproduct_fails_the_antipode_gate():
     assert verify_all(bad)["antipode"] is False
 
 
+def test_memos_do_not_leak_between_presentations():
+    # a copy of a good presentation with a broken Delta(M) and the same
+    # rewrite system; each is verified after the other has filled its memos
+    order = 4
+    good = quantize(TYPE_I_PLUS, order=order, verify=False)
+    broken = dict(good.coproduct)
+    broken[GEN_M] = outer(FreeElement.one(order), gen(GEN_M, order))
+    bad = HopfPresentation(
+        family=good.family, order=order, values=good.values,
+        rewrite=good.rewrite, coproduct=broken, counit=good.counit,
+        antipode=good.antipode, bialgebra_class=good.bialgebra_class)
+    for _ in range(2):
+        left, right = verify_antipode(bad)[GEN_M]
+        assert left and right
+        report = verify_all(bad)
+        assert report == dict.fromkeys(report, False)
+        assert all(verify_all(good).values())
+
+
+def _left_residual(coproduct, rewrite, gamma, name):
+    """m(gamma (x) id) Delta(X), letter by letter from the generator maps."""
+    order = rewrite.order
+    acc = FreeElement.zero(order)
+    for (u, w), coeff in coproduct[name].terms.items():
+        left = FreeElement.one(order)
+        for letter in reversed(u):
+            left = nc_mul(left, gamma[letter])
+        acc = acc + nc_mul(left, FreeElement.from_word(w, order)) * coeff
+    return normal_form(acc, rewrite)
+
+
 def _solve_antipode(coproduct, rewrite):
     """Oracle: fix the antipode degree by degree from the left axiom,
     starting from gamma(X) = -X in parameter degree 0."""
@@ -263,12 +294,12 @@ def _solve_antipode(coproduct, rewrite):
     gamma = {name: -FreeElement.generator(name, order) for name in GENERATORS}
     for degree in range(1, order + 1):
         for name in GENERATORS:
-            res = _antipode_residual(coproduct, rewrite, gamma, name)
+            res = _left_residual(coproduct, rewrite, gamma, name)
             part = res.homogeneous_part(degree)
             if part:
                 gamma[name] = gamma[name] - part
     for name in GENERATORS:
-        assert not _antipode_residual(coproduct, rewrite, gamma, name)
+        assert not _left_residual(coproduct, rewrite, gamma, name)
     return gamma
 
 
@@ -359,7 +390,7 @@ def test_central_element_only_for_i_plus():
 def test_coproduct_of_element_multiplicative():
     hp = quantize(TYPE_I_PLUS, order=K)
     x = nc_mul(gen(GEN_M), gen(GEN_M))
-    direct = coproduct_of_element(hp.coproduct, hp.rewrite, x)
+    direct = coproduct_of_element(hp, x)
     square = tensor_mul(hp.coproduct[GEN_M], hp.coproduct[GEN_M], hp.rewrite)
     assert direct == square
 
@@ -481,6 +512,15 @@ def test_hopf_json_roundtrip_concrete():
     assert doc["relations"]["[A-,A+]"] == "M - M^2 + (2/3)*M^3"
     rebuilt = HopfPresentation.from_json(doc)
     assert rebuilt.to_json() == doc
+
+
+def test_hopf_from_json_rejects_non_rational_parameters():
+    b1, b2 = sym("b1"), sym("b2")
+    doc = quantize(TYPE_I_PLUS, order=K, values={"a1": -b1, "a3": -b2},
+                   verify=False).to_json()
+    assert doc["parameters"] == {"a1": "-b1", "a3": "-b2"}
+    with pytest.raises(ValueError, match="field 'a1'"):
+        HopfPresentation.from_json(doc)
 
 
 def test_concrete_parameter_equal_to_one_is_not_symbolic():
