@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .params import DEFAULT_ORDER, ParamPoly, as_fraction, as_scalar, parse_rational
-from .freealg import GEN_AM, GEN_AP, GEN_M, FreeElement
-from .tensor import TensorElement, wedge2, wedge3
+from .freealg import GEN_AM, GEN_AP, GEN_M
+from .tensor import TensorElement
 
 #: Basis order used for cocommutator coefficients and automorphism matrices.
 BASIS = (GEN_AM, GEN_AP, GEN_M)
@@ -47,6 +47,16 @@ _NO_BRACKET = {}
 
 def _bracket(i, j):
     return BRACKET.get((i, j), _NO_BRACKET)
+
+
+def _skew(pairs):
+    """Full rank-2 index dict of the sum of w * (e_p ^ e_q) over ((p, q), w)."""
+    out = {}
+    for (p, q), w in pairs:
+        if w:
+            _addin(out, (p, q), w)
+            _addin(out, (q, p), -w)
+    return out
 
 
 def _bracket_vectors(x, y):
@@ -117,11 +127,7 @@ class Cocommutator:
 
     def full_row(self, i):
         """delta(e_i) as a full rank-2 dict over basis-index pairs."""
-        out = {}
-        for (p, q), w in self.wedge_row(i).items():
-            _addin(out, (p, q), w)
-            _addin(out, (q, p), -w)
-        return out
+        return _skew(self.wedge_row(i).items())
 
     @property
     def is_symbolic(self):
@@ -142,11 +148,7 @@ class Cocommutator:
         """delta(generator) as a rank-2 TensorElement."""
         i = _IDX[generator] if isinstance(generator, str) else generator
         order = order or self.param_order() or DEFAULT_ORDER
-        gens = [FreeElement.generator(name, order) for name in BASIS]
-        acc = TensorElement.zero(2, order)
-        for (p, q), w in self.wedge_row(i).items():
-            acc = acc + wedge2(gens[p], gens[q]) * _promote(w, order)
-        return acc
+        return _to_tensor(self.full_row(i), 2, order)
 
     def __eq__(self, other):
         if not isinstance(other, Cocommutator):
@@ -203,21 +205,12 @@ class RMatrix:
 
     def components(self):
         """Full rank-2 dict over basis-index pairs."""
-        out = {}
-        for (p, q), w in (((1, 0), self.xi), ((1, 2), self.beta_plus),
-                          ((0, 2), self.beta_minus)):
-            if w:
-                _addin(out, (p, q), w)
-                _addin(out, (q, p), -w)
-        return out
+        return _skew((((1, 0), self.xi), ((1, 2), self.beta_plus),
+                      ((0, 2), self.beta_minus)))
 
     def as_tensor(self, order=None):
         order = order or _order_of(self.xi, self.beta_plus, self.beta_minus)
-        gens = [FreeElement.generator(name, order) for name in BASIS]
-        acc = wedge2(gens[1], gens[0]) * _promote(self.xi, order)
-        acc = acc + wedge2(gens[1], gens[2]) * _promote(self.beta_plus, order)
-        acc = acc + wedge2(gens[0], gens[2]) * _promote(self.beta_minus, order)
-        return acc
+        return _to_tensor(self.components(), 2, order)
 
     def __eq__(self, other):
         if not isinstance(other, RMatrix):
@@ -264,40 +257,20 @@ def _order_of(*scalars, default=DEFAULT_ORDER):
 
 # -- adjoint actions on index tensors ----------------------------------------
 
-def _ad2(x, t):
+def _ad(x, t):
+    """ad_{e_x} on an index tensor of any rank: [e_x, -] on each slot in turn."""
     out = {}
-    for (i, j), c in t.items():
-        for k, f in _bracket(x, i).items():
-            _addin(out, (k, j), f * c)
-        for k, f in _bracket(x, j).items():
-            _addin(out, (i, k), f * c)
+    for key, c in t.items():
+        for n, i in enumerate(key):
+            for k, f in _bracket(x, i).items():
+                _addin(out, key[:n] + (k,) + key[n + 1:], f * c)
     return out
 
 
-def _ad3(x, t):
-    out = {}
-    for (i, j, k), c in t.items():
-        for m, f in _bracket(x, i).items():
-            _addin(out, (m, j, k), f * c)
-        for m, f in _bracket(x, j).items():
-            _addin(out, (i, m, k), f * c)
-        for m, f in _bracket(x, k).items():
-            _addin(out, (i, j, m), f * c)
-    return out
-
-
-def _raw2_to_tensor(raw, order):
-    terms = {}
-    for (i, j), c in raw.items():
-        terms[((BASIS[i],), (BASIS[j],))] = _promote(c, order)
-    return TensorElement(2, terms, order)
-
-
-def _raw3_to_tensor(raw, order):
-    terms = {}
-    for (i, j, k), c in raw.items():
-        terms[((BASIS[i],), (BASIS[j],), (BASIS[k],))] = _promote(c, order)
-    return TensorElement(3, terms, order)
+def _to_tensor(raw, rank, order):
+    """An index tensor {(i, j, ...): c} as a rank-``rank`` TensorElement."""
+    return TensorElement(rank, {tuple((BASIS[i],) for i in key): _promote(c, order)
+                                for key, c in raw.items()}, order)
 
 
 def _cocycle_raw(delta):
@@ -311,9 +284,9 @@ def _cocycle_raw(delta):
             for key, c in rows[k].items():
                 _addin(acc, key, f * c)
         # + ad_{e_j} delta(e_i) - ad_{e_i} delta(e_j)
-        for key, c in _ad2(j, rows[i]).items():
+        for key, c in _ad(j, rows[i]).items():
             _addin(acc, key, c)
-        for key, c in _ad2(i, rows[j]).items():
+        for key, c in _ad(i, rows[j]).items():
             _addin(acc, key, -c)
         residuals.append(acc)
     return residuals
@@ -323,7 +296,7 @@ def cocycle_residuals(delta, order=None):
     """delta([X,Y]) - [delta(X), 1(x)Y + Y(x)1] - [1(x)X + X(x)1, delta(Y)]
     for the basis pairs (A-,A+), (A-,M), (A+,M), as rank-2 tensors."""
     order = order or delta.param_order() or DEFAULT_ORDER
-    return [_raw2_to_tensor(raw, order) for raw in _cocycle_raw(delta)]
+    return [_to_tensor(raw, 2, order) for raw in _cocycle_raw(delta)]
 
 
 def dual_bracket_table(delta):
@@ -478,7 +451,7 @@ def schouten(r, order=None):
                 _addin(out, (a, k, d), f * coeff)
             for k, f in _bracket(b, d).items():
                 _addin(out, (a, c, k), f * coeff)
-    return _raw3_to_tensor(out, order)
+    return _to_tensor(out, 3, order)
 
 
 def mcybe_check(omega):
@@ -495,7 +468,7 @@ def mcybe_check(omega):
                 raise ValueError("tensor slots must be single generators")
             idx.append(_IDX[w[0]])
         raw[tuple(idx)] = coeff
-    return all(not _ad3(x, raw) for x in range(3))
+    return all(not _ad(x, raw) for x in range(3))
 
 
 def coboundary_delta(r):
@@ -503,7 +476,7 @@ def coboundary_delta(r):
     comps = r.components()
     rows = []
     for x in range(3):
-        moved = _ad2(x, comps)
+        moved = _ad(x, comps)
         rows.append([moved.get(pair, Fraction(0)) for pair in WEDGE_PAIRS])
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
     return Cocommutator(a1, a2, a3, b1, b2, b3, c1=c1, c2=c2, c3=c3)
@@ -516,42 +489,19 @@ def _coeff_vector(delta):
 def find_rmatrix(delta):
     """Solve delta = coboundary_delta(r) for r; None when no solution exists.
 
-    The solve is exact; free directions (for the Heisenberg-Weyl algebra the
-    beta coefficients, see :func:`rmatrix_gauge`) are set to zero.
+    Only xi moves the cocommutator (the beta coefficients are the gauge, see
+    :func:`rmatrix_gauge`, and are set to zero), so delta is a coboundary
+    exactly when it is xi times delta_0 = coboundary_delta(RMatrix(1, 0, 0)).
+    xi is read off the first nonzero component of delta_0; the solve is exact
+    and accepts ParamPoly coefficients.
     """
-    basis = [RMatrix(1, 0, 0), RMatrix(0, 1, 0), RMatrix(0, 0, 1)]
-    columns = [[as_fraction(v) for v in _coeff_vector(coboundary_delta(r))]
-               for r in basis]
-    rhs = list(_coeff_vector(delta))
-    rows = [[columns[j][i] for j in range(3)] for i in range(9)]
-    # exact Gauss-Jordan on the numeric matrix, carrying the (possibly
-    # symbolic) right-hand side along
-    pivot_of_col = {}
-    rank = 0
-    for col in range(3):
-        prow = next((i for i in range(rank, 9) if rows[i][col]), None)
-        if prow is None:
-            continue
-        rows[rank], rows[prow] = rows[prow], rows[rank]
-        rhs[rank], rhs[prow] = rhs[prow], rhs[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        rhs[rank] = rhs[rank] * (1 / pv)
-        for i in range(9):
-            if i == rank or not rows[i][col]:
-                continue
-            f = rows[i][col]
-            rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[rank])]
-            rhs[i] = rhs[i] - f * rhs[rank]
-        pivot_of_col[col] = rank
-        rank += 1
-    for i in range(rank, 9):
-        if rhs[i]:
-            return None
-    sol = [Fraction(0)] * 3
-    for col, prow in pivot_of_col.items():
-        sol[col] = rhs[prow]
-    return RMatrix(*sol)
+    unit = _coeff_vector(coboundary_delta(RMatrix(1, 0, 0)))
+    target = _coeff_vector(delta)
+    pivot = next(n for n, u in enumerate(unit) if u)
+    xi = target[pivot] * (1 / unit[pivot])
+    if any(t - xi * u for t, u in zip(target, unit)):
+        return None
+    return RMatrix(xi)
 
 
 def rmatrix_gauge():

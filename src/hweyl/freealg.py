@@ -3,7 +3,8 @@
 Elements are finite sums of words with ParamPoly coefficients.  A rewrite
 system turns out-of-order adjacent letter pairs into their normal-form
 expansion, giving the ordered-monomial basis M^i * A+^j * A-^k (generator
-order M < A+ < A-).
+order M < A+ < A-).  The linear structure of such sums lives in
+``LinearSum``, which the tensors of ``hweyl.tensor`` share.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .params import (DEFAULT_ORDER, ParamPoly, as_fraction, coeff_prefix,
-                     join_signed, monomial_factors, monomial_key)
+from .params import (DEFAULT_ORDER, ParamPoly, join_signed, monomial_factors,
+                     monomial_key)
 
 GEN_M = "M"
 GEN_AP = "A+"
@@ -46,25 +47,131 @@ def word_str(word) -> str:
     return "*".join(word_factors(word)) or "1"
 
 
-class FreeElement:
-    """Linear combination of noncommutative words with ParamPoly coefficients."""
+class LinearSum:
+    """Immutable finite sum of keys with ParamPoly coefficients of one
+    truncation order: the linear structure shared by free-algebra elements
+    (keys are words) and tensors (keys are tuples of words).
+
+    A subclass gives ``_key`` (normalizes one key of the input), ``_like``
+    (a sum of its own kind from terms), ``_ring`` (what two summands must
+    share) and ``_key_parts`` (how a key renders).
+    """
 
     __slots__ = ("terms", "order")
 
     def __init__(self, terms, order):
         clean = {}
-        for word, coeff in terms.items():
+        for key, coeff in terms.items():
             if not isinstance(coeff, ParamPoly):
                 raise TypeError("coefficients must be ParamPoly")
             if coeff.order != order:
                 raise ValueError("coefficient truncation order does not match element")
             if coeff:
-                clean[tuple(word)] = coeff
+                clean[self._key(key)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
-        raise AttributeError("FreeElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, terms, order):
+        return type(self)(terms, order)
+
+    def _ring(self):
+        return self.order
+
+    def _scalar(self, other):
+        if isinstance(other, ParamPoly):
+            if other.order != self.order:
+                raise ValueError("mismatched truncation orders")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ParamPoly.const(other, self.order)
+        return None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other._ring() != self._ring():
+            raise ValueError("summands differ in truncation order or rank")
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            acc = terms.get(key)
+            terms[key] = coeff if acc is None else acc + coeff
+        return self._like(terms, self.order)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()}, self.order)
+
+    def __mul__(self, other):
+        s = self._scalar(other)
+        if s is None:
+            return NotImplemented
+        return self._like({k: c * s for k, c in self.terms.items()}, self.order)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._ring() == other._ring() and self.terms == other.terms
+
+    __hash__ = None
+
+    # -- structural operations -------------------------------------------------
+
+    def map_coeffs(self, fn):
+        out = {}
+        for key, coeff in self.terms.items():
+            new = fn(coeff)
+            if new:
+                out[key] = new
+        order = next(iter(out.values())).order if out else self.order
+        return self._like(out, order)
+
+    def subs(self, values):
+        return self.map_coeffs(lambda c: c.subs(values))
+
+    def truncate(self, order):
+        return self._like({k: c.truncate(order) for k, c in self.terms.items()}, order)
+
+    def homogeneous_part(self, degree):
+        return self.map_coeffs(lambda c: c.homogeneous_part(degree))
+
+    # -- rendering --------------------------------------------------------------
+
+    def __str__(self):
+        items = []
+        for key, poly in self.terms.items():
+            sort_key, head, tail = self._key_parts(key)
+            for exps, coeff in poly.terms.items():
+                body = "*".join(monomial_factors(exps) + head) + tail
+                items.append(((monomial_key(exps), sort_key), coeff, body))
+        items.sort(key=lambda t: t[0])
+        return join_signed((c, body) for _, c, body in items)
+
+
+class FreeElement(LinearSum):
+    """Linear combination of noncommutative words with ParamPoly coefficients."""
+
+    __slots__ = ()
+
+    _key = tuple
 
     # -- constructors --------------------------------------------------------
 
@@ -87,69 +194,22 @@ class FreeElement:
         c = coeff if isinstance(coeff, ParamPoly) else ParamPoly.const(coeff, order)
         return cls({tuple(word): c}, order)
 
-    # -- scalar coercion -----------------------------------------------------
+    # -- algebra structure ------------------------------------------------------
 
-    def _scalar(self, other):
-        if isinstance(other, ParamPoly):
-            if other.order != self.order:
-                raise ValueError("mismatched truncation orders")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly.const(other, self.order)
-        return None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    # -- linear structure ----------------------------------------------------
+    def _lift(self, other):
+        """A scalar as a multiple of the empty word; anything else as given."""
+        s = self._scalar(other)
+        return other if s is None else FreeElement({(): s}, self.order)
 
     def __add__(self, other):
-        if not isinstance(other, FreeElement):
-            s = self._scalar(other)
-            if s is None:
-                return NotImplemented
-            other = FreeElement({(): s}, self.order)
-        if other.order != self.order:
-            raise ValueError("mismatched truncation orders")
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = terms.get(word)
-            terms[word] = coeff if acc is None else acc + coeff
-        return FreeElement(terms, self.order)
+        return LinearSum.__add__(self, self._lift(other))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, FreeElement):
-            return self + (-other)
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return self + FreeElement({(): -s}, self.order)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return FreeElement({w: -c for w, c in self.terms.items()}, self.order)
 
     def __mul__(self, other):
         if isinstance(other, FreeElement):
             return nc_mul(self, other)
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return FreeElement({w: c * s for w, c in self.terms.items()}, self.order)
-
-    def __rmul__(self, other):
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return FreeElement({w: s * c for w, c in self.terms.items()}, self.order)
+        return LinearSum.__mul__(self, other)
 
     def __pow__(self, n):
         if n < 0:
@@ -162,38 +222,13 @@ class FreeElement:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            s = self._scalar(other)
-            other = FreeElement({(): s}, self.order)
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    __hash__ = None
+        return LinearSum.__eq__(self, self._lift(other))
 
     # -- structural operations -------------------------------------------------
-
-    def map_coeffs(self, fn):
-        out = {}
-        for word, coeff in self.terms.items():
-            new = fn(coeff)
-            if new:
-                out[word] = new
-        order = next(iter(out.values())).order if out else self.order
-        return FreeElement(out, order)
-
-    def subs(self, values):
-        return self.map_coeffs(lambda c: c.subs(values))
-
-    def truncate(self, order):
-        return FreeElement({w: c.truncate(order) for w, c in self.terms.items()}, order)
 
     def truncate_words(self, max_len):
         return FreeElement(
             {w: c for w, c in self.terms.items() if len(w) <= max_len}, self.order)
-
-    def homogeneous_part(self, degree):
-        return self.map_coeffs(lambda c: c.homogeneous_part(degree))
 
     def min_param_degree(self):
         degs = [c.min_degree() for c in self.terms.values()]
@@ -207,20 +242,8 @@ class FreeElement:
 
     # -- rendering --------------------------------------------------------------
 
-    def expanded_terms(self):
-        """Yield (sort_key, Fraction coeff, body string) for every monomial term."""
-        items = []
-        for word, poly in self.terms.items():
-            wf = word_factors(word)
-            wk = word_key(word)
-            for exps, coeff in poly.terms.items():
-                body = "*".join(monomial_factors(exps) + wf)
-                items.append(((monomial_key(exps), wk), coeff, body))
-        items.sort(key=lambda t: t[0])
-        return items
-
-    def __str__(self):
-        return join_signed((c, body) for _, c, body in self.expanded_terms())
+    def _key_parts(self, word):
+        return word_key(word), word_factors(word), ""
 
     def __repr__(self):
         return f"FreeElement({self}, order={self.order})"

@@ -3,9 +3,10 @@
 ``ParamPoly`` is the one polynomial class of the engine.  Over the
 deformation parameters PARAMS, truncated at a total degree K, it is the
 coefficient ring of every formal series (free-algebra elements, tensors,
-Hopf structure maps).  Over the group coordinates (``poisson.COORDS``) with
-``order=math.inf`` nothing is truncated, and the coefficients may themselves
-be parameter polynomials.  The module also holds the strict rational parser
+Hopf structure maps).  Over the group coordinates (``poisson.COORDS``), or
+the variable x of the I+ differential realization, with ``order=math.inf``
+nothing is truncated, and the coefficients may themselves be parameter
+polynomials.  The module also holds the strict rational parser
 and the signed-sum renderer shared by all printed output.
 """
 

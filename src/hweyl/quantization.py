@@ -3,11 +3,14 @@
 Builds the matrix form theta of each family's cocommutator, exponentiates it
 into the deformed coproduct (exp(-theta)) and the antipode (exp(theta)),
 attaches the compatible commutation rules and counit, and machine-verifies
-every Hopf axiom by exact truncated series.
+every Hopf axiom by exact truncated series.  The differential realization of
+the I+ family acts on polynomials in x, held as ParamPoly over ("x",) with
+``order=math.inf`` and parameter-polynomial coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .params import DEFAULT_ORDER, ParamPoly, as_fraction, parse_rational
@@ -353,34 +356,31 @@ class HopfPresentation:
         return f"HopfPresentation({self.family}, order={self.order})"
 
 
-def _resolve_class(family, order, params, values):
+def _resolve_class(family, order, params):
     if isinstance(family, BialgebraClass):
         return family
     if family not in (TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL):
         raise ValueError(f"not a quantizable family: {family!r}")
-    if family == TRIVIAL or (params is None and values is None):
+    if family == TRIVIAL or params is None:
         return BialgebraClass.symbolic(family, order)
-    names = BialgebraClass.FAMILY_PARAMS[family]
     kwargs = {}
-    for name in names:
-        if values is not None and name in values:
-            kwargs[name] = values[name]
-        elif params is not None and params.get(name) is not None:
+    for name in BialgebraClass.FAMILY_PARAMS[family]:
+        if params.get(name) is not None:
             kwargs[name] = as_fraction(params[name])
         else:
             kwargs[name] = ParamPoly.symbol(name, order)
     return BialgebraClass(family, normalized=Cocommutator(**kwargs))
 
 
-def quantize(family, order=DEFAULT_ORDER, params=None, values=None, verify=True):
+def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     """Quantize a family (tag or BialgebraClass) at the given truncation order.
 
     ``params`` maps parameter names to rationals (None entries stay symbolic);
-    ``values`` may override with explicit degree-1 ParamPoly values.  With
+    a BialgebraClass may carry ParamPoly parameters of its own.  With
     ``verify`` the four Hopf axioms are machine-checked before returning;
     with ``verify=False`` nothing checks the antipode (``verify_all`` does).
     """
-    cls = _resolve_class(family, order, params, values)
+    cls = _resolve_class(family, order, params)
     if cls.tag not in (TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL):
         raise ValueError(f"cannot quantize class {cls.tag}")
     rewrite = family_rewrite(cls, order)
@@ -524,59 +524,37 @@ def central_element(hp) -> FreeElement:
     return c
 
 
-def _series_mult(series):
-    """Operator: multiply by sum_k series[k] x^k."""
-    def apply(p):
-        out = {}
-        for n, c in p.items():
-            for k, s in series.items():
-                prod = c * s
-                if not prod:
-                    continue
-                acc = out.get(n + k)
-                out[n + k] = prod if acc is None else acc + prod
-        return out
-    return apply
+#: The variable list of the polynomials the differential realization acts
+#: on, and the polynomial x itself.
+_X = ("x",)
+_X_POLY = ParamPoly.symbol("x", math.inf, _X)
 
 
 def _realization_ops(a1, order):
-    """Operators for A+ = x, A- = lambda e^{a1 x/2} d/dx, M = lambda e^{a1 x/2}."""
-    lam = ParamPoly.symbol("lambda", order)
+    """Operators for A+ = x, A- = lambda e^{a1 x/2} d/dx, M = lambda e^{a1 x/2}
+    on polynomials in x (ParamPoly over ("x",) with parameter coefficients)."""
     half = a1 * Fraction(1, 2)
     series = {}
-    power = lam
-    fact = 1
+    power = ParamPoly.symbol("lambda", order)
     k = 0
     while power:
-        series[k] = power * Fraction(1, fact)
+        series[(k,)] = power
         k += 1
-        fact *= k
-        power = power * half
-    mult = _series_mult(series)
-
-    def op_ap(p):
-        return {n + 1: c for n, c in p.items()}
-
-    def op_am(p):
-        return mult({n - 1: c * n for n, c in p.items() if n})
-
-    return {GEN_AP: op_ap, GEN_AM: op_am, GEN_M: mult}
+        power = power * half * Fraction(1, k)
+    s = ParamPoly(series, math.inf, _X)
+    return {GEN_AP: lambda p: p * _X_POLY, GEN_AM: lambda p: p.partial(0) * s,
+            GEN_M: lambda p: p * s}
 
 
 def _apply_element(ops, elem: FreeElement, p):
-    order = elem.order
-    out = {}
+    """The operator of ``elem`` applied to the x-polynomial ``p``."""
+    out = ParamPoly.zero(math.inf, _X)
     for word, coeff in elem.terms.items():
         cur = p
         for letter in reversed(word):
             cur = ops[letter](cur)
-        for n, c in cur.items():
-            prod = c * coeff
-            if not prod:
-                continue
-            acc = out.get(n)
-            out[n] = prod if acc is None else acc + prod
-    return {n: c for n, c in out.items() if c}
+        out = out + cur * coeff
+    return out
 
 
 def check_realization(cls, max_degree=6, order=4) -> dict:
@@ -592,53 +570,19 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
         cls = BialgebraClass.symbolic(cls, order)
     if cls.tag != TYPE_I_PLUS:
         raise ValueError("the differential realization is defined for the I+ family")
-    values = _family_values(cls, order)
-    a1 = values["a1"]
+    a1 = _family_values(cls, order)["a1"]
     ops = _realization_ops(a1, order)
-    gen = {n: FreeElement.generator(n, order) for n in GENERATORS}
-    mm = nc_mul(gen[GEN_M], gen[GEN_M])
-    c_elem = nc_mul(gen[GEN_M],
-                    exp_element(gen[GEN_AP] * (a1 * Fraction(-1, 2))))
-    lam = ParamPoly.symbol("lambda", order)
-
-    def dict_sub(a, b):
-        out = dict(a)
-        for n, c in b.items():
-            out[n] = out[n] - c if n in out else -c
-        return {n: c for n, c in out.items() if c}
-
-    def comm_minus(x, y, rhs):
-        def apply(p):
-            t1 = _apply_element(ops, x, _apply_element(ops, y, p))
-            t2 = _apply_element(ops, y, _apply_element(ops, x, p))
-            t3 = _apply_element(ops, rhs, p)
-            return dict_sub(dict_sub(t1, t2), t3)
-        return apply
-
-    checks = {
-        "[A-,A+] = M": comm_minus(gen[GEN_AM], gen[GEN_AP], gen[GEN_M]),
-        "[A-,M] = (a1/2)*M^2": comm_minus(
-            gen[GEN_AM], gen[GEN_M], mm * (a1 * Fraction(1, 2))),
-        "[A+,M] = 0": comm_minus(gen[GEN_AP], gen[GEN_M], FreeElement.zero(order)),
+    ap, am, m = (FreeElement.generator(n, order) for n in (GEN_AP, GEN_AM, GEN_M))
+    residuals = {
+        "[A-,A+] = M": am * ap - ap * am - m,
+        "[A-,M] = (a1/2)*M^2": am * m - m * am - m * m * (a1 * Fraction(1, 2)),
+        "[A+,M] = 0": ap * m - m * ap,
+        "C = lambda": (m * exp_element(ap * (a1 * Fraction(-1, 2)))
+                       - ParamPoly.symbol("lambda", order)),
     }
-
-    report = {}
-    for label, op in checks.items():
-        ok = True
-        for n in range(max_degree + 1):
-            if op({n: ParamPoly.one(order)}):
-                ok = False
-                break
-        report[label] = ok
-    ok = True
-    for n in range(max_degree + 1):
-        res = _apply_element(ops, c_elem, {n: ParamPoly.one(order)})
-        res[n] = res.get(n, ParamPoly.zero(order)) - lam
-        if any(c for c in res.values()):
-            ok = False
-            break
-    report["C = lambda"] = ok
-    return report
+    return {label: not any(_apply_element(ops, res, _X_POLY ** n)
+                           for n in range(max_degree + 1))
+            for label, res in residuals.items()}
 
 
 # -- swap transport I+ <-> I- ---------------------------------------------------------
@@ -739,6 +683,17 @@ def closed_forms(hp) -> dict:
         d = disp.get(name, name)
         return d if d == name else f"({d})"
 
+    def times(name):
+        """The parameter as a leading factor; a concrete 1 is no factor."""
+        return "" if disp[name] == "1" else f"{v(name)}*"
+
+    def minus(name, body):
+        """The summand - name*body, left out for a concrete 0."""
+        return "" if disp[name] == "0" else f" - {times(name)}{body}"
+
+    def half(name):
+        return "1/2" if disp[name] == "1" else f"{v(name)}/2"
+
     if hp.family == TRIVIAL:
         return {
             "coproduct": [f"Delta({x}) = 1 (x) {x} + {x} (x) 1" for x in GENERATORS],
@@ -746,38 +701,38 @@ def closed_forms(hp) -> dict:
             "antipode": [f"gamma({x}) = -{x}" for x in GENERATORS],
         }
     if hp.family == TYPE_I_PLUS:
-        a1, a3 = v("a1"), v("a3")
+        a1 = times("a1")
         return {
             "coproduct": [
                 "Delta(A+) = 1 (x) A+ + A+ (x) 1",
-                f"Delta(M) = 1 (x) M + M (x) exp({a1}*A+)",
-                f"Delta(A-) = 1 (x) A- + A- (x) exp({a1}*A+)"
-                f" - {a3}*M (x) A+*exp({a1}*A+)",
+                f"Delta(M) = 1 (x) M + M (x) exp({a1}A+)",
+                f"Delta(A-) = 1 (x) A- + A- (x) exp({a1}A+)"
+                + minus("a3", f"M (x) A+*exp({a1}A+)"),
             ],
             "relations": [
-                "[A-,A+] = M", f"[A-,M] = ({a1}/2)*M^2", "[A+,M] = 0"],
+                "[A-,A+] = M", f"[A-,M] = ({half('a1')})*M^2", "[A+,M] = 0"],
             "antipode": [
                 "gamma(A+) = -A+",
-                f"gamma(M) = -M*exp(-{a1}*A+)",
-                f"gamma(A-) = -A-*exp(-{a1}*A+) - {a3}*M*A+*exp(-{a1}*A+)",
+                f"gamma(M) = -M*exp(-{a1}A+)",
+                f"gamma(A-) = -A-*exp(-{a1}A+)" + minus("a3", f"M*A+*exp(-{a1}A+)"),
             ],
-            "central_element": [f"C = M*exp(-{a1}*A+/2)"],
+            "central_element": [f"C = M*exp(-{a1}A+/2)"],
         }
     if hp.family == TYPE_I_MINUS:
-        b1, b2 = v("b1"), v("b2")
+        b1 = times("b1")
         return {
             "coproduct": [
                 "Delta(A-) = 1 (x) A- + A- (x) 1",
-                f"Delta(M) = 1 (x) M + M (x) exp(-{b1}*A-)",
-                f"Delta(A+) = 1 (x) A+ + A+ (x) exp(-{b1}*A-)"
-                f" - {b2}*M (x) A-*exp(-{b1}*A-)",
+                f"Delta(M) = 1 (x) M + M (x) exp(-{b1}A-)",
+                f"Delta(A+) = 1 (x) A+ + A+ (x) exp(-{b1}A-)"
+                + minus("b2", f"M (x) A-*exp(-{b1}A-)"),
             ],
             "relations": [
-                "[A-,A+] = M", f"[A+,M] = ({b1}/2)*M^2", "[A-,M] = 0"],
+                "[A-,A+] = M", f"[A+,M] = ({half('b1')})*M^2", "[A-,M] = 0"],
             "antipode": [
                 "gamma(A-) = -A-",
-                f"gamma(M) = -M*exp({b1}*A-)",
-                f"gamma(A+) = -A+*exp({b1}*A-) - {b2}*M*A-*exp({b1}*A-)",
+                f"gamma(M) = -M*exp({b1}A-)",
+                f"gamma(A+) = -A+*exp({b1}A-)" + minus("b2", f"M*A-*exp({b1}A-)"),
             ],
         }
     a2, a3, b2, b3 = v("a2"), v("a3"), v("b2"), v("b3")

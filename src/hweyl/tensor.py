@@ -1,117 +1,47 @@
 """Rank-2 and rank-3 tensors over the free algebra.
 
-Terms are tuples of words with ParamPoly coefficients; the product law is
-slotwise, with each slot normal-ordered under a rewrite system.
+Terms are tuples of words with ParamPoly coefficients; the linear structure
+is ``LinearSum``, shared with ``FreeElement``.  The product law is slotwise,
+with each slot normal-ordered under a rewrite system.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations
-
-from .params import DEFAULT_ORDER, ParamPoly, join_signed, monomial_factors, monomial_key
-from .freealg import FreeElement, RewriteSystem, word_factors, word_key, word_str
+from .params import DEFAULT_ORDER, ParamPoly
+from .freealg import FreeElement, LinearSum, RewriteSystem, word_key, word_str
 
 _PERM_SIGN = {perm: sign for perm, sign in zip(
     ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)),
     (1, -1, -1, 1, 1, -1))}
 
 
-class TensorElement:
+class TensorElement(LinearSum):
     """Linear combination of word tuples (rank 2 or 3) with ParamPoly coefficients."""
 
-    __slots__ = ("rank", "terms", "order")
+    __slots__ = ("rank",)
 
     def __init__(self, rank, terms, order):
         if rank not in (2, 3):
             raise ValueError("rank must be 2 or 3")
-        clean = {}
-        for slots, coeff in terms.items():
-            if len(slots) != rank:
-                raise ValueError(f"term {slots} does not have rank {rank}")
-            if coeff.order != order:
-                raise ValueError("coefficient truncation order does not match element")
-            if coeff:
-                clean[tuple(tuple(w) for w in slots)] = coeff
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
+        super().__init__(terms, order)
 
     @classmethod
     def zero(cls, rank, order=DEFAULT_ORDER):
         return cls(rank, {}, order)
 
-    def _scalar(self, other):
-        if isinstance(other, ParamPoly):
-            if other.order != self.order:
-                raise ValueError("mismatched truncation orders")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly.const(other, self.order)
-        return None
+    def _key(self, slots):
+        if len(slots) != self.rank:
+            raise ValueError(f"term {slots} does not have rank {self.rank}")
+        return tuple(map(tuple, slots))
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _like(self, terms, order):
+        return TensorElement(self.rank, terms, order)
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if other.rank != self.rank or other.order != self.order:
-            raise ValueError("rank or truncation order mismatch")
-        terms = dict(self.terms)
-        for slots, coeff in other.terms.items():
-            acc = terms.get(slots)
-            terms[slots] = coeff if acc is None else acc + coeff
-        return TensorElement(self.rank, terms, self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(
-            self.rank, {s: -c for s, c in self.terms.items()}, self.order)
-
-    def __mul__(self, other):
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return TensorElement(
-            self.rank, {k: c * s for k, c in self.terms.items()}, self.order)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.rank == other.rank and self.order == other.order
-                and self.terms == other.terms)
-
-    __hash__ = None
+    def _ring(self):
+        return self.rank, self.order
 
     # -- structural operations ----------------------------------------------
-
-    def map_coeffs(self, fn):
-        out = {}
-        for slots, coeff in self.terms.items():
-            new = fn(coeff)
-            if new:
-                out[slots] = new
-        order = next(iter(out.values())).order if out else self.order
-        return TensorElement(self.rank, out, order)
-
-    def subs(self, values):
-        return self.map_coeffs(lambda c: c.subs(values))
-
-    def truncate(self, order):
-        return TensorElement(
-            self.rank, {s: c.truncate(order) for s, c in self.terms.items()}, order)
 
     def truncate_words(self, max_total_len):
         return TensorElement(
@@ -119,9 +49,6 @@ class TensorElement:
             {s: c for s, c in self.terms.items()
              if sum(len(w) for w in s) <= max_total_len},
             self.order)
-
-    def homogeneous_part(self, degree):
-        return self.map_coeffs(lambda c: c.homogeneous_part(degree))
 
     def is_alternating(self):
         """True when coefficients flip by permutation sign across slot orbits (rank 3)."""
@@ -138,20 +65,10 @@ class TensorElement:
 
     # -- rendering -------------------------------------------------------------
 
-    def expanded_terms(self):
-        items = []
-        for slots, poly in self.terms.items():
-            slot_strs = [word_str(w) for w in slots]
-            sk = tuple(word_key(w) for w in slots)
-            for exps, coeff in poly.terms.items():
-                head = "*".join(monomial_factors(exps) + [slot_strs[0]])
-                body = " (x) ".join([head] + slot_strs[1:])
-                items.append(((monomial_key(exps), sk), coeff, body))
-        items.sort(key=lambda t: t[0])
-        return items
-
-    def __str__(self):
-        return join_signed((c, body) for _, c, body in self.expanded_terms())
+    def _key_parts(self, slots):
+        strs = [word_str(w) for w in slots]
+        return (tuple(word_key(w) for w in slots), strs[:1],
+                "".join(" (x) " + s for s in strs[1:]))
 
     def __repr__(self):
         return f"TensorElement(rank={self.rank}, {self}, order={self.order})"

@@ -216,8 +216,9 @@ def test_criterion_8_poisson_side():
 def test_criterion_9_duality_of_i_families():
     t0 = time.time()
     order = 4
-    values = {"a1": -sym("b1", order), "a3": -sym("b2", order)}
-    source = quantize(TYPE_I_PLUS, order=order, values=values, verify=False)
+    cls = BialgebraClass(TYPE_I_PLUS, normalized=Cocommutator(
+        a1=-sym("b1", order), a3=-sym("b2", order)))
+    source = quantize(cls, order=order, verify=False)
     transported = swap_transport(source)
     direct = quantize(TYPE_I_MINUS, order=order)
     assert transported.family == TYPE_I_MINUS

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -420,8 +421,8 @@ def test_type_ii_determinant_identity(order):
 # -- duality -------------------------------------------------------------------------------------
 
 def test_swap_transport_equals_type_i_minus():
-    vals = {"a1": -ParamPoly.symbol("b1", K), "a3": -ParamPoly.symbol("b2", K)}
-    source = quantize(TYPE_I_PLUS, order=K, values=vals)
+    source = quantize(BialgebraClass(TYPE_I_PLUS, normalized=Cocommutator(
+        a1=-sym("b1"), a3=-sym("b2"))), order=K)
     transported = swap_transport(source)
     direct = quantize(TYPE_I_MINUS, order=K)
     assert transported.family == direct.family == TYPE_I_MINUS
@@ -468,14 +469,13 @@ def test_realization_refuses_an_empty_range():
 
 def test_realization_bracket_on_constant():
     # [A-, A+] applied to 1 gives lambda e^{a1 x / 2}
-    from hweyl.quantization import _apply_element, _realization_ops
+    from hweyl.quantization import _X, _apply_element, _realization_ops
     order = 3
     a1 = sym("a1", order)
     ops = _realization_ops(a1, order)
     am, ap = gen(GEN_AM, order), gen(GEN_AP, order)
-    p0 = {0: ParamPoly.one(order)}
-    br = _apply_element(ops, nc_mul(am, ap), p0)
-    rev = _apply_element(ops, nc_mul(ap, am), p0)
+    p0 = ParamPoly.one(math.inf, _X)
+    diff = _apply_element(ops, nc_mul(am, ap) - nc_mul(ap, am), p0)
     lam = ParamPoly.symbol("lambda", order)
     half = a1 * Fraction(1, 2)
     expected = {}
@@ -483,15 +483,11 @@ def test_realization_bracket_on_constant():
     fact = 1
     k = 0
     while power:
-        expected[k] = power * Fraction(1, fact)
+        expected[(k,)] = power * Fraction(1, fact)
         k += 1
         fact *= k
         power = power * half
-    diff = dict(br)
-    for n, c in rev.items():
-        diff[n] = diff.get(n, ParamPoly.zero(order)) - c
-    diff = {n: c for n, c in diff.items() if c}
-    assert diff == expected
+    assert diff == ParamPoly(expected, math.inf, _X)
 
 
 # -- serialization ----------------------------------------------------------------------------------
@@ -516,8 +512,8 @@ def test_hopf_json_roundtrip_concrete():
 
 def test_hopf_from_json_rejects_non_rational_parameters():
     b1, b2 = sym("b1"), sym("b2")
-    doc = quantize(TYPE_I_PLUS, order=K, values={"a1": -b1, "a3": -b2},
-                   verify=False).to_json()
+    cls = BialgebraClass(TYPE_I_PLUS, normalized=Cocommutator(a1=-b1, a3=-b2))
+    doc = quantize(cls, order=K, verify=False).to_json()
     assert doc["parameters"] == {"a1": "-b1", "a3": "-b2"}
     with pytest.raises(ValueError, match="field 'a1'"):
         HopfPresentation.from_json(doc)
@@ -542,3 +538,24 @@ def test_closed_forms_mention_exponential():
     hp = quantize(TYPE_I_PLUS, order=2)
     lines = closed_forms(hp)["coproduct"]
     assert any("A- (x) exp(a1*A+)" in line for line in lines)
+
+
+def test_closed_forms_drop_concrete_ones_and_zero_summands():
+    plus = closed_forms(quantize(TYPE_I_PLUS, order=2, params={"a1": 1, "a3": 0}))
+    assert plus == {
+        "coproduct": ["Delta(A+) = 1 (x) A+ + A+ (x) 1",
+                      "Delta(M) = 1 (x) M + M (x) exp(A+)",
+                      "Delta(A-) = 1 (x) A- + A- (x) exp(A+)"],
+        "relations": ["[A-,A+] = M", "[A-,M] = (1/2)*M^2", "[A+,M] = 0"],
+        "antipode": ["gamma(A+) = -A+", "gamma(M) = -M*exp(-A+)",
+                     "gamma(A-) = -A-*exp(-A+)"],
+        "central_element": ["C = M*exp(-A+/2)"],
+    }
+    minus = closed_forms(quantize(TYPE_I_MINUS, order=2, params={"b1": 1, "b2": 1}))
+    assert minus["coproduct"][2] == (
+        "Delta(A+) = 1 (x) A+ + A+ (x) exp(-A-) - M (x) A-*exp(-A-)")
+    assert minus["antipode"][2] == "gamma(A+) = -A+*exp(A-) - M*A-*exp(A-)"
+    # every other concrete value keeps its bracketed factor
+    other = closed_forms(quantize(TYPE_I_PLUS, order=2, params={"a1": 2, "a3": -1}))
+    assert other["coproduct"][2] == (
+        "Delta(A-) = 1 (x) A- + A- (x) exp((2)*A+) - (-1)*M (x) A+*exp((2)*A+)")
