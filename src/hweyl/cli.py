@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .params import DEFAULT_ORDER, ParamPoly
+from .params import DEFAULT_ORDER, MAX_ORDER, ParamPoly
 from .freealg import GENERATORS
 from . import bialgebra as bi
 from . import poisson as po
@@ -335,7 +335,8 @@ def build_parser():
 
     def common(p, with_input=False, with_family=None):
         p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help="series truncation order K (default %(default)s)")
+                       help=f"series truncation order K, 1 to {MAX_ORDER} "
+                            "(default %(default)s)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if with_input:
             p.add_argument("input", nargs="?", default=None,
@@ -389,8 +390,8 @@ def main(argv=None) -> int:
             _err("give the input either positionally or with --input, not both")
             return EXIT_PARSE
         args.input = args.input_opt
-    if args.order < 1:
-        _err("--order must be >= 1")
+    if not 1 <= args.order <= MAX_ORDER:
+        _err(f"--order must be between 1 and {MAX_ORDER}")
         return EXIT_PARSE
     try:
         return args.handler(args)

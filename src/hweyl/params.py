@@ -8,12 +8,34 @@ the variable x of the I+ differential realization, with ``order=math.inf``
 nothing is truncated, and the coefficients may themselves be parameter
 polynomials.  The module also holds the strict rational parser
 and the signed-sum renderer shared by all printed output.
+
+Storage follows two known layouts, so that series arithmetic is int
+arithmetic with no Fraction in the inner loops:
+
+- Integer numerators over one common denominator per polynomial, as in
+  FLINT's ``fmpq_poly``.  A product multiplies ints and then makes one gcd
+  pass against the product of the denominators; a sum scales both sides to
+  the lcm of their denominators.
+- Packed exponent monomials (M. Monagan and R. Pearce, "Sparse polynomial
+  division using a heap", J. Symb. Comp. 46 (2011) 807-822).  Over n
+  variables a monomial is one int: the exponent of ``names[i]`` sits in
+  the ``_BITS``-bit field at bit ``_BITS * (n - 1 - i)``, and the total
+  degree in the top field, at bit ``_BITS * n``.  Adding two keys
+  multiplies the monomials, keys compare by total degree first, and the
+  truncation test of a product at order K is one compare,
+  ``k1 + k2 < (K + 1) << (_BITS * n)``.
+
+A field holds exponents up to MAX_ORDER.  A finite truncation order above
+it raises ``ValueError``, which names the limit, and so does any exponent
+above it in an untruncated polynomial (``order=math.inf``): a product never
+wraps into the next field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import gcd, inf, lcm
+from types import MappingProxyType
 
 #: Parameter names, fixing the exponent-vector layout and the rendering order.
 PARAMS = ("a1", "a2", "a3", "b1", "b2", "b3",
@@ -21,6 +43,11 @@ PARAMS = ("a1", "a2", "a3", "b1", "b2", "b3",
 
 #: Default truncation order for deformation series.
 DEFAULT_ORDER = 6
+
+#: Width in bits of one exponent field of a packed monomial key.
+_BITS = 8
+#: The largest exponent a field holds, so the largest finite truncation order.
+MAX_ORDER = (1 << _BITS) - 1
 
 
 def as_fraction(value) -> Fraction:
@@ -103,31 +130,53 @@ def join_signed(items) -> str:
 class ParamPoly:
     """Sparse commutative polynomial over a tuple of named variables.
 
-    Terms map exponent vectors (one entry per name in ``names``) to nonzero
-    coefficients.  Terms of total degree above ``order`` are discarded;
-    ``order=math.inf`` keeps every term.  Coefficients are Fractions, or,
-    over variables other than PARAMS, may be ParamPoly over PARAMS (the
-    coefficient ring of the symbolic coordinate polynomials).
+    Terms of total degree above ``order`` are discarded; ``order=math.inf``
+    keeps every term.  Coefficients are rationals, or, over variables other
+    than PARAMS, may be ParamPoly over PARAMS (the coefficient ring of the
+    symbolic coordinate polynomials).
+
+    Storage (``_num``, ``_den``):
+
+    - A monomial is one packed int key (module docstring): the sum of two
+      keys is the key of the product, and keys order by total degree first.
+    - ``_num`` maps keys to nonzero int numerators and ``_den`` is one
+      positive int denominator, in lowest terms: the gcd of ``_den`` and all
+      numerators is 1.  A rational polynomial therefore has exactly one
+      representation, and ``==`` is a dict compare.
+    - When some coefficient is a ParamPoly, each ``_num`` slot holds the
+      whole coefficient (a rational or a ParamPoly) and ``_den`` is 1.  A
+      result whose coefficients are all rational is put back into int form.
+
+    ``terms`` is the same polynomial as a read-only mapping from exponent
+    tuples (one entry per name in ``names``) to Fractions (or ParamPoly
+    coefficients).  It is built on first use and cached; it is meant for
+    renderers and tests, not for hot loops, which work on the packed form.
 
     Instances are immutable; arithmetic between polynomials over the same
-    variables requires equal orders, and every result is re-truncated and
-    stripped of zero terms, so representations are canonical.  A rational,
-    or a parameter polynomial times a polynomial over other variables, acts
-    coefficient-wise.
+    variables requires equal orders.  A rational, or a parameter polynomial
+    times a polynomial over other variables, acts coefficient-wise.
     """
 
-    __slots__ = ("terms", "order", "names")
+    __slots__ = ("_num", "_den", "order", "names", "_terms")
 
-    def __init__(self, terms, order, names=PARAMS):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        clean = {}
+    def __new__(cls, terms, order, names=PARAMS):
+        _check_order(order)
+        width = len(names)
+        shift = _BITS * width
+        num = {}
         for exps, coeff in terms.items():
-            if coeff and sum(exps) <= order:
-                clean[exps] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "names", names)
+            if len(exps) != width:
+                raise ValueError(f"exponent vector {exps!r} does not match {names!r}")
+            if not coeff or sum(exps) > order:
+                continue
+            key = sum(exps) << shift
+            for i, e in enumerate(exps):
+                if not 0 <= e <= MAX_ORDER:
+                    raise ValueError(
+                        f"exponent {e} outside 0..{MAX_ORDER}, the packed-key field limit")
+                key |= e << (_BITS * (width - 1 - i))
+            num[key] = coeff if isinstance(coeff, ParamPoly) else as_fraction(coeff)
+        return _build(num, 1, order, names)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
@@ -136,7 +185,8 @@ class ParamPoly:
 
     @classmethod
     def zero(cls, order=DEFAULT_ORDER, names=PARAMS):
-        return cls({}, order, names)
+        _check_order(order)
+        return _make({}, 1, order, names)
 
     @classmethod
     def one(cls, order=DEFAULT_ORDER, names=PARAMS):
@@ -144,26 +194,26 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value, order=DEFAULT_ORDER, names=PARAMS):
-        return cls({(0,) * len(names): as_scalar(value)}, order, names)
+        _check_order(order)
+        value = as_scalar(value)
+        if not value:
+            return _make({}, 1, order, names)
+        if isinstance(value, ParamPoly):
+            return _make({0: value}, 1, order, names)
+        return _make({0: value.numerator}, value.denominator, order, names)
 
     @classmethod
     def symbol(cls, name, order=DEFAULT_ORDER, names=PARAMS):
+        _check_order(order)
         if name not in names:
             raise ValueError(f"unknown variable {name!r}")
-        exps = [0] * len(names)
-        exps[names.index(name)] = 1
-        return cls({tuple(exps): Fraction(1)}, order, names)
+        if order < 1:
+            return _make({}, 1, order, names)
+        width = len(names)
+        key = (1 << (_BITS * width)) | (1 << (_BITS * (width - 1 - names.index(name))))
+        return _make({key: 1}, 1, order, names)
 
     # -- helpers -----------------------------------------------------------
-
-    def _like(self, terms):
-        """A polynomial in self's ring from terms already within its order;
-        only zero coefficients are dropped."""
-        out = object.__new__(ParamPoly)
-        object.__setattr__(out, "terms", {e: c for e, c in terms.items() if c})
-        object.__setattr__(out, "order", self.order)
-        object.__setattr__(out, "names", self.names)
-        return out
 
     def _is_coefficient(self, other):
         """True when ``other`` scales self term by term."""
@@ -186,18 +236,35 @@ class ParamPoly:
             raise ValueError("polynomials live over different variable lists")
         return None
 
+    def _coeff(self, num):
+        """The coefficient whose numerator slot holds ``num``."""
+        return num if isinstance(num, ParamPoly) else Fraction(num, self._den)
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient} view, built once."""
+        try:
+            return self._terms
+        except AttributeError:
+            width = len(self.names)
+            view = MappingProxyType({_unpack(k, width): self._coeff(c)
+                                     for k, c in self._num.items()})
+            _set(self, "_terms", view)
+            return view
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.names), Fraction(0))
+        c = self._num.get(0)
+        return Fraction(0) if c is None else self._coeff(c)
 
     def as_fraction(self):
         if not self.is_constant():
@@ -206,13 +273,27 @@ class ParamPoly:
 
     def degree(self):
         """Maximal total degree among stored terms (-1 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self._num) >> _BITS * len(self.names) if self._num else -1
 
     def min_degree(self):
         """Minimal total degree among stored terms (None for zero)."""
-        return min((sum(e) for e in self.terms), default=None)
+        return min(self._num) >> _BITS * len(self.names) if self._num else None
 
     # -- arithmetic --------------------------------------------------------
+
+    def _combine(self, other, sign):
+        """self + sign*other for ``other`` in self's ring: both sides are
+        scaled to the lcm of the two denominators."""
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g * sign
+        num = dict(self._num) if s1 == 1 else {k: c * s1 for k, c in self._num.items()}
+        add = other._num if s2 == 1 else {k: c * s2 for k, c in other._num.items()}
+        get = num.get
+        for k, c in add.items():
+            acc = get(k)
+            num[k] = c if acc is None else acc + c
+        return _build(num, d1 * s1, self.order, self.names)
 
     def __add__(self, other):
         if not (isinstance(other, ParamPoly) and other.names is self.names
@@ -222,48 +303,72 @@ class ParamPoly:
             other = self._promote(other)
             if other is None:
                 return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
-            terms[exps] = coeff if acc is None else acc + coeff
-        return self._like(terms)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (ParamPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-other)
+        if not (isinstance(other, ParamPoly) and other.names is self.names
+                and other.order == self.order):
+            if not isinstance(other, (ParamPoly, int, Fraction)):
+                return NotImplemented
+            return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self._like({e: -c for e, c in self.terms.items()})
+        return _make({k: -c for k, c in self._num.items()}, self._den,
+                     self.order, self.names)
+
+    def _scale(self, s):
+        """self times the coefficient ``s``: a rational, or a ParamPoly over
+        PARAMS when self is over other variables."""
+        if isinstance(s, ParamPoly):
+            return _build({k: s * c for k, c in self._num.items()}, self._den,
+                          self.order, self.names)
+        if s == 1:
+            return self
+        n = s.numerator
+        return _build({k: c * n for k, c in self._num.items()}, self._den * s.denominator,
+                      self.order, self.names)
 
     def __mul__(self, other):
         if not (isinstance(other, ParamPoly) and other.names is self.names
                 and other.order == self.order):
             if self._is_coefficient(other):
-                return self._like({e: c * other for e, c in self.terms.items()})
+                return self._scale(other)
             if isinstance(other, ParamPoly) and other._is_coefficient(self):
-                return other * self
+                return other._scale(self)
             other = self._promote(other)
             if other is None:
                 return NotImplemented
-        order = self.order
-        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
-        terms = {}
-        for e1, c1 in self.terms.items():
-            room = order - sum(e1)
-            for e2, d2, c2 in right:
-                if d2 > room:
-                    continue
-                key = tuple(map(add, e1, e2))
-                coeff = c1 * c2
-                acc = terms.get(key)
-                terms[key] = coeff if acc is None else acc + coeff
-        return self._like(terms)
+        a, b = self._num, other._num
+        if not a or not b:
+            return _make({}, 1, self.order, self.names)
+        if len(a) > len(b):
+            a, b = b, a
+        shift = _BITS * len(self.names)
+        if self.order == inf:
+            top = (max(a) >> shift) + (max(b) >> shift)
+            if top > MAX_ORDER:
+                _check_fields(a, b, len(self.names))
+            limit = (top + 1) << shift
+        else:
+            limit = (self.order + 1) << shift
+        right = sorted(b.items())
+        num = {}
+        get = num.get
+        for k1, c1 in a.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                if k >= limit:
+                    break
+                c = c1 * c2
+                acc = get(k)
+                num[k] = c if acc is None else acc + c
+        return _build(num, self._den * other._den, self.order, self.names)
 
     __rmul__ = __mul__
 
@@ -284,8 +389,18 @@ class ParamPoly:
             other = ParamPoly.const(other, self.order, self.names)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return (self.order == other.order and self.names == other.names
-                and self.terms == other.terms)
+        if self.order != other.order or self.names != other.names:
+            return False
+        if self._den == other._den:
+            return self._num == other._num
+        # canonical rational polynomials with different denominators differ;
+        # only a ParamPoly coefficient can still equal a rational
+        if not any(isinstance(c, ParamPoly)
+                   for num in (self._num, other._num) for c in num.values()):
+            return False
+        return (self._num.keys() == other._num.keys()
+                and all(c * other._den == other._num[k] * self._den
+                        for k, c in self._num.items()))
 
     __hash__ = None
 
@@ -293,19 +408,29 @@ class ParamPoly:
 
     def truncate(self, order):
         """Copy of self in the ring truncated at ``order`` (may be lower or higher)."""
-        return ParamPoly(self.terms, order, self.names)
+        _check_order(order)
+        num = self._num
+        if order < self.order:
+            limit = (order + 1) << _BITS * len(self.names)
+            num = {k: c for k, c in num.items() if k < limit}
+        return _build(num, self._den, order, self.names)
 
     def homogeneous_part(self, degree):
-        return self._like({e: c for e, c in self.terms.items() if sum(e) == degree})
+        shift = _BITS * len(self.names)
+        return _build({k: c for k, c in self._num.items() if k >> shift == degree},
+                      self._den, self.order, self.names)
 
     def partial(self, index):
         """Derivative in the variable ``names[index]``."""
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
+        width = len(self.names)
+        pos = _BITS * (width - 1 - index)
+        step = (1 << pos) + (1 << (_BITS * width))
+        num = {}
+        for k, c in self._num.items():
+            e = (k >> pos) & MAX_ORDER
             if e:
-                terms[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
-        return self._like(terms)
+                num[k - step] = c * e
+        return _build(num, self._den, self.order, self.names)
 
     def subs(self, values):
         """Substitute variables by rationals or polynomials.
@@ -321,25 +446,38 @@ class ParamPoly:
         ring = next((v for v in values.values()
                      if isinstance(v, ParamPoly) and v.names != self.names), self)
         order, names = ring.order, ring.names
-        images = {name: val if isinstance(val, ParamPoly)
-                  else ParamPoly.const(val, order, names)
-                  for name, val in values.items()}
+        width = len(self.names)
+        shift = _BITS * width
+        images = [(_BITS * (width - 1 - i),
+                   val if isinstance(val, ParamPoly) else ParamPoly.const(val, order, names))
+                  for i, val in ((self.names.index(n), v) for n, v in values.items())]
+        powers = {}
         out = ParamPoly.zero(order, names)
-        for exps, coeff in self.terms.items():
-            factor = ParamPoly.const(coeff, order, names)
-            for name, e in zip(self.names, exps):
+        for key, c in self._num.items():
+            rest = key
+            factor = None
+            for pos, image in images:
+                e = (key >> pos) & MAX_ORDER
                 if not e:
                     continue
-                image = images.get(name)
-                if image is None:
-                    if ring is not self:
-                        raise ValueError(f"no image for variable {name!r}")
-                    image = ParamPoly.symbol(name, order, names)
-                factor = factor * image ** e
+                rest -= (e << pos) + (e << shift)
+                power = powers.get((pos, e))
+                if power is None:
+                    power = powers[(pos, e)] = image ** e
+                factor = power if factor is None else factor * power
                 if not factor:
                     break
-            out = out + factor
-        return out
+            if factor is not None and not factor:
+                continue
+            if ring is self:
+                term = _build({rest: c}, 1, order, names)
+            elif rest:
+                missing = next(n for n, e in zip(self.names, _unpack(rest, width)) if e)
+                raise ValueError(f"no image for variable {missing!r}")
+            else:
+                term = ParamPoly.const(c, order, names)
+            out = out + (term if factor is None else term * factor)
+        return out if self._den == 1 else out * Fraction(1, self._den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -353,3 +491,67 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({self}, order={self.order})"
+
+
+_set = object.__setattr__
+_new = object.__new__
+
+
+def _make(num, den, order, names):
+    """A ParamPoly from storage that is already canonical."""
+    out = _new(ParamPoly)
+    _set(out, "_num", num)
+    _set(out, "_den", den)
+    _set(out, "order", order)
+    _set(out, "names", names)
+    return out
+
+
+def _build(num, den, order, names):
+    """The polynomial num/den, from terms within ``order``, in canonical
+    storage: zero terms dropped and, with int numerators, one gcd pass into
+    lowest terms.  A numerator that is no int (a Fraction or a ParamPoly
+    coefficient) fails ``gcd``; then the denominator is folded into the
+    coefficients, and the int form is rebuilt when none is a ParamPoly."""
+    if not all(num.values()):
+        num = {k: c for k, c in num.items() if c}
+    try:
+        g = gcd(den, *num.values())
+    except TypeError:
+        if den != 1:
+            scale = Fraction(1, den)
+            num = {k: c * scale for k, c in num.items()}
+        if any(isinstance(c, ParamPoly) for c in num.values()):
+            return _make(num, 1, order, names)
+        den = lcm(*(c.denominator for c in num.values()))
+        num = {k: c.numerator * (den // c.denominator) for k, c in num.items()}
+        return _make(num, den, order, names)
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
+    return _make(num, den, order, names)
+
+
+def _check_order(order):
+    """Raise unless ``order`` is a valid truncation order for packed keys."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    if order != inf and order > MAX_ORDER:
+        raise ValueError(
+            f"truncation order {order} is above {MAX_ORDER}, the packed-key field limit")
+
+
+def _check_fields(a, b, width):
+    """Raise when a product of keys from ``a`` and ``b`` would carry out of
+    an exponent field."""
+    for i in range(width):
+        pos = _BITS * (width - 1 - i)
+        if (max((k >> pos) & MAX_ORDER for k in a)
+                + max((k >> pos) & MAX_ORDER for k in b)) > MAX_ORDER:
+            raise ValueError(
+                f"exponent above {MAX_ORDER}, the packed-key field limit")
+
+
+def _unpack(key, width):
+    """The exponent tuple of a packed key over ``width`` variables."""
+    return tuple((key >> (_BITS * (width - 1 - i))) & MAX_ORDER for i in range(width))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hweyl.cli import main
+from hweyl.params import MAX_ORDER
 from hweyl.bialgebra import Cocommutator
 from hweyl.quantization import HopfPresentation
 
@@ -236,6 +237,25 @@ def test_realize_negative_degree_exits_1(capsys):
 def test_order_must_be_positive(capsys):
     code, _, err = run(capsys, "classify", "{}", "--order", "0")
     assert code == 1
+
+
+def test_order_above_the_packed_key_limit_exits_1(capsys):
+    code, out, err = run(capsys, "quantize", "--family", "type2",
+                         "--order", str(MAX_ORDER + 1))
+    assert code == 1
+    assert out == ""
+    assert f"--order must be between 1 and {MAX_ORDER}" in err
+    # commands that build no series at that order are refused the same way
+    for argv in (("classify", "{}"), ("poisson",)):
+        code, out, err = run(capsys, *argv, "--order", str(MAX_ORDER + 1))
+        assert code == 1 and out == ""
+        assert str(MAX_ORDER) in err
+
+
+def test_order_help_names_the_limit(capsys):
+    with pytest.raises(SystemExit):
+        main(["quantize", "--help"])
+    assert f"1 to {MAX_ORDER}" in capsys.readouterr().out
 
 
 def test_output_is_deterministic(capsys):

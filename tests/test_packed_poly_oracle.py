@@ -1,0 +1,229 @@
+"""ParamPoly storage (int numerators over one denominator, packed exponent
+keys) against sympy: the structural operations with denominators up to 30,
+canonical form, coordinate polynomials that mix ParamPoly and rational
+coefficients, and the packed-key field limit."""
+
+import math
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hweyl.params import MAX_ORDER, PARAMS, ParamPoly  # noqa: E402
+from hweyl.poisson import CHART, COORDS  # noqa: E402
+
+PARAM_SYMS = sympy.symbols(PARAMS)
+COORD_SYMS = sympy.symbols(COORDS)
+CHART_SYMS = sympy.symbols(CHART)
+SYMS = {PARAMS: PARAM_SYMS, COORDS: COORD_SYMS, CHART: CHART_SYMS}
+
+examples = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+
+#: Denominators up to 30, so that sums need an lcm and products a gcd pass.
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+nonzero_rationals = rationals.filter(bool)
+
+#: A few parameters, the first and last included, so that terms collide.
+POOL = (0, 1, 5, len(PARAMS) - 1)
+
+
+def exponents(nvars, pool, max_factors):
+    def build(factors):
+        exps = [0] * nvars
+        for i, e in factors:
+            exps[i] += e
+        return tuple(exps)
+    return st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)),
+                    max_size=max_factors).map(build)
+
+
+def param_polys(order):
+    return st.dictionaries(exponents(len(PARAMS), POOL, 3), rationals,
+                           max_size=5).map(lambda terms: ParamPoly(terms, order))
+
+
+@st.composite
+def ordered(draw, count):
+    order = draw(st.integers(0, 6))
+    return (order, *(draw(param_polys(order)) for _ in range(count)))
+
+
+def to_sympy(p):
+    syms = SYMS[p.names]
+    out = sympy.Integer(0)
+    for exps, coeff in p.terms.items():
+        c = (to_sympy(coeff) if isinstance(coeff, ParamPoly)
+             else sympy.Rational(coeff.numerator, coeff.denominator))
+        out += c * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
+    return out
+
+
+def graded(expr, keep):
+    """The terms of ``expr`` whose parameter degree passes ``keep``."""
+    poly = sympy.Poly(sympy.expand(expr), *PARAM_SYMS, *COORD_SYMS, *CHART_SYMS)
+    return sum((c * sympy.Mul(*(s ** e for s, e in
+                                zip(PARAM_SYMS + COORD_SYMS + CHART_SYMS, monom)))
+                for monom, c in poly.terms() if keep(sum(monom[:len(PARAMS)]))),
+               sympy.Integer(0))
+
+
+def same(p, expr):
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+def in_lowest_terms(p):
+    """The stored numerators and denominator share no factor."""
+    return p._den > 0 and gcd(p._den, *p._num.values()) == 1
+
+
+# -- structural operations --------------------------------------------------------
+
+@examples
+@given(ordered(1), st.integers(0, 7))
+def test_homogeneous_part_and_truncate_match_sympy(args, k):
+    order, p = args
+    P = to_sympy(p)
+    part = p.homogeneous_part(k)
+    assert same(part, graded(P, lambda d: d == k))
+    assert in_lowest_terms(part)
+    cut = p.truncate(k)
+    assert cut.order == k
+    assert same(cut, graded(P, lambda d: d <= k))
+    assert in_lowest_terms(cut)
+
+
+@examples
+@given(ordered(1))
+def test_partial_matches_sympy(args):
+    _, p = args
+    for i in POOL:
+        d = p.partial(i)
+        assert same(d, sympy.diff(to_sympy(p), PARAM_SYMS[i]))
+        assert in_lowest_terms(d)
+
+
+@examples
+@given(ordered(2), nonzero_rationals, st.booleans())
+def test_subs_matches_sympy(args, value, by_poly):
+    order, p, q = args
+    image = q if by_poly else value
+    image_expr = to_sympy(q) if by_poly else sympy.Rational(value.numerator,
+                                                          value.denominator)
+    out = p.subs({"a1": image, "b3": Fraction(1, 2)})
+    expected = to_sympy(p).subs({PARAM_SYMS[0]: image_expr,
+                                 PARAM_SYMS[5]: sympy.Rational(1, 2)},
+                                simultaneous=True)
+    assert same(out, graded(expected, lambda d: d <= order))
+    assert in_lowest_terms(out)
+
+
+@examples
+@given(st.dictionaries(exponents(len(COORDS), (0, 1, 2), 3), rationals, max_size=4))
+def test_subs_into_another_ring_matches_sympy(terms):
+    f = ParamPoly(terms, math.inf, COORDS)
+    x1, x2, x3 = (ParamPoly.symbol(n, math.inf, CHART) for n in CHART)
+    out = f.subs({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2 * Fraction(1, 3)})
+    X1, X2, X3 = CHART_SYMS
+    expected = to_sympy(f).subs({COORD_SYMS[0]: X1, COORD_SYMS[1]: X2,
+                                 COORD_SYMS[2]: X3 - X1 * X2 / 3}, simultaneous=True)
+    assert out.names == CHART
+    assert same(out, expected)
+
+
+# -- canonical form ----------------------------------------------------------------
+
+@examples
+@given(ordered(3))
+def test_canonical_form(args):
+    _, p, q, r = args
+    back = p + q - q
+    assert back == p
+    assert back.terms == p.terms
+    assert (back._num, back._den) == (p._num, p._den)
+    left, right = (p * q) * r, p * (q * r)
+    assert left == right
+    assert left.terms == right.terms
+    for result in (p + q, p - q, p * q, -p, p * Fraction(-7, 30), p ** 2):
+        assert in_lowest_terms(result)
+    assert (p - p)._den == 1 and not (p - p)._num
+
+
+# -- coordinate polynomials with mixed coefficients -------------------------------------
+
+@st.composite
+def mixed_coordinate_polys(draw):
+    """A coordinate polynomial with a ParamPoly coefficient and rational ones."""
+    order = draw(st.integers(1, 5))
+    coord_exps = exponents(len(COORDS), (0, 1, 2), 3)
+    terms = draw(st.dictionaries(coord_exps, rationals, max_size=3))
+    exps = draw(coord_exps)
+    coeff = draw(param_polys(order)) + ParamPoly.symbol("a1", order)
+    terms[exps] = coeff
+    return order, ParamPoly(terms, math.inf, COORDS)
+
+
+@examples
+@given(mixed_coordinate_polys(),
+       st.dictionaries(exponents(len(COORDS), (0, 1, 2), 2), nonzero_rationals,
+                       min_size=1, max_size=3),
+       st.integers(2, 30))
+def test_mixed_times_denominator_keeps_the_denominator(mixed, terms, den):
+    order, f = mixed
+    g = ParamPoly({e: c / den for e, c in terms.items()}, math.inf, COORDS)
+    expected = graded(to_sympy(f) * to_sympy(g), lambda d: d <= order)
+    assert same(f * g, expected)
+    assert same(g * f, expected)
+    assert same(f + g, to_sympy(f) + to_sympy(g))
+    assert same(f * Fraction(1, den), to_sympy(f) / den)
+
+
+def test_mixed_polynomial_returns_to_int_form():
+    a1 = ParamPoly.symbol("a1", 3)
+    am, ap = (ParamPoly.symbol(n, math.inf, COORDS) for n in COORDS[:2])
+    f = am * a1 + ap * Fraction(1, 6)
+    rational = f - am * a1
+    assert rational == ap * Fraction(1, 6)
+    assert (rational._num, rational._den) == ((ap * Fraction(1, 6))._num, 6)
+    # a constant ParamPoly coefficient still equals the same rational
+    half = ParamPoly.const(Fraction(1, 2), 3)
+    assert am * half == am * Fraction(1, 2)
+    assert am * Fraction(1, 2) == am * half
+    assert am * half != am * Fraction(1, 3)
+
+
+# -- the packed-key field limit ---------------------------------------------------------
+
+def test_finite_order_above_the_field_limit_raises():
+    above = MAX_ORDER + 1
+    for build in (lambda: ParamPoly.symbol("a1", above),
+                  lambda: ParamPoly.zero(above),
+                  lambda: ParamPoly.const(2, above),
+                  lambda: ParamPoly({}, above),
+                  lambda: ParamPoly.symbol("a1", 4).truncate(above)):
+        with pytest.raises(ValueError, match=f"above {MAX_ORDER}"):
+            build()
+    top = ParamPoly.symbol("a1", MAX_ORDER) ** MAX_ORDER
+    assert top.degree() == MAX_ORDER
+    assert top.terms == {(MAX_ORDER,) + (0,) * (len(PARAMS) - 1): 1}
+
+
+def test_untruncated_exponent_above_the_field_limit_raises():
+    am, ap, m = (ParamPoly.symbol(n, math.inf, COORDS) for n in COORDS)
+    top = am ** MAX_ORDER
+    assert top.terms == {(MAX_ORDER, 0, 0): 1}
+    with pytest.raises(ValueError, match=f"above {MAX_ORDER}"):
+        top * am
+    with pytest.raises(ValueError, match=f"above {MAX_ORDER}"):
+        (am + 1) ** (MAX_ORDER + 1)
+    with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):
+        ParamPoly({(MAX_ORDER + 1, 0, 0): 1}, math.inf, COORDS)
+    # a total degree above the limit is fine while each exponent fits
+    wide = am ** 200 * ap ** 200 * m ** 200
+    assert wide.terms == {(200, 200, 200): 1}
+    assert wide.degree() == 600
+    assert wide.partial(1).terms == {(200, 199, 200): 200}
