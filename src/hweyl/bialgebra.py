@@ -2,8 +2,9 @@
 
 Covers the cocycle and co-Jacobi constraints on the nine-coefficient
 cocommutator, the TYPE_I_PLUS / TYPE_I_MINUS / TYPE_II taxonomy with its
-normalizing automorphisms, and coboundary detection through r-matrices,
-the Schouten bracket and the modified classical Yang-Baxter equation.
+normalizing automorphisms and its one table of per-family facts
+(``FAMILIES``), and coboundary detection through r-matrices, the Schouten
+bracket and the modified classical Yang-Baxter equation.
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ TYPE_II = "TYPE_II"
 INVALID = "INVALID"
 
 _COEFF_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
+
+#: The per-family facts: (deformation parameters the normal form keeps, the
+#: primitive generator p, the non-primitive vector v).  Everything else about
+#: a family is read off its cocommutator, delta(v_i) = sum_j Theta_ij p ^ v_j.
+FAMILIES = {
+    TYPE_I_PLUS: (("a1", "a3"), GEN_AP, (GEN_AM, GEN_M)),
+    TYPE_I_MINUS: (("b1", "b2"), GEN_AM, (GEN_AP, GEN_M)),
+    TYPE_II: (("a2", "a3", "b2", "b3"), GEN_M, (GEN_AM, GEN_AP)),
+    TRIVIAL: ((), GEN_M, (GEN_AM, GEN_AP)),
+}
 
 
 def _addin(d, key, val):
@@ -536,12 +547,7 @@ class BialgebraClass:
         raise AttributeError("BialgebraClass is immutable")
 
     #: Deformation parameter names retained by each normalized family.
-    FAMILY_PARAMS = {
-        TYPE_I_PLUS: ("a1", "a3"),
-        TYPE_I_MINUS: ("b1", "b2"),
-        TYPE_II: ("a2", "a3", "b2", "b3"),
-        TRIVIAL: (),
-    }
+    FAMILY_PARAMS = {tag: fam[0] for tag, fam in FAMILIES.items()}
 
     def family_params(self):
         if self.tag not in self.FAMILY_PARAMS:
@@ -598,13 +604,9 @@ def classify(delta):
         tag = TYPE_II
 
     normalized = apply_automorphism(delta, B) if B is not _IDENTITY else delta
-    expected_zero = {
-        TYPE_I_PLUS: ("a2", "b1", "b2", "b3"),
-        TYPE_I_MINUS: ("a1", "a2", "a3", "b3"),
-        TYPE_II: ("a1", "b1"),
-    }[tag]
-    assert all(not getattr(normalized, n) for n in expected_zero), \
-        f"normalization failed for {tag}: {normalized}"
+    kept = FAMILIES[tag][0]
+    assert all(not getattr(normalized, n) for n in _COEFF_NAMES[:6]
+               if n not in kept), f"normalization failed for {tag}: {normalized}"
 
     coboundary = (not normalized.a1 and not normalized.a3 and not normalized.b1
                   and not normalized.b2 and normalized.a2 == normalized.b3)

@@ -32,6 +32,8 @@ _FAMILY_BY_NAME = {
     "trivial": bi.TRIVIAL,
 }
 _FAMILY_CHOICES = tuple(_FAMILY_BY_NAME) + ("all",)
+#: The families that ``--family all`` covers: those with parameters.
+_DEFORMED = [tag for tag, (params, _, _) in bi.FAMILIES.items() if params]
 
 
 def _out(line=""):
@@ -57,6 +59,11 @@ def _load_json_arg(arg):
     except OSError:
         pass
     return json.loads(text)
+
+
+def _load_delta(arg):
+    """The cocommutator given on the command line; no input is the zero map."""
+    return bi.Cocommutator.from_json({} if arg is None else _load_json_arg(arg))
 
 
 def _render_automorphism(matrix):
@@ -117,7 +124,7 @@ def _classification_doc(result):
 
 
 def run_classify(args):
-    delta = bi.Cocommutator.from_json(_load_json_arg(args.input) or {})
+    delta = _load_delta(args.input)
     result = bi.classify(delta)
     if args.format == "json":
         _emit_json(_classification_doc(result))
@@ -145,7 +152,7 @@ def run_quantize(args):
     if args.family and args.input is None:
         family = _FAMILY_BY_NAME[args.family]
     else:
-        delta = bi.Cocommutator.from_json(_load_json_arg(args.input) or {})
+        delta = _load_delta(args.input)
         classification = bi.classify(delta)
         if classification.tag == bi.INVALID:
             _err("input is not a Lie bialgebra; run classify for the residuals")
@@ -196,8 +203,7 @@ def _verify_one(tag, order):
 
 
 def run_verify(args):
-    tags = ([_FAMILY_BY_NAME[args.family]] if args.family != "all"
-            else [bi.TYPE_I_PLUS, bi.TYPE_I_MINUS, bi.TYPE_II])
+    tags = [_FAMILY_BY_NAME[args.family]] if args.family != "all" else _DEFORMED
     results = {}
     for tag in tags:
         results[tag] = _verify_one(tag, args.order)
@@ -293,8 +299,7 @@ def _poisson_grouplaw_checks():
 def run_poisson(args):
     results = {}
     if args.check in ("jacobi", "homomorphism", "linear", "all"):
-        tags = ([_FAMILY_BY_NAME[args.family]] if args.family != "all"
-                else [bi.TYPE_I_PLUS, bi.TYPE_I_MINUS, bi.TYPE_II])
+        tags = [_FAMILY_BY_NAME[args.family]] if args.family != "all" else _DEFORMED
         for tag in tags:
             results[tag] = _poisson_family_checks(tag, args.check)
     if args.check in ("grouplaw", "all"):

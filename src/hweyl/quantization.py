@@ -1,11 +1,14 @@
 """Quantization of the classified bialgebra families into Hopf algebras.
 
-Builds the matrix form theta of each family's cocommutator, exponentiates it
-into the deformed coproduct (exp(-theta)) and the antipode (exp(theta)),
-attaches the compatible commutation rules and counit, and machine-verifies
-every Hopf axiom by exact truncated series.  The differential realization of
-the I+ family acts on polynomials in x, held as ParamPoly over ("x",) with
-``order=math.inf`` and parameter-polynomial coefficients.
+A family is its primitive generator p plus the 2x2 matrix Theta read off its
+cocommutator: delta(v_i) = sum_j theta_ij ^ v_j on the non-primitive vector
+v, with theta = p * Theta.  From Theta alone this module builds the deformed
+commutation rules, the coproduct (exp(-theta)), the antipode (exp(theta)) and
+the closed forms, attaches the counit, and machine-verifies every Hopf axiom
+by exact truncated series; the zero cocommutator (TRIVIAL) is Theta = 0.  The
+differential realization of the I+ family acts on polynomials in x, held as
+ParamPoly over ("x",) with ``order=math.inf`` and parameter-polynomial
+coefficients.
 """
 
 from __future__ import annotations
@@ -13,30 +16,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .params import DEFAULT_ORDER, ParamPoly, as_fraction, parse_rational
+from .params import (DEFAULT_ORDER, ParamPoly, as_fraction, join_signed,
+                     monomial_factors, parse_rational)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
                       RewriteSystem, commutator, exp_element, exp_matrix2,
                       nc_mul, normal_form)
 from .tensor import TensorElement, _slot_product, flip, outer, tensor_mul
-from .bialgebra import (_IDX, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
+from .bialgebra import (_IDX, BRACKET, FAMILIES, TYPE_I_MINUS, TYPE_I_PLUS,
                         BialgebraClass, Cocommutator)
 
 
 class VerificationError(RuntimeError):
     """A Hopf axiom, the confluence of the rewrite rules or the centrality of
     the central element failed to verify."""
-
-
-#: Primitive generator and non-primitive vector of each quantizable family.
-_FAMILY_SHAPE = {
-    TYPE_I_PLUS: (GEN_AP, (GEN_AM, GEN_M)),
-    TYPE_I_MINUS: (GEN_AM, (GEN_AP, GEN_M)),
-    TYPE_II: (GEN_M, (GEN_AM, GEN_AP)),
-}
-
-
-def primitive_generator(tag):
-    return _FAMILY_SHAPE[tag][0]
 
 
 def _family_values(cls, order):
@@ -56,59 +48,46 @@ def _family_values(cls, order):
     return values
 
 
-def _check_quantizable(cls):
-    """The family must have a primitive generator and delta(X) in X ^ primitive."""
-    prim, vector = _FAMILY_SHAPE[cls.tag]
+def _theta(cls, order):
+    """(p, v, Theta): Theta[i][j] is the coefficient of p ^ v_j in delta(v_i).
+
+    The normalized cocommutator must vanish on p and send each v_i into
+    v ^ p.  Theta is read off the family's graded parameter values.
+    """
+    if cls.tag not in FAMILIES:
+        raise ValueError(f"{cls.tag} has no matrix form")
+    _, prim, vector = FAMILIES[cls.tag]
     p = _IDX[prim]
-    delta = cls.normalized
-    if delta.wedge_row(p):
+    if cls.normalized.wedge_row(p):
         raise ValueError(f"{cls.tag}: delta({prim}) must vanish")
     for v in vector:
-        for (i, j) in delta.wedge_row(_IDX[v]):
-            if p not in (i, j):
-                raise ValueError(
-                    f"{cls.tag}: delta({v}) contains a wedge without {prim}")
+        if any(p not in pair for pair in cls.normalized.wedge_row(_IDX[v])):
+            raise ValueError(f"{cls.tag}: delta({v}) contains a wedge without {prim}")
+    graded = Cocommutator(**_family_values(cls, order))
+    rows = [graded.full_row(_IDX[v]) for v in vector]
+    zero = ParamPoly.zero(order)
+    return prim, vector, [[row.get((p, _IDX[v]), zero) for v in vector] for row in rows]
 
 
 def matrix_delta(cls, order=DEFAULT_ORDER):
     """Matrix form of the cocommutator on the non-primitive generator vector.
 
     Returns (theta, vector) with delta(v_i) = sum_j theta[i][j] ^ v_j and
-    every entry linear in the primitive generator.
+    theta = p * Theta, every entry linear in the primitive generator p.
     """
-    if cls.tag not in _FAMILY_SHAPE:
-        raise ValueError(f"{cls.tag} has no matrix form")
-    _check_quantizable(cls)
-    v = _family_values(cls, order)
-    prim, vector = _FAMILY_SHAPE[cls.tag]
+    prim, vector, theta = _theta(cls, order)
     gen = FreeElement.generator(prim, order)
-    zero = FreeElement.zero(order)
-    if cls.tag == TYPE_I_PLUS:
-        theta = [[gen * -v["a1"], gen * v["a3"]],
-                 [zero, gen * -v["a1"]]]
-    elif cls.tag == TYPE_I_MINUS:
-        theta = [[gen * v["b1"], gen * v["b2"]],
-                 [zero, gen * v["b1"]]]
-    else:
-        theta = [[gen * -v["a2"], gen * -v["a3"]],
-                 [gen * -v["b2"], gen * -v["b3"]]]
-    return theta, vector
+    return [[gen * t for t in row] for row in theta], vector
 
 
 def build_coproduct(cls, order=DEFAULT_ORDER):
     """Deformed coproduct: primitive on the primitive generator, and
     1 (x) v + sigma(exp(-theta) (x) v) on the non-primitive vector."""
-    one = FreeElement.one(order)
-    cop = {}
-    if cls.tag == TRIVIAL:
-        for name in GENERATORS:
-            x = FreeElement.generator(name, order)
-            cop[name] = outer(one, x) + outer(x, one)
-        return cop
     theta, vector = matrix_delta(cls, order)
-    prim = primitive_generator(cls.tag)
+    prim = FAMILIES[cls.tag][1]
+    one = FreeElement.one(order)
     x = FreeElement.generator(prim, order)
-    cop[prim] = outer(one, x) + outer(x, one)
+    cop = {prim: outer(one, x) + outer(x, one)}
     exp_neg = exp_matrix2([[-e for e in row] for row in theta])
     for i, vi in enumerate(vector):
         acc = outer(one, FreeElement.generator(vi, order))
@@ -128,10 +107,8 @@ def build_antipode(cls, rewrite):
     exp(theta) solves it; an antipode is unique, so this is the antipode.
     """
     order = rewrite.order
-    if cls.tag == TRIVIAL:
-        return {name: -FreeElement.generator(name, order) for name in GENERATORS}
     theta, vector = matrix_delta(cls, order)
-    prim = primitive_generator(cls.tag)
+    prim = FAMILIES[cls.tag][1]
     gamma = {prim: -FreeElement.generator(prim, order)}
     exp_pos = exp_matrix2(theta)
     for j, vj in enumerate(vector):
@@ -165,42 +142,24 @@ def exprel_series(scale, order):
 
 
 def family_rewrite(cls, order=DEFAULT_ORDER):
-    """The family's deformed commutation rules as a rewrite system."""
-    if cls.tag == TRIVIAL:
-        return RewriteSystem.undeformed(order)
-    if cls.tag not in _FAMILY_SHAPE:
-        raise ValueError(f"{cls.tag} has no commutation rules")
-    v = _family_values(cls, order)
-    one = ParamPoly.one(order)
-    m_am = FreeElement({(GEN_M, GEN_AM): one}, order)
-    m_ap = FreeElement({(GEN_M, GEN_AP): one}, order)
-    ap_am = FreeElement({(GEN_AP, GEN_AM): one}, order)
-    mm = FreeElement.from_word((GEN_M, GEN_M), order)
-    if cls.tag == TYPE_I_PLUS:
-        # [A-,A+] = M, [A-,M] = (a1/2) M^2, [A+,M] = 0
-        rules = {
-            (GEN_AM, GEN_AP): ap_am + FreeElement.generator(GEN_M, order),
-            (GEN_AM, GEN_M): m_am + mm * (v["a1"] * Fraction(1, 2)),
-            (GEN_AP, GEN_M): m_ap,
-        }
-        name = "type_i_plus"
-    elif cls.tag == TYPE_I_MINUS:
-        # swap image of the I+ rules: [A+,M] = (b1/2) M^2, [A-,M] = 0
-        rules = {
-            (GEN_AM, GEN_AP): ap_am + FreeElement.generator(GEN_M, order),
-            (GEN_AP, GEN_M): m_ap + mm * (v["b1"] * Fraction(1, 2)),
-            (GEN_AM, GEN_M): m_am,
-        }
-        name = "type_i_minus"
+    """The family's deformed commutation rules as a rewrite system.
+
+    One undeformed rule changes, and Theta gives the change.  For the central
+    primitive M, [A-,A+] = (exp(s M) - 1)/s with s = -tr Theta.  For a ladder
+    primitive p with [v_0, p] = eps M, [v_0, M] = -(eps Theta_00 / 2) M^2.
+    """
+    prim, vector, theta = _theta(cls, order)
+    rules = dict(RewriteSystem.undeformed(order).rules)
+    if prim == GEN_M:
+        s = -(theta[0][0] + theta[1][1])
+        rules[(GEN_AM, GEN_AP)] = (FreeElement.from_word((GEN_AP, GEN_AM), order)
+                                   + exprel_series(s, order))
     else:
-        # [A-,A+] = (exp((a2+b3)M) - 1)/(a2+b3), M central
-        rules = {
-            (GEN_AM, GEN_AP): ap_am + exprel_series(v["a2"] + v["b3"], order),
-            (GEN_AM, GEN_M): m_am,
-            (GEN_AP, GEN_M): m_ap,
-        }
-        name = "type_ii"
-    return RewriteSystem(name, rules, order)
+        v = vector[0]
+        eps = BRACKET[(_IDX[v], _IDX[prim])][_IDX[GEN_M]]
+        rules[(v, GEN_M)] = rules[(v, GEN_M)] + FreeElement.from_word(
+            (GEN_M, GEN_M), order, coeff=theta[0][0] * (-eps / 2))
+    return RewriteSystem(cls.tag.lower(), rules, order)
 
 
 # -- coproduct / counit / antipode extension to arbitrary elements -------------
@@ -315,13 +274,18 @@ class HopfPresentation:
     def is_concrete(self):
         return bool(self.values) and self.concrete.keys() == self.values.keys()
 
+    def _display(self, obj):
+        """``obj`` with the grading symbols set to 1 when every parameter is
+        concrete, as the output shows it."""
+        if not self.is_concrete:
+            return obj
+        grading = {name for val in self.values.values() for exps in val.terms
+                   for name, e in zip(val.names, exps) if e}
+        return obj.subs(dict.fromkeys(grading, 1))
+
     def _render(self, obj):
-        if self.is_concrete:
-            grading = {name for val in self.values.values() for exps in val.terms
-                       for name, e in zip(val.names, exps) if e}
-            obj = obj.subs(dict.fromkeys(grading, 1))
-            obj = obj.truncate_words(self.order)
-        return str(obj)
+        obj = self._display(obj)
+        return str(obj.truncate_words(self.order) if self.is_concrete else obj)
 
     def relations(self):
         """Commutators [g, h] encoded by the rewrite rules, as elements."""
@@ -359,12 +323,12 @@ class HopfPresentation:
 def _resolve_class(family, order, params):
     if isinstance(family, BialgebraClass):
         return family
-    if family not in (TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL):
+    if family not in FAMILIES:
         raise ValueError(f"not a quantizable family: {family!r}")
-    if family == TRIVIAL or params is None:
+    if params is None:
         return BialgebraClass.symbolic(family, order)
     kwargs = {}
-    for name in BialgebraClass.FAMILY_PARAMS[family]:
+    for name in FAMILIES[family][0]:
         if params.get(name) is not None:
             kwargs[name] = as_fraction(params[name])
         else:
@@ -381,7 +345,7 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     with ``verify=False`` nothing checks the antipode (``verify_all`` does).
     """
     cls = _resolve_class(family, order, params)
-    if cls.tag not in (TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL):
+    if cls.tag not in FAMILIES:
         raise ValueError(f"cannot quantize class {cls.tag}")
     rewrite = family_rewrite(cls, order)
     bad = rewrite.check_confluence()
@@ -497,15 +461,9 @@ def first_order_cocommutator(hp) -> dict:
 def first_order_residuals(hp) -> dict:
     """Difference between the coproduct's first-order asymmetry and the
     cocommutator the family was built from."""
-    shape = {name: val for name, val in hp.values.items()}
-    delta = Cocommutator(**shape) if shape else Cocommutator()
+    delta = Cocommutator(**hp.values)
     got = first_order_cocommutator(hp)
-    out = {}
-    for name in GENERATORS:
-        expected = delta.as_tensor(name, hp.order) if shape \
-            else TensorElement.zero(2, hp.order)
-        out[name] = got[name] - expected
-    return out
+    return {name: got[name] - delta.as_tensor(name, hp.order) for name in GENERATORS}
 
 
 # -- central element and differential realization ----------------------------------
@@ -675,81 +633,72 @@ def swap_transport(hp) -> HopfPresentation:
 
 # -- closed-form display ----------------------------------------------------------------
 
+def _signed_sum(items):
+    """(ParamPoly scalar, body) pairs as one sum, each scalar spread over its
+    monomials the way the engine renders a coefficient."""
+    return join_signed((c, "*".join(monomial_factors(exps, s.names) + [body]))
+                       for s, body in items for exps, c in s.sorted_terms())
+
+
+def _times(*factors):
+    return "*".join(f for f in factors if f)
+
+
 def closed_forms(hp) -> dict:
-    """Human-readable closed forms of the family's structure maps."""
-    disp = hp.param_display()
+    """Closed forms of the structure maps, rendered from the family's Theta.
 
-    def v(name):
-        d = disp.get(name, name)
-        return d if d == name else f"({d})"
+    A family is its primitive generator p plus Theta read off delta.  With
+    theta = p * Theta, E = exp(-theta) and F = exp(theta): Delta(p) is
+    primitive, gamma(p) = -p, Delta(v_i) = 1 (x) v_i + sum_j v_j (x) E_ij and
+    gamma(v_i) = -sum_j v_j F_ij.  When Theta is upper triangular with one
+    diagonal value l (I+, I-, TRIVIAL), E = exp(-l p) (1 - Theta_01 p e_01)
+    is written out; otherwise E is shown as exp([[...]]).  The brackets are
+    the rules of ``family_rewrite``; its one series, for the central
+    primitive M, is shown as (exp(s*M) - 1)/s with s = -tr Theta.  Scalars
+    are the engine's own text after the substitution of ``_render``.
+    """
+    prim, (v0, v1), theta = _theta(hp.bialgebra_class, hp.order)
+    theta = [[hp._display(t) for t in row] for row in theta]
+    (t00, t01), (t10, t11) = theta
+    p = FreeElement.generator(prim, hp.order)
+    one = ParamPoly.one(hp.order)
 
-    def times(name):
-        """The parameter as a leading factor; a concrete 1 is no factor."""
-        return "" if disp[name] == "1" else f"{v(name)}*"
+    def exp_of(scale):
+        """exp(scale * p) as a factor, empty for exp(0) = 1."""
+        return f"exp({hp._render(p * scale)})" if scale else ""
 
-    def minus(name, body):
-        """The summand - name*body, left out for a concrete 0."""
-        return "" if disp[name] == "0" else f" - {times(name)}{body}"
+    coproduct = [f"Delta({prim}) = 1 (x) {prim} + {prim} (x) 1"]
+    antipode = [f"gamma({prim}) = -{prim}"]
+    if not t10 and t00 == t11:
+        e, f = exp_of(-t00), exp_of(t00)
+        # E_01 = -Theta_01 p exp(-l p) and F_01 = Theta_01 p exp(l p); only
+        # v0 has an off-diagonal term, so the lines of v1 come first
+        for v, off in ((v1, []), (v0, [(-t01, v1)])):
+            coproduct.append(f"Delta({v}) = " + _signed_sum(
+                [(one, f"1 (x) {v}"), (one, f"{v} (x) {e or 1}")]
+                + [(c, f"{w} (x) {_times(prim, e)}") for c, w in off]))
+            antipode.append(f"gamma({v}) = " + _signed_sum(
+                [(-one, _times(v, f))] + [(c, _times(w, prim, f)) for c, w in off]))
+    else:
+        for i, v in enumerate((v0, v1), 1):
+            coproduct.append(f"Delta({v}) = 1 (x) {v} + {v0} (x) E{i}1({prim})"
+                             f" + {v1} (x) E{i}2({prim})")
+            antipode.append(f"gamma({v}) = -(F{i}1({prim})*{v0}"
+                            f" + F{i}2({prim})*{v1})")
+        rows = ", ".join("[" + ", ".join(hp._render(p * -t) for t in row) + "]"
+                         for row in theta)
+        coproduct.append(f"with E = exp([{rows}])")
+        antipode.append(f"with F = E(-{prim})")
 
-    def half(name):
-        return "1/2" if disp[name] == "1" else f"{v(name)}/2"
-
-    if hp.family == TRIVIAL:
-        return {
-            "coproduct": [f"Delta({x}) = 1 (x) {x} + {x} (x) 1" for x in GENERATORS],
-            "relations": ["[A-,A+] = M", "[A-,M] = 0", "[A+,M] = 0"],
-            "antipode": [f"gamma({x}) = -{x}" for x in GENERATORS],
-        }
+    brackets = {pair: hp._render(rhs)
+                for pair, rhs in hp.rewrite.commutation_rules().items()}
+    s = -(t00 + t11)
+    if prim == GEN_M and s:
+        brackets[(GEN_AM, GEN_AP)] = f"(exp(s*M) - 1)/s with s = {s}"
+    relations = [f"[{g},{h}] = {brackets[(g, h)]}" for g, h in reversed(REDEXES)]
+    forms = {"coproduct": coproduct, "relations": relations, "antipode": antipode}
     if hp.family == TYPE_I_PLUS:
-        a1 = times("a1")
-        return {
-            "coproduct": [
-                "Delta(A+) = 1 (x) A+ + A+ (x) 1",
-                f"Delta(M) = 1 (x) M + M (x) exp({a1}A+)",
-                f"Delta(A-) = 1 (x) A- + A- (x) exp({a1}A+)"
-                + minus("a3", f"M (x) A+*exp({a1}A+)"),
-            ],
-            "relations": [
-                "[A-,A+] = M", f"[A-,M] = ({half('a1')})*M^2", "[A+,M] = 0"],
-            "antipode": [
-                "gamma(A+) = -A+",
-                f"gamma(M) = -M*exp(-{a1}A+)",
-                f"gamma(A-) = -A-*exp(-{a1}A+)" + minus("a3", f"M*A+*exp(-{a1}A+)"),
-            ],
-            "central_element": [f"C = M*exp(-{a1}A+/2)"],
-        }
-    if hp.family == TYPE_I_MINUS:
-        b1 = times("b1")
-        return {
-            "coproduct": [
-                "Delta(A-) = 1 (x) A- + A- (x) 1",
-                f"Delta(M) = 1 (x) M + M (x) exp(-{b1}A-)",
-                f"Delta(A+) = 1 (x) A+ + A+ (x) exp(-{b1}A-)"
-                + minus("b2", f"M (x) A-*exp(-{b1}A-)"),
-            ],
-            "relations": [
-                "[A-,A+] = M", f"[A+,M] = ({half('b1')})*M^2", "[A-,M] = 0"],
-            "antipode": [
-                "gamma(A-) = -A-",
-                f"gamma(M) = -M*exp({b1}A-)",
-                f"gamma(A+) = -A+*exp({b1}A-)" + minus("b2", f"M*A-*exp({b1}A-)"),
-            ],
-        }
-    a2, a3, b2, b3 = v("a2"), v("a3"), v("b2"), v("b3")
-    return {
-        "coproduct": [
-            "Delta(M) = 1 (x) M + M (x) 1",
-            "Delta(A-) = 1 (x) A- + A- (x) E11(M) + A+ (x) E12(M)",
-            "Delta(A+) = 1 (x) A+ + A- (x) E21(M) + A+ (x) E22(M)",
-            f"with E = exp([[{a2}*M, {a3}*M], [{b2}*M, {b3}*M]])",
-        ],
-        "relations": [
-            f"[A-,A+] = (exp(({a2}+{b3})*M) - 1)/({a2}+{b3})",
-            "[A-,M] = 0", "[A+,M] = 0"],
-        "antipode": [
-            "gamma(M) = -M",
-            "gamma(A-) = -(F11(M)*A- + F12(M)*A+)",
-            "gamma(A+) = -(F21(M)*A- + F22(M)*A+)",
-            "with F = E(-M)",
-        ],
-    }
+        # C = M exp(Theta_00 A+ / 2), Theta_00 = -a1
+        half = exp_of(t00 * Fraction(1, 2))
+        forms["central_element"] = [f"C = {_times(GEN_M, half)}"]
+    return forms

@@ -31,6 +31,15 @@ def test_classify_empty_is_trivial(capsys):
     assert "class: TRIVIAL" in out
 
 
+@pytest.mark.parametrize("command", ["classify", "quantize"])
+@pytest.mark.parametrize("doc", ["[]", "0", "false", '""', "null"])
+def test_input_that_is_not_an_object_exits_1(capsys, command, doc):
+    code, out, err = run(capsys, command, doc)
+    assert code == 1
+    assert out == ""
+    assert "must be a JSON object" in err and "Traceback" not in err
+
+
 def test_classify_invalid_exits_2(capsys):
     code, out, _ = run(capsys, "classify", '{"a1":"1","a3":"1","b1":"1","b3":"2"}')
     assert code == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            RewriteSystem, commutator, exp_element, nc_mul,
                            normal_form)
 from hweyl.tensor import TensorElement, flip, outer, tensor_mul
-from hweyl.bialgebra import (TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
-                             BialgebraClass, Cocommutator)
+from hweyl.bialgebra import (INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
+                             TYPE_II, BialgebraClass, Cocommutator)
 from hweyl.quantization import (HopfPresentation, VerificationError,
                                 build_antipode,
                                 build_coproduct, central_element,
@@ -55,6 +56,16 @@ def test_matrix_delta_type_i_plus():
     assert theta[1][1] == ap * -sym("a1")
 
 
+def test_matrix_delta_type_i_minus():
+    theta, vector = matrix_delta(BialgebraClass.symbolic(TYPE_I_MINUS, K), K)
+    am = gen(GEN_AM)
+    assert vector == (GEN_AP, GEN_M)
+    assert theta[0][0] == am * sym("b1")
+    assert theta[0][1] == am * sym("b2")
+    assert theta[1][0].is_zero
+    assert theta[1][1] == am * sym("b1")
+
+
 def test_matrix_delta_type_ii():
     theta, vector = matrix_delta(BialgebraClass.symbolic(TYPE_II, K), K)
     m = gen(GEN_M)
@@ -71,15 +82,32 @@ def test_matrix_delta_type_ii_zero_params():
     assert all(e.is_zero for row in theta for e in row)
 
 
-def test_matrix_delta_rejects_trivial():
-    with pytest.raises(ValueError):
-        matrix_delta(BialgebraClass.symbolic(TRIVIAL, K), K)
+def test_matrix_delta_trivial_is_zero():
+    theta, vector = matrix_delta(BialgebraClass.symbolic(TRIVIAL, K), K)
+    assert vector == (GEN_AM, GEN_AP)
+    assert all(e.is_zero for row in theta for e in row)
 
 
 def test_matrix_delta_rejects_unnormalized():
     cls = BialgebraClass(TYPE_I_PLUS, normalized=Cocommutator(a1=1, a2=1))
     with pytest.raises(ValueError):
         matrix_delta(cls, K)
+
+
+@pytest.mark.parametrize("tag,delta,message", [
+    (TYPE_I_MINUS, Cocommutator(b1=1, b3=1), "delta(A+) contains a wedge without A-"),
+    (TYPE_I_MINUS, Cocommutator(a1=1), "delta(A-) must vanish"),
+    (TYPE_II, Cocommutator(a1=1, c3=0), "delta(A-) contains a wedge without M"),
+    (TYPE_II, Cocommutator(b1=1), "delta(M) must vanish"),
+])
+def test_matrix_delta_rejects_unnormalized_i_minus_and_ii(tag, delta, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        matrix_delta(BialgebraClass(tag, normalized=delta), K)
+
+
+def test_matrix_delta_rejects_invalid():
+    with pytest.raises(ValueError, match="has no matrix form"):
+        matrix_delta(BialgebraClass(INVALID), K)
 
 
 # -- coproducts -------------------------------------------------------------------
@@ -139,6 +167,22 @@ def test_family_rewrite_type_i_plus():
         {(GEN_M, GEN_AM): one,
          (GEN_M, GEN_M): sym("a1") * Fraction(1, 2)}, K)
     assert rs.rules[(GEN_AP, GEN_M)] == FreeElement({(GEN_M, GEN_AP): one}, K)
+
+
+def test_family_rewrite_type_i_minus():
+    rs = family_rewrite(BialgebraClass.symbolic(TYPE_I_MINUS, K), K)
+    one = ParamPoly.one(K)
+    assert rs.rules[(GEN_AM, GEN_AP)] == FreeElement(
+        {(GEN_AP, GEN_AM): one, (GEN_M,): one}, K)
+    assert rs.rules[(GEN_AP, GEN_M)] == FreeElement(
+        {(GEN_M, GEN_AP): one,
+         (GEN_M, GEN_M): sym("b1") * Fraction(1, 2)}, K)
+    assert rs.rules[(GEN_AM, GEN_M)] == FreeElement({(GEN_M, GEN_AM): one}, K)
+
+
+def test_family_rewrite_trivial_is_undeformed():
+    rs = family_rewrite(BialgebraClass.symbolic(TRIVIAL, K), K)
+    assert rs.rules == RewriteSystem.undeformed(K).rules
 
 
 def test_family_rewrite_type_ii_series():
@@ -549,13 +593,34 @@ def test_closed_forms_drop_concrete_ones_and_zero_summands():
         "relations": ["[A-,A+] = M", "[A-,M] = (1/2)*M^2", "[A+,M] = 0"],
         "antipode": ["gamma(A+) = -A+", "gamma(M) = -M*exp(-A+)",
                      "gamma(A-) = -A-*exp(-A+)"],
-        "central_element": ["C = M*exp(-A+/2)"],
+        "central_element": ["C = M*exp(-(1/2)*A+)"],
     }
     minus = closed_forms(quantize(TYPE_I_MINUS, order=2, params={"b1": 1, "b2": 1}))
     assert minus["coproduct"][2] == (
         "Delta(A+) = 1 (x) A+ + A+ (x) exp(-A-) - M (x) A-*exp(-A-)")
     assert minus["antipode"][2] == "gamma(A+) = -A+*exp(A-) - M*A-*exp(A-)"
-    # every other concrete value keeps its bracketed factor
+    # every other concrete value is a coefficient as the engine writes it
     other = closed_forms(quantize(TYPE_I_PLUS, order=2, params={"a1": 2, "a3": -1}))
     assert other["coproduct"][2] == (
-        "Delta(A-) = 1 (x) A- + A- (x) exp((2)*A+) - (-1)*M (x) A+*exp((2)*A+)")
+        "Delta(A-) = 1 (x) A- + A- (x) exp(2*A+) + M (x) A+*exp(2*A+)")
+    zero = closed_forms(quantize(TYPE_I_PLUS, order=2, params={"a1": 0, "a3": 2}))
+    assert zero["coproduct"][1:] == ["Delta(M) = 1 (x) M + M (x) 1",
+                                     "Delta(A-) = 1 (x) A- + A- (x) 1 - 2*M (x) A+"]
+    assert zero["relations"][1] == "[A-,M] = 0"
+    assert zero["antipode"][2] == "gamma(A-) = -A- - 2*M*A+"
+    assert zero["central_element"] == ["C = M"]
+
+
+def test_closed_forms_of_a_diagonal_type_ii_are_explicit():
+    hp = quantize(TYPE_II, order=2, params={"a2": 1, "a3": 0, "b2": 0, "b3": 1})
+    assert closed_forms(hp) == {
+        "coproduct": ["Delta(M) = 1 (x) M + M (x) 1",
+                      "Delta(A+) = 1 (x) A+ + A+ (x) exp(M)",
+                      "Delta(A-) = 1 (x) A- + A- (x) exp(M)"],
+        "relations": ["[A-,A+] = (exp(s*M) - 1)/s with s = 2", "[A-,M] = 0",
+                      "[A+,M] = 0"],
+        "antipode": ["gamma(M) = -M", "gamma(A+) = -A+*exp(-M)",
+                     "gamma(A-) = -A-*exp(-M)"],
+    }
+    traceless = quantize(TYPE_II, order=2, params={"a2": 1, "a3": 0, "b2": 0, "b3": -1})
+    assert closed_forms(traceless)["relations"][0] == "[A-,A+] = M"
