@@ -49,8 +49,6 @@ def _emit_json(doc):
 
 
 def _load_json_arg(arg):
-    if arg is None:
-        return None
     text = arg
     try:
         path = Path(arg)
@@ -219,11 +217,10 @@ def run_verify(args):
 
 
 def run_coboundary(args):
-    data = _load_json_arg(args.input)
-    if data is None:
+    if args.input is None:
         r = bi.RMatrix.symbolic(args.order)
     else:
-        r = bi.RMatrix.from_json(data)
+        r = bi.RMatrix.from_json(_load_json_arg(args.input))
     sch = bi.schouten(r)
     mcybe = bi.mcybe_check(sch)
     induced = bi.coboundary_delta(r)

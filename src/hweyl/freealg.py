@@ -4,13 +4,14 @@ Elements are finite sums of words with ParamPoly coefficients.  A rewrite
 system turns out-of-order adjacent letter pairs into their normal-form
 expansion, giving the ordered-monomial basis M^i * A+^j * A-^k (generator
 order M < A+ < A-).  The linear structure of such sums lives in
-``LinearSum``, which the tensors of ``hweyl.tensor`` share.
+``LinearSum``, which the tensors of ``hweyl.tensor`` share.  An exponential
+is taken of parameter multiples of one generator only: its terms are the
+scalar powers C^n/n! of ``_exp_terms`` placed on the powers of that letter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .params import (DEFAULT_ORDER, ParamPoly, join_signed, monomial_factors,
                      monomial_key)
@@ -230,15 +231,8 @@ class FreeElement(LinearSum):
         return FreeElement(
             {w: c for w, c in self.terms.items() if len(w) <= max_len}, self.order)
 
-    def min_param_degree(self):
-        degs = [c.min_degree() for c in self.terms.values()]
-        return min(degs) if degs else None
-
     def letters_used(self):
         return {x for w in self.terms for x in w}
-
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), ParamPoly.zero(self.order))
 
     # -- rendering --------------------------------------------------------------
 
@@ -402,55 +396,54 @@ def commutator(x: FreeElement, y: FreeElement, rs: RewriteSystem) -> FreeElement
     return normal_form(nc_mul(x, y) - nc_mul(y, x), rs)
 
 
-def exp_element(x: FreeElement) -> FreeElement:
-    """Truncated exponential series of a parameter-nilpotent element."""
-    if not x:
-        return FreeElement.one(x.order)
-    d = x.min_param_degree()
-    if d is None or d < 1:
+def _exp_terms(mat):
+    """The scalar terms C^n/n!, n = 0, 1, ..., of exp(C) for a square matrix C
+    of ParamPoly, up to the last nonzero one; a 1x1 matrix is one series.
+
+    Every entry must carry parameter degree >= 1, so that C^n vanishes once n
+    passes the truncation order.
+    """
+    if any(c and c.min_degree() < 1 for row in mat for c in row):
         raise ValueError(
             "exp requires every term to carry parameter degree >= 1 "
             "(series would not terminate at the truncation order)")
-    out = FreeElement.one(x.order)
-    power = FreeElement.one(x.order)
-    for n in range(1, x.order + 1):
-        power = nc_mul(power, x)
-        if not power:
-            break
-        out = out + power * Fraction(1, factorial(n))
+    size = range(len(mat))
+    power = [[ParamPoly.const(int(i == j), mat[0][0].order) for j in size] for i in size]
+    out = []
+    while any(c for row in power for c in row):
+        out.append(power)
+        scale = Fraction(1, len(out))
+        power = [[sum(power[i][k] * mat[k][j] for k in size) * scale for j in size]
+                 for i in size]
     return out
+
+
+def _exp_on_letter(mat):
+    """exp of a square matrix whose entries are parameter multiples C_ij * g
+    of one generator g: entry (i, j) is sum_n (C^n/n!)_ij g^n."""
+    words = {word for row in mat for entry in row for word in entry.terms}
+    if len(words) > 1 or any(len(word) != 1 for word in words):
+        raise ValueError(
+            f"exp requires parameter multiples of one generator; got words {sorted(words)}")
+    word = words.pop() if words else ()
+    terms = _exp_terms([[e.terms.get(word, ParamPoly.zero(e.order)) for e in row]
+                        for row in mat])
+    return [[FreeElement({word * n: t[i][j] for n, t in enumerate(terms)}, e.order)
+             for j, e in enumerate(row)] for i, row in enumerate(mat)]
+
+
+def exp_element(x: FreeElement) -> FreeElement:
+    """Truncated exponential series of c * g, a parameter multiple of one
+    generator g with parameter degree >= 1: sum_n c^n/n! g^n."""
+    return _exp_on_letter([[x]])[0][0]
 
 
 def exp_matrix2(mat):
     """Exponential of a 2x2 matrix of FreeElements by the terminating series.
 
-    All entries must live in the commutative subalgebra generated by a single
-    generator and carry parameter degree >= 1.
+    Every entry must be a parameter multiple of one and the same generator,
+    with parameter degree >= 1.
     """
     if len(mat) != 2 or any(len(row) != 2 for row in mat):
         raise ValueError("expected a 2x2 matrix")
-    order = mat[0][0].order
-    letters = set()
-    for row in mat:
-        for entry in row:
-            if entry.order != order:
-                raise ValueError("mismatched truncation orders in matrix")
-            letters |= entry.letters_used()
-            if entry and (entry.min_param_degree() or 0) < 1:
-                raise ValueError("matrix exponential requires parameter degree >= 1 entries")
-    if len(letters) > 1:
-        raise ValueError(
-            f"matrix entries must commute (single-generator entries); got {sorted(letters)}")
-
-    one = FreeElement.one(order)
-    zero = FreeElement.zero(order)
-    acc = [[one, zero], [zero, one]]
-    cur = [[one, zero], [zero, one]]
-    for n in range(1, order + 1):
-        cur = [[nc_mul(cur[i][0], mat[0][j]) + nc_mul(cur[i][1], mat[1][j])
-                for j in range(2)] for i in range(2)]
-        if all(not cur[i][j] for i in range(2) for j in range(2)):
-            break
-        scale = Fraction(1, factorial(n))
-        acc = [[acc[i][j] + cur[i][j] * scale for j in range(2)] for i in range(2)]
-    return acc
+    return _exp_on_letter(mat)

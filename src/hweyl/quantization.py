@@ -8,7 +8,9 @@ the closed forms, attaches the counit, and machine-verifies every Hopf axiom
 by exact truncated series; the zero cocommutator (TRIVIAL) is Theta = 0.  The
 differential realization of the I+ family acts on polynomials in x, held as
 ParamPoly over ("x",) with ``order=math.inf`` and parameter-polynomial
-coefficients.
+coefficients.  Each exponential (exp(-theta), exp(theta), the [A-,A+] series
+and the realization's e^{a1 x/2}) is the scalar powers C^n/n! of
+``freealg._exp_terms`` placed on one letter: p, M or x.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 from .params import (DEFAULT_ORDER, ParamPoly, as_fraction, join_signed,
                      monomial_factors, parse_rational)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
-                      RewriteSystem, commutator, exp_element, exp_matrix2,
-                      nc_mul, normal_form)
+                      RewriteSystem, _exp_terms, commutator, exp_element,
+                      exp_matrix2, nc_mul, normal_form)
 from .tensor import TensorElement, _slot_product, flip, outer, tensor_mul
 from .bialgebra import (_IDX, BRACKET, FAMILIES, TYPE_I_MINUS, TYPE_I_PLUS,
                         BialgebraClass, Cocommutator)
@@ -121,24 +123,9 @@ def build_antipode(cls, rewrite):
 
 def exprel_series(scale, order):
     """(exp(scale*M) - 1)/scale as the everywhere-defined series
-    sum_{n>=1} scale^(n-1) M^n / n!."""
-    if scale and (scale.min_degree() or 0) < 1:
-        raise ValueError("series scale must carry parameter degree >= 1")
-    out = FreeElement.zero(order)
-    power = ParamPoly.one(order)
-    fact = 1
-    n = 0
-    while True:
-        n += 1
-        fact *= n
-        term = power * Fraction(1, fact)
-        if not term:
-            break
-        out = out + FreeElement.from_word((GEN_M,) * n, order, coeff=term)
-        power = power * scale
-        if not power:
-            break
-    return out
+    sum_{n>=1} scale^(n-1) M^n / n!, from the terms scale^n/n! of exp."""
+    return FreeElement({(GEN_M,) * n: t[0][0] * Fraction(1, n)
+                        for n, t in enumerate(_exp_terms([[scale]]), 1)}, order)
 
 
 def family_rewrite(cls, order=DEFAULT_ORDER):
@@ -327,6 +314,9 @@ def _resolve_class(family, order, params):
         raise ValueError(f"not a quantizable family: {family!r}")
     if params is None:
         return BialgebraClass.symbolic(family, order)
+    unknown = sorted(set(params) - set(FAMILIES[family][0]))
+    if unknown:
+        raise ValueError(f"{family} has no parameters {', '.join(unknown)}")
     kwargs = {}
     for name in FAMILIES[family][0]:
         if params.get(name) is not None:
@@ -491,15 +481,10 @@ _X_POLY = ParamPoly.symbol("x", math.inf, _X)
 def _realization_ops(a1, order):
     """Operators for A+ = x, A- = lambda e^{a1 x/2} d/dx, M = lambda e^{a1 x/2}
     on polynomials in x (ParamPoly over ("x",) with parameter coefficients)."""
-    half = a1 * Fraction(1, 2)
-    series = {}
-    power = ParamPoly.symbol("lambda", order)
-    k = 0
-    while power:
-        series[(k,)] = power
-        k += 1
-        power = power * half * Fraction(1, k)
-    s = ParamPoly(series, math.inf, _X)
+    lam = ParamPoly.symbol("lambda", order)
+    s = ParamPoly({(k,): lam * t[0][0]
+                   for k, t in enumerate(_exp_terms([[a1 * Fraction(1, 2)]]))},
+                  math.inf, _X)
     return {GEN_AP: lambda p: p * _X_POLY, GEN_AM: lambda p: p.partial(0) * s,
             GEN_M: lambda p: p * s}
 

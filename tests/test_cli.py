@@ -31,7 +31,7 @@ def test_classify_empty_is_trivial(capsys):
     assert "class: TRIVIAL" in out
 
 
-@pytest.mark.parametrize("command", ["classify", "quantize"])
+@pytest.mark.parametrize("command", ["classify", "quantize", "coboundary"])
 @pytest.mark.parametrize("doc", ["[]", "0", "false", '""', "null"])
 def test_input_that_is_not_an_object_exits_1(capsys, command, doc):
     code, out, err = run(capsys, command, doc)

@@ -131,6 +131,10 @@ def test_exp_rejects_degree_zero():
         exp_element(gen(GEN_AP))
     with pytest.raises(ValueError):
         exp_element(gen(GEN_AP) * (1 + sym("a1")))
+    with pytest.raises(ValueError):
+        exp_element(gen(GEN_AP) * sym("a1") + gen(GEN_M) * sym("a2"))
+    with pytest.raises(ValueError):
+        exp_element(FreeElement.from_word((GEN_AP, GEN_AP), K, coeff=sym("a1")))
 
 
 # -- exp_matrix2 ----------------------------------------------------------------------
@@ -170,6 +174,9 @@ def test_exp_matrix_rejects_mixed_generators():
     with pytest.raises(ValueError):
         exp_matrix2([[gen(GEN_AP) * sym("a1"), gen(GEN_M) * sym("a2")],
                      [FreeElement.zero(K), gen(GEN_AP) * sym("a1")]])
+    with pytest.raises(ValueError):
+        exp_matrix2([[FreeElement.from_word((GEN_M, GEN_M), K, coeff=sym("a2")),
+                      FreeElement.zero(K)], [FreeElement.zero(K), gen(GEN_M) * sym("b3")]])
 
 
 # -- rewrite systems -------------------------------------------------------------------

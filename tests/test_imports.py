@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every function
+it defines is referenced somewhere.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
-left out.
+left out of the import check.
 """
 
 import ast
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hweyl"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hweyl"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -34,3 +36,33 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_functions(definers, readers):
+    """Functions and methods defined (dunders aside) in the ``definers``
+    sources whose name no expression in the ``readers`` sources reads, as a
+    variable or as an attribute."""
+    defined = {node.name for source in definers for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("__")}
+    used = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defined - used)
+
+
+def test_unreferenced_functions_are_found():
+    source = "def f(): pass\ndef g(): pass\nclass C:\n    def m(self): pass\n" \
+             "    def __len__(self): return 0\nf()\n"
+    assert unreferenced_functions([source], [source, "C().x.m"]) == ["g"]
+
+
+def test_every_function_is_referenced():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    readers = sources + [p.read_text(encoding="utf-8")
+                         for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_functions(sources, readers) == []

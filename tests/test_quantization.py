@@ -205,6 +205,12 @@ def test_exprel_series_degenerate_scale():
     assert exprel_series(ParamPoly.zero(K), K) == gen(GEN_M)
 
 
+def test_series_have_one_word_per_power_up_to_the_order():
+    # exp(a1 A+) has A+^0 .. A+^K; (exp(sM) - 1)/s has M^1 .. M^(K+1)
+    assert len(exp_element(gen(GEN_AP) * sym("a1")).terms) == K + 1
+    assert len(exprel_series(sym("a2") + sym("b3"), K).terms) == K + 1
+
+
 # -- verification: positive and negative ------------------------------------------------
 
 @pytest.mark.parametrize("tag", [TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL])
@@ -560,6 +566,18 @@ def test_hopf_from_json_rejects_non_rational_parameters():
     doc = quantize(cls, order=K, verify=False).to_json()
     assert doc["parameters"] == {"a1": "-b1", "a3": "-b2"}
     with pytest.raises(ValueError, match="field 'a1'"):
+        HopfPresentation.from_json(doc)
+
+
+def test_quantize_rejects_parameters_the_family_lacks():
+    with pytest.raises(ValueError, match="b1"):
+        quantize(TYPE_I_PLUS, order=2, params={"b1": 3})
+
+
+def test_hopf_from_json_rejects_parameters_the_family_lacks():
+    doc = {"family": TYPE_I_PLUS, "order": 2,
+           "parameters": {"a1": "1", "a3": "2", "zz": "5"}}
+    with pytest.raises(ValueError, match="zz"):
         HopfPresentation.from_json(doc)
 
 
