@@ -605,8 +605,8 @@ def classify(delta):
 
     normalized = apply_automorphism(delta, B) if B is not _IDENTITY else delta
     kept = FAMILIES[tag][0]
-    assert all(not getattr(normalized, n) for n in _COEFF_NAMES[:6]
-               if n not in kept), f"normalization failed for {tag}: {normalized}"
+    if any(getattr(normalized, n) for n in _COEFF_NAMES[:6] if n not in kept):
+        raise RuntimeError(f"normalization failed for {tag}: {normalized}")
 
     coboundary = (not normalized.a1 and not normalized.a3 and not normalized.b1
                   and not normalized.b2 and normalized.a2 == normalized.b3)

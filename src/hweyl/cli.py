@@ -313,6 +313,13 @@ def run_poisson(args):
 
 
 def run_realize(args):
+    # the check raises x^degree by up to 2K - 1, and an exponent of x must
+    # fit a packed-key field
+    top = MAX_ORDER + 1 - 2 * args.order
+    if args.degree > top:
+        _err(f"--degree must be at most {top} at --order {args.order}" if top >= 0
+             else f"realize needs --order at most {(MAX_ORDER + 1) // 2}")
+        return EXIT_PARSE
     report = qu.check_realization(bi.TYPE_I_PLUS, max_degree=args.degree,
                                   order=args.order)
     ok = all(report.values())
@@ -379,7 +386,8 @@ def build_parser():
     p = sub.add_parser("realize", help="differential realization of the I+ family")
     common(p)
     p.add_argument("--degree", type=int, default=6,
-                   help="maximal monomial degree checked (default %(default)s)")
+                   help=f"maximal monomial degree checked, at most {MAX_ORDER + 1} "
+                        "- 2*K at --order K (default %(default)s)")
     p.set_defaults(handler=run_realize)
     return parser
 

@@ -25,6 +25,15 @@ arithmetic with no Fraction in the inner loops:
   truncation test of a product at order K is one compare,
   ``k1 + k2 < (K + 1) << (_BITS * n)``.
 
+Most operands of the series arithmetic have one term, and many are the
+constant 1.  So a product with the unit 1 returns the other operand (instances
+are immutable), and a sum with zero returns the other operand or its negation.
+A product of two single terms, or a sum of two on the same monomial, builds
+its one term directly: one key add (and the truncation compare), then one
+``gcd`` of the new numerator against the new denominator, in place of the
+sorted pair loop and the gcd pass over all numerators.  These paths take int
+numerators only; a ParamPoly coefficient takes the general loop.
+
 A field holds exponents up to MAX_ORDER.  A finite truncation order above
 it raises ``ValueError``, which names the limit, and so does any exponent
 above it in an untruncated polynomial (``order=math.inf``): a product never
@@ -284,7 +293,21 @@ class ParamPoly:
     def _combine(self, other, sign):
         """self + sign*other for ``other`` in self's ring: both sides are
         scaled to the lcm of the two denominators."""
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other if sign == 1 else -other
         d1, d2 = self._den, other._den
+        if len(a) == 1 == len(b):
+            (k, c1), = a.items()
+            (k2, c2), = b.items()
+            if k == k2 and type(c1) is int and type(c2) is int:
+                c, den = c1 * d2 + sign * c2 * d1, d1 * d2
+                if not c:
+                    return _make({}, 1, self.order, self.names)
+                g = gcd(c, den)
+                return _make({k: c // g}, den // g, self.order, self.names)
         g = gcd(d1, d2)
         s1, s2 = d2 // g, d1 // g * sign
         num = dict(self._num) if s1 == 1 else {k: c * s1 for k, c in self._num.items()}
@@ -347,6 +370,10 @@ class ParamPoly:
         a, b = self._num, other._num
         if not a or not b:
             return _make({}, 1, self.order, self.names)
+        if other._den == 1 and len(b) == 1 and type(b.get(0)) is int and b[0] == 1:
+            return self
+        if self._den == 1 and len(a) == 1 and type(a.get(0)) is int and a[0] == 1:
+            return other
         if len(a) > len(b):
             a, b = b, a
         shift = _BITS * len(self.names)
@@ -357,6 +384,16 @@ class ParamPoly:
             limit = (top + 1) << shift
         else:
             limit = (self.order + 1) << shift
+        if len(b) == 1:
+            (k, c1), = a.items()
+            (k2, c2), = b.items()
+            if type(c1) is int and type(c2) is int:
+                k += k2
+                if k >= limit:
+                    return _make({}, 1, self.order, self.names)
+                c, den = c1 * c2, self._den * other._den
+                g = gcd(c, den)
+                return _make({k: c // g}, den // g, self.order, self.names)
         right = sorted(b.items())
         num = {}
         get = num.get

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hweyl import bialgebra
 from hweyl.params import ParamPoly
 from hweyl.freealg import FreeElement, RewriteSystem, commutator
 from hweyl.tensor import TensorElement, outer, tensor_mul, wedge3
@@ -192,6 +193,13 @@ def test_classify_type_i_minus():
     assert c.tag == TYPE_I_MINUS
     assert c.normalized.b1 == 3 and c.normalized.b2 == 5
     assert not c.normalized.b3 and not c.normalized.a2
+
+
+def test_classify_raises_when_normalization_fails(monkeypatch):
+    # an exact check that stays under python -O, so it must be able to fail
+    monkeypatch.setattr(bialgebra, "apply_automorphism", lambda delta, B: delta)
+    with pytest.raises(RuntimeError, match=f"normalization failed for {TYPE_I_PLUS}"):
+        classify(Cocommutator(a1=1, b1=1))
 
 
 def test_classify_rejects_symbolic():

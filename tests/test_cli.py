@@ -241,6 +241,34 @@ def test_realize_negative_degree_exits_1(capsys):
     assert "invalid input: max_degree must be >= 0" in err
 
 
+@pytest.mark.parametrize("order", [2, 8])
+def test_realize_degree_bound(capsys, order):
+    top = MAX_ORDER + 1 - 2 * order
+    code, out, _ = run(capsys, "realize", "--order", str(order), "--degree", str(top))
+    assert code == 0
+    assert "C = lambda: PASS" in out
+    code, out, err = run(capsys, "realize", "--order", str(order), "--degree", str(top + 1))
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"--degree must be at most {top} at --order {order}"
+
+
+def test_realize_order_leaving_no_degree_exits_1(capsys):
+    last = (MAX_ORDER + 1) // 2
+    code, out, _ = run(capsys, "realize", "--order", str(last), "--degree", "0")
+    assert code == 0
+    code, out, err = run(capsys, "realize", "--order", str(last + 1), "--degree", "0")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"realize needs --order at most {last}"
+
+
+def test_realize_help_states_the_degree_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["realize", "--help"])
+    assert f"at most {MAX_ORDER + 1} - 2*K" in " ".join(capsys.readouterr().out.split())
+
+
 # -- global behavior ---------------------------------------------------------------------
 
 def test_order_must_be_positive(capsys):

@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and every function
-it defines is referenced somewhere.
+"""Every module of the package uses each name it imports, every function it
+defines is referenced somewhere, and no check in it is an ``assert``.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 left out of the import check.
@@ -66,3 +66,19 @@ def test_every_function_is_referenced():
     readers = sources + [p.read_text(encoding="utf-8")
                          for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     assert unreferenced_functions(sources, readers) == []
+
+
+def assert_lines(source):
+    """Line numbers of the ``assert`` statements in ``source``: ``python -O``
+    removes them, so a check written as one can never fail there."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_statements_are_found():
+    assert assert_lines("x = 1\nassert x\nif x:\n    assert x, 'msg'\n") == [2, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_assert_statements(module):
+    assert assert_lines((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -1,7 +1,8 @@
 """ParamPoly storage (int numerators over one denominator, packed exponent
 keys) against sympy: the structural operations with denominators up to 30,
-canonical form, coordinate polynomials that mix ParamPoly and rational
-coefficients, and the packed-key field limit."""
+canonical form, the single-term fast paths of ``*``, ``+`` and ``-``,
+coordinate polynomials that mix ParamPoly and rational coefficients, and the
+packed-key field limit."""
 
 import math
 from fractions import Fraction
@@ -196,6 +197,95 @@ def test_mixed_polynomial_returns_to_int_form():
     assert am * half != am * Fraction(1, 3)
 
 
+# -- single-term operands --------------------------------------------------------------
+
+def canonical(p):
+    """Canonical storage: no zero numerator and, with int numerators, lowest
+    terms (so zero has denominator 1); with a ParamPoly coefficient, den 1."""
+    if not all(p._num.values()):
+        return False
+    if any(isinstance(c, ParamPoly) for c in p._num.values()):
+        return p._den == 1
+    return in_lowest_terms(p)
+
+
+def one_term(nvars, pool, degrees, coefficients):
+    """{exponents: coefficient} with one term of a total degree from ``degrees``."""
+    def build(args):
+        factors, coeff = args
+        exps = [0] * nvars
+        for i in factors:
+            exps[i] += 1
+        return {tuple(exps): coeff}
+    return degrees.flatmap(lambda d: st.tuples(
+        st.lists(st.sampled_from(pool), min_size=d, max_size=d), coefficients)).map(build)
+
+
+def short_terms(nvars, monomials):
+    """The operands of the single-term paths: zero, the unit, -1, a constant
+    with a denominator up to 30, or one monomial."""
+    const = (0,) * nvars
+    return st.one_of(st.just({}), st.just({const: 1}), st.just({const: -1}),
+                     nonzero_rationals.map(lambda c: {const: c}), monomials)
+
+
+@st.composite
+def short_operands(draw, order, names, monomials, general):
+    """(p, partner, q): p has one term, its partner has p's monomial and a
+    coefficient that may cancel p's, and q is short or a general polynomial."""
+    terms = draw(st.one_of(short_terms(len(names), monomials), monomials).filter(bool))
+    (exps, coeff), = terms.items()
+    partner = draw(st.one_of(st.sampled_from([coeff, -coeff]), nonzero_rationals))
+    q = draw(st.one_of(short_terms(len(names), monomials).map(
+        lambda t: ParamPoly(t, order, names)), general))
+    return (ParamPoly(terms, order, names), ParamPoly({exps: partner}, order, names), q)
+
+
+@st.composite
+def short_param_operands(draw):
+    """Over PARAMS at a finite order, monomials of degree K - 1 or K: the
+    product of two of them lies at or beyond the truncation edge."""
+    order = draw(st.integers(0, 6))
+    edge = one_term(len(PARAMS), POOL, st.integers(max(order - 1, 0), order),
+                    nonzero_rationals)
+    return (order, *draw(short_operands(order, PARAMS, edge, param_polys(order))))
+
+
+@st.composite
+def short_coordinate_operands(draw):
+    """Over COORDS at ``order=math.inf``; a coefficient may be a ParamPoly
+    truncated at the order of the general operand's ParamPoly coefficients."""
+    order, general = draw(mixed_coordinate_polys())
+    coefficients = st.one_of(nonzero_rationals, param_polys(order).filter(bool))
+    monomials = one_term(len(COORDS), (0, 1, 2), st.integers(0, 2), coefficients)
+    return (order, *draw(short_operands(math.inf, COORDS, monomials, st.just(general))))
+
+
+def check_arithmetic(order, p, partner, q):
+    """``*``, ``+`` and ``-`` of the pairs against sympy, with products cut at
+    parameter degree ``order``; every result canonical."""
+    for x, y in ((p, q), (q, p), (p, partner)):
+        X, Y = to_sympy(x), to_sympy(y)
+        for result, expected in ((x * y, graded(X * Y, lambda d: d <= order)),
+                                 (x + y, X + Y), (x - y, X - Y)):
+            assert same(result, expected)
+            assert canonical(result)
+    for zero in (p - p, p + (-p), partner - partner):
+        assert not zero._num and zero._den == 1
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(short_param_operands())
+def test_single_term_parameter_operands_match_sympy(args):
+    check_arithmetic(*args)
+
+
+@examples
+@given(short_coordinate_operands())
+def test_single_term_coordinate_operands_match_sympy(args):
+    check_arithmetic(*args)
+
+
 # -- the packed-key field limit ---------------------------------------------------------
 
 def test_finite_order_above_the_field_limit_raises():
@@ -218,6 +308,8 @@ def test_untruncated_exponent_above_the_field_limit_raises():
     assert top.terms == {(MAX_ORDER, 0, 0): 1}
     with pytest.raises(ValueError, match=f"above {MAX_ORDER}"):
         top * am
+    with pytest.raises(ValueError, match=f"above {MAX_ORDER}"):
+        am ** 200 * am ** 100
     with pytest.raises(ValueError, match=f"above {MAX_ORDER}"):
         (am + 1) ** (MAX_ORDER + 1)
     with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):

@@ -1,9 +1,12 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from hweyl.params import PARAMS, ParamPoly, as_fraction, parse_rational
+from hweyl.poisson import CHART, COORDS
 
 
 def sym(name, order=6):
@@ -33,6 +36,28 @@ def test_mismatched_orders_rejected():
         sym("a1", 4) + sym("a1", 6)
     with pytest.raises(ValueError):
         sym("a1", 4) * sym("a1", 6)
+    # the unit and zero operands are checked before they are returned
+    for left, right in ((ParamPoly.one(3), sym("a1", 4)), (sym("a1", 4), ParamPoly.one(3)),
+                        (ParamPoly.zero(3), sym("a1", 4))):
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(ValueError, match="mismatched truncation orders"):
+                op(left, right)
+
+
+def test_different_variable_lists_rejected_for_the_unit():
+    one = ParamPoly.one(math.inf, COORDS)
+    x = ParamPoly.symbol("x1", math.inf, CHART)
+    for op in (operator.mul, operator.add):
+        with pytest.raises(ValueError, match="different variable lists"):
+            op(one, x)
+
+
+def test_unit_operand_is_returned():
+    one = ParamPoly.one()
+    p = sym("a1") * Fraction(2, 3) + sym("b2")
+    assert one * p is p
+    assert p * one is p
+    assert p + ParamPoly.zero() is p
 
 
 def test_canonical_no_zero_terms():
