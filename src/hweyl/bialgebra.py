@@ -5,10 +5,24 @@ cocommutator, the TYPE_I_PLUS / TYPE_I_MINUS / TYPE_II taxonomy with its
 normalizing automorphisms and its one table of per-family facts
 (``FAMILIES``), and coboundary detection through r-matrices, the Schouten
 bracket and the modified classical Yang-Baxter equation.
+
+The only nonzero bracket is [A-, A+] = M, so the checks on the path of
+``classify`` are closed forms in the nine coefficients rather than loops over
+index tensors:
+
+- the cocycle residuals are three linear forms (``_cocycle_raw``);
+- the co-Jacobi residuals are two quadrics (``cojacobi_residuals``);
+- a basis change B is an automorphism exactly when the image of M is
+  det(B restricted to A-, A+) times M (``check_automorphism``);
+- the transport of delta by B needs the 2x2 minors of B^-1, which Jacobi's
+  complementary-minor identity gives as signed entries of B over det B, so
+  each new coefficient is one integer sum over one denominator
+  (``apply_automorphism``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .params import DEFAULT_ORDER, ParamPoly, as_fraction, as_scalar, parse_rational
@@ -67,21 +81,6 @@ def _skew(pairs):
         if w:
             _addin(out, (p, q), w)
             _addin(out, (q, p), -w)
-    return out
-
-
-def _bracket_vectors(x, y):
-    """[x, y] for sparse vectors over BASIS."""
-    out = {}
-    for i, xi in x.items():
-        if not xi:
-            continue
-        for j, yj in y.items():
-            c = xi * yj
-            if not c:
-                continue
-            for k, f in _bracket(i, j).items():
-                _addin(out, k, f * c)
     return out
 
 
@@ -285,22 +284,15 @@ def _to_tensor(raw, rank, order):
 
 
 def _cocycle_raw(delta):
-    """Residual of the 1-cocycle identity for each basis pair, as index tensors."""
-    residuals = []
-    rows = [delta.full_row(i) for i in range(3)]
-    for (i, j) in WEDGE_PAIRS:
-        acc = {}
-        # delta([e_i, e_j])
-        for k, f in _bracket(i, j).items():
-            for key, c in rows[k].items():
-                _addin(acc, key, f * c)
-        # + ad_{e_j} delta(e_i) - ad_{e_i} delta(e_j)
-        for key, c in _ad(j, rows[i]).items():
-            _addin(acc, key, c)
-        for key, c in _ad(i, rows[j]).items():
-            _addin(acc, key, -c)
-        residuals.append(acc)
-    return residuals
+    """Residual of the 1-cocycle identity for each basis pair, as index tensors.
+
+    Pair (A-, A+) carries c1, c2 - b1 and a1 + c3 on A-^A+, A-^M and A+^M;
+    pairs (A-, M) and (A+, M) each carry -c1 on their own wedge.
+    """
+    d = delta
+    return [_skew((((0, 1), d.c1), ((0, 2), d.c2 - d.b1), ((1, 2), d.a1 + d.c3))),
+            _skew((((0, 2), -d.c1),)),
+            _skew((((1, 2), -d.c1),))]
 
 
 def cocycle_residuals(delta, order=None):
@@ -327,37 +319,17 @@ def dual_bracket_table(delta):
     return table
 
 
-def _dual_bracket(table, i, vec):
-    out = {}
-    for k, c in vec.items():
-        if i == k or not c:
-            continue
-        entry = table[(i, k)] if i < k else table[(k, i)]
-        sign = 1 if i < k else -1
-        for m, f in entry.items():
-            _addin(out, m, sign * f * c)
-    return out
-
-
-def _dual_jacobiator(delta):
-    table = dual_bracket_table(delta)
-    acc = {}
-    one = Fraction(1)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner = _dual_bracket(table, j, {k: one})
-        for m, v in _dual_bracket(table, i, inner).items():
-            _addin(acc, m, v)
-    return acc
-
-
 def cojacobi_residuals(delta):
     """The two Jacobi residuals of the dual bracket (components on a-, a+).
 
-    With the cocycle constraints imposed these are a1*(b3-a2) - 2*b1*a3 and
-    b1*(a2-b3) - 2*a1*b2; the third component vanishes identically then.
+    For all nine coefficients these are a1*b3 + a2*c3 - a3*b1 - a3*c2 and
+    a2*b1 - a1*b2 + b2*c3 - b3*c2.  With the cocycle constraints imposed they
+    are a1*(b3-a2) - 2*b1*a3 and b1*(a2-b3) - 2*a1*b2, and the component on m
+    vanishes identically.
     """
-    jac = _dual_jacobiator(delta)
-    return [jac.get(0, Fraction(0)), jac.get(1, Fraction(0))]
+    d = delta
+    return [d.a1 * d.b3 + d.a2 * d.c3 - d.a3 * d.b1 - d.a3 * d.c2,
+            d.a2 * d.b1 - d.a1 * d.b2 + d.b2 * d.c3 - d.b3 * d.c2]
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -374,68 +346,53 @@ _IDENTITY = ((Fraction(1), Fraction(0), Fraction(0)),
              (Fraction(0), Fraction(0), Fraction(1)))
 
 
-def _mat_inv(m):
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g_, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g_) + c * (d * h - e * g_)
-    if det == 0:
-        raise ValueError("basis change is singular")
-    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
-           (f * g_ - d * i, a * i - c * g_, c * d - a * f),
-           (d * h - e * g_, b * g_ - a * h, a * e - b * d))
-    return tuple(tuple(v / det for v in row) for row in adj)
-
-
 def check_automorphism(basis_change):
-    """Raise unless the basis change preserves every Lie bracket."""
+    """Raise unless the basis change preserves every Lie bracket.
+
+    With columns the images of (A-, A+, M), [A-, A+] = M is preserved exactly
+    when B02 = B12 = 0 and B22 = B00*B11 - B10*B01; the brackets with M then
+    vanish as they should.
+    """
     B = _mat(basis_change)
-    for (i, j) in WEDGE_PAIRS:
-        lhs = _bracket_vectors({p: B[p][i] for p in range(3)},
-                                {q: B[q][j] for q in range(3)})
-        rhs = {}
-        for k, f in _bracket(i, j).items():
-            for p in range(3):
-                _addin(rhs, p, f * B[p][k])
-        diff = dict(lhs)
-        for k, v in rhs.items():
-            _addin(diff, k, -v)
-        if diff:
-            raise ValueError(
-                f"not an automorphism: bracket [{BASIS[i]}, {BASIS[j]}] is not preserved")
+    if B[0][2] or B[1][2] or B[2][2] != B[0][0] * B[1][1] - B[1][0] * B[0][1]:
+        raise ValueError(
+            f"not an automorphism: bracket [{BASIS[0]}, {BASIS[1]}] is not preserved")
     return B
+
+
+def _integers(values):
+    """(integer numerators, common denominator) of a list of Fractions."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def apply_automorphism(delta, basis_change):
     """Transport delta to the new basis: delta' = (phi (x) phi)^{-1} o delta o phi.
 
-    ``basis_change`` columns are the images of (A-, A+, M) under phi.
+    ``basis_change`` columns are the images of (A-, A+, M) under phi, and the
+    coefficients of delta must be rational.  On the wedge pairs n, m the 2x2
+    minors of B^-1 are (-1)^(n+m) B[2-m][2-n] / det B, and det B = B22^2 for
+    an automorphism.  So with B = N / D and the coefficient rows R / E over
+    integers, new row j on pair n is
+    sum_m (-1)^(n+m) N[2-m][2-n] sum_i N[i][j] R[i][m] / (N22^2 E).
     """
+    if delta.is_symbolic:
+        raise TypeError("automorphism transport needs rational coefficients")
     B = check_automorphism(basis_change)
-    Binv = _mat_inv(B)
-    rows = [delta.full_row(i) for i in range(3)]
-    new_rows = []
+    flat, _ = _integers([v for row in B for v in row])
+    N = [flat[3 * i:3 * i + 3] for i in range(3)]
+    if not N[2][2]:
+        raise ValueError("basis change is singular")
+    R, E = _integers([v for row in delta.rows() for v in row])
+    minors = [[(-1) ** (n + m) * N[2 - m][2 - n] for m in range(3)] for n in range(3)]
+    den = N[2][2] * N[2][2] * E
+    new = []
     for j in range(3):
-        # delta(phi(e_j)) in old coordinates
-        full = {}
-        for i in range(3):
-            if not B[i][j]:
-                continue
-            for key, c in rows[i].items():
-                _addin(full, key, B[i][j] * c)
-        # pull both slots back through phi^{-1}
-        moved = {}
-        for (r, s), c in full.items():
-            for p in range(3):
-                if not Binv[p][r]:
-                    continue
-                for q in range(3):
-                    if not Binv[q][s]:
-                        continue
-                    _addin(moved, (p, q), Binv[p][r] * Binv[q][s] * c)
-        new_rows.append([moved.get(pair, Fraction(0)) for pair in WEDGE_PAIRS])
-    (na1, na2, na3), (nb1, nb2, nb3), (nc1, nc2, nc3) = new_rows
-    return Cocommutator(na1, na2, na3, nb1, nb2, nb3, c1=nc1, c2=nc2, c3=nc3)
+        mixed = [N[0][j] * R[m] + N[1][j] * R[3 + m] + N[2][j] * R[6 + m]
+                 for m in range(3)]
+        new += [Fraction(w[0] * mixed[0] + w[1] * mixed[1] + w[2] * mixed[2], den)
+                for w in minors]
+    return Cocommutator(*new[:6], c1=new[6], c2=new[7], c3=new[8])
 
 
 #: Swap automorphism A+ <-> A-, M -> -M (columns are images of (A-, A+, M)).
@@ -497,6 +454,12 @@ def _coeff_vector(delta):
     return [getattr(delta, n) for n in _COEFF_NAMES]
 
 
+#: delta_0 = coboundary_delta(RMatrix(1, 0, 0)) as a coefficient vector, and
+#: the index of its first nonzero component.
+_XI_UNIT = _coeff_vector(coboundary_delta(RMatrix(1, 0, 0)))
+_XI_PIVOT = next(n for n, u in enumerate(_XI_UNIT) if u)
+
+
 def find_rmatrix(delta):
     """Solve delta = coboundary_delta(r) for r; None when no solution exists.
 
@@ -506,11 +469,9 @@ def find_rmatrix(delta):
     xi is read off the first nonzero component of delta_0; the solve is exact
     and accepts ParamPoly coefficients.
     """
-    unit = _coeff_vector(coboundary_delta(RMatrix(1, 0, 0)))
     target = _coeff_vector(delta)
-    pivot = next(n for n, u in enumerate(unit) if u)
-    xi = target[pivot] * (1 / unit[pivot])
-    if any(t - xi * u for t, u in zip(target, unit)):
+    xi = target[_XI_PIVOT] * (1 / _XI_UNIT[_XI_PIVOT])
+    if any(t - xi * u for t, u in zip(target, _XI_UNIT)):
         return None
     return RMatrix(xi)
 
@@ -570,6 +531,22 @@ class BialgebraClass:
         return f"BialgebraClass({self.tag}, normalized={self.normalized!r})"
 
 
+def _normalizing_matrix(tag, a1, a2, a3, b1, b3):
+    """The basis change that ``classify`` uses to normalize a bialgebra of
+    family ``tag`` with these coefficients.
+
+    Plain arithmetic on the values, so symbolic values can be fed; for
+    TYPE_I_PLUS a1 must be invertible, for TYPE_I_MINUS b1.
+    """
+    one, zero = Fraction(1), Fraction(0)
+    if tag == TYPE_I_PLUS:
+        shift = b1 * a3 / a1 ** 2 + a2 / a1
+        return ((one, -b1 / a1, zero), (zero, one, zero), (zero, shift, one))
+    if tag == TYPE_I_MINUS:
+        return ((one, zero, zero), (zero, one, zero), (-b3 / b1, zero, one))
+    return _IDENTITY
+
+
 def classify(delta):
     """Classify a rational cocommutator into TRIVIAL / I+ / I- / II / INVALID."""
     if delta.is_symbolic:
@@ -588,21 +565,8 @@ def classify(delta):
         return BialgebraClass(TRIVIAL, normalized=delta, coboundary=True,
                               rmatrix=RMatrix())
 
-    if delta.a1:
-        shift = delta.b1 * delta.a3 / delta.a1 ** 2 + delta.a2 / delta.a1
-        B = ((Fraction(1), -delta.b1 / delta.a1, Fraction(0)),
-             (Fraction(0), Fraction(1), Fraction(0)),
-             (Fraction(0), shift, Fraction(1)))
-        tag = TYPE_I_PLUS
-    elif delta.b1:
-        B = ((Fraction(1), Fraction(0), Fraction(0)),
-             (Fraction(0), Fraction(1), Fraction(0)),
-             (-delta.b3 / delta.b1, Fraction(0), Fraction(1)))
-        tag = TYPE_I_MINUS
-    else:
-        B = _IDENTITY
-        tag = TYPE_II
-
+    tag = TYPE_I_PLUS if delta.a1 else TYPE_I_MINUS if delta.b1 else TYPE_II
+    B = _normalizing_matrix(tag, delta.a1, delta.a2, delta.a3, delta.b1, delta.b3)
     normalized = apply_automorphism(delta, B) if B is not _IDENTITY else delta
     kept = FAMILIES[tag][0]
     if any(getattr(normalized, n) for n in _COEFF_NAMES[:6] if n not in kept):

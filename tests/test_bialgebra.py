@@ -9,9 +9,10 @@ from hweyl.params import ParamPoly
 from hweyl.freealg import FreeElement, RewriteSystem, commutator
 from hweyl.tensor import TensorElement, outer, tensor_mul, wedge3
 from hweyl.bialgebra import (BASIS, BRACKET, INVALID, TRIVIAL, TYPE_I_MINUS,
-                             TYPE_I_PLUS, TYPE_II, SWAP_AUTOMORPHISM,
+                             TYPE_I_PLUS, TYPE_II, SWAP_AUTOMORPHISM, WEDGE_PAIRS,
                              BialgebraClass, Cocommutator,
-                             RMatrix, apply_automorphism, classify,
+                             RMatrix, apply_automorphism, check_automorphism,
+                             classify,
                              coboundary_delta, cocycle_residuals,
                              cojacobi_residuals, dual_bracket_table,
                              find_rmatrix, mcybe_check, rmatrix_gauge,
@@ -70,6 +71,198 @@ def cojacobi_oracle_is_zero(delta, order=K):
         if total:
             return False
     return True
+
+
+# -- generic index-tensor loops: oracles for the closed forms -------------------
+#
+# Index tensors are dicts {(i, j, ...): coefficient} over BASIS; each loop reads
+# only BRACKET, so it holds for any bracket and any coefficient ring.
+
+def _addin(d, key, val):
+    total = d.get(key, 0) + val
+    if total:
+        d[key] = total
+    else:
+        d.pop(key, None)
+
+
+def ad_oracle(x, t):
+    """ad_{e_x} on an index tensor: [e_x, -] on each slot in turn."""
+    out = {}
+    for key, c in t.items():
+        for n, i in enumerate(key):
+            for k, f in BRACKET.get((x, i), {}).items():
+                _addin(out, key[:n] + (k,) + key[n + 1:], f * c)
+    return out
+
+
+def cocycle_raw_oracle(delta):
+    """delta([e_i, e_j]) + ad_{e_j} delta(e_i) - ad_{e_i} delta(e_j) per wedge pair."""
+    rows = [delta.full_row(i) for i in range(3)]
+    residuals = []
+    for i, j in WEDGE_PAIRS:
+        acc = {}
+        for k, f in BRACKET.get((i, j), {}).items():
+            for key, c in rows[k].items():
+                _addin(acc, key, f * c)
+        for key, c in ad_oracle(j, rows[i]).items():
+            _addin(acc, key, c)
+        for key, c in ad_oracle(i, rows[j]).items():
+            _addin(acc, key, -c)
+        residuals.append(acc)
+    return residuals
+
+
+def cojacobi_oracle(delta):
+    """Components on a-, a+ of the cyclic Jacobiator of the dual bracket,
+    [f_i, f_j]* = sum_k (e_i (x) e_j component of delta(e_k)) f_k."""
+    table = dual_bracket_table(delta)
+
+    def dual(i, vec):
+        out = {}
+        for k, c in vec.items():
+            if i != k:
+                entry, sign = (table[(i, k)], 1) if i < k else (table[(k, i)], -1)
+                for m, f in entry.items():
+                    _addin(out, m, sign * f * c)
+        return out
+
+    acc = {}
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for m, v in dual(i, dual(j, {k: Fraction(1)})).items():
+            _addin(acc, m, v)
+    return [acc.get(0, Fraction(0)), acc.get(1, Fraction(0))]
+
+
+def transport_oracle(delta, B):
+    """delta' = (phi (x) phi)^-1 o delta o phi: delta(phi(e_j)) with both slots
+    pulled back through B^-1 (adjugate over det), for any coefficient field."""
+    (a, b, c), (d, e, f), (g, h, i) = B
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    Binv = [[v / det for v in row] for row in adj]
+    rows = [delta.full_row(k) for k in range(3)]
+    new = []
+    for j in range(3):
+        full = {}
+        for k in range(3):
+            for key, v in rows[k].items():
+                _addin(full, key, B[k][j] * v)
+        moved = {}
+        for (r, s), v in full.items():
+            for p in range(3):
+                for q in range(3):
+                    _addin(moved, (p, q), Binv[p][r] * Binv[q][s] * v)
+        new += [moved.get(pair, 0) for pair in WEDGE_PAIRS]
+    return new
+
+
+def broken_bracket_oracle(B):
+    """The first wedge pair (i, j) with [B e_i, B e_j] != B [e_i, e_j], or None."""
+    cols = [[B[p][j] for p in range(3)] for j in range(3)]
+    for i, j in WEDGE_PAIRS:
+        diff = {}
+        for p, x in enumerate(cols[i]):
+            for q, y in enumerate(cols[j]):
+                for k, f in BRACKET.get((p, q), {}).items():
+                    _addin(diff, k, f * x * y)
+        for k, f in BRACKET.get((i, j), {}).items():
+            for p in range(3):
+                _addin(diff, p, -f * cols[k][p])
+        if diff:
+            return i, j
+    return None
+
+
+def _free_c_delta(rng):
+    """Nine small random rationals: the c's are free, so most fail the cocycle."""
+    v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(9)]
+    return Cocommutator(*v[:6], c1=v[6], c2=v[7], c3=v[8])
+
+
+def _fractional_automorphism(rng):
+    """phi(A-), phi(A+) random with non-integer entries, phi(M) = det * M."""
+    pick = lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+    while True:
+        p, q, s, t, r, u = (pick() for _ in range(6))
+        det = p * t - q * s
+        if det:
+            return ((p, s, Fraction(0)), (q, t, Fraction(0)), (r, u, det))
+
+
+def test_closed_cocycle_matches_ad_oracle():
+    rng = random.Random(51)
+    deltas = [Cocommutator.generic_symbolic(K)]
+    deltas += [_free_c_delta(rng) for _ in range(200)]
+    for delta in deltas:
+        assert bialgebra._cocycle_raw(delta) == cocycle_raw_oracle(delta)
+
+
+def test_closed_cojacobi_matches_dual_jacobiator():
+    rng = random.Random(52)
+    deltas = [Cocommutator.generic_symbolic(K), Cocommutator.constrained_symbolic(K)]
+    deltas += [_free_c_delta(rng) for _ in range(200)]
+    for delta in deltas:
+        assert cojacobi_residuals(delta) == cojacobi_oracle(delta)
+
+
+def test_closed_transport_matches_pullback_oracle():
+    rng = random.Random(53)
+    fractional = 0
+    for _ in range(200):
+        delta = _free_c_delta(rng)
+        B = _fractional_automorphism(rng)
+        fractional += any(v.denominator != 1 for row in B for v in row)
+        moved = apply_automorphism(delta, B)
+        assert list(moved.coefficients().values()) == transport_oracle(delta, B)
+    assert fractional > 150
+
+
+def test_closed_automorphism_check_matches_bracket_oracle():
+    rng = random.Random(54)
+    accepted = rejected = 0
+    for n in range(300):
+        B = [list(row) for row in _fractional_automorphism(rng)]
+        if n % 2:
+            # one entry moved: mostly not an automorphism any more
+            p, q = rng.randrange(3), rng.randrange(3)
+            B[p][q] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+        broken = broken_bracket_oracle(B)
+        if broken is None:
+            accepted += 1
+            assert check_automorphism(B) == tuple(map(tuple, B))
+        else:
+            rejected += 1
+            assert broken == (0, 1)
+            with pytest.raises(ValueError, match=r"bracket \[A-, A\+\]"):
+                check_automorphism(B)
+    assert accepted > 100 and rejected > 100
+
+
+def test_transport_rejects_symbolic_delta():
+    with pytest.raises(TypeError, match="rational"):
+        apply_automorphism(Cocommutator.constrained_symbolic(K), SWAP_AUTOMORPHISM)
+
+
+@pytest.mark.parametrize("entry, value", [((0, 2), 1), ((1, 2), Fraction(-1, 2)),
+                                         ((2, 2), 3)])
+def test_each_broken_automorphism_condition_is_rejected(entry, value):
+    # B02, B12 must vanish and B22 must be the determinant (here 2)
+    B = [[Fraction(1), Fraction(1), Fraction(0)],
+         [Fraction(-1), Fraction(1), Fraction(0)],
+         [Fraction(5), Fraction(0), Fraction(2)]]
+    check_automorphism(B)
+    B[entry[0]][entry[1]] = Fraction(value)
+    with pytest.raises(ValueError, match=r"\[A-, A\+\]"):
+        apply_automorphism(Cocommutator(a1=1), B)
+
+
+def test_singular_basis_change_rejected():
+    zero = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="singular"):
+        apply_automorphism(Cocommutator(a1=1), zero)
 
 
 # -- Lie structure ---------------------------------------------------------------

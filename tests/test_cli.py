@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -292,7 +293,22 @@ def test_order_above_the_packed_key_limit_exits_1(capsys):
 def test_order_help_names_the_limit(capsys):
     with pytest.raises(SystemExit):
         main(["quantize", "--help"])
-    assert f"1 to {MAX_ORDER}" in capsys.readouterr().out
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"1 to {MAX_ORDER}" in text
+    assert "grows steeply with K" in text and "1.4 times longer per +2 in K" in text
+
+
+def test_failure_after_partial_output_leaves_stdout_empty(capsys):
+    # a denominator of 10^(limit + 1) classifies, but printing it exceeds the
+    # interpreter's integer string limit after the "class:" line is made
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no integer string limit in this interpreter")
+    code, out, err = run(capsys, "classify", f'{{"a1":"1e-{limit + 1}"}}')
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid input: ") and f"{limit} digits" in err
+    assert "Traceback" not in err
 
 
 def test_output_is_deterministic(capsys):
