@@ -18,6 +18,24 @@ index tensors:
   complementary-minor identity gives as signed entries of B over det B, so
   each new coefficient is one integer sum over one denominator
   (``apply_automorphism``).
+
+``classify`` evaluates the cocycle forms and the co-Jacobi quadrics on the
+integer numerators of the nine coefficients over their common denominator E
+(``Cocommutator.numerators``, which the transport reuses); only a reported
+co-Jacobi residual becomes a Fraction, j / E^2.
+
+On the coboundary side only the xi A+ ^ A- part of an r-matrix has a nonzero
+bracket, so every map is read off xi:
+
+- the Schouten bracket [[r, r]] is xi^2 (A- ^ A+ ^ M) (``schouten``), zero,
+  so r triangular, exactly when xi = 0;
+- the induced cocommutator is xi times a2 = b3 = -1 (``coboundary_delta``),
+  so ``find_rmatrix`` reads xi = -a2 off delta once the other eight
+  coefficients are checked, and beta_plus, beta_minus are the gauge
+  (``rmatrix_gauge``);
+- Lambda^3 g is one-dimensional and ad_x acts on it by tr(ad_x) = 0, since
+  the algebra is nilpotent, so the modified CYBE holds for every alternating
+  rank-3 tensor (``mcybe_check``).
 """
 
 from __future__ import annotations
@@ -27,7 +45,7 @@ from fractions import Fraction
 
 from .params import DEFAULT_ORDER, ParamPoly, as_fraction, as_scalar, parse_rational
 from .freealg import GEN_AM, GEN_AP, GEN_M
-from .tensor import TensorElement
+from .tensor import _PERM_SIGN, TensorElement
 
 #: Basis order used for cocommutator coefficients and automorphism matrices.
 BASIS = (GEN_AM, GEN_AP, GEN_M)
@@ -55,32 +73,19 @@ FAMILIES = {
 }
 
 
-def _addin(d, key, val):
-    acc = d.get(key)
-    total = val if acc is None else acc + val
-    if total:
-        d[key] = total
-    elif key in d:
-        del d[key]
-
-
 #: The Heisenberg-Weyl bracket [A-, A+] = M with M central: [e_i, e_j] as a
 #: sparse vector over BASIS, for the ordered index pairs where it is nonzero.
 BRACKET = {(0, 1): {2: Fraction(1)}, (1, 0): {2: Fraction(-1)}}
-_NO_BRACKET = {}
-
-
-def _bracket(i, j):
-    return BRACKET.get((i, j), _NO_BRACKET)
 
 
 def _skew(pairs):
-    """Full rank-2 index dict of the sum of w * (e_p ^ e_q) over ((p, q), w)."""
+    """Full rank-2 index dict of the sum of w * (e_p ^ e_q) over ((p, q), w),
+    for distinct unordered pairs (p, q)."""
     out = {}
     for (p, q), w in pairs:
         if w:
-            _addin(out, (p, q), w)
-            _addin(out, (q, p), -w)
+            out[(p, q)] = w
+            out[(q, p)] = -w
     return out
 
 
@@ -92,7 +97,7 @@ class Cocommutator:
     condition: c1 = 0, c2 = b1, c3 = -a1.
     """
 
-    __slots__ = _COEFF_NAMES
+    __slots__ = _COEFF_NAMES + ("_ints",)
 
     def __init__(self, a1=0, a2=0, a3=0, b1=0, b2=0, b3=0,
                  c1=None, c2=None, c3=None):
@@ -124,6 +129,16 @@ class Cocommutator:
 
     def coefficients(self):
         return {name: getattr(self, name) for name in _COEFF_NAMES}
+
+    def numerators(self):
+        """(the nine coefficients as integer numerators, their common
+        denominator), built once; the coefficients must be rational."""
+        try:
+            return self._ints
+        except AttributeError:
+            ints = _integers([getattr(self, n) for n in _COEFF_NAMES])
+            object.__setattr__(self, "_ints", ints)
+            return ints
 
     def rows(self):
         """Wedge coefficients of delta(A-), delta(A+), delta(M), in that order."""
@@ -265,22 +280,21 @@ def _order_of(*scalars, default=DEFAULT_ORDER):
     return default
 
 
-# -- adjoint actions on index tensors ----------------------------------------
-
-def _ad(x, t):
-    """ad_{e_x} on an index tensor of any rank: [e_x, -] on each slot in turn."""
-    out = {}
-    for key, c in t.items():
-        for n, i in enumerate(key):
-            for k, f in _bracket(x, i).items():
-                _addin(out, key[:n] + (k,) + key[n + 1:], f * c)
-    return out
-
-
 def _to_tensor(raw, rank, order):
     """An index tensor {(i, j, ...): c} as a rank-``rank`` TensorElement."""
     return TensorElement(rank, {tuple((BASIS[i],) for i in key): _promote(c, order)
                                 for key, c in raw.items()}, order)
+
+
+def _cocycle_forms(a1, a2, a3, b1, b2, b3, c1, c2, c3):
+    """The three linear forms of the cocycle residuals: c1, c2 - b1, a1 + c3."""
+    return c1, c2 - b1, a1 + c3
+
+
+def _cojacobi_forms(a1, a2, a3, b1, b2, b3, c1, c2, c3):
+    """The two co-Jacobi quadrics in all nine coefficients."""
+    return (a1 * b3 + a2 * c3 - a3 * b1 - a3 * c2,
+            a2 * b1 - a1 * b2 + b2 * c3 - b3 * c2)
 
 
 def _cocycle_raw(delta):
@@ -289,10 +303,10 @@ def _cocycle_raw(delta):
     Pair (A-, A+) carries c1, c2 - b1 and a1 + c3 on A-^A+, A-^M and A+^M;
     pairs (A-, M) and (A+, M) each carry -c1 on their own wedge.
     """
-    d = delta
-    return [_skew((((0, 1), d.c1), ((0, 2), d.c2 - d.b1), ((1, 2), d.a1 + d.c3))),
-            _skew((((0, 2), -d.c1),)),
-            _skew((((1, 2), -d.c1),))]
+    f1, f2, f3 = _cocycle_forms(*(getattr(delta, n) for n in _COEFF_NAMES))
+    return [_skew((((0, 1), f1), ((0, 2), f2), ((1, 2), f3))),
+            _skew((((0, 2), -f1),)),
+            _skew((((1, 2), -f1),))]
 
 
 def cocycle_residuals(delta, order=None):
@@ -327,9 +341,7 @@ def cojacobi_residuals(delta):
     are a1*(b3-a2) - 2*b1*a3 and b1*(a2-b3) - 2*a1*b2, and the component on m
     vanishes identically.
     """
-    d = delta
-    return [d.a1 * d.b3 + d.a2 * d.c3 - d.a3 * d.b1 - d.a3 * d.c2,
-            d.a2 * d.b1 - d.a1 * d.b2 + d.b2 * d.c3 - d.b3 * d.c2]
+    return list(_cojacobi_forms(*(getattr(delta, n) for n in _COEFF_NAMES)))
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -383,7 +395,7 @@ def apply_automorphism(delta, basis_change):
     N = [flat[3 * i:3 * i + 3] for i in range(3)]
     if not N[2][2]:
         raise ValueError("basis change is singular")
-    R, E = _integers([v for row in delta.rows() for v in row])
+    R, E = delta.numerators()
     minors = [[(-1) ** (n + m) * N[2 - m][2 - n] for m in range(3)] for n in range(3)]
     den = N[2][2] * N[2][2] * E
     new = []
@@ -404,60 +416,39 @@ SWAP_AUTOMORPHISM = ((Fraction(0), Fraction(1), Fraction(0)),
 # -- coboundary machinery ------------------------------------------------------
 
 def schouten(r, order=None):
-    """Schouten bracket [[r, r]] as an alternating rank-3 tensor."""
+    """Schouten bracket [[r, r]] as an alternating rank-3 tensor.
+
+    The only bracket is [A-, A+] = M, and every term it makes from a beta
+    wedge holds M twice, so only xi^2 is left: [[r, r]] = xi^2 (A- ^ A+ ^ M),
+    the six slot orders of (A-, A+, M) with their permutation signs.
+    """
     order = order or _order_of(r.xi, r.beta_plus, r.beta_minus)
-    comps = r.components()
-    out = {}
-    for (a, b), c1 in comps.items():
-        for (c, d), c2 in comps.items():
-            coeff = c1 * c2
-            if not coeff:
-                continue
-            for k, f in _bracket(a, c).items():
-                _addin(out, (k, b, d), f * coeff)
-            for k, f in _bracket(b, c).items():
-                _addin(out, (a, k, d), f * coeff)
-            for k, f in _bracket(b, d).items():
-                _addin(out, (a, c, k), f * coeff)
-    return _to_tensor(out, 3, order)
+    w = r.xi * r.xi
+    return _to_tensor({perm: w if sign > 0 else -w for perm, sign in _PERM_SIGN.items()},
+                      3, order)
 
 
 def mcybe_check(omega):
-    """True iff the adjoint action of every basis element annihilates omega."""
+    """The modified CYBE for an alternating rank-3 tensor over single
+    generators: True, since it is a multiple of A- ^ A+ ^ M and ad_x acts on
+    Lambda^3 g by tr(ad_x) = 0.  Any other tensor raises ``ValueError``."""
     if omega.rank != 3:
         raise ValueError("expected a rank-3 tensor")
     if not omega.is_alternating():
         raise ValueError("expected an alternating tensor")
-    raw = {}
-    for slots, coeff in omega.terms.items():
-        idx = []
-        for w in slots:
-            if len(w) != 1 or w[0] not in _IDX:
-                raise ValueError("tensor slots must be single generators")
-            idx.append(_IDX[w[0]])
-        raw[tuple(idx)] = coeff
-    return all(not _ad(x, raw) for x in range(3))
+    if any(len(w) != 1 or w[0] not in _IDX for slots in omega.terms for w in slots):
+        raise ValueError("tensor slots must be single generators")
+    return True
 
 
 def coboundary_delta(r):
-    """The cocommutator delta(X) = [1(x)X + X(x)1, r] induced by an r-matrix."""
-    comps = r.components()
-    rows = []
-    for x in range(3):
-        moved = _ad(x, comps)
-        rows.append([moved.get(pair, Fraction(0)) for pair in WEDGE_PAIRS])
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
-    return Cocommutator(a1, a2, a3, b1, b2, b3, c1=c1, c2=c2, c3=c3)
+    """The cocommutator delta(X) = [1(x)X + X(x)1, r] induced by an r-matrix.
 
-
-def _coeff_vector(delta):
-    return [getattr(delta, n) for n in _COEFF_NAMES]
-
-
-#: delta_0 = coboundary_delta(RMatrix(1, 0, 0)) as a coefficient vector, and
-#: the index of its first nonzero component.
-_XI_UNIT = _coeff_vector(coboundary_delta(RMatrix(1, 0, 0)))
-_XI_PIVOT = next(n for n, u in enumerate(_XI_UNIT) if u)
+    ad_x kills A+ ^ M and A- ^ M (its image is central, so it wedges with M
+    to zero) and moves xi A+ ^ A- to -xi A- ^ M for x = A-, to -xi A+ ^ M for
+    x = A+: delta is xi times a2 = b3 = -1.
+    """
+    return Cocommutator(a2=-r.xi, b3=-r.xi)
 
 
 def find_rmatrix(delta):
@@ -465,26 +456,18 @@ def find_rmatrix(delta):
 
     Only xi moves the cocommutator (the beta coefficients are the gauge, see
     :func:`rmatrix_gauge`, and are set to zero), so delta is a coboundary
-    exactly when it is xi times delta_0 = coboundary_delta(RMatrix(1, 0, 0)).
-    xi is read off the first nonzero component of delta_0; the solve is exact
-    and accepts ParamPoly coefficients.
+    exactly when a2 = b3 and its other seven coefficients vanish; then
+    xi = -a2.  The check is exact and accepts ParamPoly coefficients.
     """
-    target = _coeff_vector(delta)
-    xi = target[_XI_PIVOT] * (1 / _XI_UNIT[_XI_PIVOT])
-    if any(t - xi * u for t, u in zip(target, _XI_UNIT)):
+    d = delta
+    if d.a1 or d.a3 or d.b1 or d.b2 or d.c1 or d.c2 or d.c3 or d.b3 - d.a2:
         return None
-    return RMatrix(xi)
+    return RMatrix(-d.a2)
 
 
 def rmatrix_gauge():
     """Names of the r-matrix coefficients that never affect the cocommutator."""
-    names = ("xi", "beta_plus", "beta_minus")
-    basis = [RMatrix(1, 0, 0), RMatrix(0, 1, 0), RMatrix(0, 0, 1)]
-    free = []
-    for name, r in zip(names, basis):
-        if coboundary_delta(r).is_zero:
-            free.append(name)
-    return tuple(free)
+    return ("beta_plus", "beta_minus")
 
 
 # -- classification -------------------------------------------------------------
@@ -552,16 +535,19 @@ def classify(delta):
     if delta.is_symbolic:
         raise TypeError("classification needs rational coefficients")
 
-    cocycle = _cocycle_raw(delta)
-    bad_pairs = [pair for pair, raw in zip(WEDGE_PAIRS, cocycle) if raw]
-    if bad_pairs:
+    R, E = delta.numerators()
+    f1, f2, f3 = _cocycle_forms(*R)
+    if f1 or f2 or f3:
+        # pair (A-, A+) carries all three forms, the pairs with M only c1
+        pairs = WEDGE_PAIRS if f1 else WEDGE_PAIRS[:1]
         return BialgebraClass(INVALID, failures={
-            "cocycle": [(BASIS[i], BASIS[j]) for (i, j) in bad_pairs]})
-    jac = cojacobi_residuals(delta)
+            "cocycle": [(BASIS[i], BASIS[j]) for (i, j) in pairs]})
+    jac = _cojacobi_forms(*R)
     if any(jac):
-        return BialgebraClass(INVALID, failures={"cojacobi": tuple(jac)})
+        return BialgebraClass(INVALID, failures={
+            "cojacobi": tuple(Fraction(j, E * E) for j in jac)})
 
-    if delta.is_zero:
+    if not any(R):
         return BialgebraClass(TRIVIAL, normalized=delta, coboundary=True,
                               rmatrix=RMatrix())
 

@@ -225,6 +225,8 @@ def run_coboundary(args):
         r = bi.RMatrix.from_json(_load_json_arg(args.input))
     sch = bi.schouten(r)
     mcybe = bi.mcybe_check(sch)
+    # the classical YBE: [[r, r]] = 0, so r is triangular (only for xi = 0)
+    cybe = not sch
     induced = bi.coboundary_delta(r)
     recovered = bi.find_rmatrix(induced)
     free = ", ".join(bi.rmatrix_gauge())
@@ -235,6 +237,7 @@ def run_coboundary(args):
                          ("beta_minus", r.beta_minus))},
             "schouten": _render_wedge3(sch),
             "mcybe": mcybe,
+            "cybe": cybe,
             "cocommutator": {k: str(v) for k, v in induced.coefficients().items()},
             "recovered_xi": str(recovered.xi) if recovered else None,
             "gauge": list(bi.rmatrix_gauge()),
@@ -243,6 +246,7 @@ def run_coboundary(args):
         _out(f"r-matrix: {r}")
         _out(f"schouten: {_render_wedge3(sch)}")
         _out(f"mcybe: {'PASS' if mcybe else 'FAIL'}")
+        _out(f"cybe ([[r, r]] = 0, r triangular): {'yes' if cybe else 'no'}")
         _out(f"cocommutator: {induced}")
         if recovered is not None:
             _out(f"recovered r-matrix: xi = {recovered.xi} ({free} free)")
@@ -375,8 +379,8 @@ def build_parser():
     p.set_defaults(handler=run_verify)
 
     p = sub.add_parser("coboundary",
-                       help="Schouten bracket, mCYBE and induced cocommutator "
-                            "of an r-matrix (symbolic without input)")
+                       help="Schouten bracket, mCYBE, CYBE and induced "
+                            "cocommutator of an r-matrix (symbolic without input)")
     common(p, with_input=True)
     p.set_defaults(handler=run_coboundary)
 

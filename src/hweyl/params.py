@@ -68,15 +68,47 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+#: The most digits an input rational may carry, counting its exponent
+#: magnitude as digits: Python's limit for int <-> str conversion, so every
+#: accepted value can also be printed.
+MAX_INPUT_DIGITS = 4300
+
+
+def _input_size(raw):
+    """Digits of a rational string plus the magnitude of its exponent; None
+    when the exponent is no plain number (``Fraction`` then rejects it)."""
+    cut = max(raw.rfind("e"), raw.rfind("E"))
+    if cut < 0:
+        return sum(map(str.isdecimal, raw))
+    exp = raw[cut + 1:].rstrip().lstrip("+-").replace("_", "")
+    if not exp.isdecimal():
+        return None
+    if len(exp) > MAX_INPUT_DIGITS:
+        return MAX_INPUT_DIGITS + 1
+    return sum(map(str.isdecimal, raw[:cut])) + int(exp)
+
+
 def parse_rational(field, raw) -> Fraction:
     """Strict parse of one JSON input field: a string rational like ``"-2/3"``.
 
-    Anything else, a zero denominator included, raises ``ValueError`` naming
-    the field.
+    The string forms are those of ``Fraction(str)``.  Plain integers and
+    ``p/q`` in decimal digits are read as ints directly; every other form goes
+    to ``Fraction`` once its digits plus its exponent magnitude are checked
+    against MAX_INPUT_DIGITS.  Anything else, a zero denominator and a value
+    past that bound included, raises ``ValueError`` naming the field.
     """
     if not isinstance(raw, str):
         raise ValueError(f"field {field!r}: must be a string rational, got {raw!r}")
+    num, slash, den = raw.partition("/")
     try:
+        if (len(raw) <= MAX_INPUT_DIGITS
+                and (num[1:] if num[:1] == "-" else num).isdecimal()
+                and (not slash or den.isdecimal())):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        size = _input_size(raw)
+        if size is not None and size > MAX_INPUT_DIGITS:
+            raise ValueError(f"more than {MAX_INPUT_DIGITS} digits, counting "
+                             "the exponent magnitude")
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"field {field!r}: {exc}") from None

@@ -51,15 +51,19 @@ class TensorElement(LinearSum):
             self.order)
 
     def is_alternating(self):
-        """True when coefficients flip by permutation sign across slot orbits (rank 3)."""
+        """True when coefficients flip by permutation sign across slot orbits (rank 3).
+
+        Each term is checked against its images under the slot swaps (0 1) and
+        (1 2) only: they generate the permutations of three slots and the sign
+        is a homomorphism, so every permutation then acts by its sign.
+        """
         if self.rank != 3:
             raise ValueError("alternation is defined for rank-3 tensors")
-        zero = ParamPoly.zero(self.order)
-        for slots, coeff in self.terms.items():
-            for perm, sign in _PERM_SIGN.items():
-                image = tuple(slots[p] for p in perm)
-                expected = coeff if sign == 1 else -coeff
-                if self.terms.get(image, zero) != expected:
+        terms = self.terms
+        for (x, y, z), coeff in terms.items():
+            for image in ((y, x, z), (x, z, y)):
+                other = terms.get(image)
+                if other is None or other + coeff:
                     return False
         return True
 

@@ -10,7 +10,7 @@ from hweyl.freealg import FreeElement, RewriteSystem, commutator
 from hweyl.tensor import TensorElement, outer, tensor_mul, wedge3
 from hweyl.bialgebra import (BASIS, BRACKET, INVALID, TRIVIAL, TYPE_I_MINUS,
                              TYPE_I_PLUS, TYPE_II, SWAP_AUTOMORPHISM, WEDGE_PAIRS,
-                             BialgebraClass, Cocommutator,
+                             _COEFF_NAMES, BialgebraClass, Cocommutator,
                              RMatrix, apply_automorphism, check_automorphism,
                              classify,
                              coboundary_delta, cocycle_residuals,
@@ -176,6 +176,63 @@ def broken_bracket_oracle(B):
     return None
 
 
+def tensor_of(raw, rank, order=K):
+    """An index tensor {(i, j, ...): c} as a TensorElement over BASIS."""
+    return TensorElement(rank, {
+        tuple((BASIS[i],) for i in key):
+            c if isinstance(c, ParamPoly) else ParamPoly.const(c, order)
+        for key, c in raw.items()}, order)
+
+
+def index_dict(t):
+    """A tensor over single generators as an index tensor."""
+    return {tuple(BASIS.index(w[0]) for w in slots): c for slots, c in t.terms.items()}
+
+
+def schouten_oracle(r):
+    """[[r, r]] by the triple loop over the components of r and BRACKET."""
+    comps = r.components()
+    out = {}
+    for (a, b), c1 in comps.items():
+        for (c, d), c2 in comps.items():
+            coeff = c1 * c2
+            for k, f in BRACKET.get((a, c), {}).items():
+                _addin(out, (k, b, d), f * coeff)
+            for k, f in BRACKET.get((b, c), {}).items():
+                _addin(out, (a, k, d), f * coeff)
+            for k, f in BRACKET.get((b, d), {}).items():
+                _addin(out, (a, c, k), f * coeff)
+    return out
+
+
+def coboundary_delta_oracle(r):
+    """delta(e_x) = ad_{e_x} r, read off on the wedge pairs."""
+    comps = r.components()
+    rows = [[ad_oracle(x, comps).get(pair, Fraction(0)) for pair in WEDGE_PAIRS]
+            for x in range(3)]
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
+    return Cocommutator(a1, a2, a3, b1, b2, b3, c1=c1, c2=c2, c3=c3)
+
+
+def find_rmatrix_oracle(delta):
+    """delta = xi * coboundary_delta(RMatrix(1, 0, 0)), solved on the first
+    nonzero component of that unit; None when no xi fits every component."""
+    unit = list(coboundary_delta_oracle(RMatrix(1, 0, 0)).coefficients().values())
+    target = list(delta.coefficients().values())
+    pivot = next(n for n, u in enumerate(unit) if u)
+    xi = target[pivot] * (1 / unit[pivot])
+    if any(t - xi * u for t, u in zip(target, unit)):
+        return None
+    return RMatrix(xi)
+
+
+def rmatrix_gauge_oracle():
+    """The r-matrix coefficients whose unit r-matrix induces zero."""
+    names = ("xi", "beta_plus", "beta_minus")
+    basis = (RMatrix(1, 0, 0), RMatrix(0, 1, 0), RMatrix(0, 0, 1))
+    return tuple(n for n, r in zip(names, basis) if coboundary_delta_oracle(r).is_zero)
+
+
 def _free_c_delta(rng):
     """Nine small random rationals: the c's are free, so most fail the cocycle."""
     v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(9)]
@@ -239,6 +296,115 @@ def test_closed_automorphism_check_matches_bracket_oracle():
             with pytest.raises(ValueError, match=r"bracket \[A-, A\+\]"):
                 check_automorphism(B)
     assert accepted > 100 and rejected > 100
+
+
+def _random_rmatrix(rng):
+    return RMatrix(*(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)))
+
+
+def test_closed_coboundary_side_matches_loop_oracles():
+    rng = random.Random(55)
+    rs = [RMatrix.symbolic(K), RMatrix(), RMatrix(0, 3, -2)]
+    rs += [_random_rmatrix(rng) for _ in range(100)]
+    for r in rs:
+        assert schouten(r, order=K) == tensor_of(schouten_oracle(r), 3)
+        delta = coboundary_delta(r)
+        assert delta == coboundary_delta_oracle(r)
+        assert find_rmatrix(delta) == find_rmatrix_oracle(delta) == RMatrix(r.xi)
+    assert rmatrix_gauge() == rmatrix_gauge_oracle()
+
+
+def test_find_rmatrix_matches_unit_oracle_off_the_coboundaries():
+    rng = random.Random(56)
+    deltas = [Cocommutator.generic_symbolic(K), Cocommutator.constrained_symbolic(K)]
+    for _ in range(200):
+        coeffs = coboundary_delta(_random_rmatrix(rng)).coefficients()
+        coeffs[rng.choice(_COEFF_NAMES)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 5))
+        deltas.append(Cocommutator(**coeffs))
+    symbolic = coboundary_delta(RMatrix.symbolic(K)).coefficients()
+    for name in _COEFF_NAMES:
+        deltas.append(Cocommutator(**dict(symbolic, **{name: symbolic[name] + sym("a1")})))
+    for delta in deltas:
+        assert find_rmatrix(delta) is None
+        assert find_rmatrix_oracle(delta) is None
+
+
+def test_mcybe_matches_ad_loop_on_alternating_tensors():
+    rng = random.Random(57)
+    gens = [gen(name) for name in BASIS]
+    coeffs = [sym("xi") * sym("xi"), sym("a1") - 3 * sym("b2") * sym("c1")]
+    coeffs += [ParamPoly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), K)
+               for _ in range(100)]
+    for c in coeffs:
+        # a sum of wedges of the three generators in random slot orders
+        t = TensorElement.zero(3, K)
+        for _ in range(rng.randint(1, 3)):
+            t = t + wedge3(*rng.sample(gens, 3)) * (c + rng.randint(-2, 2))
+        assert t.is_alternating()
+        assert all(not ad_oracle(x, index_dict(t)) for x in range(3))
+        assert mcybe_check(t) is True
+    # the oracle itself can fail, on the tensors mcybe_check refuses
+    bad = outer(gen("A+"), gen("A+"), gen("M"))
+    assert ad_oracle(0, index_dict(bad))
+    with pytest.raises(ValueError, match="alternating"):
+        mcybe_check(bad)
+    long_slot = wedge3(FreeElement.from_word(("A+", "A-"), K), gen("A+"), gen("M"))
+    with pytest.raises(ValueError, match="single generators"):
+        mcybe_check(long_slot)
+    with pytest.raises(ValueError, match="rank-3"):
+        mcybe_check(outer(gen("A+"), gen("M")))
+
+
+def _big(rng):
+    return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12))
+
+
+def _integer_classify_input(rng, kind):
+    """A rational delta with large denominators: nine free coefficients, one
+    of the three cocycle breaks, forced c's (mostly breaking co-Jacobi, some
+    with a zero row), or a transported family point."""
+    v = [_big(rng) for _ in range(6)]
+    if kind == "free":
+        return Cocommutator(*v, c1=_big(rng), c2=_big(rng), c3=_big(rng))
+    if kind == "c1":
+        return Cocommutator(*v, c1=_big(rng))
+    if kind == "c2":
+        return Cocommutator(*v, c2=v[3] + _big(rng))
+    if kind == "c3":
+        return Cocommutator(*v, c3=-v[0] + _big(rng))
+    if kind == "zero_row":
+        row = rng.randrange(2)
+        v[3 * row:3 * row + 3] = [Fraction(0)] * 3
+        return Cocommutator(*v)
+    if kind == "forced":
+        return Cocommutator(*v)
+    family = rng.choice(((v[0], 0, v[2], 0, 0, 0), (0, 0, 0, v[3], v[4], 0),
+                         (0, v[1], v[2], 0, v[4], v[5]), (0, v[1], 0, 0, 0, v[1])))
+    return apply_automorphism(Cocommutator(*family), _fractional_automorphism(rng))
+
+
+def test_integer_classify_failures_match_fraction_residuals():
+    rng = random.Random(58)
+    kinds = ("free", "c1", "c2", "c3", "zero_row", "forced", "family")
+    seen = {"all pairs": 0, "first pair": 0, "cojacobi": 0, "valid": 0}
+    for n in range(700):
+        delta = _integer_classify_input(rng, kinds[n % len(kinds)])
+        pairs = [(BASIS[i], BASIS[j])
+                 for (i, j), raw in zip(WEDGE_PAIRS, bialgebra._cocycle_raw(delta)) if raw]
+        jac = cojacobi_residuals(delta)
+        if pairs:
+            expected = {"cocycle": pairs}
+            seen["all pairs" if len(pairs) == 3 else "first pair"] += 1
+        elif any(jac):
+            expected = {"cojacobi": tuple(jac)}
+            seen["cojacobi"] += 1
+        else:
+            expected = {}
+            seen["valid"] += 1
+        c = classify(delta)
+        assert c.failures == expected
+        assert (c.tag == INVALID) == bool(expected)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_transport_rejects_symbolic_delta():

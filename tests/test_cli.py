@@ -1,10 +1,11 @@
 import json
 import sys
+import time
 
 import pytest
 
 from hweyl.cli import main
-from hweyl.params import MAX_ORDER
+from hweyl.params import MAX_INPUT_DIGITS, MAX_ORDER
 from hweyl.bialgebra import Cocommutator
 from hweyl.quantization import HopfPresentation
 
@@ -189,6 +190,20 @@ def test_coboundary_classical_ybe_point(capsys):
     assert "schouten: 0" in out
 
 
+@pytest.mark.parametrize("doc,holds", [
+    ('{"beta_plus":"5","beta_minus":"-2"}', True), ('{}', True),
+    ('{"xi":"1/3","beta_plus":"5"}', False), (None, False),
+])
+def test_coboundary_cybe_holds_only_for_xi_zero(capsys, doc, holds):
+    # unlike the mCYBE, the CYBE [[r, r]] = 0 is a fact that can fail
+    args = ("coboundary",) if doc is None else ("coboundary", doc)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert f"cybe ([[r, r]] = 0, r triangular): {'yes' if holds else 'no'}" in out
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0 and json.loads(out)["cybe"] is holds
+
+
 @pytest.mark.parametrize("command,doc", [
     ("coboundary", '{"xi":"1/0"}'),
     ("classify", '{"a1":"1/0"}'),
@@ -299,16 +314,30 @@ def test_order_help_names_the_limit(capsys):
 
 
 def test_failure_after_partial_output_leaves_stdout_empty(capsys):
-    # a denominator of 10^(limit + 1) classifies, but printing it exceeds the
-    # interpreter's integer string limit after the "class:" line is made
+    # two inputs of about limit/2 digits each are accepted, and their
+    # co-Jacobi residual a1*b3 = 1/(p*q) classifies; but printing it exceeds
+    # the interpreter's integer string limit after the "class:" line is made
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("no integer string limit in this interpreter")
-    code, out, err = run(capsys, "classify", f'{{"a1":"1e-{limit + 1}"}}')
+    p, q = "3" * (limit // 2 + 50), "7" * (limit // 2 + 50)
+    code, out, err = run(capsys, "classify", f'{{"a1":"1/{p}","b3":"1/{q}"}}')
     assert code == 1
     assert out == ""
     assert err.startswith("invalid input: ") and f"{limit} digits" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["1e-999999", "1e-999999999", "1e4300",
+                                 "1" * 2150 + "/" + "3" * 2151])
+def test_input_past_the_digit_bound_exits_1_at_parse_time(capsys, raw):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "classify", f'{{"b2":"0","a1":"{raw}"}}')
+    elapsed = time.perf_counter() - t0
+    assert code == 1 and out == ""
+    assert err.startswith(f"invalid input: field 'a1': more than {MAX_INPUT_DIGITS} digits")
+    # no huge integer is made: the old path spent seconds on such inputs
+    assert elapsed < 0.5
 
 
 def test_output_is_deterministic(capsys):

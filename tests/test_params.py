@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hweyl.params import PARAMS, ParamPoly, as_fraction, parse_rational
+from hweyl.params import MAX_INPUT_DIGITS, PARAMS, ParamPoly, as_fraction, parse_rational
 from hweyl.poisson import CHART, COORDS
 
 
@@ -166,6 +166,27 @@ def test_parse_rational_rejects_with_the_field_name(raw, message):
 def test_parse_rational_accepts_string_rationals():
     assert parse_rational("xi", "-2/3") == Fraction(-2, 3)
     assert parse_rational("xi", "0") == 0
+
+
+@pytest.mark.parametrize("raw", [
+    "1e4299", "1e-4299", "0.5e4298", "-2.5E-4297", "9" * MAX_INPUT_DIGITS,
+    "-1/" + "7" * (MAX_INPUT_DIGITS - 1), "1" * 2150 + "/" + "3" * 2150,
+])
+def test_parse_rational_accepts_up_to_the_digit_bound(raw):
+    value = parse_rational("a1", raw)
+    assert value == Fraction(raw)
+    # the bound is the interpreter's int <-> str limit, so the value prints
+    assert Fraction(str(value)) == value
+
+
+@pytest.mark.parametrize("raw", [
+    "1e4300", "1e-4300", "0.5e4299", "1e-999999999", "1e+" + "9" * 5000,
+    "1" * 2150 + "/" + "3" * 2151, "9" * (MAX_INPUT_DIGITS + 1),
+    " 1_0e4_299 ",
+])
+def test_parse_rational_rejects_past_the_digit_bound(raw):
+    with pytest.raises(ValueError, match=f"^field 'a1': more than {MAX_INPUT_DIGITS} digits"):
+        parse_rational("a1", raw)
 
 
 def test_immutable():

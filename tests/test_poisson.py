@@ -163,6 +163,18 @@ def test_homomorphism_symbolic_families(tag):
     assert all(not residual for residual in report.values())
 
 
+def test_homomorphism_vanishes_on_the_generic_six_parameter_structure():
+    """The homomorphism residual is zero for all six coefficients at once,
+    on the bialgebra locus and off it, so it says nothing about the input.
+    This guards the table code (``bracket_table`` on the base and doubled
+    coordinates, the group-law pullback and the bracket it feeds), not the
+    input; ``test_homomorphism_detects_perturbed_bracket`` shows that a
+    wrong table makes it fail."""
+    report = poisson_homomorphism_check(PoissonStructure.symbolic())
+    assert len(report) == 3
+    assert all(not residual for residual in report.values())
+
+
 def test_homomorphism_zero_structure():
     report = poisson_homomorphism_check(PoissonStructure())
     assert all(not residual for residual in report.values())
