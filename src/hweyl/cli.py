@@ -1,6 +1,7 @@
 """Command-line surface: classify, quantize, verify, coboundary, poisson, realize.
 
-Exit codes: 0 all checks pass, 1 malformed input, 2 invalid bialgebra,
+Exit codes: 0 all checks pass; 1 malformed or unreadable input, or a result
+with an integer past the interpreter's print limit; 2 invalid bialgebra;
 3 verification failure (an engine regression guard).
 """
 
@@ -8,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -51,14 +54,30 @@ def _emit_json(doc):
 
 
 def _load_json_arg(arg):
+    """The JSON in the file at path ``arg``, or ``arg`` itself as inline JSON.
+
+    An argument that names no existing path and does not parse is reported
+    as a missing file, unless it opens like a JSON object or array; a path
+    that cannot be read (a directory, say) raises ``OSError`` naming it.
+    """
+    from_file = os.path.exists(arg)
     text = arg
+    if from_file:
+        try:
+            text = Path(arg).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"input file {arg!r} is not UTF-8 text") from None
     try:
-        path = Path(arg)
-        if path.is_file():
-            text = path.read_text(encoding="utf-8")
-    except OSError:
-        pass
-    return json.loads(text)
+        return json.loads(text)
+    except json.JSONDecodeError:
+        if not from_file and not arg.lstrip().startswith(("{", "[")):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), arg) from None
+        raise
+    except ValueError:
+        # a number literal past the interpreter's integer string limit,
+        # reworded so that main does not take it for the output limit
+        raise ValueError(f"a JSON number has more than {sys.get_int_max_str_digits()} "
+                         "digits") from None
 
 
 def _load_delta(arg):
@@ -420,8 +439,18 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exn:
         _err(f"malformed JSON: {exn}")
         return EXIT_PARSE
+    except OSError as exn:
+        _err(f"cannot read input file {exn.filename!r}: {exn.strerror}")
+        return EXIT_PARSE
     except (ValueError, TypeError) as exn:
-        _err(f"invalid input: {exn}")
+        # the interpreter refusing to print an integer past its digit limit
+        # (sys.get_int_max_str_digits); on input that error is reworded
+        if "integer string conversion" in str(exn):
+            _err(f"output limit: the result has an integer of more than "
+                 f"{sys.get_int_max_str_digits()} digits, which the interpreter "
+                 "will not print")
+        else:
+            _err(f"invalid input: {exn}")
         return EXIT_PARSE
     except qu.VerificationError as exn:
         _err(f"verification failed: {exn}")

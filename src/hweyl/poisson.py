@@ -5,15 +5,32 @@ polynomial algebra: ParamPoly over the variable list COORDS (or its doubled
 copy COORDS2) with ``order=math.inf``, so no term is ever truncated.  Their
 coefficients are rationals, or ParamPoly over the deformation parameters for
 symbolic bracket coefficients.  The group law composes coordinates, and the
-classified bialgebra coefficients induce a Poisson bracket whose Jacobi and
-homomorphism properties are verified polynomially.
+classified bialgebra coefficients induce a Poisson bracket with two checks:
+
+- Jacobi, in closed form.  The cyclic sum over the coordinate triple is
+  a_minus*J1 + a_plus*J2, with J1 and J2 the co-Jacobi quadrics of
+  ``bialgebra`` at the coefficients (c1, c2, c3) = (0, b1, -a1) that the
+  cocycle condition fixes; so it vanishes exactly on the co-Jacobi locus
+  (the bracket a cocommutator induces satisfies Jacobi iff co-Jacobi holds).
+  The cyclic sum through the generic bracket is kept as a test oracle.
+- The group-law homomorphism residual Delta{u,v} - {Delta u, Delta v}.  It
+  vanishes for every six-coefficient structure, on the bialgebra locus and
+  off it, so it guards the table code (``bracket_table`` on the base and the
+  doubled coordinates, the pullback and the bracket loop), not the input.
+  It is computed from ``bracket_table`` on every call; the input-independent
+  parts (the images of the coordinates and of the monomials of degree <= 2
+  under Delta, and the partial derivatives of the coordinate images) are
+  built once, on first use.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
+from .bialgebra import _cojacobi_forms
 from .params import DEFAULT_ORDER, ParamPoly, as_scalar, parse_rational
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
@@ -148,16 +165,29 @@ class PoissonStructure:
     def bracket_table(self, names=COORDS):
         """{x_i, x_j} for i < j over the coordinate triple (and its primed
         copy when ``names`` is the doubled list; cross brackets vanish)."""
+        half_a1, half_b1 = self.a1 * Fraction(1, 2), self.b1 * Fraction(1, 2)
         table = {}
-        for block in (0, 1) if len(names) == 6 else (0,):
-            off = 3 * block
-            am, ap, m = _GENS[names][off:off + 3]
-            table[(off, off + 1)] = am * self.a1 + ap * self.b1
-            table[(off, off + 2)] = (am * self.a2 + ap * self.b2 + m * self.b1
-                                     - am * am * (self.a1 * Fraction(1, 2)))
-            table[(off + 1, off + 2)] = (am * self.a3 + ap * self.b3 - m * self.a1
-                                         + ap * ap * (self.b1 * Fraction(1, 2)))
+        for off, (am, ap, m, am2, ap2) in enumerate(_MONOMIALS[names]):
+            i, j, k = 3 * off, 3 * off + 1, 3 * off + 2
+            table[(i, j)] = ParamPoly({am: self.a1, ap: self.b1}, math.inf, names)
+            table[(i, k)] = ParamPoly({am: self.a2, ap: self.b2, m: self.b1,
+                                       am2: -half_a1}, math.inf, names)
+            table[(j, k)] = ParamPoly({am: self.a3, ap: self.b3, m: -self.a1,
+                                       ap2: half_b1}, math.inf, names)
         return table
+
+
+def _exps(width, i, e=1):
+    """The exponent tuple of x_i^e over ``width`` variables."""
+    return tuple(e if k == i else 0 for k in range(width))
+
+
+#: Per coordinate triple of COORDS or COORDS2, the monomials a table entry
+#: has: a_minus, a_plus, m, a_minus^2 and a_plus^2, as exponent tuples.
+_MONOMIALS = {names: [tuple(_exps(len(names), off + i, e)
+                            for i, e in ((0, 1), (1, 1), (2, 1), (0, 2), (1, 2)))
+                      for off in range(0, len(names), 3)]
+              for names in (COORDS, COORDS2)}
 
 
 def pl_bracket(f: ParamPoly, g: ParamPoly, ps: PoissonStructure) -> ParamPoly:
@@ -167,43 +197,61 @@ def pl_bracket(f: ParamPoly, g: ParamPoly, ps: PoissonStructure) -> ParamPoly:
     names = f.names
     if names not in (COORDS, COORDS2):
         raise ValueError("the bracket is defined on the coordinate algebra")
-    return _bracket(f, g, ps.bracket_table(names))
+    return _bracket(_partials(f), _partials(g), ps.bracket_table(names), names)
 
 
-def _bracket(f: ParamPoly, g: ParamPoly, table) -> ParamPoly:
-    """``pl_bracket`` with the generator table of f's variable list given."""
-    names = f.names
-    out = _coord_const(0, names)
-    for i in range(len(names)):
-        fi = f.partial(i)
+def _partials(f: ParamPoly) -> list:
+    return [f.partial(i) for i in range(len(f.names))]
+
+
+def _bracket(fp, gp, table, names) -> ParamPoly:
+    """sum_{i != j} df/dx_i dg/dx_j {x_i, x_j}, from the partial-derivative
+    lists of f and g and the generator table over ``names``."""
+    out = ParamPoly.zero(math.inf, names)
+    for i, fi in enumerate(fp):
         if not fi:
             continue
-        for j in range(len(names)):
-            if i == j:
+        for j, gj in enumerate(gp):
+            if i == j or not gj:
                 continue
-            gj = g.partial(j)
-            if not gj:
-                continue
-            if i < j:
-                entry = table.get((i, j))
-                if entry:
-                    out = out + fi * gj * entry
-            else:
-                entry = table.get((j, i))
-                if entry:
-                    out = out - fi * gj * entry
+            entry = table.get((i, j) if i < j else (j, i))
+            if entry:
+                term = fi * gj * entry
+                out = out + term if i < j else out - term
     return out
 
 
 def jacobi_check(ps: PoissonStructure, names=COORDS) -> ParamPoly:
-    """Cyclic sum {f, {g, h}} over the coordinate triple; zero iff the
-    bialgebra constraint equations hold."""
-    am, ap, m = _GENS[names][:3]
-    table = ps.bracket_table(names)
-    acc = _coord_const(0, names)
-    for f, g, h in ((am, ap, m), (ap, m, am), (m, am, ap)):
-        acc = acc + _bracket(f, _bracket(g, h, table), table)
-    return acc
+    """Cyclic sum {a_minus, {a_plus, m}} + {a_plus, {m, a_minus}}
+    + {m, {a_minus, a_plus}}, zero iff the bialgebra constraint equations hold.
+
+    In closed form it is a_minus*J1 + a_plus*J2, with (J1, J2) the two
+    co-Jacobi quadrics at (c1, c2, c3) = (0, b1, -a1), the values the cocycle
+    condition fixes."""
+    j1, j2 = _cojacobi_forms(ps.a1, ps.a2, ps.a3, ps.b1, ps.b2, ps.b3,
+                             0, ps.b1, -ps.a1)
+    am, ap = _GENS[names][:2]
+    return am * j1 + ap * j2
+
+
+@functools.cache
+def _group_law():
+    """The group-law images of (a_minus, a_plus, m) over COORDS2, the
+    partial-derivative list of each, and the image of every monomial of
+    degree <= 2 (those a table entry has); built on first use."""
+    am, ap, m, amp, app, mp = _GENS[COORDS2]
+    images = (am + amp, ap + app, m + mp - am * app)
+    monomials = {exps: _monomial_image(images, exps)
+                 for exps in itertools.product(range(3), repeat=3) if sum(exps) <= 2}
+    return images, tuple(_partials(image) for image in images), monomials
+
+
+def _monomial_image(images, exps):
+    out = _coord_const(1, COORDS2)
+    for image, e in zip(images, exps):
+        if e:
+            out = out * image ** e
+    return out
 
 
 def group_pullback(f: ParamPoly) -> ParamPoly:
@@ -211,25 +259,26 @@ def group_pullback(f: ParamPoly) -> ParamPoly:
     doubled algebra (unprimed and primed copies)."""
     if f.names != COORDS:
         raise ValueError("expected a polynomial over the base coordinates")
-    am, ap, m, amp, app, mp = _GENS[COORDS2]
-    images = {
-        "m": m + mp - am * app,
-        "a_minus": am + amp,
-        "a_plus": ap + app,
-    }
-    return f.subs(images)
+    images, _, monomials = _group_law()
+    out = ParamPoly.zero(math.inf, COORDS2)
+    for exps, c in f.terms.items():
+        image = monomials.get(exps)
+        if image is None:
+            image = _monomial_image(images, exps)
+        out = out + image * c
+    return out
 
 
 def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
     """Residual Delta{u,v} - {Delta u, Delta v} per coordinate pair, where
     Delta is the group-law pullback and the doubled bracket acts copy-wise."""
-    base = dict(zip(COORDS, _GENS[COORDS]))
     table, table2 = ps.bracket_table(COORDS), ps.bracket_table(COORDS2)
+    _, partials, _ = _group_law()
     out = {}
-    for u, v in (("a_minus", "a_plus"), ("a_minus", "m"), ("a_plus", "m")):
-        lhs = group_pullback(_bracket(base[u], base[v], table))
-        rhs = _bracket(group_pullback(base[u]), group_pullback(base[v]), table2)
-        out[f"{{{u},{v}}}"] = lhs - rhs
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        lhs = group_pullback(table[(i, j)])
+        rhs = _bracket(partials[i], partials[j], table2, COORDS2)
+        out[f"{{{COORDS[i]},{COORDS[j]}}}"] = lhs - rhs
     return out
 
 

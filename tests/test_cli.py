@@ -62,6 +62,27 @@ def test_classify_malformed_json_exits_1(capsys):
     assert "malformed JSON" in err
 
 
+def test_missing_input_file_is_named(tmp_path, capsys):
+    missing = tmp_path / "delta.json"
+    code, out, err = run(capsys, "classify", str(missing))
+    assert code == 1 and out == ""
+    assert err == f"cannot read input file {str(missing)!r}: No such file or directory\n"
+
+
+def test_unreadable_input_path_is_named(tmp_path, capsys):
+    code, out, err = run(capsys, "classify", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"cannot read input file {str(tmp_path)!r}: ")
+    assert "malformed JSON" not in err
+
+
+def test_inline_json_that_fails_to_parse_stays_malformed(capsys):
+    for text in ("{not json", ' [1, 2', '{"a1": }'):
+        code, _, err = run(capsys, "classify", text)
+        assert code == 1
+        assert err.startswith("malformed JSON: ")
+
+
 def test_classify_unknown_field_exits_1(capsys):
     code, _, err = run(capsys, "classify", '{"zz":"1"}')
     assert code == 1
@@ -324,8 +345,30 @@ def test_failure_after_partial_output_leaves_stdout_empty(capsys):
     code, out, err = run(capsys, "classify", f'{{"a1":"1/{p}","b3":"1/{q}"}}')
     assert code == 1
     assert out == ""
-    assert err.startswith("invalid input: ") and f"{limit} digits" in err
+    assert err.startswith("output limit: ") and f"{limit} digits" in err
     assert "Traceback" not in err
+
+
+def test_coboundary_result_past_the_print_limit_names_the_output_limit(capsys):
+    # xi = 10^4000 is read (4,001 digits), but the induced cocommutator holds
+    # xi^2, with 8,001 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit > 8000:
+        pytest.skip("no integer string limit below 8,001 digits in this interpreter")
+    code, out, err = run(capsys, "coboundary", '{"xi":"1e4000"}')
+    assert code == 1
+    assert out == ""
+    assert err.startswith("output limit: ") and f"{limit} digits" in err
+    assert "invalid input" not in err
+
+
+def test_json_number_past_the_digit_limit_is_invalid_input(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no integer string limit in this interpreter")
+    code, out, err = run(capsys, "classify", '{"a1": %s}' % ("1" * (limit + 1)))
+    assert code == 1 and out == ""
+    assert err.startswith(f"invalid input: a JSON number has more than {limit} digits")
 
 
 @pytest.mark.parametrize("raw", ["1e-999999", "1e-999999999", "1e4300",

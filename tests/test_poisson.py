@@ -246,3 +246,150 @@ def test_linear_part_full_symbolic():
     ps = PoissonStructure.symbolic()
     delta = Cocommutator.constrained_symbolic()
     assert linear_bracket_table(ps) == dual_bracket_table(delta)
+
+
+# -- oracles for the closed-form checks -----------------------------------------------
+#
+# ``jacobi_check`` is a closed form and ``poisson_homomorphism_check`` reuses
+# group-law images built once; the generic computations they replaced are
+# kept here as oracles.
+
+def _coords(names):
+    return tuple(ParamPoly.symbol(n, math.inf, names) for n in names)
+
+
+def cyclic_sum(ps):
+    """{a-, {a+, m}} + {a+, {m, a-}} + {m, {a-, a+}} through the generic bracket."""
+    am, ap, m = _coords(COORDS)
+    return sum((pl_bracket(f, pl_bracket(g, h, ps), ps)
+                for f, g, h in ((am, ap, m), (ap, m, am), (m, am, ap))),
+               ParamPoly.zero(math.inf, COORDS))
+
+
+def pullback_by_subs(f):
+    am, ap, m, amp, app, mp = _coords(COORDS2)
+    return f.subs({"m": m + mp - am * app, "a_minus": am + amp, "a_plus": ap + app})
+
+
+def homomorphism_oracle(ps):
+    """Delta{u,v} - {Delta u, Delta v} with subs pullbacks and ``pl_bracket``."""
+    out = {}
+    for u, v in (("a_minus", "a_plus"), ("a_minus", "m"), ("a_plus", "m")):
+        fu, fv = var(u), var(v)
+        lhs = pullback_by_subs(pl_bracket(fu, fv, ps))
+        rhs = pl_bracket(pullback_by_subs(fu), pullback_by_subs(fv), ps)
+        out[f"{{{u},{v}}}"] = lhs - rhs
+    return out
+
+
+def table_by_arithmetic(ps, names):
+    """The generator table built by operator arithmetic on the coordinates."""
+    gens = _coords(names)
+    table = {}
+    for off in range(0, len(names), 3):
+        am, ap, m = gens[off:off + 3]
+        table[(off, off + 1)] = am * ps.a1 + ap * ps.b1
+        table[(off, off + 2)] = (am * ps.a2 + ap * ps.b2 + m * ps.b1
+                                 - am * am * (ps.a1 * Fraction(1, 2)))
+        table[(off + 1, off + 2)] = (am * ps.a3 + ap * ps.b3 - m * ps.a1
+                                     + ap * ap * (ps.b1 * Fraction(1, 2)))
+    return table
+
+
+def same_terms(p, q):
+    return p.names == q.names and dict(p.terms) == dict(q.terms)
+
+
+def symbolic_structures():
+    return [PoissonStructure.symbolic()] + [
+        PoissonStructure.symbolic(tag) for tag in (TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II)]
+
+
+def random_structures(seed, count):
+    """Rational structures, a third each: a1 = b1 = 0 (on the co-Jacobi
+    locus), points of the grid {-1, 0, 1}^6 (on it a fifth of the time) and
+    random fractions (off it)."""
+    rng = random.Random(seed)
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    out = []
+    for n in range(count):
+        if n % 3 == 0:
+            tup = [0, frac(), frac(), 0, frac(), frac()]
+        elif n % 3 == 1:
+            tup = [rng.randint(-1, 1) for _ in range(6)]
+        else:
+            tup = [frac() for _ in range(6)]
+        out.append(PoissonStructure(*tup))
+    return out
+
+
+def test_jacobi_closed_form_is_the_cyclic_sum_symbolically():
+    """A polynomial identity in all six symbols: a_minus*J1 + a_plus*J2."""
+    ps = PoissonStructure.symbolic()
+    closed = jacobi_check(ps)
+    assert closed == cyclic_sum(ps)
+    a1, a2, a3, b1, b2, b3 = (sym(n) for n in ("a1", "a2", "a3", "b1", "b2", "b3"))
+    assert closed == (var("a_minus") * (-a1 * a2 + a1 * b3 - 2 * a3 * b1)
+                      + var("a_plus") * (-2 * a1 * b2 + a2 * b1 - b1 * b3))
+
+
+@pytest.mark.parametrize("tag", [TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II])
+def test_jacobi_closed_form_is_the_cyclic_sum_on_families(tag):
+    ps = PoissonStructure.symbolic(tag)
+    assert jacobi_check(ps) == cyclic_sum(ps)
+
+
+def test_jacobi_closed_form_is_the_cyclic_sum_on_random_rationals():
+    off_locus = 0
+    for ps in random_structures(2718, 300):
+        closed = jacobi_check(ps)
+        assert same_terms(closed, cyclic_sum(ps))
+        delta = Cocommutator(ps.a1, ps.a2, ps.a3, ps.b1, ps.b2, ps.b3)
+        assert (not closed) == (not any(cojacobi_residuals(delta)))
+        off_locus += bool(closed)
+    assert 100 <= off_locus <= 200
+
+
+def test_homomorphism_matches_the_subs_oracle_term_by_term():
+    """Including the nonzero residual of a perturbed table."""
+    structures = (symbolic_structures() + random_structures(1618, 40)
+                  + [_PerturbedStructure(a1=1, a3=1)])
+    nonzero = 0
+    for ps in structures:
+        new, old = poisson_homomorphism_check(ps), homomorphism_oracle(ps)
+        assert new.keys() == old.keys()
+        for key in new:
+            assert same_terms(new[key], old[key]), key
+            nonzero += bool(new[key])
+    assert nonzero
+
+
+def random_coordinate_poly(rng, coeff):
+    p = ParamPoly.zero(math.inf, COORDS)
+    for _ in range(rng.randint(1, 6)):
+        exps = [0, 0, 0]
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(3)] += 1
+        p = p + ParamPoly({tuple(exps): coeff()}, math.inf, COORDS)
+    return p
+
+
+def test_group_pullback_is_subs_up_to_degree_four():
+    rng = random.Random(4242)
+    rational = lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+    symbolic = lambda: sym(rng.choice(("a1", "b2"))) * rng.randint(-3, 3) + rational()
+    seen_degree = set()
+    for n in range(150):
+        f = random_coordinate_poly(rng, symbolic if n % 5 == 0 else rational)
+        seen_degree.add(f.degree())
+        assert same_terms(group_pullback(f), pullback_by_subs(f))
+    assert 4 in seen_degree
+
+
+def test_bracket_table_matches_operator_arithmetic():
+    for ps in symbolic_structures() + random_structures(3141, 30):
+        for names in (COORDS, COORDS2):
+            new, old = ps.bracket_table(names), table_by_arithmetic(ps, names)
+            assert new.keys() == old.keys()
+            for key in new:
+                assert same_terms(new[key], old[key]), (names, key)
