@@ -53,9 +53,17 @@ class LinearSum:
     truncation order: the linear structure shared by free-algebra elements
     (keys are words) and tensors (keys are tuples of words).
 
+    There are two constructors.  The public one, ``FreeElement(terms, order)``
+    or ``TensorElement(rank, terms, order)``, checks that every coefficient is
+    a ParamPoly of the element's order and normalizes every key; use it for
+    terms from outside the engine.  The private classmethod ``_clean`` checks
+    nothing and only drops zero coefficients; use it only for terms built
+    from sums of the same kind and order, whose keys are already tuples (of
+    words) and whose coefficients are already ParamPoly of that order.
+
     A subclass gives ``_key`` (normalizes one key of the input), ``_like``
-    (a sum of its own kind from terms), ``_ring`` (what two summands must
-    share) and ``_key_parts`` (how a key renders).
+    (a sum of self's kind and ring through ``_clean``), ``_ring`` (what two
+    summands must share) and ``_key_parts`` (how a key renders).
     """
 
     __slots__ = ("terms", "order")
@@ -72,11 +80,19 @@ class LinearSum:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "order", order)
 
+    @classmethod
+    def _clean(cls, terms, order):
+        """The sum of trusted ``terms`` (see the class docstring)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", {k: c for k, c in terms.items() if c})
+        object.__setattr__(out, "order", order)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _like(self, terms, order):
-        return type(self)(terms, order)
+        return self._clean(terms, order)
 
     def _ring(self):
         return self.order
@@ -99,19 +115,27 @@ class LinearSum:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + other (``sign`` 1) or self - other (``sign`` -1), term by term."""
         if type(other) is not type(self):
             return NotImplemented
         if other._ring() != self._ring():
             raise ValueError("summands differ in truncation order or rank")
         terms = dict(self.terms)
+        get = terms.get
         for key, coeff in other.terms.items():
-            acc = terms.get(key)
-            terms[key] = coeff if acc is None else acc + coeff
+            acc = get(key)
+            if sign == 1:
+                terms[key] = coeff if acc is None else acc + coeff
+            else:
+                terms[key] = -coeff if acc is None else acc - coeff
         return self._like(terms, self.order)
 
+    def __add__(self, other):
+        return self._combine(other, 1)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -137,6 +161,7 @@ class LinearSum:
     # -- structural operations -------------------------------------------------
 
     def map_coeffs(self, fn):
+        """``fn`` applied to each coefficient must give ParamPoly of one order."""
         out = {}
         for key, coeff in self.terms.items():
             new = fn(coeff)
@@ -203,9 +228,12 @@ class FreeElement(LinearSum):
         return other if s is None else FreeElement({(): s}, self.order)
 
     def __add__(self, other):
-        return LinearSum.__add__(self, self._lift(other))
+        return self._combine(self._lift(other), 1)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(self._lift(other), -1)
 
     def __mul__(self, other):
         if isinstance(other, FreeElement):
@@ -251,12 +279,10 @@ def nc_mul(x: FreeElement, y: FreeElement) -> FreeElement:
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
             coeff = c1 * c2
-            if not coeff:
-                continue
             word = w1 + w2
             acc = terms.get(word)
             terms[word] = coeff if acc is None else acc + coeff
-    return FreeElement(terms, x.order)
+    return FreeElement._clean(terms, x.order)
 
 
 class RewriteSystem:
@@ -299,7 +325,7 @@ class RewriteSystem:
         """Normal form of the word with coefficient 1, rewritten once per word."""
         form = self._forms.get(word)
         if form is None:
-            form = FreeElement(
+            form = FreeElement._clean(
                 _rewrite([(word, ParamPoly.one(self.order))], self, rightmost=False),
                 self.order)
             self._forms[word] = form
@@ -382,14 +408,14 @@ def normal_form(x: FreeElement, rs: RewriteSystem, rightmost=False) -> FreeEleme
     if x.order != rs.order:
         raise ValueError("element and rewrite system have different truncation orders")
     if rightmost:
-        return FreeElement(_rewrite(list(x.terms.items()), rs, rightmost), x.order)
+        return FreeElement._clean(_rewrite(list(x.terms.items()), rs, rightmost), x.order)
     out = {}
     for word, coeff in x.terms.items():
         for w, c in rs._form(word).terms.items():
             prod = coeff * c
             acc = out.get(w)
             out[w] = prod if acc is None else acc + prod
-    return FreeElement(out, x.order)
+    return FreeElement._clean(out, x.order)
 
 
 def commutator(x: FreeElement, y: FreeElement, rs: RewriteSystem) -> FreeElement:

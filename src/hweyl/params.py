@@ -210,14 +210,27 @@ class ParamPoly:
                 raise ValueError(f"exponent vector {exps!r} does not match {names!r}")
             if not coeff or sum(exps) > order:
                 continue
-            key = sum(exps) << shift
-            for i, e in enumerate(exps):
-                if not 0 <= e <= MAX_ORDER:
-                    raise ValueError(
-                        f"exponent {e} outside 0..{MAX_ORDER}, the packed-key field limit")
-                key |= e << (_BITS * (width - 1 - i))
-            num[key] = coeff if isinstance(coeff, ParamPoly) else as_fraction(coeff)
-        return _build(num, 1, order, names)
+            try:
+                # one byte per exponent field, as _BITS is 8
+                key = (sum(exps) << shift) | int.from_bytes(bytes(exps), "big")
+            except ValueError:
+                e = next(e for e in exps if not 0 <= e <= MAX_ORDER)
+                raise ValueError(
+                    f"exponent {e} outside 0..{MAX_ORDER}, the packed-key field limit"
+                ) from None
+            if not isinstance(coeff, (int, Fraction, ParamPoly)):
+                coeff = as_fraction(coeff)
+                if not coeff:
+                    continue
+            num[key] = coeff
+        if any(isinstance(c, ParamPoly) for c in num.values()):
+            return _make({k: c if isinstance(c, ParamPoly) else as_fraction(c)
+                          for k, c in num.items()}, 1, order, names)
+        # over the lcm of denominators in lowest terms, the numerators share
+        # no factor with it: this is already canonical
+        den = lcm(*(c.denominator for c in num.values()))
+        return _make({k: c.numerator * (den // c.denominator) for k, c in num.items()},
+                     den, order, names)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
@@ -236,7 +249,8 @@ class ParamPoly:
     @classmethod
     def const(cls, value, order=DEFAULT_ORDER, names=PARAMS):
         _check_order(order)
-        value = as_scalar(value)
+        if type(value) is not int:
+            value = as_scalar(value)
         if not value:
             return _make({}, 1, order, names)
         if isinstance(value, ParamPoly):

@@ -151,13 +151,23 @@ def family_rewrite(cls, order=DEFAULT_ORDER):
 
 # -- coproduct / counit / antipode extension to arbitrary elements -------------
 
+def _linear_extension(image, x):
+    """The terms of the sum of image(word) * coeff over the terms of x, each
+    product added into one dict."""
+    terms = {}
+    get = terms.get
+    for word, coeff in x.terms.items():
+        for key, c in image(word).terms.items():
+            prod = c * coeff
+            acc = get(key)
+            terms[key] = prod if acc is None else acc + prod
+    return terms
+
+
 def coproduct_of_element(hp, x: FreeElement) -> TensorElement:
     """Algebra-map extension of the presentation's coproduct to a free-algebra
     element."""
-    out = TensorElement.zero(2, x.order)
-    for word, coeff in x.terms.items():
-        out = out + hp._delta(word) * coeff
-    return out
+    return TensorElement._clean(_linear_extension(hp._delta, x), x.order, 2)
 
 
 def counit_of_word(counit, word, order):
@@ -172,24 +182,23 @@ def counit_of_word(counit, word, order):
 def antipode_of_element(hp, x: FreeElement) -> FreeElement:
     """Anti-multiplicative extension of the presentation's antipode, in
     normal form."""
-    out = FreeElement.zero(x.order)
-    for word, coeff in x.terms.items():
-        out = out + hp._gamma(word) * coeff
-    return out
+    return FreeElement._clean(_linear_extension(hp._gamma, x), x.order)
 
 
 def _antipode_residual(hp, name, side="left"):
     """m(gamma (x) id) Delta(X)  or  m(id (x) gamma) Delta(X); the counit term
-    vanishes on generators."""
-    order = hp.order
-    acc = FreeElement.zero(order)
+    vanishes on generators.  The words are merged first and normal-ordered
+    once."""
+    left = side == "left"
+    terms = {}
+    get = terms.get
     for (u, w), coeff in hp.coproduct[name].terms.items():
-        if side == "left":
-            elem = nc_mul(hp._gamma(u), FreeElement.from_word(w, order))
-        else:
-            elem = nc_mul(FreeElement.from_word(u, order), hp._gamma(w))
-        acc = acc + elem * coeff
-    return normal_form(acc, hp.rewrite)
+        for g, c in hp._gamma(u if left else w).terms.items():
+            word = g + w if left else u + g
+            prod = c * coeff
+            acc = get(word)
+            terms[word] = prod if acc is None else acc + prod
+    return normal_form(FreeElement._clean(terms, hp.order), hp.rewrite)
 
 
 # -- the Hopf presentation -------------------------------------------------------
@@ -376,11 +385,9 @@ def _extend_slot(hp, t: TensorElement, slot: int) -> TensorElement:
         for (p, q), c in inner.terms.items():
             key = (p, q, w) if slot == 0 else (u, p, q)
             prod = coeff * c
-            if not prod:
-                continue
             acc = terms.get(key)
             terms[key] = prod if acc is None else acc + prod
-    return TensorElement(3, terms, order)
+    return TensorElement._clean(terms, order, 3)
 
 
 def verify_coassoc(hp) -> dict:

@@ -27,6 +27,13 @@ class TensorElement(LinearSum):
         super().__init__(terms, order)
 
     @classmethod
+    def _clean(cls, terms, order, rank):
+        """The rank-``rank`` sum of trusted ``terms`` (see ``LinearSum``)."""
+        out = super()._clean(terms, order)
+        object.__setattr__(out, "rank", rank)
+        return out
+
+    @classmethod
     def zero(cls, rank, order=DEFAULT_ORDER):
         return cls(rank, {}, order)
 
@@ -36,7 +43,7 @@ class TensorElement(LinearSum):
         return tuple(map(tuple, slots))
 
     def _like(self, terms, order):
-        return TensorElement(self.rank, terms, order)
+        return self._clean(terms, order, self.rank)
 
     def _ring(self):
         return self.rank, self.order
@@ -113,25 +120,40 @@ def tensor_mul(u: TensorElement, v: TensorElement, rs: RewriteSystem) -> TensorE
     if u.order != v.order or u.order != rs.order:
         raise ValueError("mismatched truncation orders")
     terms = {}
-    for s1, c1 in u.terms.items():
-        for s2, c2 in v.terms.items():
+    if u.rank == 3:
+        for s1, c1 in u.terms.items():
+            for s2, c2 in v.terms.items():
+                coeff = c1 * c2
+                if coeff:
+                    _slot_product([rs._form(w1 + w2) for w1, w2 in zip(s1, s2)],
+                                  coeff, terms)
+        return TensorElement._clean(terms, u.order, 3)
+    form = rs._form
+    get = terms.get
+    for (a1, b1), c1 in u.terms.items():
+        for (a2, b2), c2 in v.terms.items():
             coeff = c1 * c2
-            if coeff:
-                _slot_product([rs._form(w1 + w2) for w1, w2 in zip(s1, s2)],
-                              coeff, terms)
-    return TensorElement(u.rank, terms, u.order)
+            if not coeff:
+                continue
+            right = form(b1 + b2).terms.items()
+            for wa, ca in form(a1 + a2).terms.items():
+                ca = coeff * ca
+                if not ca:
+                    continue
+                for wb, cb in right:
+                    prod = ca * cb
+                    key = (wa, wb)
+                    acc = get(key)
+                    terms[key] = prod if acc is None else acc + prod
+    return TensorElement._clean(terms, u.order, 2)
 
 
 def flip(u: TensorElement) -> TensorElement:
     """Swap the two slots of a rank-2 tensor."""
     if u.rank != 2:
         raise ValueError("flip is defined for rank-2 tensors")
-    terms = {}
-    for (w1, w2), coeff in u.terms.items():
-        key = (w2, w1)
-        acc = terms.get(key)
-        terms[key] = coeff if acc is None else acc + coeff
-    return TensorElement(2, terms, u.order)
+    return TensorElement._clean({(w2, w1): c for (w1, w2), c in u.terms.items()},
+                                u.order, 2)
 
 
 def wedge2(x: FreeElement, y: FreeElement) -> TensorElement:

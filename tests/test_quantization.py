@@ -307,6 +307,34 @@ def test_inconsistent_coproduct_fails_the_antipode_gate():
     assert verify_all(bad)["antipode"] is False
 
 
+def _with_delta_am_changed_at_degree_2(tag, order):
+    """A presentation of the family whose Delta(A-) has one coefficient with
+    its parameter-degree-2 part doubled."""
+    hp = quantize(tag, order=order, verify=False)
+    terms = dict(hp.coproduct[GEN_AM].terms)
+    key = next(k for k, c in terms.items() if c.homogeneous_part(2))
+    terms[key] = terms[key] + terms[key].homogeneous_part(2)
+    broken = {**hp.coproduct, GEN_AM: TensorElement(2, terms, order)}
+    return HopfPresentation(
+        family=hp.family, order=order, values=hp.values,
+        rewrite=hp.rewrite, coproduct=broken, counit=hp.counit,
+        antipode=hp.antipode, bialgebra_class=hp.bialgebra_class)
+
+
+@pytest.mark.parametrize("tag", [TYPE_I_PLUS, TYPE_II])
+def test_a_degree_2_change_in_delta_am_fails_the_homomorphism_check(tag):
+    bad = _with_delta_am_changed_at_degree_2(tag, 4)
+    assert not report_zero(verify_homomorphism(bad))
+    assert verify_all(bad)["homomorphism"] is False
+
+
+@pytest.mark.parametrize("tag", [TYPE_I_PLUS, TYPE_II])
+def test_a_degree_2_change_in_delta_am_fails_the_coassociativity_check(tag):
+    bad = _with_delta_am_changed_at_degree_2(tag, 4)
+    assert not report_zero(verify_coassoc(bad))
+    assert verify_all(bad)["coassociativity"] is False
+
+
 def test_memos_do_not_leak_between_presentations():
     # a copy of a good presentation with a broken Delta(M) and the same
     # rewrite system; each is verified after the other has filled its memos

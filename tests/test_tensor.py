@@ -5,8 +5,10 @@ import pytest
 
 from hweyl.params import ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
-                           RewriteSystem)
+                           RewriteSystem, nc_mul, normal_form)
 from hweyl.tensor import TensorElement, flip, outer, tensor_mul, wedge2, wedge3
+from hweyl.bialgebra import TYPE_I_PLUS, BialgebraClass
+from hweyl.quantization import family_rewrite
 
 K = 4
 
@@ -206,3 +208,76 @@ def test_rendering():
     assert str(t) == "1 (x) A- + A- (x) 1"
     s = outer(gen(GEN_M), gen(GEN_AP)) * ParamPoly.symbol("a1", K)
     assert str(s) == "a1*M (x) A+"
+
+
+# -- internal sums ----------------------------------------------------------------
+
+#: A low order, so that many products of coefficients truncate to zero.
+IK = 2
+
+
+def _sum_coeff(rng):
+    c = ParamPoly.const(Fraction(rng.randint(1, 3) * rng.choice((-1, 1)),
+                                 rng.randint(1, 3)), IK)
+    for _ in range(rng.randint(0, 2)):
+        c = c * ParamPoly.symbol(rng.choice(("a1", "a3")), IK)
+    return c
+
+
+def _random_sum(rng, rank, base=None):
+    """A random FreeElement (``rank`` None) or TensorElement; about half the
+    terms of ``base`` come back negated, so that a sum with it cancels."""
+    def word():
+        return tuple(rng.choice(GENERATORS) for _ in range(rng.randint(0, 3)))
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        key = word() if rank is None else tuple(word() for _ in range(rank))
+        terms[key] = _sum_coeff(rng)
+    for key, c in (base.terms.items() if base is not None else ()):
+        if rng.random() < 0.5:
+            terms[key] = -c
+    return FreeElement(terms, IK) if rank is None else TensorElement(rank, terms, IK)
+
+
+def assert_checked(result, rank=None):
+    """``result`` equals its rebuild through the public checking constructor,
+    holds no zero coefficient, keys every term by a tuple (of tuples) and
+    keeps its rank."""
+    terms = dict(result.terms)
+    if rank is None:
+        assert type(result) is FreeElement
+        assert result == FreeElement(terms, IK)
+    else:
+        assert type(result) is TensorElement and result.rank == rank
+        assert result == TensorElement(rank, terms, IK)
+        assert all(len(key) == rank and all(type(w) is tuple for w in key)
+                   for key in terms)
+    assert result.order == IK
+    assert all(type(key) is tuple for key in terms)
+    assert all(terms.values())
+
+
+def test_internal_sums_equal_their_checked_rebuild():
+    rng = random.Random(71)
+    rs = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, IK), IK)
+    cancelled = truncated = 0
+    for _ in range(120):
+        for rank in (None, 2, 3):
+            x = _random_sum(rng, rank)
+            y = _random_sum(rng, rank, base=x)
+            s = _sum_coeff(rng)
+            results = [x + y, x - y, y - x, -x, x * s, s * x, x * 3, x * 0, x - x]
+            if rank is None:
+                results += [nc_mul(x, y), normal_form(x, rs),
+                            normal_form(nc_mul(y, x), rs),
+                            normal_form(x, rs, rightmost=True)]
+            else:
+                results.append(tensor_mul(x, y, rs))
+            if rank == 2:
+                results.append(flip(x))
+            for result in results:
+                assert_checked(result, rank)
+            assert (x - y) + y == x and -(-x) == x and x + y == y + x
+            cancelled += len((x + y).terms) < len(x.terms.keys() | y.terms.keys())
+            truncated += len((x * s).terms) < len(x.terms)
+    assert cancelled > 50 and truncated > 50
