@@ -3,10 +3,13 @@
 Elements are finite sums of words with ParamPoly coefficients.  A rewrite
 system turns out-of-order adjacent letter pairs into their normal-form
 expansion, giving the ordered-monomial basis M^i * A+^j * A-^k (generator
-order M < A+ < A-).  The linear structure of such sums lives in
-``LinearSum``, which the tensors of ``hweyl.tensor`` share.  An exponential
-is taken of parameter multiples of one generator only: its terms are the
-scalar powers C^n/n! of ``_exp_terms`` placed on the powers of that letter.
+order M < A+ < A-).  Each system keeps the normal form of every word met
+while rewriting, so a word shared by many rewritings is normal-ordered once,
+and checks confluence on the one overlap A-*A+*M of two rules.  The linear
+structure of such sums lives in ``LinearSum``, which the tensors of
+``hweyl.tensor`` share.  An exponential is taken of parameter multiples of
+one generator only: its terms are the scalar powers C^n/n! of ``_exp_terms``
+placed on the powers of that letter.
 """
 
 from __future__ import annotations
@@ -293,10 +296,11 @@ class RewriteSystem:
     beyond the reordered word h*g must either be a shorter word or carry
     parameter degree >= 1, so rewriting always terminates under truncation.
 
-    The normal form of each word is rewritten once and kept with the system.
+    The normal form of each word is rewritten once and kept with the system,
+    and so is that of every word met on the way (see ``_form``).
     """
 
-    __slots__ = ("name", "rules", "order", "_forms")
+    __slots__ = ("name", "rules", "order", "_forms", "_ranked")
 
     def __init__(self, name, rules, order):
         if set(rules) != set(REDEXES):
@@ -317,19 +321,47 @@ class RewriteSystem:
         object.__setattr__(self, "rules", dict(rules))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_forms", {})
+        object.__setattr__(self, "_ranked", all(
+            w == (h, g) or _rank(w) < _rank((g, h))
+            for (g, h), rhs in rules.items() for w in rhs.terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
 
     def _form(self, word) -> FreeElement:
-        """Normal form of the word with coefficient 1, rewritten once per word."""
-        form = self._forms.get(word)
-        if form is None:
-            form = FreeElement._clean(
-                _rewrite([(word, ParamPoly.one(self.order))], self, rightmost=False),
-                self.order)
-            self._forms[word] = form
-        return form
+        """Normal form of the word with coefficient 1 by leftmost rewriting:
+        the sum of rc * form(prefix + rw + suffix) over the terms rw, rc of the
+        rule at the first inversion, each such form filled into the memo from
+        a work stack.  This ends when every rule term is the swapped pair or of
+        lower ``_rank``; otherwise only truncation ends the rewriting, so the
+        word is rewritten with its coefficient and kept alone."""
+        forms, order = self._forms, self.order
+        form = forms.get(word)
+        if form is not None:
+            return form
+        one = ParamPoly.one(order)
+        if not self._ranked:
+            form = forms[word] = FreeElement._clean(
+                _rewrite([(word, one)], self, rightmost=False), order)
+            return form
+        stack = [(word, None)]
+        while stack:
+            w, kids = stack.pop()
+            if w in forms:
+                continue
+            if kids is not None:
+                forms[w] = FreeElement._clean(
+                    _linear_extension(forms.__getitem__, kids), order)
+                continue
+            i = _first_inversion(w)
+            if i is None:
+                forms[w] = FreeElement._clean({w: one}, order)
+                continue
+            kids = [(w[:i] + rw + w[i + 2:], rc)
+                    for rw, rc in self.rules[w[i], w[i + 1]].terms.items()]
+            stack.append((w, kids))
+            stack.extend((k, None) for k, _ in kids)
+        return forms[word]
 
     @classmethod
     def undeformed(cls, order=DEFAULT_ORDER):
@@ -350,26 +382,29 @@ class RewriteSystem:
         return out
 
     def check_confluence(self):
-        """Reduce every length-3 word with two strategies; return mismatches.
+        """Reduce each overlap of two rules with two strategies; return the
+        overlaps whose normal forms differ.
 
         The construction checks the termination witness, so by Bergman's
         diamond lemma (Adv. Math. 29 (1978) 178-218) the system is confluent,
         and every word has one normal form, exactly when every ambiguity
-        resolves.  Each rule's left side is a pair of letters, so the only
-        ambiguities are the overlaps g*h*k of two rules, which are words of
-        length 3: agreeing on all of them is enough.
+        resolves.  Each rule's left side is a pair of letters, so none lies
+        inside another: the only ambiguities are the overlaps g*h*k of two
+        rules (g, h) and (h, k), here the one word A-*A+*M, whose leftmost
+        rewriting starts with the rule on g*h and the rightmost with h*k.
         """
         bad = []
-        for w1 in GENERATORS:
-            for w2 in GENERATORS:
-                for w3 in GENERATORS:
-                    word = (w1, w2, w3)
-                    elem = FreeElement.from_word(word, self.order)
-                    left = normal_form(elem, self, rightmost=False)
-                    right = normal_form(elem, self, rightmost=True)
-                    if left != right:
-                        bad.append(word)
+        for word in [(g, h, k) for g, h in REDEXES for h2, k in REDEXES if h == h2]:
+            elem = FreeElement.from_word(word, self.order)
+            if normal_form(elem, self) != normal_form(elem, self, rightmost=True):
+                bad.append(word)
         return bad
+
+
+def _rank(word):
+    """(letters other than M, length): a ranked rule term lowers it, or is
+    the swapped pair, which keeps it and lowers the inversions."""
+    return len(word) - word.count(GEN_M), len(word)
 
 
 def _first_inversion(word, rightmost=False):
@@ -403,19 +438,27 @@ def normal_form(x: FreeElement, rs: RewriteSystem, rightmost=False) -> FreeEleme
     """Rewrite x into the ordered-word basis; strategy-independent at order K.
 
     The default (leftmost) strategy reads each word's normal form from the
-    rewrite system's memo; ``rightmost`` rewrites every term afresh.
+    rewrite system's memo of every word met while rewriting; ``rightmost``
+    rewrites every term afresh, as an independent check of the memo.
     """
     if x.order != rs.order:
         raise ValueError("element and rewrite system have different truncation orders")
     if rightmost:
         return FreeElement._clean(_rewrite(list(x.terms.items()), rs, rightmost), x.order)
-    out = {}
-    for word, coeff in x.terms.items():
-        for w, c in rs._form(word).terms.items():
-            prod = coeff * c
-            acc = out.get(w)
-            out[w] = prod if acc is None else acc + prod
-    return FreeElement._clean(out, x.order)
+    return FreeElement._clean(_linear_extension(rs._form, x.terms.items()), x.order)
+
+
+def _linear_extension(image, pairs):
+    """The terms of the sum of image(word) * coeff over the (word, coeff)
+    pairs, each product added into one dict."""
+    terms = {}
+    get = terms.get
+    for word, coeff in pairs:
+        for key, c in image(word).terms.items():
+            prod = c * coeff
+            acc = get(key)
+            terms[key] = prod if acc is None else acc + prod
+    return terms
 
 
 def commutator(x: FreeElement, y: FreeElement, rs: RewriteSystem) -> FreeElement:

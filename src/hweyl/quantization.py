@@ -21,8 +21,8 @@ from fractions import Fraction
 from .params import (DEFAULT_ORDER, ParamPoly, as_fraction, join_signed,
                      monomial_factors, parse_rational)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
-                      RewriteSystem, _exp_terms, commutator, exp_element,
-                      exp_matrix2, nc_mul, normal_form)
+                      RewriteSystem, _exp_terms, _linear_extension, commutator,
+                      exp_element, exp_matrix2, nc_mul, normal_form)
 from .tensor import TensorElement, _slot_product, flip, outer, tensor_mul
 from .bialgebra import (_IDX, BRACKET, FAMILIES, TYPE_I_MINUS, TYPE_I_PLUS,
                         BialgebraClass, Cocommutator)
@@ -151,23 +151,10 @@ def family_rewrite(cls, order=DEFAULT_ORDER):
 
 # -- coproduct / counit / antipode extension to arbitrary elements -------------
 
-def _linear_extension(image, x):
-    """The terms of the sum of image(word) * coeff over the terms of x, each
-    product added into one dict."""
-    terms = {}
-    get = terms.get
-    for word, coeff in x.terms.items():
-        for key, c in image(word).terms.items():
-            prod = c * coeff
-            acc = get(key)
-            terms[key] = prod if acc is None else acc + prod
-    return terms
-
-
 def coproduct_of_element(hp, x: FreeElement) -> TensorElement:
     """Algebra-map extension of the presentation's coproduct to a free-algebra
     element."""
-    return TensorElement._clean(_linear_extension(hp._delta, x), x.order, 2)
+    return TensorElement._clean(_linear_extension(hp._delta, x.terms.items()), x.order, 2)
 
 
 def counit_of_word(counit, word, order):
@@ -182,7 +169,7 @@ def counit_of_word(counit, word, order):
 def antipode_of_element(hp, x: FreeElement) -> FreeElement:
     """Anti-multiplicative extension of the presentation's antipode, in
     normal form."""
-    return FreeElement._clean(_linear_extension(hp._gamma, x), x.order)
+    return FreeElement._clean(_linear_extension(hp._gamma, x.terms.items()), x.order)
 
 
 def _antipode_residual(hp, name, side="left"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -8,7 +9,8 @@ from hweyl.params import ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            RewriteSystem, commutator, exp_element, exp_matrix2,
                            nc_mul, normal_form)
-from hweyl.bialgebra import BialgebraClass, TYPE_I_PLUS, TYPE_II
+from hweyl.bialgebra import (BialgebraClass, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
+                             TYPE_II)
 from hweyl.quantization import family_rewrite
 
 K = 6
@@ -222,6 +224,99 @@ def test_confluence_catches_a_terminating_system_that_breaks_jacobi():
     word = FreeElement.from_word((GEN_AM, GEN_AP, GEN_M), K)
     assert (GEN_AM, GEN_AP, GEN_M) in rs.check_confluence()
     assert normal_form(word, rs) - normal_form(word, rs, rightmost=True) == -gen(GEN_M)
+
+
+def check_confluence_oracle(rs):
+    """Every length-3 word reduced with both strategies: the sweep that the
+    overlap check of ``RewriteSystem.check_confluence`` replaces."""
+    bad = []
+    for word in itertools.product(GENERATORS, repeat=3):
+        elem = FreeElement.from_word(word, rs.order)
+        if normal_form(elem, rs) != normal_form(elem, rs, rightmost=True):
+            bad.append(word)
+    return bad
+
+
+def _perturbed(rs, pair, word, coeff):
+    """rs with coeff * word added to the rule of pair."""
+    rules = dict(rs.rules)
+    rules[pair] = rules[pair] + FreeElement.from_word(word, rs.order, coeff=coeff)
+    return RewriteSystem("perturbed", rules, rs.order)
+
+
+def _confluence_systems():
+    order = 4
+    a1, a3 = sym("a1", order), sym("a3", order)
+    flat = RewriteSystem.undeformed(order)
+    plus = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, order), order)
+    one = ParamPoly.one(K)
+    yield "undeformed", flat
+    for tag in (TRIVIAL, TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II):
+        yield tag, family_rewrite(BialgebraClass.symbolic(tag, order), order)
+    yield "jacobi-breaking", RewriteSystem("jacobi-breaking", {
+        (GEN_AP, GEN_M): FreeElement({(GEN_M, GEN_AP): one, (GEN_AP,): one}, K),
+        (GEN_AM, GEN_M): FreeElement({(GEN_M, GEN_AM): one}, K),
+        (GEN_AM, GEN_AP): FreeElement({(GEN_AP, GEN_AM): one, (GEN_M,): one}, K),
+    }, K)
+    # each rule term below passes the termination witness (degree >= 1)
+    yield "M^2 in [A+,M]", _perturbed(flat, (GEN_AP, GEN_M), (GEN_M, GEN_M), a1)
+    yield "A+ in [A-,M]", _perturbed(flat, (GEN_AM, GEN_M), (GEN_AP,), a1)
+    yield "A+ in [A+,M]", _perturbed(flat, (GEN_AP, GEN_M), (GEN_AP,), a1)
+    yield "I+ with M^3 in [A-,A+]", _perturbed(plus, (GEN_AM, GEN_AP), (GEN_M,) * 3, a3)
+    yield "I+ with M^2 in [A+,M]", _perturbed(plus, (GEN_AP, GEN_M), (GEN_M, GEN_M), a3)
+    # not ranked: rewriting at coefficient 1 would not end
+    yield "A+*A+*M in [A+,M]", _perturbed(flat, (GEN_AP, GEN_M), (GEN_AP, GEN_AP, GEN_M), a1)
+    yield "A-*A+ in [A-,A+]", _perturbed(flat, (GEN_AM, GEN_AP), (GEN_AM, GEN_AP), a1)
+
+
+@pytest.mark.parametrize("name,rs", list(_confluence_systems()))
+def test_overlap_check_agrees_with_the_length_three_sweep(name, rs):
+    sweep = check_confluence_oracle(rs)
+    overlaps = rs.check_confluence()
+    assert bool(overlaps) == bool(sweep)
+    assert overlaps in ([], [(GEN_AM, GEN_AP, GEN_M)])
+
+
+def test_overlap_check_finds_non_confluent_perturbations():
+    verdicts = {name: rs.check_confluence() for name, rs in _confluence_systems()}
+    assert verdicts["undeformed"] == [] and verdicts[TYPE_I_PLUS] == []
+    assert verdicts["jacobi-breaking"] == [(GEN_AM, GEN_AP, GEN_M)]
+    assert verdicts["A+ in [A+,M]"] == [(GEN_AM, GEN_AP, GEN_M)]
+    assert verdicts["A+*A+*M in [A+,M]"] == [(GEN_AM, GEN_AP, GEN_M)]
+
+
+def test_unranked_system_rewrites_by_truncation():
+    # A-*A+ = A+*A- + M + a1*A-*A+: confluent, but its memo cannot fill from
+    # sub-words, since A-*A+ rewrites to itself at coefficient 1
+    rs = dict(_confluence_systems())["A-*A+ in [A-,A+]"]
+    assert not rs._ranked
+    for word in [(GEN_AP, GEN_M), (GEN_AP, GEN_AP, GEN_M, GEN_AM, GEN_M),
+                 (GEN_AM, GEN_AP) * 3 + (GEN_M,)]:
+        x = FreeElement.from_word(word, rs.order)
+        assert normal_form(x, rs) == normal_form(x, rs, rightmost=True)
+    assert rs._forms.keys() == {(GEN_AP, GEN_M), (GEN_AP, GEN_AP, GEN_M, GEN_AM, GEN_M),
+                                (GEN_AM, GEN_AP) * 3 + (GEN_M,)}
+
+
+def _deep_words():
+    order = 3
+    plus = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, order), order)
+    two = family_rewrite(BialgebraClass.symbolic(TYPE_II, order), order)
+    m, ap, am = (GEN_M,), (GEN_AP,), (GEN_AM,)
+    yield plus, ap * 2000 + m
+    yield plus, am + m * 300
+    yield plus, am + ap + m * 300 + am
+    yield two, (am + m * 100 + ap) * 3
+    yield two, (m * 100 + am + ap) * 3
+
+
+@pytest.mark.parametrize("rs,word", list(_deep_words()),
+                         ids=lambda v: v.name if isinstance(v, RewriteSystem) else str(len(v)))
+def test_deep_words_normal_order_without_recursion(rs, word):
+    # the memo fill must not recurse once per rewrite: these chains are far
+    # deeper than the interpreter's default recursion limit
+    x = FreeElement.from_word(word, rs.order)
+    assert normal_form(x, rs) == normal_form(x, rs, rightmost=True)
 
 
 @pytest.mark.parametrize("tag", [None, TYPE_I_PLUS, TYPE_II])

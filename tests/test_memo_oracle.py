@@ -4,7 +4,8 @@ A rewrite system keeps one normal form per word, and a presentation one
 Delta and one gamma per word.  These checks compare them with the uncached
 rightmost rewriting, with associativity of the normal-ordered product, and
 with Delta and gamma multiplied out letter by letter, for every family at
-K = 3..5.
+K = 3..5.  After a full Hopf verification every word the rewrite memo holds,
+also those met only inside another word's rewriting, is checked the same way.
 """
 
 import pytest
@@ -14,13 +15,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hweyl.params import ParamPoly  # noqa: E402
-from hweyl.freealg import (GENERATORS, FreeElement, nc_mul,  # noqa: E402
-                           normal_form)
+from hweyl.freealg import (GENERATORS, FreeElement,  # noqa: E402
+                           RewriteSystem, nc_mul, normal_form)
 from hweyl.tensor import outer, tensor_mul  # noqa: E402
 from hweyl.bialgebra import (TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,  # noqa: E402
                              TYPE_II)
 from hweyl.quantization import (antipode_of_element,  # noqa: E402
-                                coproduct_of_element, quantize)
+                                coproduct_of_element, quantize, verify_all)
 
 examples = settings(max_examples=15, derandomize=True, database=None, deadline=None)
 
@@ -100,3 +101,32 @@ def test_memoized_word_maps_equal_letter_by_letter_products(tag, order, data):
         gamma = nc_mul(hp.antipode[letter], gamma)
     assert coproduct_of_element(hp, elem) == delta
     assert antipode_of_element(hp, elem) == normal_form(gamma, hp.rewrite)
+
+
+@pytest.mark.parametrize("tag,order", CASES)
+def test_every_memoized_word_equals_its_rightmost_rewriting(tag, order, monkeypatch):
+    asked, depth = set(), []
+    form = RewriteSystem._form
+
+    def record(rs, word):
+        if not depth:
+            asked.add(word)
+        depth.append(word)
+        try:
+            return form(rs, word)
+        finally:
+            depth.pop()
+    monkeypatch.setattr(RewriteSystem, "_form", record)
+    hp = quantize(tag, order=order, verify=False)
+    report = verify_all(hp)
+    rs = hp.rewrite
+    forms = dict(rs._forms)
+    assert forms.keys() - asked, "the memo keeps the words met inside a rewriting"
+    for word, form in forms.items():
+        assert form == normal_form(FreeElement.from_word(word, order), rs, rightmost=True)
+        i = next((i for i in range(len(word) - 1) if word[i:i + 2] in rs.rules), None)
+        if i is not None:
+            # the words of the leftmost rewriting step are in the memo too
+            assert all(word[:i] + rw + word[i + 2:] in forms
+                       for rw in rs.rules[word[i:i + 2]].terms)
+    assert all(report.values())
