@@ -295,12 +295,14 @@ class RewriteSystem:
     g*h.  Construction checks the termination witness: everything in the rule
     beyond the reordered word h*g must either be a shorter word or carry
     parameter degree >= 1, so rewriting always terminates under truncation.
+    It also checks that every such term has a lower ``_rank`` than g*h, so
+    that rewriting ends at coefficient 1 too, which the memo fill needs.
 
     The normal form of each word is rewritten once and kept with the system,
     and so is that of every word met on the way (see ``_form``).
     """
 
-    __slots__ = ("name", "rules", "order", "_forms", "_ranked")
+    __slots__ = ("name", "rules", "order", "_forms")
 
     def __init__(self, name, rules, order):
         if set(rules) != set(REDEXES):
@@ -310,6 +312,9 @@ class RewriteSystem:
                 raise ValueError("rule truncation order does not match system")
             rest = rhs - FreeElement.from_word((h, g), order)
             for word, coeff in rest.terms.items():
+                if word != (h, g) and _rank(word) >= _rank((g, h)):
+                    raise ValueError(
+                        f"rule {g}*{h} has a term {word} that does not lower the rank")
                 if len(word) < 2:
                     continue
                 d = coeff.min_degree()
@@ -321,9 +326,6 @@ class RewriteSystem:
         object.__setattr__(self, "rules", dict(rules))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_forms", {})
-        object.__setattr__(self, "_ranked", all(
-            w == (h, g) or _rank(w) < _rank((g, h))
-            for (g, h), rhs in rules.items() for w in rhs.terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
@@ -332,18 +334,13 @@ class RewriteSystem:
         """Normal form of the word with coefficient 1 by leftmost rewriting:
         the sum of rc * form(prefix + rw + suffix) over the terms rw, rc of the
         rule at the first inversion, each such form filled into the memo from
-        a work stack.  This ends when every rule term is the swapped pair or of
-        lower ``_rank``; otherwise only truncation ends the rewriting, so the
-        word is rewritten with its coefficient and kept alone."""
+        a work stack.  This ends since every rule term is the swapped pair or
+        of lower ``_rank``."""
         forms, order = self._forms, self.order
         form = forms.get(word)
         if form is not None:
             return form
         one = ParamPoly.one(order)
-        if not self._ranked:
-            form = forms[word] = FreeElement._clean(
-                _rewrite([(word, one)], self, rightmost=False), order)
-            return form
         stack = [(word, None)]
         while stack:
             w, kids = stack.pop()
@@ -402,8 +399,8 @@ class RewriteSystem:
 
 
 def _rank(word):
-    """(letters other than M, length): a ranked rule term lowers it, or is
-    the swapped pair, which keeps it and lowers the inversions."""
+    """(letters other than M, length): each rule term lowers it, or is the
+    swapped pair, which keeps it and lowers the inversions."""
     return len(word) - word.count(GEN_M), len(word)
 
 
@@ -415,14 +412,15 @@ def _first_inversion(word, rightmost=False):
     return None
 
 
-def _rewrite(stack, rs, rightmost):
-    """Rewrite the (word, coeff) pairs on the stack until every word is normal."""
+def _rewrite(stack, rs):
+    """Rewrite the (word, coeff) pairs on the stack at their rightmost
+    inversions until every word is normal."""
     out = {}
     while stack:
         word, coeff = stack.pop()
         if not coeff:
             continue
-        i = _first_inversion(word, rightmost)
+        i = _first_inversion(word, rightmost=True)
         if i is None:
             acc = out.get(word)
             out[word] = coeff if acc is None else acc + coeff
@@ -444,7 +442,7 @@ def normal_form(x: FreeElement, rs: RewriteSystem, rightmost=False) -> FreeEleme
     if x.order != rs.order:
         raise ValueError("element and rewrite system have different truncation orders")
     if rightmost:
-        return FreeElement._clean(_rewrite(list(x.terms.items()), rs, rightmost), x.order)
+        return FreeElement._clean(_rewrite(list(x.terms.items()), rs), x.order)
     return FreeElement._clean(_linear_extension(rs._form, x.terms.items()), x.order)
 
 

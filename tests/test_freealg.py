@@ -264,9 +264,6 @@ def _confluence_systems():
     yield "A+ in [A+,M]", _perturbed(flat, (GEN_AP, GEN_M), (GEN_AP,), a1)
     yield "I+ with M^3 in [A-,A+]", _perturbed(plus, (GEN_AM, GEN_AP), (GEN_M,) * 3, a3)
     yield "I+ with M^2 in [A+,M]", _perturbed(plus, (GEN_AP, GEN_M), (GEN_M, GEN_M), a3)
-    # not ranked: rewriting at coefficient 1 would not end
-    yield "A+*A+*M in [A+,M]", _perturbed(flat, (GEN_AP, GEN_M), (GEN_AP, GEN_AP, GEN_M), a1)
-    yield "A-*A+ in [A-,A+]", _perturbed(flat, (GEN_AM, GEN_AP), (GEN_AM, GEN_AP), a1)
 
 
 @pytest.mark.parametrize("name,rs", list(_confluence_systems()))
@@ -282,20 +279,19 @@ def test_overlap_check_finds_non_confluent_perturbations():
     assert verdicts["undeformed"] == [] and verdicts[TYPE_I_PLUS] == []
     assert verdicts["jacobi-breaking"] == [(GEN_AM, GEN_AP, GEN_M)]
     assert verdicts["A+ in [A+,M]"] == [(GEN_AM, GEN_AP, GEN_M)]
-    assert verdicts["A+*A+*M in [A+,M]"] == [(GEN_AM, GEN_AP, GEN_M)]
 
 
-def test_unranked_system_rewrites_by_truncation():
-    # A-*A+ = A+*A- + M + a1*A-*A+: confluent, but its memo cannot fill from
-    # sub-words, since A-*A+ rewrites to itself at coefficient 1
-    rs = dict(_confluence_systems())["A-*A+ in [A-,A+]"]
-    assert not rs._ranked
-    for word in [(GEN_AP, GEN_M), (GEN_AP, GEN_AP, GEN_M, GEN_AM, GEN_M),
-                 (GEN_AM, GEN_AP) * 3 + (GEN_M,)]:
-        x = FreeElement.from_word(word, rs.order)
-        assert normal_form(x, rs) == normal_form(x, rs, rightmost=True)
-    assert rs._forms.keys() == {(GEN_AP, GEN_M), (GEN_AP, GEN_AP, GEN_M, GEN_AM, GEN_M),
-                                (GEN_AM, GEN_AP) * 3 + (GEN_M,)}
+@pytest.mark.parametrize("pair,word", [
+    ((GEN_AP, GEN_M), (GEN_AP, GEN_AP, GEN_M)),
+    ((GEN_AM, GEN_AP), (GEN_AM, GEN_AP)),
+    ((GEN_AM, GEN_M), (GEN_AP, GEN_AP)),
+])
+def test_rule_terms_must_lower_the_rank(pair, word):
+    # each term passes the termination witness (degree 1), but rewriting at
+    # coefficient 1, as the memo fill does, would not end
+    a1 = sym("a1", 4)
+    with pytest.raises(ValueError, match="rank"):
+        _perturbed(RewriteSystem.undeformed(4), pair, word, a1)
 
 
 def _deep_words():
