@@ -1,8 +1,10 @@
 """Command-line surface: classify, quantize, verify, coboundary, poisson, realize.
 
-Exit codes: 0 all checks pass; 1 malformed or unreadable input, or a result
-with an integer past the interpreter's print limit; 2 invalid bialgebra;
-3 verification failure (an engine regression guard).
+Exit codes: 0 all checks pass (or ``--help``); 1 a malformed command line
+(argparse's own exit 2 is mapped to it), malformed or unreadable input, both
+``--family`` and an input given to quantize, or a result with an integer past
+the interpreter's print limit; 2 invalid bialgebra; 3 verification failure
+(an engine regression guard).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .params import DEFAULT_ORDER, MAX_ORDER, ParamPoly
-from .freealg import GENERATORS
 from . import bialgebra as bi
 from . import poisson as po
 from . import quantization as qu
@@ -167,8 +168,11 @@ def run_classify(args):
 
 
 def run_quantize(args):
+    if args.family and args.input is not None:
+        _err("give either --family or an input, not both")
+        return EXIT_PARSE
     classification = None
-    if args.family and args.input is None:
+    if args.family:
         family = _FAMILY_BY_NAME[args.family]
     else:
         delta = _load_delta(args.input)
@@ -179,9 +183,9 @@ def run_quantize(args):
         family = classification
 
     hp = qu.quantize(family, order=args.order)
+    doc = hp.to_json()
 
     if args.format == "json":
-        doc = hp.to_json()
         if classification is not None:
             doc["classification"] = _classification_doc(classification)
         _emit_json(doc)
@@ -189,7 +193,7 @@ def run_quantize(args):
 
     _out(f"family: {hp.family}")
     _out(f"order: {hp.order}")
-    disp = hp.param_display()
+    disp = doc["parameters"]
     if disp:
         _out("parameters: " + ", ".join(f"{k} = {v}" for k, v in sorted(disp.items())))
     if classification is not None:
@@ -199,20 +203,13 @@ def run_quantize(args):
     for section in ("coproduct", "relations", "antipode", "central_element"):
         for line in forms.get(section, ()):
             _out(f"  {line}")
-    _out("relations:")
-    for key, val in sorted(hp.relations().items()):
-        _out(f"  {key} = {hp._render(val)}")
-    _out("coproduct:")
-    for name in GENERATORS:
-        _out(f"  Delta({name}) = {hp._render(hp.coproduct[name])}")
-    _out("counit:")
-    for name in GENERATORS:
-        _out(f"  eps({name}) = {hp.counit[name]}")
-    _out("antipode:")
-    for name in GENERATORS:
-        _out(f"  gamma({name}) = {hp._render(hp.antipode[name])}")
-    if hp.family == bi.TYPE_I_PLUS:
-        _out(f"central element: C = {hp._render(qu.central_element(hp))}")
+    for section, lhs in (("relations", "{}"), ("coproduct", "Delta({})"),
+                         ("counit", "eps({})"), ("antipode", "gamma({})")):
+        _out(f"{section}:")
+        for key, val in doc[section].items():
+            _out(f"  {lhs.format(key)} = {val}")
+    if "central_element" in doc:
+        _out(f"central element: C = {doc['central_element']}")
     return EXIT_OK
 
 
@@ -421,7 +418,12 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exn:
+        # argparse exits 2 on a malformed command line; here 2 means an
+        # invalid bialgebra, so that exit becomes the parse error's 1
+        raise SystemExit(EXIT_PARSE if exn.code == 2 else exn.code) from None
     if getattr(args, "input_opt", None) is not None:
         if args.input is not None:
             _err("give the input either positionally or with --input, not both")

@@ -3,9 +3,10 @@
 Elements are finite sums of words with ParamPoly coefficients.  A rewrite
 system turns out-of-order adjacent letter pairs into their normal-form
 expansion, giving the ordered-monomial basis M^i * A+^j * A-^k (generator
-order M < A+ < A-).  Each system keeps the normal form of every word met
-while rewriting, so a word shared by many rewritings is normal-ordered once,
-and checks confluence on the one overlap A-*A+*M of two rules.  The linear
+order M < A+ < A-).  Each system has one strategy, leftmost rewriting, and
+keeps the normal form of every word met on the way, so a word shared by many
+rewritings is normal-ordered once; it checks confluence by finishing the two
+one-step reductions of the one overlap A-*A+*M of two rules.  The linear
 structure of such sums lives in ``LinearSum``, which the tensors of
 ``hweyl.tensor`` share.  An exponential is taken of parameter multiples of
 one generator only: its terms are the scalar powers C^n/n! of ``_exp_terms``
@@ -298,8 +299,8 @@ class RewriteSystem:
     It also checks that every such term has a lower ``_rank`` than g*h, so
     that rewriting ends at coefficient 1 too, which the memo fill needs.
 
-    The normal form of each word is rewritten once and kept with the system,
-    and so is that of every word met on the way (see ``_form``).
+    The one strategy is leftmost rewriting: the normal form of each word, and
+    of every word met on the way, is rewritten once and kept (see ``_form``).
     """
 
     __slots__ = ("name", "rules", "order", "_forms")
@@ -379,22 +380,27 @@ class RewriteSystem:
         return out
 
     def check_confluence(self):
-        """Reduce each overlap of two rules with two strategies; return the
-        overlaps whose normal forms differ.
+        """The overlaps of two rules whose two one-step reductions reach
+        different normal forms.
 
-        The construction checks the termination witness, so by Bergman's
-        diamond lemma (Adv. Math. 29 (1978) 178-218) the system is confluent,
-        and every word has one normal form, exactly when every ambiguity
-        resolves.  Each rule's left side is a pair of letters, so none lies
-        inside another: the only ambiguities are the overlaps g*h*k of two
-        rules (g, h) and (h, k), here the one word A-*A+*M, whose leftmost
-        rewriting starts with the rule on g*h and the rightmost with h*k.
+        The construction's rank check makes every rewriting end, so by
+        Bergman's diamond lemma (Adv. Math. 29 (1978) 178-218) the system is
+        confluent, and every word has one normal form, exactly when every
+        ambiguity resolves.  Each rule's left side is a pair of letters, so
+        none lies inside another: the only ambiguities are the overlaps
+        g*h*k of two rules (g, h) and (h, k), here the one word A-*A+*M.  Its
+        two one-step reductions rewrite g*h or h*k, and ``_form`` finishes
+        both.  Equal forms resolve the ambiguity; unequal forms are two
+        normal forms of one word, which a confluent system cannot have.
         """
         bad = []
-        for word in [(g, h, k) for g, h in REDEXES for h2, k in REDEXES if h == h2]:
-            elem = FreeElement.from_word(word, self.order)
-            if normal_form(elem, self) != normal_form(elem, self, rightmost=True):
-                bad.append(word)
+        for g, h, k in [(g, h, k) for g, h in REDEXES for h2, k in REDEXES if h == h2]:
+            left = FreeElement._clean(
+                {rw + (k,): rc for rw, rc in self.rules[g, h].terms.items()}, self.order)
+            right = FreeElement._clean(
+                {(g,) + rw: rc for rw, rc in self.rules[h, k].terms.items()}, self.order)
+            if normal_form(left, self) != normal_form(right, self):
+                bad.append((g, h, k))
         return bad
 
 
@@ -404,45 +410,18 @@ def _rank(word):
     return len(word) - word.count(GEN_M), len(word)
 
 
-def _first_inversion(word, rightmost=False):
-    rng = range(len(word) - 2, -1, -1) if rightmost else range(len(word) - 1)
-    for i in rng:
+def _first_inversion(word):
+    for i in range(len(word) - 1):
         if _ORD[word[i]] > _ORD[word[i + 1]]:
             return i
     return None
 
 
-def _rewrite(stack, rs):
-    """Rewrite the (word, coeff) pairs on the stack at their rightmost
-    inversions until every word is normal."""
-    out = {}
-    while stack:
-        word, coeff = stack.pop()
-        if not coeff:
-            continue
-        i = _first_inversion(word, rightmost=True)
-        if i is None:
-            acc = out.get(word)
-            out[word] = coeff if acc is None else acc + coeff
-            continue
-        rule = rs.rules[(word[i], word[i + 1])]
-        prefix, suffix = word[:i], word[i + 2:]
-        for rw, rc in rule.terms.items():
-            stack.append((prefix + rw + suffix, coeff * rc))
-    return out
-
-
-def normal_form(x: FreeElement, rs: RewriteSystem, rightmost=False) -> FreeElement:
-    """Rewrite x into the ordered-word basis; strategy-independent at order K.
-
-    The default (leftmost) strategy reads each word's normal form from the
-    rewrite system's memo of every word met while rewriting; ``rightmost``
-    rewrites every term afresh, as an independent check of the memo.
-    """
+def normal_form(x: FreeElement, rs: RewriteSystem) -> FreeElement:
+    """Rewrite x into the ordered-word basis, reading each word's normal form
+    from the rewrite system's memo (see ``RewriteSystem._form``)."""
     if x.order != rs.order:
         raise ValueError("element and rewrite system have different truncation orders")
-    if rightmost:
-        return FreeElement._clean(_rewrite(list(x.terms.items()), rs), x.order)
     return FreeElement._clean(_linear_extension(rs._form, x.terms.items()), x.order)
 
 

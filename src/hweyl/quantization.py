@@ -537,12 +537,14 @@ def _swap_word(word):
     return tuple(letters), sign
 
 
-def _swap_elem(x: FreeElement, target_rs) -> FreeElement:
-    out = FreeElement.zero(x.order)
+def _swap_elem(x: FreeElement) -> FreeElement:
+    """The swap image of x, signs folded in; the swap is a bijection on
+    words, so no two images meet."""
+    terms = {}
     for word, coeff in x.terms.items():
         image, sign = _swap_word(word)
-        out = out + FreeElement.from_word(image, x.order, coeff=coeff * sign)
-    return normal_form(out, target_rs)
+        terms[image] = coeff if sign == 1 else -coeff
+    return FreeElement._clean(terms, x.order)
 
 
 def _swap_tensor(t: TensorElement, target_rs) -> TensorElement:
@@ -573,35 +575,23 @@ def swap_transport(hp) -> HopfPresentation:
     # transported commutation rules first (their right-hand sides are series
     # in M, whose swap images are already normal words)
     brackets = hp.rewrite.commutation_rules()
-
-    def bracket_image(g, h):
+    rules = {}
+    for (g, h) in REDEXES:
         (gi, sg), (hi, sh) = _SWAP[g], _SWAP[h]
         if (gi, hi) in brackets:
             src, flip_sign = brackets[(gi, hi)], 1
         else:
             src, flip_sign = brackets[(hi, gi)], -1
-        out = FreeElement.zero(order)
-        for word, coeff in src.terms.items():
-            image, s = _swap_word(word)
-            out = out + FreeElement.from_word(
-                image, order, coeff=coeff * (s * sg * sh * flip_sign))
-        return out
-
-    rules = {}
-    for (g, h) in REDEXES:
-        rules[(g, h)] = FreeElement.from_word((h, g), order) + bracket_image(g, h)
+        rules[(g, h)] = (FreeElement.from_word((h, g), order)
+                         + _swap_elem(src) * (sg * sh * flip_sign))
     rewrite = RewriteSystem(f"swap({hp.rewrite.name})", rules, order)
 
     coproduct = {}
     antipode = {}
     for name in GENERATORS:
-        source, _ = _swap_word((name,))
-        src_letter = source[0]
-        sign = _SWAP[name][1]
-        cop = _swap_tensor(hp.coproduct[src_letter], rewrite)
-        coproduct[name] = cop if sign == 1 else -cop
-        gam = _swap_elem(hp.antipode[src_letter], rewrite)
-        antipode[name] = gam if sign == 1 else -gam
+        src_letter, sign = _SWAP[name]
+        coproduct[name] = _swap_tensor(hp.coproduct[src_letter], rewrite) * sign
+        antipode[name] = normal_form(_swap_elem(hp.antipode[src_letter]), rewrite) * sign
 
     cls = BialgebraClass(target_tag, normalized=Cocommutator(**new_values))
     return HopfPresentation(

@@ -143,6 +143,14 @@ def test_quantize_invalid_input_exits_2(capsys):
     assert code == 2
 
 
+def test_quantize_refuses_family_together_with_an_input(capsys):
+    for argv in (("--family", "type2", '{"a1":"1"}'),
+                 ("--family", "type2", "--input", '{"a1":"1"}')):
+        code, out, err = run(capsys, "quantize", *argv)
+        assert code == 1 and out == ""
+        assert err.strip() == "give either --family or an input, not both"
+
+
 def test_quantize_json_roundtrip(capsys):
     code, out, _ = run(capsys, "quantize", "--family", "type2",
                        "--order", "3", "--format", "json")
@@ -324,6 +332,25 @@ def test_order_above_the_packed_key_limit_exits_1(capsys):
         code, out, err = run(capsys, *argv, "--order", str(MAX_ORDER + 1))
         assert code == 1 and out == ""
         assert str(MAX_ORDER) in err
+
+
+@pytest.mark.parametrize("argv", [("classify", "--format", "xml"),
+                                  ("quantize", "--order", "abc"), ("bogus",)])
+def test_malformed_command_line_exits_1(capsys, argv):
+    # argparse's own exit 2 would read as an invalid bialgebra
+    with pytest.raises(SystemExit) as exn:
+        main(list(argv))
+    assert exn.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: hweyl" in captured.err and "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exn:
+        main(["--help"])
+    assert exn.value.code == 0
+    assert "usage: hweyl" in capsys.readouterr().out
 
 
 def test_order_help_names_the_limit(capsys):

@@ -1,11 +1,13 @@
 """The memoized word maps against direct computation, on random input.
 
-A rewrite system keeps one normal form per word, and a presentation one
-Delta and one gamma per word.  These checks compare them with the uncached
-rightmost rewriting, with associativity of the normal-ordered product, and
-with Delta and gamma multiplied out letter by letter, for every family at
-K = 3..5.  After a full Hopf verification every word the rewrite memo holds,
-also those met only inside another word's rewriting, is checked the same way.
+A rewrite system keeps one normal form per word, filled by leftmost
+rewriting, and a presentation one Delta and one gamma per word.  These checks
+compare them with the uncached rightmost rewriting of ``rewrite_oracle`` (a
+second strategy, which reads only the rules), with associativity of the
+normal-ordered product, and with Delta and gamma multiplied out letter by
+letter, for every family at K = 3..5.  After a full Hopf verification every
+word the rewrite memo holds, also those met only inside another word's
+rewriting, is checked against the rightmost rewriting too.
 """
 
 import pytest
@@ -22,6 +24,8 @@ from hweyl.bialgebra import (TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,  # noqa: E402
                              TYPE_II)
 from hweyl.quantization import (antipode_of_element,  # noqa: E402
                                 coproduct_of_element, quantize, verify_all)
+
+from rewrite_oracle import rightmost_normal_form  # noqa: E402
 
 examples = settings(max_examples=15, derandomize=True, database=None, deadline=None)
 
@@ -72,7 +76,7 @@ def elements(order, max_len):
 def test_memoized_normal_form_equals_rightmost_rewriting(tag, order, data):
     rs = presentation(tag, order).rewrite
     x = data.draw(elements(order, 5))
-    assert normal_form(x, rs) == normal_form(x, rs, rightmost=True)
+    assert normal_form(x, rs) == rightmost_normal_form(x, rs)
 
 
 @pytest.mark.parametrize("tag,order", CASES)
@@ -123,7 +127,7 @@ def test_every_memoized_word_equals_its_rightmost_rewriting(tag, order, monkeypa
     forms = dict(rs._forms)
     assert forms.keys() - asked, "the memo keeps the words met inside a rewriting"
     for word, form in forms.items():
-        assert form == normal_form(FreeElement.from_word(word, order), rs, rightmost=True)
+        assert form == rightmost_normal_form(FreeElement.from_word(word, order), rs)
         i = next((i for i in range(len(word) - 1) if word[i:i + 2] in rs.rules), None)
         if i is not None:
             # the words of the leftmost rewriting step are in the memo too
