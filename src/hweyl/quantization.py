@@ -267,6 +267,9 @@ class HopfPresentation:
         return obj.subs(dict.fromkeys(grading, 1))
 
     def _render(self, obj):
+        """``obj`` as printed: series to parameter degree K or, with every parameter
+        concrete, grading symbols set to 1 and the terms of at most K letters (all
+        slots together), complete as no term has more parameter degree than letters."""
         obj = self._display(obj)
         return str(obj.truncate_words(self.order) if self.is_concrete else obj)
 

@@ -1,8 +1,8 @@
 """Rank-2 and rank-3 tensors over the free algebra.
 
 Terms are tuples of words with ParamPoly coefficients; the linear structure
-is ``LinearSum``, shared with ``FreeElement``.  The product law is slotwise,
-with each slot normal-ordered under a rewrite system.
+is ``LinearSum``, shared with ``FreeElement``.  The product, of rank-2
+tensors only, is slotwise, with each slot normal-ordered under a rewrite system.
 """
 
 from __future__ import annotations
@@ -114,20 +114,13 @@ def outer(*factors: FreeElement) -> TensorElement:
 
 
 def tensor_mul(u: TensorElement, v: TensorElement, rs: RewriteSystem) -> TensorElement:
-    """Slotwise product; every slot of the result is normal-ordered under rs."""
-    if u.rank != v.rank:
-        raise ValueError(f"rank mismatch: {u.rank} vs {v.rank}")
+    """Slotwise product of two rank-2 tensors; both slots of the result are
+    normal-ordered under rs."""
+    if u.rank != 2 or v.rank != 2:
+        raise ValueError(f"tensor_mul takes rank-2 tensors, not {u.rank} and {v.rank}")
     if u.order != v.order or u.order != rs.order:
         raise ValueError("mismatched truncation orders")
     terms = {}
-    if u.rank == 3:
-        for s1, c1 in u.terms.items():
-            for s2, c2 in v.terms.items():
-                coeff = c1 * c2
-                if coeff:
-                    _slot_product([rs._form(w1 + w2) for w1, w2 in zip(s1, s2)],
-                                  coeff, terms)
-        return TensorElement._clean(terms, u.order, 3)
     form = rs._form
     get = terms.get
     for (a1, b1), c1 in u.terms.items():

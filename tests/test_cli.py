@@ -138,6 +138,19 @@ def test_quantize_parameter_equal_to_one_is_concrete(capsys):
     assert "a1" not in series and "(1/2)*M^2" in series
 
 
+def test_order_cuts_rational_output_at_k_letters(capsys):
+    # symbolic output keeps parameter degree <= K, which has words of K + 1
+    # letters; with every parameter rational, words of more than K letters go
+    code, out, _ = run(capsys, "quantize", "--family", "type1plus", "--order", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coproduct"]["M"].endswith("(1/2)*a1^2*M (x) A+^2")
+    code, out, _ = run(capsys, "quantize", '{"a1":"1","a3":"2"}', "--order", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coproduct"]["M"] == "1 (x) M + M (x) 1 + M (x) A+"
+
+
 def test_quantize_invalid_input_exits_2(capsys):
     code, _, err = run(capsys, "quantize", '{"a1":"1","a3":"1","b1":"1","b3":"2"}')
     assert code == 2
@@ -263,6 +276,22 @@ def test_poisson_all(capsys):
     assert "associativity: PASS" in out
     assert "matrix: PASS" in out
     assert "FAIL" not in out
+
+
+def test_poisson_group_law_check_can_fail(capsys, monkeypatch):
+    import hweyl.poisson as po
+
+    def wrong_law(g1, g2):
+        # the true law plus a_plus * a_minus', still associative with the
+        # same identity, but no longer D(g2) * D(g1)
+        return po.GroupCoords(g1.m + g2.m - g1.a_minus * g2.a_plus
+                              + g1.a_plus * g2.a_minus,
+                              g1.a_minus + g2.a_minus, g1.a_plus + g2.a_plus)
+    monkeypatch.setattr(po, "group_compose", wrong_law)
+    code, out, _ = run(capsys, "poisson", "--check", "grouplaw")
+    assert code == 3
+    assert out == ("group law:\n  associativity: PASS\n  identity: PASS\n"
+                   "  matrix: FAIL\n")
 
 
 def test_poisson_single_family_single_check(capsys):

@@ -670,3 +670,24 @@ def test_closed_forms_of_a_diagonal_type_ii_are_explicit():
     }
     traceless = quantize(TYPE_II, order=2, params={"a2": 1, "a3": 0, "b2": 0, "b3": -1})
     assert closed_forms(traceless)["relations"][0] == "[A-,A+] = M"
+
+
+_RATIONAL = {TYPE_I_PLUS: {"a1": 1, "a3": 2},
+             TYPE_I_MINUS: {"b1": Fraction(-1, 2), "b2": 3},
+             TYPE_II: {"a2": Fraction(1, 2), "a3": -2, "b2": 3, "b3": Fraction(1, 3)}}
+
+
+@pytest.mark.parametrize("tag", sorted(_RATIONAL))
+def test_rational_output_at_order_k_is_every_term_of_at_most_k_letters(tag):
+    # with every parameter rational, the order-K output drops the words of
+    # more than K letters, and what it keeps is complete: the presentation
+    # four orders deeper, cut at K letters, prints the same
+    for k in (2, 3, 4):
+        doc = quantize(tag, order=k, params=_RATIONAL[tag]).to_json()
+        deep = quantize(tag, order=k + 4, params=_RATIONAL[tag])
+        cut = lambda x: str(deep._display(x).truncate_words(k))
+        assert doc["relations"] == {r: cut(x) for r, x in sorted(deep.relations().items())}
+        assert doc["coproduct"] == {n: cut(deep.coproduct[n]) for n in GENERATORS}
+        assert doc["antipode"] == {n: cut(deep.antipode[n]) for n in GENERATORS}
+        if tag == TYPE_I_PLUS:
+            assert doc["central_element"] == cut(central_element(deep))

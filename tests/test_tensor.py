@@ -50,6 +50,9 @@ def test_tensor_mul_rank_mismatch():
     rs = RewriteSystem.undeformed(K)
     with pytest.raises(ValueError):
         tensor_mul(outer(one(), one()), outer(one(), one(), one()), rs)
+    # rank 3 is refused too: nothing in the engine multiplies rank-3 tensors
+    with pytest.raises(ValueError, match="rank-2"):
+        tensor_mul(outer(one(), one(), one()), outer(one(), one(), one()), rs)
 
 
 def test_flip_examples():
@@ -273,10 +276,8 @@ def test_internal_sums_equal_their_checked_rebuild():
                 results += [nc_mul(x, y), normal_form(x, rs),
                             normal_form(nc_mul(y, x), rs),
                             rightmost_normal_form(x, rs)]
-            else:
-                results.append(tensor_mul(x, y, rs))
             if rank == 2:
-                results.append(flip(x))
+                results += [tensor_mul(x, y, rs), flip(x)]
             for result in results:
                 assert_checked(result, rank)
             assert (x - y) + y == x and -(-x) == x and x + y == y + x
