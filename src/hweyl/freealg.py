@@ -16,9 +16,9 @@ placed on the powers of that letter.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
-from .params import (DEFAULT_ORDER, ParamPoly, join_signed, monomial_factors,
-                     monomial_key)
+from .params import DEFAULT_ORDER, ParamPoly, signed_sum
 
 GEN_M = "M"
 GEN_AP = "A+"
@@ -36,20 +36,9 @@ def word_key(word):
     return (len(word), tuple(_ORD[x] for x in word))
 
 
-def word_factors(word) -> list:
-    out = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        out.append(word[i] if j - i == 1 else f"{word[i]}^{j - i}")
-        i = j
-    return out
-
-
 def word_str(word) -> str:
-    return "*".join(word_factors(word)) or "1"
+    runs = [(g, len(list(run))) for g, run in groupby(word)]
+    return "*".join(g if n == 1 else f"{g}^{n}" for g, n in runs) or "1"
 
 
 class LinearSum:
@@ -67,7 +56,9 @@ class LinearSum:
 
     A subclass gives ``_key`` (normalizes one key of the input), ``_like``
     (a sum of self's kind and ring through ``_clean``), ``_ring`` (what two
-    summands must share) and ``_key_parts`` (how a key renders).
+    summands must share) and ``_key_parts`` (sort key, text before and after
+    the first ``(x)``).  ``__str__`` prints from ``_num`` and ``_den``, not
+    ``terms``, in the print order of ``ParamPoly`` and then by key.
     """
 
     __slots__ = ("terms", "order")
@@ -186,14 +177,13 @@ class LinearSum:
     # -- rendering --------------------------------------------------------------
 
     def __str__(self):
-        items = []
+        rows = []
         for key, poly in self.terms.items():
             sort_key, head, tail = self._key_parts(key)
-            for exps, coeff in poly.terms.items():
-                body = "*".join(monomial_factors(exps) + head) + tail
-                items.append(((monomial_key(exps), sort_key), coeff, body))
-        items.sort(key=lambda t: t[0])
-        return join_signed((c, body) for _, c, body in items)
+            rows += [((k, sort_key), n, den, text + tail)
+                     for k, n, den, text in poly._rows(head)]
+        rows.sort()  # first entries are unique: no coefficient is compared
+        return signed_sum(rows)
 
 
 class FreeElement(LinearSum):
@@ -269,7 +259,7 @@ class FreeElement(LinearSum):
     # -- rendering --------------------------------------------------------------
 
     def _key_parts(self, word):
-        return word_key(word), word_factors(word), ""
+        return word_key(word), word_str(word) if word else "", ""
 
     def __repr__(self):
         return f"FreeElement({self}, order={self.order})"

@@ -121,51 +121,34 @@ def as_scalar(value):
     return as_fraction(value)
 
 
-def monomial_factors(exps, names=PARAMS) -> list:
+def signed_sum(rows) -> str:
+    """``(sort key, numerator, denominator, body)`` rows, sorted, as a sum, each
+    coefficient in lowest terms by one ``gcd``.  A ParamPoly numerator (over 1)
+    has no sign: it is bracketed and joined with `` + ``."""
     out = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            out.append(name)
-        elif e:
-            out.append(f"{name}^{e}")
-    return out
-
-
-def monomial_key(exps):
-    # graded, then lex with earlier variables first
-    return (sum(exps), tuple(-e for e in exps))
-
-
-def coeff_prefix(coeff: Fraction, body: str) -> str:
-    """Attach a positive rational coefficient to a rendered monomial body."""
-    if not body:
-        return str(coeff)
-    if coeff == 1:
-        return body
-    if coeff.denominator == 1:
-        return f"{coeff}*{body}"
-    return f"({coeff})*{body}"
-
-
-def join_signed(items) -> str:
-    """Render ``(coeff, body)`` pairs as a sum with `` + ``/`` - `` separators.
-
-    A ParamPoly coefficient has no sign of its own: it is bracketed and
-    always joined with `` + ``.
-    """
-    parts = []
-    for coeff, body in items:
-        if not coeff:
-            continue
-        if isinstance(coeff, ParamPoly):
-            piece, negative = (f"({coeff})*{body}" if body else f"({coeff})"), False
+    for _, n, den, body in rows:
+        if type(n) is not int:
+            if isinstance(n, ParamPoly):
+                if out:
+                    out.append(" + ")
+                out.append(f"({n})*{body}" if body else f"({n})")
+                continue
+            # a rational beside ParamPoly coefficients, over the denominator 1
+            n, den = n.numerator, n.denominator
+        if n < 0:
+            out.append(" - " if out else "-")
+            n = -n
+        elif out:
+            out.append(" + ")
+        g = gcd(n, den)
+        n, den = n // g, den // g
+        if not body:
+            out.append(str(n) if den == 1 else f"{n}/{den}")
+        elif den != 1:
+            out.append(f"({n}/{den})*{body}")
         else:
-            piece, negative = coeff_prefix(abs(coeff), body), coeff < 0
-        if not parts:
-            parts.append(f"-{piece}" if negative else piece)
-        else:
-            parts.append(f" - {piece}" if negative else f" + {piece}")
-    return "".join(parts) if parts else "0"
+            out.append(body if n == 1 else f"{n}*{body}")
+    return "".join(out) or "0"
 
 
 class ParamPoly:
@@ -190,8 +173,14 @@ class ParamPoly:
 
     ``terms`` is the same polynomial as a read-only mapping from exponent
     tuples (one entry per name in ``names``) to Fractions (or ParamPoly
-    coefficients).  It is built on first use and cached; it is meant for
-    renderers and tests, not for hot loops, which work on the packed form.
+    coefficients), built on first use and cached.  Hot loops, ``__str__`` and
+    the renderers built on ``_rows`` do not read it: they use the packed form.
+
+    Terms print graded, then lex with earlier variables first: by ascending
+    ``k ^ mask``, ``mask`` the exponent fields of the key ``k``.  The degree
+    field above ``mask`` compares first; the xor maps each exponent e to
+    MAX_ORDER - e within its field, so ``names[0]``, ``names[1]``, ... follow,
+    each in reverse.
 
     Instances are immutable; arithmetic between polynomials over the same
     variables requires equal orders.  A rational, or a parameter polynomial
@@ -564,13 +553,23 @@ class ParamPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
+    def _rows(self, body=""):
+        """The ``signed_sum`` rows of the terms, keyed and sorted by the print
+        order (class docstring); each monomial is joined to ``body`` by ``*``."""
+        names, width, den = self.names, len(self.names), self._den
+        mask = (1 << _BITS * width) - 1
+        rows = []
+        for k, n in self._num.items():
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(names, _unpack(k, width)) if e]
+            if body:
+                factors.append(body)
+            rows.append((k ^ mask, n, den, "*".join(factors)))
+        rows.sort()  # first entries are unique: no coefficient is compared
+        return rows
 
     def __str__(self):
-        return join_signed(
-            (coeff, "*".join(monomial_factors(exps, self.names)))
-            for exps, coeff in self.sorted_terms())
+        return signed_sum(self._rows())
 
     def __repr__(self):
         return f"ParamPoly({self}, order={self.order})"
@@ -637,4 +636,5 @@ def _check_fields(a, b, width):
 
 def _unpack(key, width):
     """The exponent tuple of a packed key over ``width`` variables."""
-    return tuple((key >> (_BITS * (width - 1 - i))) & MAX_ORDER for i in range(width))
+    # one byte per exponent field, as _BITS is 8
+    return tuple((key & ((1 << _BITS * width) - 1)).to_bytes(width, "big"))

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .params import (DEFAULT_ORDER, ParamPoly, as_fraction, join_signed,
-                     monomial_factors, parse_rational)
+from .params import (DEFAULT_ORDER, PARAMS, ParamPoly, as_scalar, parse_rational,
+                     signed_sum)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
                       RewriteSystem, _exp_terms, _linear_extension, commutator,
                       exp_element, exp_matrix2, nc_mul, normal_form)
@@ -294,12 +294,16 @@ class HopfPresentation:
 
     @classmethod
     def from_json(cls, doc):
-        """Rebuild from the serialized family, parameters and order."""
+        """Rebuild from the serialized family, parameters and order.  A display
+        ``[-]<name in PARAMS>`` is that signed symbol (the transport of I+ shows
+        b1 as -a1); any other must be a rational, or ``ValueError`` names it."""
         family = doc["family"]
         order = int(doc["order"])
         params = {}
         for name, disp in doc.get("parameters", {}).items():
-            params[name] = None if disp == name else parse_rational(name, disp)
+            base = disp.removeprefix("-") if isinstance(disp, str) else None
+            params[name] = (ParamPoly.symbol(base, order) * (1 if base == disp else -1)
+                            if base in PARAMS else parse_rational(name, disp))
         return quantize(family, order=order, params=params)
 
     def __repr__(self):
@@ -319,7 +323,7 @@ def _resolve_class(family, order, params):
     kwargs = {}
     for name in FAMILIES[family][0]:
         if params.get(name) is not None:
-            kwargs[name] = as_fraction(params[name])
+            kwargs[name] = as_scalar(params[name])
         else:
             kwargs[name] = ParamPoly.symbol(name, order)
     return BialgebraClass(family, normalized=Cocommutator(**kwargs))
@@ -328,8 +332,8 @@ def _resolve_class(family, order, params):
 def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     """Quantize a family (tag or BialgebraClass) at the given truncation order.
 
-    ``params`` maps parameter names to rationals (None entries stay symbolic);
-    a BialgebraClass may carry ParamPoly parameters of its own.  With
+    ``params`` maps parameter names to rationals or ParamPoly values (None
+    entries stay symbolic), as a BialgebraClass may carry them.  With
     ``verify`` the four Hopf axioms are machine-checked before returning;
     with ``verify=False`` nothing checks the antipode (``verify_all`` does).
     """
@@ -358,12 +362,19 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
 
 # -- verification suite ------------------------------------------------------------
 
+def _residual(lhs, rhs):
+    """lhs - rhs, built only when the sides differ: with canonical coefficients
+    and no zero terms, ``lhs == rhs`` exactly when the difference is zero."""
+    return lhs._like({}, lhs.order) if lhs == rhs else lhs - rhs
+
+
 def verify_homomorphism(hp) -> dict:
-    """Residual Delta(g)Delta(h) - Delta(g*h as rewritten) per defining relation."""
+    """Residual Delta(g)Delta(h) - Delta(g*h as rewritten) per defining
+    relation; the difference is built only when the two sides differ."""
     out = {}
     for (g, h), rhs in hp.rewrite.rules.items():
         lhs = tensor_mul(hp.coproduct[g], hp.coproduct[h], hp.rewrite)
-        out[f"{g}*{h}"] = lhs - coproduct_of_element(hp, rhs)
+        out[f"{g}*{h}"] = _residual(lhs, coproduct_of_element(hp, rhs))
     return out
 
 
@@ -381,11 +392,12 @@ def _extend_slot(hp, t: TensorElement, slot: int) -> TensorElement:
 
 
 def verify_coassoc(hp) -> dict:
-    """(Delta (x) id) Delta(X) - (id (x) Delta) Delta(X) per generator."""
+    """(Delta (x) id) Delta(X) - (id (x) Delta) Delta(X) per generator; the
+    difference is built only when the two sides differ."""
     out = {}
     for name in GENERATORS:
         d = hp.coproduct[name]
-        out[name] = _extend_slot(hp, d, 0) - _extend_slot(hp, d, 1)
+        out[name] = _residual(_extend_slot(hp, d, 0), _extend_slot(hp, d, 1))
     return out
 
 
@@ -419,13 +431,8 @@ def verify_antipode(hp) -> dict:
 
 
 def _report_ok(report):
-    for value in report.values():
-        if isinstance(value, tuple):
-            if any(v for v in value):
-                return False
-        elif value:
-            return False
-    return True
+    """True when every residual, or pair of residuals, of a report is zero."""
+    return not any(any(v) if isinstance(v, tuple) else v for v in report.values())
 
 
 def verify_all(hp) -> dict:
@@ -608,8 +615,7 @@ def swap_transport(hp) -> HopfPresentation:
 def _signed_sum(items):
     """(ParamPoly scalar, body) pairs as one sum, each scalar spread over its
     monomials the way the engine renders a coefficient."""
-    return join_signed((c, "*".join(monomial_factors(exps, s.names) + [body]))
-                       for s, body in items for exps, c in s.sorted_terms())
+    return signed_sum(row for s, body in items for row in s._rows(body))
 
 
 def _times(*factors):

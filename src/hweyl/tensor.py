@@ -78,7 +78,7 @@ class TensorElement(LinearSum):
 
     def _key_parts(self, slots):
         strs = [word_str(w) for w in slots]
-        return (tuple(word_key(w) for w in slots), strs[:1],
+        return (tuple(word_key(w) for w in slots), strs[0],
                 "".join(" (x) " + s for s in strs[1:]))
 
     def __repr__(self):

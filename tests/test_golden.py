@@ -33,6 +33,12 @@ for _family in ("type1plus", "type1minus", "type2", "trivial"):
             "quantize", "--family", _family, "--order", "4", "--format", _fmt]
 CASES["quantize_type2_input"] = [
     "quantize", '{"a2":"1/2","a3":"-2","b2":"3","b3":"1/3"}', "--order", "4"]
+# the largest rendered document: 568 terms in four parameters
+CASES["quantize_type2_order8_json"] = [
+    "quantize", "--family", "type2", "--order", "8", "--format", "json"]
+# concrete rendering with fractional and negative coefficients, and closed forms
+CASES["quantize_i_plus_input_order6"] = [
+    "quantize", '{"a1":"-9/2","a3":"1"}', "--order", "6"]
 CASES["verify_json"] = ["verify", "--order", "4", "--format", "json"]
 CASES["coboundary_symbolic"] = ["coboundary"]
 CASES["coboundary_input"] = ["coboundary", '{"xi":"3","beta_plus":"1/2"}']

@@ -589,12 +589,30 @@ def test_hopf_json_roundtrip_concrete():
 
 
 def test_hopf_from_json_rejects_non_rational_parameters():
+    # a display of exactly [-]<parameter name> is that signed symbol (the
+    # swap-transport round trip below); any other non-rational display is
+    # refused, naming its field
     b1, b2 = sym("b1"), sym("b2")
     cls = BialgebraClass(TYPE_I_PLUS, normalized=Cocommutator(a1=-b1, a3=-b2))
     doc = quantize(cls, order=K, verify=False).to_json()
     assert doc["parameters"] == {"a1": "-b1", "a3": "-b2"}
-    with pytest.raises(ValueError, match="field 'a1'"):
-        HopfPresentation.from_json(doc)
+    for disp in ("2*b1", "b1^2", "--b1", "-b1 + b2", " b1", "-", "x", "", 1):
+        bad = {**doc, "parameters": {"a1": disp, "a3": "-b2"}}
+        with pytest.raises(ValueError, match="field 'a1'"):
+            HopfPresentation.from_json(bad)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("source", [TYPE_I_PLUS, TYPE_I_MINUS])
+def test_swap_transported_json_round_trips(source, order):
+    # I+ -> I- shows {"b1": "-a1", "b2": "-a3"}, I- -> I+ {"a1": "-b1", "a3": "-b2"}
+    original = quantize(source, order=order)
+    doc = swap_transport(original).to_json()
+    assert all(disp[0] == "-" for disp in doc["parameters"].values())
+    rebuilt = HopfPresentation.from_json(doc)
+    assert rebuilt.family != source
+    assert rebuilt.to_json() == doc
+    assert swap_transport(rebuilt).to_json() == original.to_json()
 
 
 def test_quantize_rejects_parameters_the_family_lacks():
