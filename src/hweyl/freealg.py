@@ -86,6 +86,10 @@ class LinearSum:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        """Rebuild from the terms through ``_clean`` (``copy`` and ``pickle``)."""
+        return type(self)._clean, (dict(self.terms), self.order)
+
     def _like(self, terms, order):
         return self._clean(terms, order)
 

@@ -34,6 +34,16 @@ its one term directly: one key add (and the truncation compare), then one
 sorted pair loop and the gcd pass over all numerators.  These paths take int
 numerators only; a ParamPoly coefficient takes the general loop.
 
+The general loop is degree-aware.  Each polynomial keeps its (key, numerator)
+pairs sorted by key, built on first use and cached, so its first key has the
+lowest total degree.  With ``low`` the lowest key of the inner (longer)
+operand, a product whose two lowest keys already reach the truncation limit is
+zero at once; the outer operand is walked in key order and stops at the first
+key ``k1`` with ``k1 + low`` at the limit, and each inner row stops at the
+first pair past it.  Only pairs that the truncation drops are skipped: the
+kept pairs are the same, and they are summed in exact integers, so every
+result is the same canonical polynomial.
+
 A field holds exponents up to MAX_ORDER.  A finite truncation order above
 it raises ``ValueError``, which names the limit, and so does any exponent
 above it in an untruncated polynomial (``order=math.inf``): a product never
@@ -175,6 +185,13 @@ class ParamPoly:
     tuples (one entry per name in ``names``) to Fractions (or ParamPoly
     coefficients), built on first use and cached.  Hot loops, ``__str__`` and
     the renderers built on ``_rows`` do not read it: they use the packed form.
+    ``_sorted_terms()`` is the packed form as a list of (key, numerator) pairs
+    in key order, also built once; a product reads it to stop where the
+    truncation starts: when the two lowest keys reach the limit, and along the
+    outer operand once its key plus the inner lowest key does (module
+    docstring).  Neither cache can go stale, as instances are immutable, and
+    neither is carried by ``copy`` or ``pickle``, which rebuild from
+    ``_num`` and ``_den``.
 
     Terms print graded, then lex with earlier variables first: by ascending
     ``k ^ mask``, ``mask`` the exponent fields of the key ``k``.  The degree
@@ -187,7 +204,7 @@ class ParamPoly:
     times a polynomial over other variables, acts coefficient-wise.
     """
 
-    __slots__ = ("_num", "_den", "order", "names", "_terms")
+    __slots__ = ("_num", "_den", "order", "names", "_terms", "_sorted")
 
     def __new__(cls, terms, order, names=PARAMS):
         _check_order(order)
@@ -223,6 +240,10 @@ class ParamPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
+
+    def __reduce__(self):
+        """Rebuild from the canonical storage, without the caches."""
+        return _make, (dict(self._num), self._den, self.order, self.names)
 
     # -- constructors ------------------------------------------------------
 
@@ -295,6 +316,16 @@ class ParamPoly:
                                      for k, c in self._num.items()})
             _set(self, "_terms", view)
             return view
+
+    def _sorted_terms(self):
+        """The (key, numerator) pairs sorted by key, so by total degree
+        first: built once, as ``terms`` is."""
+        try:
+            return self._sorted
+        except AttributeError:
+            pairs = sorted(self._num.items())
+            _set(self, "_sorted", pairs)
+            return pairs
 
     def __bool__(self):
         return bool(self._num)
@@ -409,8 +440,6 @@ class ParamPoly:
             return self
         if self._den == 1 and len(a) == 1 and type(a.get(0)) is int and a[0] == 1:
             return other
-        if len(a) > len(b):
-            a, b = b, a
         shift = _BITS * len(self.names)
         if self.order == inf:
             top = (max(a) >> shift) + (max(b) >> shift)
@@ -419,7 +448,7 @@ class ParamPoly:
             limit = (top + 1) << shift
         else:
             limit = (self.order + 1) << shift
-        if len(b) == 1:
+        if len(a) == 1 == len(b):
             (k, c1), = a.items()
             (k2, c2), = b.items()
             if type(c1) is int and type(c2) is int:
@@ -429,10 +458,17 @@ class ParamPoly:
                 c, den = c1 * c2, self._den * other._den
                 g = gcd(c, den)
                 return _make({k: c // g}, den // g, self.order, self.names)
-        right = sorted(b.items())
+        left, right = self._sorted_terms(), other._sorted_terms()
+        if len(left) > len(right):
+            left, right = right, left
+        low = right[0][0]
+        if left[0][0] + low >= limit:
+            return _make({}, 1, self.order, self.names)
         num = {}
         get = num.get
-        for k1, c1 in a.items():
+        for k1, c1 in left:
+            if k1 + low >= limit:
+                break
             for k2, c2 in right:
                 k = k1 + k2
                 if k >= limit:
@@ -550,6 +586,30 @@ class ParamPoly:
                 term = ParamPoly.const(c, order, names)
             out = out + (term if factor is None else term * factor)
         return out if self._den == 1 else out * Fraction(1, self._den)
+
+    def at_one(self, names):
+        """self with each variable of ``names`` set to 1, in one pass over the
+        keys: the fields of those variables are cleared (and their exponents
+        taken off the total degree), and the numerators of keys that then
+        coincide are summed.  Equal to ``subs(dict.fromkeys(names, 1))``."""
+        unknown = set(names) - set(self.names)
+        if unknown:
+            raise ValueError(f"unknown variable {sorted(unknown)[0]!r}")
+        width = len(self.names)
+        shift = _BITS * width
+        mask = 0
+        for name in names:
+            mask |= MAX_ORDER << _BITS * (width - 1 - self.names.index(name))
+        num = {}
+        get = num.get
+        for k, c in self._num.items():
+            cleared = k & mask
+            if cleared:
+                # one byte per exponent field, as _BITS is 8
+                k -= cleared + (sum(cleared.to_bytes(width, "big")) << shift)
+            acc = get(k)
+            num[k] = c if acc is None else acc + c
+        return _build(num, self._den, self.order, self.names)
 
     # -- rendering -----------------------------------------------------------
 

@@ -259,12 +259,14 @@ class HopfPresentation:
 
     def _display(self, obj):
         """``obj`` with the grading symbols set to 1 when every parameter is
-        concrete, as the output shows it."""
+        concrete, as the output shows it (``ParamPoly.at_one``)."""
         if not self.is_concrete:
             return obj
         grading = {name for val in self.values.values() for exps in val.terms
                    for name, e in zip(val.names, exps) if e}
-        return obj.subs(dict.fromkeys(grading, 1))
+        if isinstance(obj, ParamPoly):
+            return obj.at_one(grading)
+        return obj.map_coeffs(lambda c: c.at_one(grading))
 
     def _render(self, obj):
         """``obj`` as printed: series to parameter degree K or, with every parameter

@@ -33,6 +33,9 @@ class TensorElement(LinearSum):
         object.__setattr__(out, "rank", rank)
         return out
 
+    def __reduce__(self):
+        return TensorElement._clean, (dict(self.terms), self.order, self.rank)
+
     @classmethod
     def zero(cls, rank, order=DEFAULT_ORDER):
         return cls(rank, {}, order)

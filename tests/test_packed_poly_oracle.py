@@ -1,12 +1,15 @@
 """ParamPoly storage (int numerators over one denominator, packed exponent
 keys) against sympy: the structural operations with denominators up to 30,
 canonical form, the single-term fast paths of ``*``, ``+`` and ``-``,
-coordinate polynomials that mix ParamPoly and rational coefficients, and the
-packed-key field limit."""
+coordinate polynomials that mix ParamPoly and rational coefficients, the
+packed-key field limit, the truncation cut-offs of the general product
+(against sympy and a naive Fraction pair loop), and setting grading symbols
+to 1 in one pass (against ``subs``)."""
 
 import math
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 import pytest
 
@@ -319,3 +322,180 @@ def test_untruncated_exponent_above_the_field_limit_raises():
     assert wide.terms == {(200, 200, 200): 1}
     assert wide.degree() == 600
     assert wide.partial(1).terms == {(200, 199, 200): 200}
+
+
+# -- the truncation cut-offs of the general product ---------------------------------------
+
+def naive_product(p, q):
+    """p * q from the ``terms`` views: every pair of terms multiplied in
+    Fractions, kept when its total degree is at most the order."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            if sum(e) <= p.order:
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def check_product(p, q):
+    """p * q and q * p against the naive pair loop, in canonical storage."""
+    expected = naive_product(p, q)
+    for result in (p * q, q * p):
+        assert result.terms == expected
+        assert canonical(result)
+    return p * q
+
+
+def lowest_at(order, degree):
+    """A polynomial whose lowest total degree is exactly ``degree``: one term
+    there and up to five more between ``degree`` and ``order``."""
+    first = one_term(len(PARAMS), POOL, st.just(degree), nonzero_rationals)
+    rest = st.lists(one_term(len(PARAMS), POOL, st.integers(degree, order), rationals),
+                    max_size=5)
+
+    def build(parts):
+        head, tail = parts
+        terms = {}
+        for t in tail:  # the lowest term is not first in insertion order
+            terms.update(t)
+        terms.update(head)
+        return ParamPoly(terms, order)
+    return st.tuples(first, rest).map(build)
+
+
+@st.composite
+def edge_operands(draw):
+    """(order, p, q, total): the lowest degrees of p and q sum to ``total``,
+    one of K - 1, K and K + 1 for the order K."""
+    order = draw(st.integers(1, 6))
+    total = order + draw(st.sampled_from((-1, 0, 1)))
+    d1 = draw(st.integers(max(0, total - order), min(order, total)))
+    return (order, draw(lowest_at(order, d1)), draw(lowest_at(order, total - d1)), total)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(edge_operands())
+def test_products_at_the_truncation_edge_match_the_pair_loop(args):
+    order, p, q, total = args
+    prod = check_product(p, q)
+    if total > order:
+        assert not prod._num and prod._den == 1
+    else:
+        # the lowest homogeneous parts multiply to a nonzero part of degree
+        # ``total``, which is within the order
+        assert prod.min_degree() == total
+        assert prod.homogeneous_part(total) == (p.homogeneous_part(p.min_degree())
+                                                * q.homogeneous_part(q.min_degree()))
+
+
+@examples
+@given(edge_operands())
+def test_products_at_the_truncation_edge_match_sympy(args):
+    order, p, q, _ = args
+    assert same(p * q, graded(to_sympy(p) * to_sympy(q), lambda d: d <= order))
+
+
+def test_outer_rows_past_the_limit_are_dropped_in_any_insertion_order():
+    """The shorter (outer) operand lists its high rows first; only its low
+    rows meet the longer operand within the order."""
+    order = 6
+    a1, a2, b2, b3 = (ParamPoly.symbol(n, order) for n in ("a1", "a2", "b2", "b3"))
+    outer = ParamPoly({(0, 0, 0, 0, 0, 6) + (0,) * 7: 2,
+                       (5, 0, 0, 0, 0, 0) + (0,) * 7: Fraction(-1, 3),
+                       (0, 0, 0, 0, 0, 0) + (0,) * 7: 7,
+                       (1, 0, 0, 0, 0, 0) + (0,) * 7: Fraction(5, 2)}, order)
+    assert list(outer._num) != sorted(outer._num)
+    inner = a2 + a2 * b2 + b2 ** 3 * 4 + b3 ** 2 * a1 * Fraction(1, 7) + a2 ** 4
+    assert len(inner._num) > len(outer._num)
+    prod = check_product(outer, inner)
+    assert prod == (7 + a1 * Fraction(5, 2)) * inner + a1 ** 5 * a2 * Fraction(-1, 3)
+    # the outer operand has the higher lowest degree: the inner one bounds it
+    high = a1 ** 3 + b3 ** 4
+    check_product(high, inner)
+    assert check_product(high * b3, inner) == a1 ** 3 * b3 * a2 * (1 + b2) + b3 ** 5 * a2
+
+
+@examples
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.just(k), param_polys(k), st.lists(param_polys(k), min_size=1, max_size=6))))
+def test_an_operand_reused_in_many_products(args):
+    order, p, others = args
+    for q in others:
+        check_product(p, q)
+        check_product(p, p)
+    assert check_product(p, p) == p ** 2
+    assert p._sorted_terms() is p._sorted_terms()
+    assert p._sorted_terms() == sorted(p._num.items())
+
+
+@examples
+@given(st.dictionaries(exponents(len(PARAMS), POOL, 5), rationals, max_size=5),
+       st.dictionaries(exponents(len(PARAMS), POOL, 5), rationals, max_size=5))
+def test_untruncated_products_match_the_pair_loop(left, right):
+    p, q = ParamPoly(left, math.inf), ParamPoly(right, math.inf)
+    check_product(p, q)
+    expected = sympy.expand(to_sympy(p) * to_sympy(q))
+    assert same(p * q, expected)
+
+
+def test_untruncated_field_limit_with_sorted_operands():
+    """The field check of ``order=math.inf`` runs before any cut-off, on
+    operands whose sorted terms are already built."""
+    am, ap, m = (ParamPoly.symbol(n, math.inf, COORDS) for n in COORDS)
+    left, right = am ** 200 + ap + m * ap, am ** 100 + 1 + ap ** 3
+    for x in (left, right):
+        x._sorted_terms()
+    with pytest.raises(ValueError, match=f"exponent above {MAX_ORDER}, the packed-key"):
+        left * right
+    with pytest.raises(ValueError, match=f"exponent above {MAX_ORDER}, the packed-key"):
+        right * left
+    fits = (am ** 155 + ap) * right
+    assert fits.terms[(255, 0, 0)] == 1 and fits.degree() == 255
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Two coordinate polynomials whose ParamPoly coefficients share an order."""
+    order, f = draw(mixed_coordinate_polys())
+    coefficients = st.one_of(nonzero_rationals, param_polys(order).filter(bool))
+    terms = draw(st.dictionaries(exponents(len(COORDS), (0, 1, 2), 3), coefficients,
+                                 min_size=2, max_size=4))
+    return order, f, ParamPoly(terms, math.inf, COORDS)
+
+
+@examples
+@given(mixed_pairs())
+def test_coordinate_products_with_parameter_coefficients_match_sympy(args):
+    order, f, g = args
+    expected = graded(to_sympy(f) * to_sympy(g), lambda d: d <= order)
+    for result in (f * g, g * f):
+        assert same(result, expected)
+        assert canonical(result)
+
+
+# -- grading symbols set to 1 in one pass ------------------------------------------------
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((0, 3, 6, math.inf)).flatmap(lambda k: param_polys(k)),
+       st.sets(st.sampled_from([PARAMS[i] for i in POOL])))
+def test_at_one_equals_subs(p, names):
+    out = p.at_one(names)
+    expected = p.subs(dict.fromkeys(names, 1))
+    assert out == expected
+    assert (out._num, out._den) == (expected._num, expected._den)
+    assert str(out) == str(expected)
+    assert canonical(out)
+
+
+@examples
+@given(mixed_coordinate_polys(), st.sets(st.sampled_from(COORDS), min_size=1))
+def test_at_one_on_coordinate_polynomials_equals_subs(mixed, names):
+    _, f = mixed
+    assert f.at_one(names) == f.subs(dict.fromkeys(names, 1))
+    assert str(f.at_one(names)) == str(f.subs(dict.fromkeys(names, 1)))
+
+
+def test_at_one_refuses_an_unknown_variable():
+    with pytest.raises(ValueError, match="unknown variable 'zz'"):
+        ParamPoly.symbol("a1", 3).at_one({"zz"})

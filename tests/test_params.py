@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -193,3 +195,29 @@ def test_immutable():
     p = sym("a1")
     with pytest.raises(AttributeError):
         p.order = 3
+
+
+def _round_trips(value):
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ParamPoly.zero(4),
+    lambda: ParamPoly.const(Fraction(-3, 7), 4),
+    lambda: (sym("a1", 4) * Fraction(1, 6) + sym("b3", 4) ** 2 * 5 - 2) ** 2,
+    lambda: ParamPoly.symbol("m", math.inf, COORDS) ** 3 * Fraction(2, 3) + 1,
+    lambda: (ParamPoly.symbol("a_plus", math.inf, COORDS) * (sym("a1", 3) + 1)
+             + ParamPoly.symbol("m", math.inf, COORDS) * Fraction(1, 5)),
+], ids=["zero", "constant", "series", "coordinates", "parameter-coefficients"])
+def test_param_poly_copy_and_pickle_round_trip(make):
+    p = make()
+    p.terms, p._sorted_terms()  # fill both caches before copying
+    for q in _round_trips(p):
+        assert type(q) is ParamPoly
+        assert q == p and str(q) == str(p)
+        assert (q._num, q._den, q.order, q.names) == (p._num, p._den, p.order, p.names)
+        # the caches are rebuilt on use, not carried
+        assert not hasattr(q, "_terms") and not hasattr(q, "_sorted")
+        assert q.terms == p.terms and q * p == p * p
+        with pytest.raises(AttributeError, match="immutable"):
+            q.order = 3

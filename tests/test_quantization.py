@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hweyl.params import ParamPoly
+from hweyl.params import PARAMS, ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            RewriteSystem, commutator, exp_element, nc_mul,
                            normal_form)
@@ -586,6 +586,29 @@ def test_hopf_json_roundtrip_concrete():
     assert doc["relations"]["[A-,A+]"] == "M - M^2 + (2/3)*M^3"
     rebuilt = HopfPresentation.from_json(doc)
     assert rebuilt.to_json() == doc
+
+
+@pytest.mark.parametrize("tag, params", [
+    (TYPE_II, {"a2": Fraction(-1, 2), "a3": Fraction(3, 7), "b2": -3, "b3": Fraction(1, 3)}),
+    (TYPE_II, {"a2": 1, "a3": 0, "b2": 0, "b3": Fraction(-2, 5)}),
+    (TYPE_I_PLUS, {"a1": Fraction(-9, 2), "a3": 1}),
+    (TYPE_I_MINUS, {"b1": Fraction(5, 3), "b2": -2}),
+])
+def test_concrete_display_equals_every_parameter_set_to_one(tag, params):
+    # a concrete presentation carries only the grading symbols, so setting
+    # every parameter to 1 through the general ``subs`` is the oracle
+    hp = quantize(tag, order=5, params=params, verify=False)
+    ones = dict.fromkeys(PARAMS, 1)
+    shown = [*hp.coproduct.values(), *hp.antipode.values(), *hp.relations().values()]
+    if tag == TYPE_I_PLUS:
+        shown.append(central_element(hp))
+    shown += [c for x in shown for c in x.terms.values()]
+    for x in shown:
+        display = hp._display(x)
+        assert display == x.subs(ones)
+        assert str(display) == str(x.subs(ones))
+    symbolic = quantize(tag, order=5, verify=False)
+    assert symbolic._display(hp.coproduct[GEN_AM]) is hp.coproduct[GEN_AM]
 
 
 def test_hopf_from_json_rejects_non_rational_parameters():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,8 +9,8 @@ from hweyl.params import ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            RewriteSystem, nc_mul, normal_form)
 from hweyl.tensor import TensorElement, flip, outer, tensor_mul, wedge2, wedge3
-from hweyl.bialgebra import TYPE_I_PLUS, BialgebraClass
-from hweyl.quantization import family_rewrite
+from hweyl.bialgebra import TYPE_I_PLUS, TYPE_II, BialgebraClass
+from hweyl.quantization import family_rewrite, quantize
 
 from rewrite_oracle import rightmost_normal_form
 
@@ -284,3 +286,17 @@ def test_internal_sums_equal_their_checked_rebuild():
             cancelled += len((x + y).terms) < len(x.terms.keys() | y.terms.keys())
             truncated += len((x * s).terms) < len(x.terms)
     assert cancelled > 50 and truncated > 50
+
+
+def test_free_and_tensor_elements_copy_and_pickle_round_trip():
+    hp = quantize(TYPE_II, order=3)
+    values = [FreeElement.zero(K), one(), hp.antipode[GEN_AM], TensorElement.zero(2, K),
+              hp.coproduct[GEN_AM], wedge3(gen(GEN_M), gen(GEN_AP), gen(GEN_AM))]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x)
+            assert y == x and str(y) == str(x) and y.order == x.order
+            assert getattr(y, "rank", None) == getattr(x, "rank", None)
+            assert y - x == x - x
+            with pytest.raises(AttributeError, match="immutable"):
+                y.order = 5
