@@ -79,7 +79,7 @@ class LinearSum:
     def _clean(cls, terms, order):
         """The sum of trusted ``terms`` (see the class docstring)."""
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", {k: c for k, c in terms.items() if c})
+        object.__setattr__(out, "terms", {k: c for k, c in terms.items() if c._num})
         object.__setattr__(out, "order", order)
         return out
 

@@ -34,6 +34,18 @@ its one term directly: one key add (and the truncation compare), then one
 sorted pair loop and the gcd pass over all numerators.  These paths take int
 numerators only; a ParamPoly coefficient takes the general loop.
 
+The tests run cheapest first, as most calls leave at one of them.  ``*``,
+``+`` and ``-`` first ask ``type(other) is ParamPoly`` with the very same
+``names`` tuple and an equal order; a scalar, or a polynomial over other
+variables, goes through ``_promote``.  A product then returns zero when a side
+has no term.  Its unit test reads the term count first, so a multi-term
+operand leaves after one compare; then the denominator, then the type and
+the value of the constant numerator.  Next come the single-term path and the
+general loop.  Copy and pickle map a names tuple equal to PARAMS back to
+PARAMS, so a restored polynomial meets the same tests.  The series layers
+test ``p._num`` where they drop zero coefficients, not ``bool(p)``, which
+would be one more Python-level call.
+
 The general loop is degree-aware.  Each polynomial keeps its (key, numerator)
 pairs sorted by key, built on first use and cached, so its first key has the
 lowest total degree.  With ``low`` the lowest key of the inner (longer)
@@ -243,7 +255,7 @@ class ParamPoly:
 
     def __reduce__(self):
         """Rebuild from the canonical storage, without the caches."""
-        return _make, (dict(self._num), self._den, self.order, self.names)
+        return _restore, (dict(self._num), self._den, self.order, self.names)
 
     # -- constructors ------------------------------------------------------
 
@@ -385,7 +397,7 @@ class ParamPoly:
         return _build(num, d1 * s1, self.order, self.names)
 
     def __add__(self, other):
-        if not (isinstance(other, ParamPoly) and other.names is self.names
+        if not (type(other) is ParamPoly and other.names is self.names
                 and other.order == self.order):
             if isinstance(other, ParamPoly) and other._is_coefficient(self):
                 return other + self
@@ -397,7 +409,7 @@ class ParamPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not (isinstance(other, ParamPoly) and other.names is self.names
+        if not (type(other) is ParamPoly and other.names is self.names
                 and other.order == self.order):
             if not isinstance(other, (ParamPoly, int, Fraction)):
                 return NotImplemented
@@ -424,7 +436,7 @@ class ParamPoly:
                       self.order, self.names)
 
     def __mul__(self, other):
-        if not (isinstance(other, ParamPoly) and other.names is self.names
+        if not (type(other) is ParamPoly and other.names is self.names
                 and other.order == self.order):
             if self._is_coefficient(other):
                 return self._scale(other)
@@ -436,9 +448,9 @@ class ParamPoly:
         a, b = self._num, other._num
         if not a or not b:
             return _make({}, 1, self.order, self.names)
-        if other._den == 1 and len(b) == 1 and type(b.get(0)) is int and b[0] == 1:
+        if len(b) == 1 and other._den == 1 and type(b.get(0)) is int and b[0] == 1:
             return self
-        if self._den == 1 and len(a) == 1 and type(a.get(0)) is int and a[0] == 1:
+        if len(a) == 1 and self._den == 1 and type(a.get(0)) is int and a[0] == 1:
             return other
         shift = _BITS * len(self.names)
         if self.order == inf:
@@ -637,16 +649,27 @@ class ParamPoly:
 
 _set = object.__setattr__
 _new = object.__new__
+# the slot descriptors' setters: they bypass the refusing ``__setattr__``
+# without the name lookup of ``object.__setattr__``
+_set_num, _set_den = ParamPoly._num.__set__, ParamPoly._den.__set__
+_set_order, _set_names = ParamPoly.order.__set__, ParamPoly.names.__set__
 
 
 def _make(num, den, order, names):
     """A ParamPoly from storage that is already canonical."""
     out = _new(ParamPoly)
-    _set(out, "_num", num)
-    _set(out, "_den", den)
-    _set(out, "order", order)
-    _set(out, "names", names)
+    _set_num(out, num)
+    _set_den(out, den)
+    _set_order(out, order)
+    _set_names(out, names)
     return out
+
+
+def _restore(num, den, order, names):
+    """``_make`` for ``copy`` and ``pickle``: a names tuple equal to PARAMS
+    becomes PARAMS itself, so that the fast paths, which test ``names is``,
+    apply to a polynomial restored by ``pickle`` too."""
+    return _make(num, den, order, PARAMS if names == PARAMS else names)
 
 
 def _build(num, den, order, names):

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .params import (DEFAULT_ORDER, PARAMS, ParamPoly, as_scalar, parse_rational,
-                     signed_sum)
+from .params import (DEFAULT_ORDER, MAX_ORDER, PARAMS, ParamPoly, as_scalar,
+                     parse_rational, signed_sum)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
                       RewriteSystem, _exp_terms, _linear_extension, commutator,
                       exp_element, exp_matrix2, nc_mul, normal_form)
@@ -484,26 +484,80 @@ _X = ("x",)
 _X_POLY = ParamPoly.symbol("x", math.inf, _X)
 
 
-def _realization_ops(a1, order):
-    """Operators for A+ = x, A- = lambda e^{a1 x/2} d/dx, M = lambda e^{a1 x/2}
-    on polynomials in x (ParamPoly over ("x",) with parameter coefficients)."""
+def _realization_letters(a1, order):
+    """The letters A+ = x, A- = s d/dx and M = s, s = lambda e^{a1 x/2}, as
+    operators {k: c_k}, meaning the sum of c_k(x) (d/dx)^k: each c_k is a
+    polynomial in x (ParamPoly over ("x",)) with parameter coefficients."""
     lam = ParamPoly.symbol("lambda", order)
     s = ParamPoly({(k,): lam * t[0][0]
                    for k, t in enumerate(_exp_terms([[a1 * Fraction(1, 2)]]))},
                   math.inf, _X)
-    return {GEN_AP: lambda p: p * _X_POLY, GEN_AM: lambda p: p.partial(0) * s,
-            GEN_M: lambda p: p * s}
+    return {GEN_AP: {0: _X_POLY}, GEN_AM: {1: s}, GEN_M: {0: s}}
 
 
-def _apply_element(ops, elem: FreeElement, p):
-    """The operator of ``elem`` applied to the x-polynomial ``p``."""
-    out = ParamPoly.zero(math.inf, _X)
-    for word, coeff in elem.terms.items():
-        cur = p
-        for letter in reversed(word):
-            cur = ops[letter](cur)
-        out = out + cur * coeff
+def _compose(left, right):
+    """The operator ``left`` after ``right``, by the Leibniz rule
+    (a d^i)(b d^j) = sum over m <= i of C(i, m) a b^(m) d^(i-m+j)."""
+    out = {}
+    for j, b in right.items():
+        for i, a in left.items():
+            deriv = b
+            for m in range(i + 1):
+                if not deriv._num:
+                    break
+                term = a * deriv * math.comb(i, m)
+                k = i - m + j
+                acc = out.get(k)
+                out[k] = term if acc is None else acc + term
+                deriv = deriv.partial(0)
     return out
+
+
+def _word_operator(letters, word, memo):
+    """The operator of ``word``: its prefix's operator, from ``memo`` or
+    built the same way, composed with its last letter."""
+    op = memo.get(word)
+    if op is None:
+        if word:
+            op = _compose(_word_operator(letters, word[:-1], memo), letters[word[-1]])
+        else:
+            op = {0: ParamPoly.one(math.inf, _X)}
+        memo[word] = op
+    return op
+
+
+def _element_operator(letters, elem: FreeElement, memo):
+    """The operator of ``elem``: the sum of its words' operators, each times
+    the word's coefficient."""
+    out = {}
+    for word, coeff in elem.terms.items():
+        for k, c in _word_operator(letters, word, memo).items():
+            term = c * coeff
+            acc = out.get(k)
+            out[k] = term if acc is None else acc + term
+    return out
+
+
+def _apply_operator(op, powers, n):
+    """The operator ``op`` applied to x^n = ``powers[n]``: the sum of
+    c_k n!/(n-k)! x^(n-k) over k <= n."""
+    out = ParamPoly.zero(math.inf, _X)
+    for k, c in op.items():
+        if k <= n and c._num:
+            out = out + c * (powers[n - k] * math.perm(n, k))
+    return out
+
+
+def _realization_residuals(a1, order) -> dict:
+    """The four relations of the realization, as elements that must act as 0."""
+    ap, am, m = (FreeElement.generator(n, order) for n in (GEN_AP, GEN_AM, GEN_M))
+    return {
+        "[A-,A+] = M": am * ap - ap * am - m,
+        "[A-,M] = (a1/2)*M^2": am * m - m * am - m * m * (a1 * Fraction(1, 2)),
+        "[A+,M] = 0": ap * m - m * ap,
+        "C = lambda": (m * exp_element(ap * (a1 * Fraction(-1, 2)))
+                       - ParamPoly.symbol("lambda", order)),
+    }
 
 
 def check_realization(cls, max_degree=6, order=4) -> dict:
@@ -512,6 +566,20 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
     Applies [A-,A+] - M, [A-,M] - (a1/2) M^2, [A+,M], and C - lambda to every
     monomial x^n, n <= max_degree; reports True where all residuals vanish.
     A negative ``max_degree`` would check nothing, so it raises ValueError.
+
+    Each residual is first made one operator, the sum of c_k(x) (d/dx)^k:
+    every word is composed by the Leibniz rule, and words share the
+    operators of their prefixes.  The operator is then applied to each x^n.
+    This gives the same polynomials as applying the words letter by letter.
+    Cutting the coefficients at parameter degree K maps the parameter
+    polynomials onto their quotient ring, so it respects every sum and
+    product, and it commutes with d/dx, which acts on x alone.  x itself is
+    never cut.  So it does not matter whether the cut falls after each
+    letter or after each composed word.
+
+    The products of the letter-by-letter application raise x^n by up to
+    2K - 1 (the word M A+^K of C), so ``max_degree`` above
+    MAX_ORDER + 1 - 2K raises the packed-key field-limit ``ValueError``.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -520,18 +588,19 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
     if cls.tag != TYPE_I_PLUS:
         raise ValueError("the differential realization is defined for the I+ family")
     a1 = _family_values(cls, order)["a1"]
-    ops = _realization_ops(a1, order)
-    ap, am, m = (FreeElement.generator(n, order) for n in (GEN_AP, GEN_AM, GEN_M))
-    residuals = {
-        "[A-,A+] = M": am * ap - ap * am - m,
-        "[A-,M] = (a1/2)*M^2": am * m - m * am - m * m * (a1 * Fraction(1, 2)),
-        "[A+,M] = 0": ap * m - m * ap,
-        "C = lambda": (m * exp_element(ap * (a1 * Fraction(-1, 2)))
-                       - ParamPoly.symbol("lambda", order)),
-    }
-    return {label: not any(_apply_element(ops, res, _X_POLY ** n)
-                           for n in range(max_degree + 1))
-            for label, res in residuals.items()}
+    if max_degree > MAX_ORDER + 1 - 2 * order:
+        raise ValueError(f"exponent above {MAX_ORDER}, the packed-key field limit")
+    letters = _realization_letters(a1, order)
+    memo = {}
+    powers = [ParamPoly.one(math.inf, _X)]
+    for _ in range(max_degree):
+        powers.append(powers[-1] * _X_POLY)
+    report = {}
+    for label, res in _realization_residuals(a1, order).items():
+        op = _element_operator(letters, res, memo)
+        report[label] = not any(_apply_operator(op, powers, n)
+                                for n in range(max_degree + 1))
+    return report
 
 
 # -- swap transport I+ <-> I- ---------------------------------------------------------

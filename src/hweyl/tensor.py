@@ -129,12 +129,12 @@ def tensor_mul(u: TensorElement, v: TensorElement, rs: RewriteSystem) -> TensorE
     for (a1, b1), c1 in u.terms.items():
         for (a2, b2), c2 in v.terms.items():
             coeff = c1 * c2
-            if not coeff:
+            if not coeff._num:
                 continue
             right = form(b1 + b2).terms.items()
             for wa, ca in form(a1 + a2).terms.items():
                 ca = coeff * ca
-                if not ca:
+                if not ca._num:
                     continue
                 for wb, cb in right:
                     prod = ca * cb

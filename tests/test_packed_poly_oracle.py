@@ -1,10 +1,11 @@
 """ParamPoly storage (int numerators over one denominator, packed exponent
 keys) against sympy: the structural operations with denominators up to 30,
-canonical form, the single-term fast paths of ``*``, ``+`` and ``-``,
-coordinate polynomials that mix ParamPoly and rational coefficients, the
-packed-key field limit, the truncation cut-offs of the general product
-(against sympy and a naive Fraction pair loop), and setting grading symbols
-to 1 in one pass (against ``subs``)."""
+canonical form, the single-term fast paths of ``*``, ``+`` and ``-`` (also
+against naive loops, for zero, unit, single- and multi-term operands and
+scalars on either side), coordinate polynomials that mix ParamPoly and
+rational coefficients, the packed-key field limit, the truncation cut-offs of
+the general product (against sympy and a naive Fraction pair loop), and
+setting grading symbols to 1 in one pass (against ``subs``)."""
 
 import math
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from hweyl.params import MAX_ORDER, PARAMS, ParamPoly  # noqa: E402
 from hweyl.poisson import CHART, COORDS  # noqa: E402
@@ -26,7 +27,12 @@ COORD_SYMS = sympy.symbols(COORDS)
 CHART_SYMS = sympy.symbols(CHART)
 SYMS = {PARAMS: PARAM_SYMS, COORDS: COORD_SYMS, CHART: CHART_SYMS}
 
-examples = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+#: No shrink phase: a failure is reported as drawn.  With a product cut-off
+#: planted one degree early, shrinking took minutes per test (each candidate
+#: calls sympy or the naive pair loop), against seconds without it.  Every
+#: drawn operand has at most five terms, so the reported example stays small.
+examples = settings(max_examples=20, derandomize=True, database=None, deadline=None,
+                    phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 #: Denominators up to 30, so that sums need an lcm and products a gcd pass.
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=30)
@@ -277,7 +283,7 @@ def check_arithmetic(order, p, partner, q):
         assert not zero._num and zero._den == 1
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(examples, max_examples=40)
 @given(short_param_operands())
 def test_single_term_parameter_operands_match_sympy(args):
     check_arithmetic(*args)
@@ -374,7 +380,7 @@ def edge_operands(draw):
     return (order, draw(lowest_at(order, d1)), draw(lowest_at(order, total - d1)), total)
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(examples, max_examples=60)
 @given(edge_operands())
 def test_products_at_the_truncation_edge_match_the_pair_loop(args):
     order, p, q, total = args
@@ -474,9 +480,78 @@ def test_coordinate_products_with_parameter_coefficients_match_sympy(args):
         assert canonical(result)
 
 
+# -- the fast paths of *, + and -, against the naive pair loop ------------------------
+
+def terms_of(x, names):
+    """The ``terms`` view of a polynomial, or of a scalar as a constant."""
+    if isinstance(x, ParamPoly) and x.names == names:
+        return dict(x.terms)
+    if not x:
+        return {}
+    return {(0,) * len(names): x if isinstance(x, ParamPoly) else Fraction(x)}
+
+
+def naive_sum(p, q, sign):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c * sign
+    return {e: c for e, c in out.items() if c}
+
+
+def check_fast_paths(operands, names, order):
+    """Every pair of operands, one of them a polynomial over ``names``:
+    ``*``, ``+`` and ``-`` against the naive loops over the ``terms`` views,
+    each result in canonical storage."""
+    polys = [x for x in operands if isinstance(x, ParamPoly) and x.names == names]
+    for x in operands:
+        for y in polys:
+            for left, right in ((x, y), (y, x)):
+                lt, rt = terms_of(left, names), terms_of(right, names)
+                product = naive_product(ParamPoly(lt, order, names),
+                                        ParamPoly(rt, order, names))
+                for result, expected in ((left * right, product),
+                                         (left + right, naive_sum(lt, rt, 1)),
+                                         (left - right, naive_sum(lt, rt, -1))):
+                    assert result.names == names and result.order == order
+                    assert result.terms == expected
+                    assert canonical(result)
+
+
+def test_fast_paths_over_parameters_match_the_pair_loop():
+    order = 4
+    a1, b3 = ParamPoly.symbol("a1", order), ParamPoly.symbol("b3", order)
+    operands = [
+        ParamPoly.zero(order), ParamPoly.one(order), ParamPoly.const(-1, order),
+        ParamPoly.const(Fraction(2, 3), order),
+        a1,  # one term with coefficient 1 that is not the unit
+        b3 * Fraction(-3, 5), a1 ** 2 * b3 ** 2 * 7,  # one term at the order
+        1 + a1 + b3 ** 2, (a1 * Fraction(1, 6) - b3 * Fraction(5, 4)) ** 2 + 3,
+        0, 1, -2, Fraction(1), Fraction(-2, 5), Fraction(0),
+    ]
+    check_fast_paths(operands, PARAMS, order)
+
+
+def test_fast_paths_over_coordinates_with_parameter_coefficients():
+    """Untruncated coordinate polynomials, some with ParamPoly coefficients;
+    one coefficient is the parameter polynomial 1, which is no unit of the
+    coordinate ring's int form."""
+    order = 3
+    a1 = ParamPoly.symbol("a1", order)
+    one = ParamPoly.one(order)
+    am, ap, m = (ParamPoly.symbol(n, math.inf, COORDS) for n in COORDS)
+    operands = [
+        ParamPoly.zero(math.inf, COORDS), ParamPoly.one(math.inf, COORDS),
+        m, am * Fraction(-7, 2), ap * (a1 + 1), am * one,
+        ParamPoly({(0, 0, 0): one}, math.inf, COORDS),
+        m * ap + am * Fraction(1, 3) - 2, am * one + m * (a1 * 2 - 1) + 5,
+        0, 1, 3, Fraction(1), Fraction(3, 7), a1 * Fraction(-1, 2), one,
+    ]
+    check_fast_paths(operands, COORDS, math.inf)
+
+
 # -- grading symbols set to 1 in one pass ------------------------------------------------
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(examples, max_examples=60)
 @given(st.sampled_from((0, 3, 6, math.inf)).flatmap(lambda k: param_polys(k)),
        st.sets(st.sampled_from([PARAMS[i] for i in POOL])))
 def test_at_one_equals_subs(p, names):

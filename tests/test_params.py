@@ -221,3 +221,22 @@ def test_param_poly_copy_and_pickle_round_trip(make):
         assert q.terms == p.terms and q * p == p * p
         with pytest.raises(AttributeError, match="immutable"):
             q.order = 3
+
+
+def test_restored_param_poly_shares_the_params_tuple():
+    """copy and pickle hand back PARAMS itself, also inside a coordinate
+    polynomial's coefficients, so arithmetic with a fresh polynomial takes
+    the same fast paths and gives the parent's result."""
+    p = sym("a1", 4) * Fraction(1, 3) + sym("b2", 4) ** 2
+    fresh = (sym("a1", 4), sym("a1", 4) * sym("b2", 4) - 2, ParamPoly.one(4))
+    for q in _round_trips(p):
+        assert q.names is PARAMS
+        for f in fresh:
+            for op in (operator.add, operator.sub, operator.mul):
+                assert op(q, f) == op(p, f) and op(f, q) == op(f, p)
+                assert op(q, f).names is PARAMS
+    coords = ParamPoly.symbol("m", math.inf, COORDS) * (sym("a1", 3) + 1)
+    for g in _round_trips(coords):
+        (coeff,) = g._num.values()
+        assert coeff.names is PARAMS
+        assert g * coords == coords * coords

@@ -546,14 +546,20 @@ def test_realization_refuses_an_empty_range():
 
 
 def test_realization_bracket_on_constant():
-    # [A-, A+] applied to 1 gives lambda e^{a1 x / 2}
-    from hweyl.quantization import _X, _apply_element, _realization_ops
+    # [A-, A+] applied to 1 gives lambda e^{a1 x / 2}, letter by letter in
+    # the oracle and through the engine's composed operator
+    from hweyl.quantization import (_X, _apply_operator, _element_operator,
+                                    _realization_letters)
+    from realization_oracle import apply_element, realization_ops
     order = 3
     a1 = sym("a1", order)
-    ops = _realization_ops(a1, order)
+    ops = realization_ops(a1, order)
     am, ap = gen(GEN_AM, order), gen(GEN_AP, order)
     p0 = ParamPoly.one(math.inf, _X)
-    diff = _apply_element(ops, nc_mul(am, ap) - nc_mul(ap, am), p0)
+    bracket = nc_mul(am, ap) - nc_mul(ap, am)
+    diff = apply_element(ops, bracket, p0)
+    op = _element_operator(_realization_letters(a1, order), bracket, {})
+    assert _apply_operator(op, [p0], 0) == diff
     lam = ParamPoly.symbol("lambda", order)
     half = a1 * Fraction(1, 2)
     expected = {}
