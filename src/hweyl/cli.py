@@ -336,14 +336,15 @@ def build_parser():
                     "exact verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=False, with_family=None):
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help=f"series truncation order K, 1 to {MAX_ORDER} "
-                            "(default %(default)s): series to parameter degree "
-                            "K, or, with every parameter rational, every term "
-                            "of at most K letters; the cost grows steeply "
-                            "with K: from K = 16 up, quantize --family type2 "
-                            "takes about 1.4 times longer per +2 in K")
+    series_order = (f"series truncation order K, 1 to {MAX_ORDER} "
+                    "(default %(default)s): series to parameter degree "
+                    "K, or, with every parameter rational, every term "
+                    "of at most K letters; the cost grows steeply "
+                    "with K: from K = 16 up, quantize --family type2 "
+                    "takes about 1.4 times longer per +2 in K")
+
+    def common(p, with_input=False, with_family=None, order_help=series_order):
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER, help=order_help)
         p.add_argument("--format", choices=("text", "json"), default="text")
         if with_input:
             p.add_argument("input", nargs="?", default=None,
@@ -375,7 +376,12 @@ def build_parser():
     p.set_defaults(handler=run_coboundary)
 
     p = sub.add_parser("poisson", help="group law and Poisson-Lie checks")
-    common(p, with_family=_FAMILY_CHOICES)
+    # at K = 1 the quadratic Jacobi terms would be cut, so K is never read
+    common(p, with_family=_FAMILY_CHOICES,
+           order_help=f"accepted, 1 to {MAX_ORDER}, and not used: the poisson "
+                      "checks are exact polynomial identities, in the "
+                      "coordinates and in the symbolic coefficients, so they "
+                      "do not use the truncation order K")
     p.add_argument("--check",
                    choices=("jacobi", "homomorphism", "linear", "grouplaw", "all"),
                    default="all")

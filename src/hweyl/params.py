@@ -221,21 +221,13 @@ class ParamPoly:
     def __new__(cls, terms, order, names=PARAMS):
         _check_order(order)
         width = len(names)
-        shift = _BITS * width
         num = {}
         for exps, coeff in terms.items():
             if len(exps) != width:
                 raise ValueError(f"exponent vector {exps!r} does not match {names!r}")
             if not coeff or sum(exps) > order:
                 continue
-            try:
-                # one byte per exponent field, as _BITS is 8
-                key = (sum(exps) << shift) | int.from_bytes(bytes(exps), "big")
-            except ValueError:
-                e = next(e for e in exps if not 0 <= e <= MAX_ORDER)
-                raise ValueError(
-                    f"exponent {e} outside 0..{MAX_ORDER}, the packed-key field limit"
-                ) from None
+            key = _pack(exps)
             if not isinstance(coeff, (int, Fraction, ParamPoly)):
                 coeff = as_fraction(coeff)
                 if not coeff:
@@ -715,6 +707,18 @@ def _check_fields(a, b, width):
                 + max((k >> pos) & MAX_ORDER for k in b)) > MAX_ORDER:
             raise ValueError(
                 f"exponent above {MAX_ORDER}, the packed-key field limit")
+
+
+def _pack(exps):
+    """The packed key of an exponent tuple (module docstring); an exponent
+    outside 0..MAX_ORDER raises ``ValueError``, naming the field limit."""
+    try:
+        # one byte per exponent field, as _BITS is 8
+        return (sum(exps) << (_BITS * len(exps))) | int.from_bytes(bytes(exps), "big")
+    except ValueError:
+        e = next(e for e in exps if not 0 <= e <= MAX_ORDER)
+        raise ValueError(
+            f"exponent {e} outside 0..{MAX_ORDER}, the packed-key field limit") from None
 
 
 def _unpack(key, width):

@@ -17,10 +17,22 @@ classified bialgebra coefficients induce a Poisson bracket with two checks:
   vanishes for every six-coefficient structure, on the bialgebra locus and
   off it, so it guards the table code (``bracket_table`` on the base and the
   doubled coordinates, the pullback and the bracket loop), not the input.
-  It is computed from ``bracket_table`` on every call; the input-independent
-  parts (the images of the coordinates and of the monomials of degree <= 2
-  under Delta, and the partial derivatives of the coordinate images) are
-  built once, on first use.
+
+Both checks work on ParamPoly's packed storage (``params``): integer
+numerators over one denominator, keyed by packed exponent monomials.  A
+``PoissonStructure`` holds its coefficients as numerators over one
+denominator, and each table entry and the Jacobi form are put together from
+them and the packed keys of their monomials by ``params._build``; symbolic
+coefficients take that function's ParamPoly-coefficient branch, so there is
+one construction path.
+
+What does not depend on the input is built once, on first use
+(``_group_law``): the group-law images of the coordinates, the partial
+derivatives of those images, and the packed image of every monomial of
+degree <= 2 (the monomials a table entry has).  Every call of
+``poisson_homomorphism_check`` builds from its input both tables (over COORDS
+and over COORDS2), the pullback of each base entry through the image table,
+and the bracket sums of ``_bracket``.
 """
 
 from __future__ import annotations
@@ -30,8 +42,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .bialgebra import _cojacobi_forms
-from .params import DEFAULT_ORDER, ParamPoly, as_scalar, parse_rational
+from .bialgebra import _cojacobi_forms, _integers
+from .params import (DEFAULT_ORDER, ParamPoly, _build, _pack, _unpack, as_scalar,
+                     parse_rational)
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -135,18 +148,49 @@ def group_compose(g1: GroupCoords, g2: GroupCoords) -> GroupCoords:
         g2.a_plus + g1.a_plus)
 
 
-class PoissonStructure:
-    """Poisson-Lie bracket coefficients (the six bialgebra coefficients)."""
+def _coefficient(index):
+    """The property reading coefficient ``index`` of a PoissonStructure off
+    its numerators: a Fraction, or the ParamPoly itself."""
+    def get(self):
+        nums, den = self._ints
+        n = nums[index]
+        return n if isinstance(n, ParamPoly) else Fraction(n, den)
+    return property(get)
 
-    __slots__ = ("a1", "a2", "a3", "b1", "b2", "b3")
+
+class PoissonStructure:
+    """Poisson-Lie bracket coefficients (the six bialgebra coefficients).
+
+    They are held as numerators over one common denominator, as
+    ``Cocommutator.numerators`` holds the nine: with every coefficient
+    rational, six ints over the lcm of their denominators; with a ParamPoly
+    among them, the coefficients themselves over 1.  ``bracket_table`` and
+    ``jacobi_check`` build their polynomials from these by ``params._build``,
+    whose ParamPoly-coefficient branch takes the symbolic case, so rational
+    and symbolic coefficients run one code path.  ``a1`` .. ``b3`` read a
+    coefficient back, as a Fraction or a ParamPoly.
+    """
+
+    __slots__ = ("_ints",)
+
+    a1, a2, a3, b1, b2, b3 = map(_coefficient, range(6))
 
     def __init__(self, a1=0, a2=0, a3=0, b1=0, b2=0, b3=0):
-        for name, val in (("a1", a1), ("a2", a2), ("a3", a3),
-                          ("b1", b1), ("b2", b2), ("b3", b3)):
-            object.__setattr__(self, name, as_scalar(val))
+        vals = [as_scalar(v) for v in (a1, a2, a3, b1, b2, b3)]
+        if any(isinstance(v, ParamPoly) for v in vals):
+            ints = (tuple(vals), 1)
+        else:
+            nums, den = _integers(vals)
+            ints = (tuple(nums), den)
+        object.__setattr__(self, "_ints", ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonStructure is immutable")
+
+    def numerators(self):
+        """(the six numerators, in the order a1, a2, a3, b1, b2, b3, and
+        their common denominator)."""
+        return self._ints
 
     @classmethod
     def symbolic(cls, tag=None, order=DEFAULT_ORDER):
@@ -164,16 +208,19 @@ class PoissonStructure:
 
     def bracket_table(self, names=COORDS):
         """{x_i, x_j} for i < j over the coordinate triple (and its primed
-        copy when ``names`` is the doubled list; cross brackets vanish)."""
-        half_a1, half_b1 = self.a1 * Fraction(1, 2), self.b1 * Fraction(1, 2)
+        copy when ``names`` is the doubled list; cross brackets vanish).
+        Each entry is built from the numerators by ``_build``; the two with
+        a half of a1 or b1 are taken over twice the denominator."""
+        (a1, a2, a3, b1, b2, b3), den = self.numerators()
+        a1x, a2x, a3x, b1x, b2x, b3x = (2 * v for v in (a1, a2, a3, b1, b2, b3))
         table = {}
         for off, (am, ap, m, am2, ap2) in enumerate(_MONOMIALS[names]):
             i, j, k = 3 * off, 3 * off + 1, 3 * off + 2
-            table[(i, j)] = ParamPoly({am: self.a1, ap: self.b1}, math.inf, names)
-            table[(i, k)] = ParamPoly({am: self.a2, ap: self.b2, m: self.b1,
-                                       am2: -half_a1}, math.inf, names)
-            table[(j, k)] = ParamPoly({am: self.a3, ap: self.b3, m: -self.a1,
-                                       ap2: half_b1}, math.inf, names)
+            table[(i, j)] = _build({am: a1, ap: b1}, den, math.inf, names)
+            table[(i, k)] = _build({am: a2x, ap: b2x, m: b1x, am2: -a1},
+                                   2 * den, math.inf, names)
+            table[(j, k)] = _build({am: a3x, ap: b3x, m: -a1x, ap2: b1},
+                                   2 * den, math.inf, names)
         return table
 
 
@@ -182,9 +229,9 @@ def _exps(width, i, e=1):
     return tuple(e if k == i else 0 for k in range(width))
 
 
-#: Per coordinate triple of COORDS or COORDS2, the monomials a table entry
-#: has: a_minus, a_plus, m, a_minus^2 and a_plus^2, as exponent tuples.
-_MONOMIALS = {names: [tuple(_exps(len(names), off + i, e)
+#: Per coordinate triple of COORDS or COORDS2, the packed keys of the
+#: monomials a table entry has: a_minus, a_plus, m, a_minus^2 and a_plus^2.
+_MONOMIALS = {names: [tuple(_pack(_exps(len(names), off + i, e))
                             for i, e in ((0, 1), (1, 1), (2, 1), (0, 2), (1, 2)))
                       for off in range(0, len(names), 3)]
               for names in (COORDS, COORDS2)}
@@ -206,16 +253,18 @@ def _partials(f: ParamPoly) -> list:
 
 def _bracket(fp, gp, table, names) -> ParamPoly:
     """sum_{i != j} df/dx_i dg/dx_j {x_i, x_j}, from the partial-derivative
-    lists of f and g and the generator table over ``names``."""
+    lists of f and g and the generator table over ``names``.  Zero partials
+    and entries are skipped by their storage, ``_num``."""
     out = ParamPoly.zero(math.inf, names)
+    gs = [(j, gj) for j, gj in enumerate(gp) if gj._num]
     for i, fi in enumerate(fp):
-        if not fi:
+        if not fi._num:
             continue
-        for j, gj in enumerate(gp):
-            if i == j or not gj:
+        for j, gj in gs:
+            if i == j:
                 continue
             entry = table.get((i, j) if i < j else (j, i))
-            if entry:
+            if entry is not None and entry._num:
                 term = fi * gj * entry
                 out = out + term if i < j else out - term
     return out
@@ -227,21 +276,24 @@ def jacobi_check(ps: PoissonStructure, names=COORDS) -> ParamPoly:
 
     In closed form it is a_minus*J1 + a_plus*J2, with (J1, J2) the two
     co-Jacobi quadrics at (c1, c2, c3) = (0, b1, -a1), the values the cocycle
-    condition fixes."""
-    j1, j2 = _cojacobi_forms(ps.a1, ps.a2, ps.a3, ps.b1, ps.b2, ps.b3,
-                             0, ps.b1, -ps.a1)
-    am, ap = _GENS[names][:2]
-    return am * j1 + ap * j2
+    condition fixes.  J1 and J2 are formed from the numerators, so they sit
+    over the square of their denominator."""
+    (a1, a2, a3, b1, b2, b3), den = ps.numerators()
+    j1, j2 = _cojacobi_forms(a1, a2, a3, b1, b2, b3, 0, b1, -a1)
+    am, ap = _MONOMIALS[names][0][:2]
+    return _build({am: j1, ap: j2}, den * den, math.inf, names)
 
 
 @functools.cache
 def _group_law():
     """The group-law images of (a_minus, a_plus, m) over COORDS2, the
-    partial-derivative list of each, and the image of every monomial of
-    degree <= 2 (those a table entry has); built on first use."""
+    partial-derivative list of each, and the packed image of every monomial
+    of degree <= 2 (those a table entry has): its key over COORDS maps to the
+    numerators of its image, whose coefficients are integers.  Built on first
+    use."""
     am, ap, m, amp, app, mp = _GENS[COORDS2]
     images = (am + amp, ap + app, m + mp - am * app)
-    monomials = {exps: _monomial_image(images, exps)
+    monomials = {_pack(exps): _monomial_image(images, exps)._num
                  for exps in itertools.product(range(3), repeat=3) if sum(exps) <= 2}
     return images, tuple(_partials(image) for image in images), monomials
 
@@ -256,22 +308,34 @@ def _monomial_image(images, exps):
 
 def group_pullback(f: ParamPoly) -> ParamPoly:
     """Pull back a coordinate polynomial along the group law, landing in the
-    doubled algebra (unprimed and primed copies)."""
+    doubled algebra (unprimed and primed copies).  Each packed key of ``f``
+    goes through the image table of ``_group_law``; a monomial of degree
+    above 2 has its image computed here.  The images have integer
+    coefficients, so the result keeps the denominator of ``f``."""
     if f.names != COORDS:
         raise ValueError("expected a polynomial over the base coordinates")
     images, _, monomials = _group_law()
-    out = ParamPoly.zero(math.inf, COORDS2)
-    for exps, c in f.terms.items():
-        image = monomials.get(exps)
+    num = {}
+    get = num.get
+    for key, c in f._num.items():
+        image = monomials.get(key)
         if image is None:
-            image = _monomial_image(images, exps)
-        out = out + image * c
-    return out
+            image = _monomial_image(images, _unpack(key, len(COORDS)))._num
+        for k, n in image.items():
+            acc = get(k)
+            num[k] = c * n if acc is None else acc + c * n
+    return _build(num, f._den, math.inf, COORDS2)
 
 
 def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
     """Residual Delta{u,v} - {Delta u, Delta v} per coordinate pair, where
-    Delta is the group-law pullback and the doubled bracket acts copy-wise."""
+    Delta is the group-law pullback and the doubled bracket acts copy-wise.
+
+    Built on each call: ``ps.bracket_table`` over COORDS and over COORDS2,
+    the pullback of each base entry (through the packed monomial images) and
+    the bracket of the coordinate images (``_bracket`` over the doubled
+    table).  Read from ``_group_law``, built once: the packed monomial images
+    and the partial derivatives of the coordinate images."""
     table, table2 = ps.bracket_table(COORDS), ps.bracket_table(COORDS2)
     _, partials, _ = _group_law()
     out = {}

@@ -301,6 +301,25 @@ def test_poisson_single_family_single_check(capsys):
     assert "TYPE_I_PLUS" in out and "homomorphism: PASS" in out
 
 
+def test_poisson_help_says_the_order_is_not_used(capsys):
+    with pytest.raises(SystemExit):
+        main(["poisson", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "exact polynomial identities" in text
+    assert "do not use the truncation order K" in text
+    assert "grows steeply" not in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poisson_output_does_not_depend_on_the_order(capsys, fmt):
+    code, default, _ = run(capsys, "poisson", "--format", fmt)
+    assert code == 0
+    for order in ("1", str(MAX_ORDER)):
+        code, out, _ = run(capsys, "poisson", "--order", order, "--format", fmt)
+        assert code == 0
+        assert out == default
+
+
 def test_realize(capsys):
     code, out, _ = run(capsys, "realize", "--order", "3", "--degree", "4")
     assert code == 0

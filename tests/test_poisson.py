@@ -7,8 +7,8 @@ import pytest
 
 from hweyl.params import ParamPoly
 from hweyl.bialgebra import (TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
-                             BialgebraClass, Cocommutator, cojacobi_residuals,
-                             dual_bracket_table)
+                             BialgebraClass, Cocommutator, apply_automorphism,
+                             cojacobi_residuals, dual_bracket_table)
 from hweyl.poisson import (CHART, COORDS, COORDS2, GroupCoords,
                            PoissonStructure, chart_change,
                            chart_change_inverse, group_compose,
@@ -393,3 +393,151 @@ def test_bracket_table_matches_operator_arithmetic():
             assert new.keys() == old.keys()
             for key in new:
                 assert same_terms(new[key], old[key]), (names, key)
+
+
+# -- wider rational structures through the same oracles ---------------------------------
+
+#: Six pairwise coprime denominators whose lcm is above 2^64.
+COPRIME_DENOMINATORS = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+
+
+def wide_structures(seed):
+    """Rational structures past the small fractions of ``random_structures``:
+    large pairwise coprime denominators, a single nonzero coefficient, only
+    negative values, and inputs moved by a random automorphism (as the
+    classify stream makes them), each kind drawn from ``seed``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(6):
+        dens = list(COPRIME_DENOMINATORS)
+        rng.shuffle(dens)
+        out.append(PoissonStructure(*(Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**9), d)
+                                      for d in dens)))
+    for i in range(6):
+        for value in (Fraction(-7, 3), Fraction(5), Fraction(1, 1000003)):
+            tup = [0] * 6
+            tup[i] = value
+            out.append(PoissonStructure(*tup))
+    for _ in range(6):
+        out.append(PoissonStructure(*(-Fraction(rng.randint(1, 99), rng.randint(1, 97))
+                                      for _ in range(6))))
+    out += transported_structures(rng, 12)
+    return out
+
+
+def transported_structures(rng, count):
+    """Family representatives with small random values, moved by a random
+    automorphism B: columns the images of (A-, A+, M), M going to det * M."""
+    pick = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    shapes = (("a1", "a3"), ("b1", "b2"), ("a2", "a3", "b2", "b3"))
+    out = []
+    for n in range(count):
+        rep = Cocommutator(**{name: pick() for name in shapes[n % 3]})
+        while True:
+            al, be, ga, de, ep, ze = (Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                      for _ in range(6))
+            det = al * ep - be * de
+            if det:
+                break
+        moved = apply_automorphism(rep, ((al, de, 0), (be, ep, 0), (ga, ze, det)))
+        out.append(PoissonStructure.from_cocommutator(moved))
+    return out
+
+
+def coefficients(ps):
+    return [ps.a1, ps.a2, ps.a3, ps.b1, ps.b2, ps.b3]
+
+
+def test_wide_structures_cover_each_kind():
+    structures = wide_structures(7)
+    for first in structures[:6]:
+        dens = [c.denominator for c in coefficients(first)]
+        assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(dens, 2))
+        assert math.lcm(*dens) > 2**64
+    assert sum(sum(bool(c) for c in coefficients(ps)) == 1 for ps in structures) == 18
+    assert sum(all(c < 0 for c in coefficients(ps)) for ps in structures) >= 6
+    # the automorphisms bring in denominators past those of the representatives
+    moved = structures[-12:]
+    assert any(max(c.denominator for c in coefficients(ps)) > 9 for ps in moved)
+
+
+def test_numerators_read_back_as_the_coefficients():
+    """Six ints over the lcm, in lowest terms, for rational coefficients; the
+    coefficients themselves over 1 when one is a ParamPoly."""
+    for ps in wide_structures(11) + random_structures(5, 12):
+        nums, den = ps.numerators()
+        vals = coefficients(ps)
+        assert all(type(n) is int for n in nums)
+        assert den == math.lcm(*(c.denominator for c in vals))
+        assert [Fraction(n, den) for n in nums] == vals
+    for ps in symbolic_structures():
+        nums, den = ps.numerators()
+        assert den == 1 and list(nums) == coefficients(ps)
+
+
+def test_wide_structures_table_matches_operator_arithmetic():
+    for ps in wide_structures(101):
+        for names in (COORDS, COORDS2):
+            new, old = ps.bracket_table(names), table_by_arithmetic(ps, names)
+            assert new.keys() == old.keys()
+            for key in new:
+                assert same_terms(new[key], old[key]), (names, key)
+
+
+def test_wide_structures_pullback_matches_subs():
+    """The table entries (degree <= 2, through the image table) and their
+    products with a coordinate (degree 3, imaged on the fly)."""
+    m = var("m")
+    for ps in wide_structures(202):
+        for entry in ps.bracket_table(COORDS).values():
+            for f in (entry, entry * m - entry * Fraction(3, 1000037)):
+                assert same_terms(group_pullback(f), pullback_by_subs(f))
+
+
+def test_wide_structures_homomorphism_matches_the_subs_oracle():
+    for ps in wide_structures(303):
+        new, old = poisson_homomorphism_check(ps), homomorphism_oracle(ps)
+        assert new.keys() == old.keys()
+        for key in new:
+            assert same_terms(new[key], old[key]), key
+            assert not new[key]
+
+
+def test_wide_structures_jacobi_is_the_cyclic_sum():
+    on_locus = off_locus = 0
+    for ps in wide_structures(404):
+        closed = jacobi_check(ps)
+        assert same_terms(closed, cyclic_sum(ps))
+        delta = Cocommutator(*coefficients(ps))
+        assert (not closed) == (not any(cojacobi_residuals(delta)))
+        on_locus += not closed
+        off_locus += bool(closed)
+    assert on_locus and off_locus
+
+
+class _PrimedPerturbedStructure(PoissonStructure):
+    """Type I+ values with only the primed copy {a-', a+'} of the doubled
+    table polluted by an a_plus'^2 term: the base table and the unprimed
+    copy are right."""
+
+    def bracket_table(self, names=COORDS):
+        table = super().bracket_table(names)
+        if names == COORDS2:
+            app = ParamPoly.symbol("a_plus'", math.inf, COORDS2)
+            table[(3, 4)] = table[(3, 4)] + app * app
+        return table
+
+
+def test_homomorphism_detects_a_fault_in_the_primed_copy_only():
+    """{Delta a-, Delta a+} reads {a-', a+'} once, and {Delta a-, Delta m}
+    reads it through -a_minus * {a-', a+'}; {Delta a+, Delta m} never does."""
+    ps = _PrimedPerturbedStructure(a1=1, a3=1)
+    report = poisson_homomorphism_check(ps)
+    am = ParamPoly.symbol("a_minus", math.inf, COORDS2)
+    app = ParamPoly.symbol("a_plus'", math.inf, COORDS2)
+    assert report["{a_minus,a_plus}"] == -(app * app)
+    assert report["{a_minus,m}"] == am * app * app
+    assert not report["{a_plus,m}"]
+    old = homomorphism_oracle(ps)
+    for key in report:
+        assert same_terms(report[key], old[key]), key
