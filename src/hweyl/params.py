@@ -228,6 +228,7 @@ class ParamPoly:
             if not coeff or sum(exps) > order:
                 continue
             key = _pack(exps)
+            coeff = _fold(coeff)
             if not isinstance(coeff, (int, Fraction, ParamPoly)):
                 coeff = as_fraction(coeff)
                 if not coeff:
@@ -264,7 +265,7 @@ class ParamPoly:
     def const(cls, value, order=DEFAULT_ORDER, names=PARAMS):
         _check_order(order)
         if type(value) is not int:
-            value = as_scalar(value)
+            value = _fold(as_scalar(value))
         if not value:
             return _make({}, 1, order, names)
         if isinstance(value, ParamPoly):
@@ -664,17 +665,26 @@ def _restore(num, den, order, names):
     return _make(num, den, order, PARAMS if names == PARAMS else names)
 
 
+def _fold(c):
+    """A constant ParamPoly coefficient as its rational; any other as given.
+    So a coordinate polynomial whose coefficients are all constants is
+    stored, printed and compared in the int form."""
+    return c.constant_term() if isinstance(c, ParamPoly) and c.is_constant() else c
+
+
 def _build(num, den, order, names):
     """The polynomial num/den, from terms within ``order``, in canonical
     storage: zero terms dropped and, with int numerators, one gcd pass into
     lowest terms.  A numerator that is no int (a Fraction or a ParamPoly
     coefficient) fails ``gcd``; then the denominator is folded into the
-    coefficients, and the int form is rebuilt when none is a ParamPoly."""
+    coefficients, a constant ParamPoly coefficient into its rational
+    (``_fold``), and the int form is rebuilt when none is a ParamPoly."""
     if not all(num.values()):
         num = {k: c for k, c in num.items() if c}
     try:
         g = gcd(den, *num.values())
     except TypeError:
+        num = {k: _fold(c) for k, c in num.items()}
         if den != 1:
             scale = Fraction(1, den)
             num = {k: c * scale for k, c in num.items()}

@@ -8,9 +8,14 @@ the closed forms, attaches the counit, and machine-verifies every Hopf axiom
 by exact truncated series; the zero cocommutator (TRIVIAL) is Theta = 0.  The
 differential realization of the I+ family acts on polynomials in x, held as
 ParamPoly over ("x",) with ``order=math.inf`` and parameter-polynomial
-coefficients.  Each exponential (exp(-theta), exp(theta), the [A-,A+] series
-and the realization's e^{a1 x/2}) is the scalar powers C^n/n! of
-``freealg._exp_terms`` placed on one letter: p, M or x.
+coefficients.  Each exponential (exp(-theta), the [A-,A+] series and the
+realization's e^{a1 x/2}) is the scalar powers C^n/n! of
+``freealg._exp_terms`` placed on one letter: p, M or x.  ``quantize`` reads
+Theta once and sums one series E = exp(-theta) for the coproduct; the
+antipode's F = exp(theta) = E^-1 is read off E's terms.  That is exact, not
+an approximation: every entry of theta is a multiple C p of the one letter p,
+so (-C)^n/n! = (-1)^n C^n/n! and the coefficient of p^n in F is (-1)^n times
+its coefficient in E.
 """
 
 from __future__ import annotations
@@ -82,15 +87,27 @@ def matrix_delta(cls, order=DEFAULT_ORDER):
     return [[gen * t for t in row] for row in theta], vector
 
 
-def build_coproduct(cls, order=DEFAULT_ORDER):
-    """Deformed coproduct: primitive on the primitive generator, and
-    1 (x) v + sigma(exp(-theta) (x) v) on the non-primitive vector."""
-    theta, vector = matrix_delta(cls, order)
-    prim = FAMILIES[cls.tag][1]
+def _reflect(exp_neg):
+    """An entry of F = exp(theta) from the same entry of E = exp(-theta): the
+    sign of each odd power of p flips (module docstring)."""
+    return FreeElement._clean({w: -c if len(w) % 2 else c for w, c in exp_neg.terms.items()},
+                              exp_neg.order)
+
+
+def _series(cls, order):
+    """(prim, vector, Theta, E, F) of one quantization: Theta read once, one
+    exponential series E = exp(-theta), and F = exp(theta) read off it."""
+    prim, vector, theta = _theta(cls, order)
+    gen = FreeElement.generator(prim, order)
+    exp_neg = exp_matrix2([[-(gen * t) for t in row] for row in theta])
+    return prim, vector, theta, exp_neg, [[_reflect(e) for e in row] for row in exp_neg]
+
+
+def _coproduct(prim, vector, exp_neg, order):
+    """``build_coproduct`` from its parts, E = ``exp_neg``."""
     one = FreeElement.one(order)
     x = FreeElement.generator(prim, order)
     cop = {prim: outer(one, x) + outer(x, one)}
-    exp_neg = exp_matrix2([[-e for e in row] for row in theta])
     for i, vi in enumerate(vector):
         acc = outer(one, FreeElement.generator(vi, order))
         for j, vj in enumerate(vector):
@@ -100,6 +117,26 @@ def build_coproduct(cls, order=DEFAULT_ORDER):
     return cop
 
 
+def build_coproduct(cls, order=DEFAULT_ORDER):
+    """Deformed coproduct: primitive on the primitive generator, and
+    1 (x) v + sigma(exp(-theta) (x) v) on the non-primitive vector."""
+    theta, vector = matrix_delta(cls, order)
+    exp_neg = exp_matrix2([[-e for e in row] for row in theta])
+    return _coproduct(FAMILIES[cls.tag][1], vector, exp_neg, order)
+
+
+def _antipode(prim, vector, exp_pos, rewrite):
+    """``build_antipode`` from its parts, F = ``exp_pos``."""
+    order = rewrite.order
+    gamma = {prim: -FreeElement.generator(prim, order)}
+    for j, vj in enumerate(vector):
+        acc = FreeElement.zero(order)
+        for k, vk in enumerate(vector):
+            acc = acc + nc_mul(FreeElement.generator(vk, order), exp_pos[j][k])
+        gamma[vj] = -normal_form(acc, rewrite)
+    return gamma
+
+
 def build_antipode(cls, rewrite):
     """Antipode of the deformed coproduct: -prim on the primitive generator,
     and gamma(v_j) = -sum_k v_k exp(theta)[j][k] on the non-primitive vector.
@@ -107,18 +144,12 @@ def build_antipode(cls, rewrite):
     With E = exp(-theta), the left axiom is m(gamma (x) id) Delta(v_i) =
     v_i + sum_j gamma(v_j) E_ij = 0.  The entries of E commute, so E^-1 =
     exp(theta) solves it; an antipode is unique, so this is the antipode.
+    Called alone it sums exp(theta).  ``quantize`` reads the same F off the
+    coproduct's E instead (``_reflect``): every entry of theta is a multiple
+    of the one letter p, so (-C)^n/n! = (-1)^n C^n/n! term by term, exactly.
     """
-    order = rewrite.order
-    theta, vector = matrix_delta(cls, order)
-    prim = FAMILIES[cls.tag][1]
-    gamma = {prim: -FreeElement.generator(prim, order)}
-    exp_pos = exp_matrix2(theta)
-    for j, vj in enumerate(vector):
-        acc = FreeElement.zero(order)
-        for k, vk in enumerate(vector):
-            acc = acc + nc_mul(FreeElement.generator(vk, order), exp_pos[j][k])
-        gamma[vj] = -normal_form(acc, rewrite)
-    return gamma
+    theta, vector = matrix_delta(cls, rewrite.order)
+    return _antipode(FAMILIES[cls.tag][1], vector, exp_matrix2(theta), rewrite)
 
 
 def exprel_series(scale, order):
@@ -128,14 +159,8 @@ def exprel_series(scale, order):
                         for n, t in enumerate(_exp_terms([[scale]]), 1)}, order)
 
 
-def family_rewrite(cls, order=DEFAULT_ORDER):
-    """The family's deformed commutation rules as a rewrite system.
-
-    One undeformed rule changes, and Theta gives the change.  For the central
-    primitive M, [A-,A+] = (exp(s M) - 1)/s with s = -tr Theta.  For a ladder
-    primitive p with [v_0, p] = eps M, [v_0, M] = -(eps Theta_00 / 2) M^2.
-    """
-    prim, vector, theta = _theta(cls, order)
+def _rules(tag, prim, vector, theta, order):
+    """``family_rewrite`` from its parts, Theta = ``theta``."""
     rules = dict(RewriteSystem.undeformed(order).rules)
     if prim == GEN_M:
         s = -(theta[0][0] + theta[1][1])
@@ -146,7 +171,17 @@ def family_rewrite(cls, order=DEFAULT_ORDER):
         eps = BRACKET[(_IDX[v], _IDX[prim])][_IDX[GEN_M]]
         rules[(v, GEN_M)] = rules[(v, GEN_M)] + FreeElement.from_word(
             (GEN_M, GEN_M), order, coeff=theta[0][0] * (-eps / 2))
-    return RewriteSystem(cls.tag.lower(), rules, order)
+    return RewriteSystem(tag.lower(), rules, order)
+
+
+def family_rewrite(cls, order=DEFAULT_ORDER):
+    """The family's deformed commutation rules as a rewrite system.
+
+    One undeformed rule changes, and Theta gives the change.  For the central
+    primitive M, [A-,A+] = (exp(s M) - 1)/s with s = -tr Theta.  For a ladder
+    primitive p with [v_0, p] = eps M, [v_0, M] = -(eps Theta_00 / 2) M^2.
+    """
+    return _rules(cls.tag, *_theta(cls, order), order)
 
 
 # -- coproduct / counit / antipode extension to arbitrary elements -------------
@@ -342,12 +377,13 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     cls = _resolve_class(family, order, params)
     if cls.tag not in FAMILIES:
         raise ValueError(f"cannot quantize class {cls.tag}")
-    rewrite = family_rewrite(cls, order)
+    prim, vector, theta, exp_neg, exp_pos = _series(cls, order)
+    rewrite = _rules(cls.tag, prim, vector, theta, order)
     bad = rewrite.check_confluence()
     if bad:
         raise VerificationError(f"rewrite rules are not confluent on {bad}")
-    coproduct = build_coproduct(cls, order)
-    antipode = build_antipode(cls, rewrite)
+    coproduct = _coproduct(prim, vector, exp_neg, order)
+    antipode = _antipode(prim, vector, exp_pos, rewrite)
     counit = {name: ParamPoly.zero(order) for name in GENERATORS}
     hp = HopfPresentation(
         family=cls.tag, order=order, values=_family_values(cls, order),

@@ -240,3 +240,21 @@ def test_restored_param_poly_shares_the_params_tuple():
         (coeff,) = g._num.values()
         assert coeff.names is PARAMS
         assert g * coords == coords * coords
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_a_constant_parampoly_coefficient_is_stored_as_its_rational(c):
+    """Times a constant parameter polynomial, through ``_build`` or a
+    constructor, a coordinate polynomial is stored, printed and compared as
+    times the rational: int numerators over one denominator."""
+    a_minus = ParamPoly.symbol("a_minus", math.inf, COORDS)
+    const = ParamPoly.const(c, 3)
+    expected = a_minus * c
+    made = [a_minus * const, const * a_minus,
+            ParamPoly({(1, 0, 0): const}, math.inf, COORDS),
+            ParamPoly.const(const, math.inf, COORDS) * a_minus]
+    for p in made:
+        assert p._num == expected._num == {next(iter(a_minus._num)): c}
+        assert p._den == 1
+        assert str(p) == str(expected) == ("a_minus" if c == 1 else f"{c}*a_minus")
+        assert p == expected and expected == p

@@ -7,13 +7,13 @@ import pytest
 
 from hweyl.params import PARAMS, ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
-                           RewriteSystem, commutator, exp_element, nc_mul,
-                           normal_form)
+                           RewriteSystem, commutator, exp_element, exp_matrix2,
+                           nc_mul, normal_form)
 from hweyl.tensor import TensorElement, flip, outer, tensor_mul
 from hweyl.bialgebra import (INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              TYPE_II, BialgebraClass, Cocommutator)
 from hweyl.quantization import (HopfPresentation, VerificationError,
-                                build_antipode,
+                                _series, build_antipode,
                                 build_coproduct, central_element,
                                 check_realization, closed_forms,
                                 coproduct_of_element, exprel_series,
@@ -400,6 +400,63 @@ def test_build_antipode_matches_degree_by_degree_oracle(tag, params):
     for order in range(1, 7):
         hp = quantize(tag, order=order, params=params, verify=False)
         assert hp.antipode == _solve_antipode(hp.coproduct, hp.rewrite), order
+
+
+# -- the shared series: F = exp(theta) read off E = exp(-theta) ---------------------
+
+def _series_cases(tag, order, rng):
+    """The symbolic family and two random rational points of it, drawn like
+    the points of test_theta_oracle.py: |q| <= 5, denominators up to 6."""
+    yield BialgebraClass.symbolic(tag, order)
+    for _ in range(2):
+        values = {}
+        for name in BialgebraClass.FAMILY_PARAMS[tag]:
+            den = rng.randint(1, 6)
+            values[name] = Fraction(rng.randint(-5 * den, 5 * den), den)
+        yield BialgebraClass(tag, normalized=Cocommutator(**values))
+
+
+_SERIES_TAGS = [TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL]
+
+
+@pytest.mark.parametrize("tag", _SERIES_TAGS)
+def test_f_read_off_e_is_exp_theta_term_by_term(tag):
+    rng = random.Random(97)
+    for order in range(1, 9):
+        for cls in _series_cases(tag, order, rng):
+            theta, _ = matrix_delta(cls, order)
+            _, _, _, exp_neg, exp_pos = _series(cls, order)
+            direct_neg = exp_matrix2([[-e for e in row] for row in theta])
+            direct_pos = exp_matrix2(theta)
+            for i in range(2):
+                for j in range(2):
+                    assert exp_neg[i][j].terms == direct_neg[i][j].terms, (cls, order, i, j)
+                    assert exp_pos[i][j].terms == direct_pos[i][j].terms, (cls, order, i, j)
+
+
+@pytest.mark.parametrize("tag", _SERIES_TAGS)
+def test_e_times_f_normal_orders_to_the_identity(tag):
+    rng = random.Random(98)
+    for order in range(1, 9):
+        for cls in _series_cases(tag, order, rng):
+            rewrite = family_rewrite(cls, order)
+            _, _, _, exp_neg, exp_pos = _series(cls, order)
+            for i in range(2):
+                for k in range(2):
+                    prod = sum((nc_mul(exp_neg[i][j], exp_pos[j][k]) for j in range(2)),
+                               FreeElement.zero(order))
+                    assert normal_form(prod, rewrite) == int(i == k), (cls, order, i, k)
+
+
+@pytest.mark.parametrize("tag", _SERIES_TAGS)
+def test_standalone_maps_equal_the_maps_quantize_returns(tag):
+    rng = random.Random(99)
+    for order in range(1, 7):
+        for cls in _series_cases(tag, order, rng):
+            hp = quantize(cls, order=order, verify=False)
+            assert family_rewrite(cls, order).rules == hp.rewrite.rules
+            assert build_coproduct(cls, order) == hp.coproduct
+            assert build_antipode(cls, hp.rewrite) == hp.antipode
 
 
 # -- first order --------------------------------------------------------------------------
