@@ -11,15 +11,16 @@ ParamPoly over ("x",) with ``order=math.inf`` and parameter-polynomial
 coefficients.  Each exponential (exp(-theta), the [A-,A+] series and the
 realization's e^{a1 x/2}) is the scalar powers C^n/n! of
 ``freealg._exp_terms`` placed on one letter: p, M or x.  ``quantize`` reads
-Theta once and sums one series E = exp(-theta) for the coproduct; the
-antipode's F = exp(theta) = E^-1 is read off E's terms.  That is exact, not
-an approximation: every entry of theta is a multiple C p of the one letter p,
-so (-C)^n/n! = (-1)^n C^n/n! and the coefficient of p^n in F is (-1)^n times
-its coefficient in E.
+Theta once and sums one series E = exp(-theta) for the coproduct, and the
+antipode's F = exp(theta) = E^-1 is read off E's terms (``_Series``).  That
+is exact, not an approximation: every entry of theta is a multiple C p of
+the one letter p, so (-C)^n/n! = (-1)^n C^n/n! and the coefficient of p^n
+in F is (-1)^n times its coefficient in E.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -76,35 +77,49 @@ def _theta(cls, order):
     return prim, vector, [[row.get((p, _IDX[v]), zero) for v in vector] for row in rows]
 
 
+class _Series:
+    """Theta, theta = p * Theta, E = exp(-theta) and F = exp(theta) of one
+    family at one order, each computed at most once and only when asked for.
+    Theta is read once, E is the one exponential series, and F is read off E
+    (module docstring).  ``quantize`` builds one and hands it to
+    ``family_rewrite``, ``build_coproduct`` and ``build_antipode``; called
+    alone, each of those builds its own."""
+
+    def __init__(self, cls, order):
+        self.order = order
+        self.prim, self.vector, self.theta = _theta(cls, order)
+
+    @functools.cached_property
+    def matrix(self):
+        gen = FreeElement.generator(self.prim, self.order)
+        return [[gen * t for t in row] for row in self.theta]
+
+    @functools.cached_property
+    def exp_neg(self):
+        return exp_matrix2([[-e for e in row] for row in self.matrix])
+
+    @functools.cached_property
+    def exp_pos(self):
+        """F: the sign of each odd power of p in E flips."""
+        return [[FreeElement._clean({w: -c if len(w) % 2 else c for w, c in e.terms.items()},
+                                    e.order) for e in row] for row in self.exp_neg]
+
+
 def matrix_delta(cls, order=DEFAULT_ORDER):
     """Matrix form of the cocommutator on the non-primitive generator vector.
 
     Returns (theta, vector) with delta(v_i) = sum_j theta[i][j] ^ v_j and
     theta = p * Theta, every entry linear in the primitive generator p.
     """
-    prim, vector, theta = _theta(cls, order)
-    gen = FreeElement.generator(prim, order)
-    return [[gen * t for t in row] for row in theta], vector
+    series = _Series(cls, order)
+    return series.matrix, series.vector
 
 
-def _reflect(exp_neg):
-    """An entry of F = exp(theta) from the same entry of E = exp(-theta): the
-    sign of each odd power of p flips (module docstring)."""
-    return FreeElement._clean({w: -c if len(w) % 2 else c for w, c in exp_neg.terms.items()},
-                              exp_neg.order)
-
-
-def _series(cls, order):
-    """(prim, vector, Theta, E, F) of one quantization: Theta read once, one
-    exponential series E = exp(-theta), and F = exp(theta) read off it."""
-    prim, vector, theta = _theta(cls, order)
-    gen = FreeElement.generator(prim, order)
-    exp_neg = exp_matrix2([[-(gen * t) for t in row] for row in theta])
-    return prim, vector, theta, exp_neg, [[_reflect(e) for e in row] for row in exp_neg]
-
-
-def _coproduct(prim, vector, exp_neg, order):
-    """``build_coproduct`` from its parts, E = ``exp_neg``."""
+def build_coproduct(cls, order=DEFAULT_ORDER, *, _series=None):
+    """Deformed coproduct: primitive on the primitive generator, and
+    1 (x) v + sigma(exp(-theta) (x) v) on the non-primitive vector."""
+    series = _series or _Series(cls, order)
+    prim, vector, exp_neg = series.prim, series.vector, series.exp_neg
     one = FreeElement.one(order)
     x = FreeElement.generator(prim, order)
     cop = {prim: outer(one, x) + outer(x, one)}
@@ -117,17 +132,20 @@ def _coproduct(prim, vector, exp_neg, order):
     return cop
 
 
-def build_coproduct(cls, order=DEFAULT_ORDER):
-    """Deformed coproduct: primitive on the primitive generator, and
-    1 (x) v + sigma(exp(-theta) (x) v) on the non-primitive vector."""
-    theta, vector = matrix_delta(cls, order)
-    exp_neg = exp_matrix2([[-e for e in row] for row in theta])
-    return _coproduct(FAMILIES[cls.tag][1], vector, exp_neg, order)
+def build_antipode(cls, rewrite, *, _series=None):
+    """Antipode of the deformed coproduct: -prim on the primitive generator,
+    and gamma(v_j) = -sum_k v_k exp(theta)[j][k] on the non-primitive vector.
 
-
-def _antipode(prim, vector, exp_pos, rewrite):
-    """``build_antipode`` from its parts, F = ``exp_pos``."""
+    With E = exp(-theta), the left axiom is m(gamma (x) id) Delta(v_i) =
+    v_i + sum_j gamma(v_j) E_ij = 0.  The entries of E commute, so E^-1 =
+    exp(theta) solves it; an antipode is unique, so this is the antipode.
+    F = exp(theta) is not summed on its own but read off the coproduct's
+    series E: every entry of theta is a multiple of the one letter p, so
+    (-C)^n/n! = (-1)^n C^n/n! term by term, exactly.
+    """
     order = rewrite.order
+    series = _series or _Series(cls, order)
+    prim, vector, exp_pos = series.prim, series.vector, series.exp_pos
     gamma = {prim: -FreeElement.generator(prim, order)}
     for j, vj in enumerate(vector):
         acc = FreeElement.zero(order)
@@ -137,21 +155,6 @@ def _antipode(prim, vector, exp_pos, rewrite):
     return gamma
 
 
-def build_antipode(cls, rewrite):
-    """Antipode of the deformed coproduct: -prim on the primitive generator,
-    and gamma(v_j) = -sum_k v_k exp(theta)[j][k] on the non-primitive vector.
-
-    With E = exp(-theta), the left axiom is m(gamma (x) id) Delta(v_i) =
-    v_i + sum_j gamma(v_j) E_ij = 0.  The entries of E commute, so E^-1 =
-    exp(theta) solves it; an antipode is unique, so this is the antipode.
-    Called alone it sums exp(theta).  ``quantize`` reads the same F off the
-    coproduct's E instead (``_reflect``): every entry of theta is a multiple
-    of the one letter p, so (-C)^n/n! = (-1)^n C^n/n! term by term, exactly.
-    """
-    theta, vector = matrix_delta(cls, rewrite.order)
-    return _antipode(FAMILIES[cls.tag][1], vector, exp_matrix2(theta), rewrite)
-
-
 def exprel_series(scale, order):
     """(exp(scale*M) - 1)/scale as the everywhere-defined series
     sum_{n>=1} scale^(n-1) M^n / n!, from the terms scale^n/n! of exp."""
@@ -159,8 +162,15 @@ def exprel_series(scale, order):
                         for n, t in enumerate(_exp_terms([[scale]]), 1)}, order)
 
 
-def _rules(tag, prim, vector, theta, order):
-    """``family_rewrite`` from its parts, Theta = ``theta``."""
+def family_rewrite(cls, order=DEFAULT_ORDER, *, _series=None):
+    """The family's deformed commutation rules as a rewrite system.
+
+    One undeformed rule changes, and Theta gives the change.  For the central
+    primitive M, [A-,A+] = (exp(s M) - 1)/s with s = -tr Theta.  For a ladder
+    primitive p with [v_0, p] = eps M, [v_0, M] = -(eps Theta_00 / 2) M^2.
+    """
+    series = _series or _Series(cls, order)
+    prim, vector, theta = series.prim, series.vector, series.theta
     rules = dict(RewriteSystem.undeformed(order).rules)
     if prim == GEN_M:
         s = -(theta[0][0] + theta[1][1])
@@ -171,17 +181,7 @@ def _rules(tag, prim, vector, theta, order):
         eps = BRACKET[(_IDX[v], _IDX[prim])][_IDX[GEN_M]]
         rules[(v, GEN_M)] = rules[(v, GEN_M)] + FreeElement.from_word(
             (GEN_M, GEN_M), order, coeff=theta[0][0] * (-eps / 2))
-    return RewriteSystem(tag.lower(), rules, order)
-
-
-def family_rewrite(cls, order=DEFAULT_ORDER):
-    """The family's deformed commutation rules as a rewrite system.
-
-    One undeformed rule changes, and Theta gives the change.  For the central
-    primitive M, [A-,A+] = (exp(s M) - 1)/s with s = -tr Theta.  For a ladder
-    primitive p with [v_0, p] = eps M, [v_0, M] = -(eps Theta_00 / 2) M^2.
-    """
-    return _rules(cls.tag, *_theta(cls, order), order)
+    return RewriteSystem(cls.tag.lower(), rules, order)
 
 
 # -- coproduct / counit / antipode extension to arbitrary elements -------------
@@ -377,13 +377,13 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     cls = _resolve_class(family, order, params)
     if cls.tag not in FAMILIES:
         raise ValueError(f"cannot quantize class {cls.tag}")
-    prim, vector, theta, exp_neg, exp_pos = _series(cls, order)
-    rewrite = _rules(cls.tag, prim, vector, theta, order)
+    series = _Series(cls, order)
+    rewrite = family_rewrite(cls, order, _series=series)
     bad = rewrite.check_confluence()
     if bad:
         raise VerificationError(f"rewrite rules are not confluent on {bad}")
-    coproduct = _coproduct(prim, vector, exp_neg, order)
-    antipode = _antipode(prim, vector, exp_pos, rewrite)
+    coproduct = build_coproduct(cls, order, _series=series)
+    antipode = build_antipode(cls, rewrite, _series=series)
     counit = {name: ParamPoly.zero(order) for name in GENERATORS}
     hp = HopfPresentation(
         family=cls.tag, order=order, values=_family_values(cls, order),

@@ -13,7 +13,7 @@ from hweyl.tensor import TensorElement, flip, outer, tensor_mul
 from hweyl.bialgebra import (INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              TYPE_II, BialgebraClass, Cocommutator)
 from hweyl.quantization import (HopfPresentation, VerificationError,
-                                _series, build_antipode,
+                                _Series, build_antipode,
                                 build_coproduct, central_element,
                                 check_realization, closed_forms,
                                 coproduct_of_element, exprel_series,
@@ -424,14 +424,11 @@ def test_f_read_off_e_is_exp_theta_term_by_term(tag):
     rng = random.Random(97)
     for order in range(1, 9):
         for cls in _series_cases(tag, order, rng):
-            theta, _ = matrix_delta(cls, order)
-            _, _, _, exp_neg, exp_pos = _series(cls, order)
-            direct_neg = exp_matrix2([[-e for e in row] for row in theta])
-            direct_pos = exp_matrix2(theta)
+            series = _Series(cls, order)
+            direct = exp_matrix2(series.matrix)
             for i in range(2):
                 for j in range(2):
-                    assert exp_neg[i][j].terms == direct_neg[i][j].terms, (cls, order, i, j)
-                    assert exp_pos[i][j].terms == direct_pos[i][j].terms, (cls, order, i, j)
+                    assert series.exp_pos[i][j].terms == direct[i][j].terms, (cls, order, i, j)
 
 
 @pytest.mark.parametrize("tag", _SERIES_TAGS)
@@ -440,7 +437,8 @@ def test_e_times_f_normal_orders_to_the_identity(tag):
     for order in range(1, 9):
         for cls in _series_cases(tag, order, rng):
             rewrite = family_rewrite(cls, order)
-            _, _, _, exp_neg, exp_pos = _series(cls, order)
+            series = _Series(cls, order)
+            exp_neg, exp_pos = series.exp_neg, series.exp_pos
             for i in range(2):
                 for k in range(2):
                     prod = sum((nc_mul(exp_neg[i][j], exp_pos[j][k]) for j in range(2)),
