@@ -6,7 +6,7 @@ r-matrix / Schouten / Yang-Baxter analysis, Hopf-algebra quantization with
 machine-verified axioms, and the Poisson-Lie group side.
 """
 
-from .params import DEFAULT_ORDER, PARAMS, ParamPoly, as_fraction
+from .params import DEFAULT_ORDER, PARAMS, ParamPoly, as_fraction, ring
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                       RewriteSystem, commutator, exp_element, exp_matrix2,
                       nc_mul, normal_form)
@@ -26,10 +26,10 @@ from .quantization import (HopfPresentation, VerificationError,
                            matrix_delta, quantize, swap_transport,
                            verify_all, verify_antipode, verify_coassoc,
                            verify_counit, verify_homomorphism)
-from .poisson import (CHART, COORDS, COORDS2, GroupCoords,
-                      PoissonStructure, chart_change, chart_change_inverse,
-                      group_compose, group_pullback, jacobi_check,
-                      linear_bracket_table, pl_bracket,
+from .poisson import (CHART, CHART_RING, COORD_RING, COORD_RING2, COORDS,
+                      COORDS2, GroupCoords, PoissonStructure, chart_change,
+                      chart_change_inverse, group_compose, group_pullback,
+                      jacobi_check, linear_bracket_table, pl_bracket,
                       poisson_homomorphism_check)
 
 __version__ = "0.1.0"

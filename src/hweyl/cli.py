@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .params import DEFAULT_ORDER, MAX_ORDER
+from .params import DEFAULT_ORDER, MAX_ORDER, ring
 from . import bialgebra as bi
 from . import poisson as po
 from . import quantization as qu
@@ -289,7 +289,7 @@ def _poisson_grouplaw_checks():
     coordinates are independent variables: each check compares two
     polynomials, so it is exact, for every group element at once.  ``matrix``
     asks that the composite's matrix be the product D(g2) * D(g1)."""
-    names = tuple(f"{n}{i}" for i in (1, 2, 3) for n in po.COORDS)
+    names = ring(f"{n}{i}" for i in (1, 2, 3) for n in po.COORDS)
     g1, g2, g3 = (po.GroupCoords.generic(i, names) for i in (1, 2, 3))
     compose = po.group_compose
     ident = po.GroupCoords.identity(names)

@@ -3,11 +3,12 @@
 ``ParamPoly`` is the one polynomial class of the engine.  Over the
 deformation parameters PARAMS, truncated at a total degree K, it is the
 coefficient ring of every formal series (free-algebra elements, tensors,
-Hopf structure maps).  Over the group coordinates (``poisson.COORDS``), or
-the variable x of the I+ differential realization, with ``order=math.inf``
-nothing is truncated, and the coefficients may themselves be parameter
-polynomials.  The module also holds the strict rational parser
-and the signed-sum renderer shared by all printed output.
+Hopf structure maps).  A coordinate ring (the group coordinates of
+``poisson``, the x of the I+ differential realization) is PARAMS followed by
+the coordinates (``ring``), with ``order=math.inf``: nothing is truncated,
+and a parameter coefficient is part of each monomial.  The module also holds
+the strict rational parser and the signed-sum renderer shared by all printed
+output.
 
 Storage follows two known layouts, so that series arithmetic is int
 arithmetic with no Fraction in the inner loops:
@@ -23,7 +24,9 @@ arithmetic with no Fraction in the inner loops:
   degree in the top field, at bit ``_BITS * n``.  Adding two keys
   multiplies the monomials, keys compare by total degree first, and the
   truncation test of a product at order K is one compare,
-  ``k1 + k2 < (K + 1) << (_BITS * n)``.
+  ``k1 + k2 < (K + 1) << (_BITS * n)``.  A polynomial over a prefix of a
+  ring's names (PARAMS, in a coordinate ring) enters the ring when each of
+  its keys shifts left by ``_BITS`` per further name (``_lift``).
 
 Most operands of the series arithmetic have one term, and many are the
 constant 1.  So a product with the unit 1 returns the other operand (instances
@@ -31,18 +34,17 @@ are immutable), and a sum with zero returns the other operand or its negation.
 A product of two single terms, or a sum of two on the same monomial, builds
 its one term directly: one key add (and the truncation compare), then one
 ``gcd`` of the new numerator against the new denominator, in place of the
-sorted pair loop and the gcd pass over all numerators.  These paths take int
-numerators only; a ParamPoly coefficient takes the general loop.
+sorted pair loop and the gcd pass over all numerators.
 
 The tests run cheapest first, as most calls leave at one of them.  ``*``,
 ``+`` and ``-`` first ask ``type(other) is ParamPoly`` with the very same
 ``names`` tuple and an equal order; a scalar, or a polynomial over other
 variables, goes through ``_promote``.  A product then returns zero when a side
 has no term.  Its unit test reads the term count first, so a multi-term
-operand leaves after one compare; then the denominator, then the type and
-the value of the constant numerator.  Next come the single-term path and the
-general loop.  Copy and pickle map a names tuple equal to PARAMS back to
-PARAMS, so a restored polynomial meets the same tests.  The series layers
+operand leaves after one compare; then the denominator and the constant
+numerator.  Next come the single-term path and the general loop.  Copy and
+pickle map a names tuple back to its ring's one tuple (``ring``), so a
+restored polynomial meets the same tests.  The series layers
 test ``p._num`` where they drop zero coefficients, not ``bool(p)``, which
 would be one more Python-level call.
 
@@ -143,20 +145,21 @@ def as_scalar(value):
     return as_fraction(value)
 
 
+#: One names tuple per ring, which the fast paths test with ``is``.
+_RINGS = {PARAMS: PARAMS}
+
+
+def ring(coords) -> tuple:
+    """PARAMS followed by ``coords``, the same tuple object on every call."""
+    names = PARAMS + tuple(coords)
+    return _RINGS.setdefault(names, names)
+
+
 def signed_sum(rows) -> str:
     """``(sort key, numerator, denominator, body)`` rows, sorted, as a sum, each
-    coefficient in lowest terms by one ``gcd``.  A ParamPoly numerator (over 1)
-    has no sign: it is bracketed and joined with `` + ``."""
+    coefficient in lowest terms by one ``gcd``."""
     out = []
     for _, n, den, body in rows:
-        if type(n) is not int:
-            if isinstance(n, ParamPoly):
-                if out:
-                    out.append(" + ")
-                out.append(f"({n})*{body}" if body else f"({n})")
-                continue
-            # a rational beside ParamPoly coefficients, over the denominator 1
-            n, den = n.numerator, n.denominator
         if n < 0:
             out.append(" - " if out else "-")
             n = -n
@@ -177,9 +180,8 @@ class ParamPoly:
     """Sparse commutative polynomial over a tuple of named variables.
 
     Terms of total degree above ``order`` are discarded; ``order=math.inf``
-    keeps every term.  Coefficients are rationals, or, over variables other
-    than PARAMS, may be ParamPoly over PARAMS (the coefficient ring of the
-    symbolic coordinate polynomials).
+    keeps every term.  Coefficients are rationals; in a coordinate ring
+    (``ring``) the parameters are variables like the coordinates.
 
     Storage (``_num``, ``_den``):
 
@@ -187,16 +189,13 @@ class ParamPoly:
       keys is the key of the product, and keys order by total degree first.
     - ``_num`` maps keys to nonzero int numerators and ``_den`` is one
       positive int denominator, in lowest terms: the gcd of ``_den`` and all
-      numerators is 1.  A rational polynomial therefore has exactly one
+      numerators is 1.  A polynomial therefore has exactly one
       representation, and ``==`` is a dict compare.
-    - When some coefficient is a ParamPoly, each ``_num`` slot holds the
-      whole coefficient (a rational or a ParamPoly) and ``_den`` is 1.  A
-      result whose coefficients are all rational is put back into int form.
 
     ``terms`` is the same polynomial as a read-only mapping from exponent
-    tuples (one entry per name in ``names``) to Fractions (or ParamPoly
-    coefficients), built on first use and cached.  Hot loops, ``__str__`` and
-    the renderers built on ``_rows`` do not read it: they use the packed form.
+    tuples (one entry per name in ``names``) to Fractions, built on first
+    use and cached.  Hot loops, ``__str__`` and the renderers built on
+    ``_rows`` do not read it: they use the packed form.
     ``_sorted_terms()`` is the packed form as a list of (key, numerator) pairs
     in key order, also built once; a product reads it to stop where the
     truncation starts: when the two lowest keys reach the limit, and along the
@@ -212,8 +211,8 @@ class ParamPoly:
     each in reverse.
 
     Instances are immutable; arithmetic between polynomials over the same
-    variables requires equal orders.  A rational, or a parameter polynomial
-    times a polynomial over other variables, acts coefficient-wise.
+    variables requires equal orders.  A rational acts coefficient-wise, and
+    a polynomial over a prefix of the other's names is lifted (``_lift``).
     """
 
     __slots__ = ("_num", "_den", "order", "names", "_terms", "_sorted")
@@ -225,18 +224,9 @@ class ParamPoly:
         for exps, coeff in terms.items():
             if len(exps) != width:
                 raise ValueError(f"exponent vector {exps!r} does not match {names!r}")
-            if not coeff or sum(exps) > order:
-                continue
-            key = _pack(exps)
-            coeff = _fold(coeff)
-            if not isinstance(coeff, (int, Fraction, ParamPoly)):
-                coeff = as_fraction(coeff)
-                if not coeff:
-                    continue
-            num[key] = coeff
-        if any(isinstance(c, ParamPoly) for c in num.values()):
-            return _make({k: c if isinstance(c, ParamPoly) else as_fraction(c)
-                          for k, c in num.items()}, 1, order, names)
+            coeff = as_fraction(coeff)
+            if coeff and sum(exps) <= order:
+                num[_pack(exps)] = coeff
         # over the lcm of denominators in lowest terms, the numerators share
         # no factor with it: this is already canonical
         den = lcm(*(c.denominator for c in num.values()))
@@ -265,11 +255,9 @@ class ParamPoly:
     def const(cls, value, order=DEFAULT_ORDER, names=PARAMS):
         _check_order(order)
         if type(value) is not int:
-            value = _fold(as_scalar(value))
+            value = as_fraction(value)
         if not value:
             return _make({}, 1, order, names)
-        if isinstance(value, ParamPoly):
-            return _make({0: value}, 1, order, names)
         return _make({0: value.numerator}, value.denominator, order, names)
 
     @classmethod
@@ -285,30 +273,32 @@ class ParamPoly:
 
     # -- helpers -----------------------------------------------------------
 
-    def _is_coefficient(self, other):
-        """True when ``other`` scales self term by term."""
-        if isinstance(other, (int, Fraction)):
-            return True
-        return (isinstance(other, ParamPoly) and other.names == PARAMS
-                and self.names != PARAMS)
-
     def _promote(self, other):
-        """``other`` as a polynomial over self's variables; None (for
-        NotImplemented) when it is no polynomial or rational at all."""
-        if isinstance(other, ParamPoly) and other.names == self.names:
-            if other.order != self.order:
-                raise ValueError(
-                    f"mismatched truncation orders: {self.order} vs {other.order}")
-            return other
-        if self._is_coefficient(other):
-            return ParamPoly.const(other, self.order, self.names)
+        """(self, other) in one ring, the wider of the two; None (for
+        NotImplemented) when ``other`` is no polynomial or rational."""
         if isinstance(other, ParamPoly):
+            names, width = other.names, len(other.names)
+            if names == self.names:
+                if other.order != self.order:
+                    raise ValueError(
+                        f"mismatched truncation orders: {self.order} vs {other.order}")
+                return self, other
+            if self.names[:width] == names:
+                return self, self._lift(other)
+            if names[:len(self.names)] == self.names:
+                return other._lift(self), other
             raise ValueError("polynomials live over different variable lists")
+        if isinstance(other, (int, Fraction)):
+            return self, ParamPoly.const(other, self.order, self.names)
         return None
 
-    def _coeff(self, num):
-        """The coefficient whose numerator slot holds ``num``."""
-        return num if isinstance(num, ParamPoly) else Fraction(num, self._den)
+    def _lift(self, other):
+        """``other``, over a prefix of self's names, in self's ring: each key
+        shifted left past the further fields, then cut at self's order."""
+        shift = _BITS * (len(self.names) - len(other.names))
+        lifted = _make({k << shift: c for k, c in other._num.items()},
+                       other._den, inf, self.names)
+        return lifted if self.order == inf else lifted.truncate(self.order)
 
     @property
     def terms(self):
@@ -316,8 +306,8 @@ class ParamPoly:
         try:
             return self._terms
         except AttributeError:
-            width = len(self.names)
-            view = MappingProxyType({_unpack(k, width): self._coeff(c)
+            width, den = len(self.names), self._den
+            view = MappingProxyType({_unpack(k, width): Fraction(c, den)
                                      for k, c in self._num.items()})
             _set(self, "_terms", view)
             return view
@@ -343,8 +333,7 @@ class ParamPoly:
         return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def constant_term(self):
-        c = self._num.get(0)
-        return Fraction(0) if c is None else self._coeff(c)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def as_fraction(self):
         if not self.is_constant():
@@ -373,7 +362,7 @@ class ParamPoly:
         if len(a) == 1 == len(b):
             (k, c1), = a.items()
             (k2, c2), = b.items()
-            if k == k2 and type(c1) is int and type(c2) is int:
+            if k == k2:
                 c, den = c1 * d2 + sign * c2 * d1, d1 * d2
                 if not c:
                     return _make({}, 1, self.order, self.names)
@@ -392,11 +381,10 @@ class ParamPoly:
     def __add__(self, other):
         if not (type(other) is ParamPoly and other.names is self.names
                 and other.order == self.order):
-            if isinstance(other, ParamPoly) and other._is_coefficient(self):
-                return other + self
-            other = self._promote(other)
-            if other is None:
+            pair = self._promote(other)
+            if pair is None:
                 return NotImplemented
+            self, other = pair
         return self._combine(other, 1)
 
     __radd__ = __add__
@@ -404,9 +392,10 @@ class ParamPoly:
     def __sub__(self, other):
         if not (type(other) is ParamPoly and other.names is self.names
                 and other.order == self.order):
-            if not isinstance(other, (ParamPoly, int, Fraction)):
+            pair = self._promote(other)
+            if pair is None:
                 return NotImplemented
-            return self + (-other)
+            self, other = pair
         return self._combine(other, -1)
 
     def __rsub__(self, other):
@@ -417,11 +406,7 @@ class ParamPoly:
                      self.order, self.names)
 
     def _scale(self, s):
-        """self times the coefficient ``s``: a rational, or a ParamPoly over
-        PARAMS when self is over other variables."""
-        if isinstance(s, ParamPoly):
-            return _build({k: s * c for k, c in self._num.items()}, self._den,
-                          self.order, self.names)
+        """self times the rational ``s``."""
         if s == 1:
             return self
         n = s.numerator
@@ -431,19 +416,18 @@ class ParamPoly:
     def __mul__(self, other):
         if not (type(other) is ParamPoly and other.names is self.names
                 and other.order == self.order):
-            if self._is_coefficient(other):
+            if isinstance(other, (int, Fraction)):
                 return self._scale(other)
-            if isinstance(other, ParamPoly) and other._is_coefficient(self):
-                return other._scale(self)
-            other = self._promote(other)
-            if other is None:
+            pair = self._promote(other)
+            if pair is None:
                 return NotImplemented
+            self, other = pair
         a, b = self._num, other._num
         if not a or not b:
             return _make({}, 1, self.order, self.names)
-        if len(b) == 1 and other._den == 1 and type(b.get(0)) is int and b[0] == 1:
+        if len(b) == 1 and other._den == 1 and b.get(0) == 1:
             return self
-        if len(a) == 1 and self._den == 1 and type(a.get(0)) is int and a[0] == 1:
+        if len(a) == 1 and self._den == 1 and a.get(0) == 1:
             return other
         shift = _BITS * len(self.names)
         if self.order == inf:
@@ -456,13 +440,12 @@ class ParamPoly:
         if len(a) == 1 == len(b):
             (k, c1), = a.items()
             (k2, c2), = b.items()
-            if type(c1) is int and type(c2) is int:
-                k += k2
-                if k >= limit:
-                    return _make({}, 1, self.order, self.names)
-                c, den = c1 * c2, self._den * other._den
-                g = gcd(c, den)
-                return _make({k: c // g}, den // g, self.order, self.names)
+            k += k2
+            if k >= limit:
+                return _make({}, 1, self.order, self.names)
+            c, den = c1 * c2, self._den * other._den
+            g = gcd(c, den)
+            return _make({k: c // g}, den // g, self.order, self.names)
         left, right = self._sorted_terms(), other._sorted_terms()
         if len(left) > len(right):
             left, right = right, left
@@ -498,22 +481,17 @@ class ParamPoly:
         return out
 
     def __eq__(self, other):
-        if self._is_coefficient(other):
-            other = ParamPoly.const(other, self.order, self.names)
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        if self.order != other.order or self.names != other.names:
-            return False
-        if self._den == other._den:
-            return self._num == other._num
-        # canonical rational polynomials with different denominators differ;
-        # only a ParamPoly coefficient can still equal a rational
-        if not any(isinstance(c, ParamPoly)
-                   for num in (self._num, other._num) for c in num.values()):
-            return False
-        return (self._num.keys() == other._num.keys()
-                and all(c * other._den == other._num[k] * self._den
-                        for k, c in self._num.items()))
+        """Equal storage in one ring (``_promote``) at one order."""
+        if not (isinstance(other, ParamPoly) and other.names == self.names):
+            try:
+                pair = self._promote(other)
+            except ValueError:  # no ring holds both
+                return False
+            if pair is None:
+                return NotImplemented
+            self, other = pair
+        return (self.order == other.order and self._den == other._den
+                and self._num == other._num)
 
     __hash__ = None
 
@@ -550,8 +528,10 @@ class ParamPoly:
 
         When every value is a rational or a polynomial over self's variables,
         variables not named in ``values`` are left alone.  A polynomial value
-        over other variables moves the result into its ring; then every
-        variable of self needs a value.
+        over other variables moves the result into its ring.  Then the
+        variables without a value must be among the names both rings begin
+        with (PARAMS, for two coordinate rings): each key keeps those fields
+        and moves to the target ring as ``_lift`` moves a key.
         """
         unknown = set(values) - set(self.names)
         if unknown:
@@ -561,6 +541,10 @@ class ParamPoly:
         order, names = ring.order, ring.names
         width = len(self.names)
         shift = _BITS * width
+        common = next((i for i, (x, y) in enumerate(zip(self.names, names)) if x != y),
+                      min(width, len(names)))
+        drop, add = _BITS * (width - common), _BITS * (len(names) - common)
+        own, top = (1 << drop) - 1, _BITS * len(names)
         images = [(_BITS * (width - 1 - i),
                    val if isinstance(val, ParamPoly) else ParamPoly.const(val, order, names))
                   for i, val in ((self.names.index(n), v) for n, v in values.items())]
@@ -582,13 +566,14 @@ class ParamPoly:
                     break
             if factor is not None and not factor:
                 continue
-            if ring is self:
-                term = _build({rest: c}, 1, order, names)
-            elif rest:
-                missing = next(n for n, e in zip(self.names, _unpack(rest, width)) if e)
+            if rest & own:
+                missing = next(n for n, e in zip(self.names[common:],
+                                                 _unpack(rest, width)[common:]) if e)
                 raise ValueError(f"no image for variable {missing!r}")
-            else:
-                term = ParamPoly.const(c, order, names)
+            rest = rest >> drop << add
+            if rest >> top > order:
+                continue
+            term = _make({rest: c}, 1, order, names)
             out = out + (term if factor is None else term * factor)
         return out if self._den == 1 else out * Fraction(1, self._den)
 
@@ -659,40 +644,19 @@ def _make(num, den, order, names):
 
 
 def _restore(num, den, order, names):
-    """``_make`` for ``copy`` and ``pickle``: a names tuple equal to PARAMS
-    becomes PARAMS itself, so that the fast paths, which test ``names is``,
-    apply to a polynomial restored by ``pickle`` too."""
-    return _make(num, den, order, PARAMS if names == PARAMS else names)
-
-
-def _fold(c):
-    """A constant ParamPoly coefficient as its rational; any other as given.
-    So a coordinate polynomial whose coefficients are all constants is
-    stored, printed and compared in the int form."""
-    return c.constant_term() if isinstance(c, ParamPoly) and c.is_constant() else c
+    """``_make`` for ``copy`` and ``pickle``: the names tuple becomes its
+    ring's one shared tuple (``ring``), so that the fast paths, which test
+    ``names is``, apply to a polynomial restored by ``pickle`` too."""
+    return _make(num, den, order, _RINGS.setdefault(names, names))
 
 
 def _build(num, den, order, names):
-    """The polynomial num/den, from terms within ``order``, in canonical
-    storage: zero terms dropped and, with int numerators, one gcd pass into
-    lowest terms.  A numerator that is no int (a Fraction or a ParamPoly
-    coefficient) fails ``gcd``; then the denominator is folded into the
-    coefficients, a constant ParamPoly coefficient into its rational
-    (``_fold``), and the int form is rebuilt when none is a ParamPoly."""
+    """The polynomial num/den, from int numerators of terms within ``order``,
+    in canonical storage: zero terms dropped and one gcd pass into lowest
+    terms."""
     if not all(num.values()):
         num = {k: c for k, c in num.items() if c}
-    try:
-        g = gcd(den, *num.values())
-    except TypeError:
-        num = {k: _fold(c) for k, c in num.items()}
-        if den != 1:
-            scale = Fraction(1, den)
-            num = {k: c * scale for k, c in num.items()}
-        if any(isinstance(c, ParamPoly) for c in num.values()):
-            return _make(num, 1, order, names)
-        den = lcm(*(c.denominator for c in num.values()))
-        num = {k: c.numerator * (den // c.denominator) for k, c in num.items()}
-        return _make(num, den, order, names)
+    g = gcd(den, *num.values())
     if g != 1:
         num = {k: c // g for k, c in num.items()}
         den //= g

@@ -1,11 +1,12 @@
 """Heisenberg group law and the multiparametric Poisson-Lie bracket.
 
 The coordinate functions (a_minus, a_plus, m) generate a commutative
-polynomial algebra: ParamPoly over the variable list COORDS (or its doubled
-copy COORDS2) with ``order=math.inf``, so no term is ever truncated.  Their
-coefficients are rationals, or ParamPoly over the deformation parameters for
-symbolic bracket coefficients.  The group law composes coordinates, and the
-classified bialgebra coefficients induce a Poisson bracket with two checks:
+polynomial algebra with parameter coefficients: ParamPoly over COORD_RING,
+PARAMS followed by COORDS (``params.ring``), with ``order=math.inf``, so no
+term is ever truncated; likewise COORD_RING2 for COORDS2 and CHART_RING for
+CHART.  The bracket differentiates in the coordinates only (``_partials``).
+The group law composes coordinates, and the classified bialgebra
+coefficients induce a Poisson bracket with two checks:
 
 - Jacobi, in closed form.  The cyclic sum over the coordinate triple is
   a_minus*J1 + a_plus*J2, with J1 and J2 the co-Jacobi quadrics of
@@ -18,21 +19,18 @@ classified bialgebra coefficients induce a Poisson bracket with two checks:
   off it, so it guards the table code (``bracket_table`` on the base and the
   doubled coordinates, the pullback and the bracket loop), not the input.
 
-Both checks work on ParamPoly's packed storage (``params``): integer
-numerators over one denominator, keyed by packed exponent monomials.  A
-``PoissonStructure`` holds its coefficients as numerators over one
-denominator, and each table entry and the Jacobi form are put together from
-them and the packed keys of their monomials by ``params._build``; symbolic
-coefficients take that function's ParamPoly-coefficient branch, so there is
-one construction path.
+Both checks work on ParamPoly's packed storage (``params``): the table
+entries and the Jacobi form are put together from the numerators of a
+``PoissonStructure`` and the packed keys of the coordinate monomials, one
+code path for rational and symbolic coefficients.
 
 What does not depend on the input is built once, on first use
 (``_group_law``): the group-law images of the coordinates, the partial
 derivatives of those images, and the packed image of every monomial of
 degree <= 2 (the monomials a table entry has).  Every call of
-``poisson_homomorphism_check`` builds from its input both tables (over COORDS
-and over COORDS2), the pullback of each base entry through the image table,
-and the bracket sums of ``_bracket``.
+``poisson_homomorphism_check`` builds from its input both tables (over
+COORD_RING and COORD_RING2), the pullback of each base entry through the
+image table, and the bracket sums of ``_bracket``.
 """
 
 from __future__ import annotations
@@ -40,11 +38,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 
-from .bialgebra import _cojacobi_forms, _integers
-from .params import (DEFAULT_ORDER, ParamPoly, _build, _pack, _unpack, as_scalar,
-                     parse_rational)
+from .params import (_BITS, PARAMS, ParamPoly, _build, _pack, _unpack, as_scalar,
+                     parse_rational, ring)
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -52,20 +48,24 @@ COORDS = ("a_minus", "a_plus", "m")
 COORDS2 = COORDS + ("a_minus'", "a_plus'", "m'")
 #: Target chart for the coordinate change.
 CHART = ("x1", "x2", "x3")
+#: The rings of these coordinates, and the number of parameter fields before them.
+COORD_RING, COORD_RING2, CHART_RING = ring(COORDS), ring(COORDS2), ring(CHART)
+_P = len(PARAMS)
 
 
-def _coord(name, names=COORDS) -> ParamPoly:
+def _coord(name, names=COORD_RING) -> ParamPoly:
     """The coordinate function ``name`` as a polynomial over ``names``."""
     return ParamPoly.symbol(name, math.inf, names)
 
 
-def _coord_const(value, names=COORDS) -> ParamPoly:
-    """A constant (rational or ParamPoly) as a polynomial over ``names``."""
+def _coord_const(value, names=COORD_RING) -> ParamPoly:
+    """A rational constant as a polynomial over ``names``."""
     return ParamPoly.const(value, math.inf, names)
 
 
-#: The coordinate functions over COORDS and over COORDS2, built once.
-_GENS = {names: tuple(_coord(n, names) for n in names) for names in (COORDS, COORDS2)}
+#: The coordinate functions of COORD_RING and of COORD_RING2, built once.
+_GENS = {names: tuple(_coord(n, names) for n in names[_P:])
+         for names in (COORD_RING, COORD_RING2)}
 
 
 class GroupCoords:
@@ -74,7 +74,7 @@ class GroupCoords:
     __slots__ = ("m", "a_minus", "a_plus")
 
     def __init__(self, m, a_minus, a_plus):
-        names = m.names if isinstance(m, ParamPoly) else COORDS
+        names = m.names if isinstance(m, ParamPoly) else COORD_RING
         conv = lambda v: v if isinstance(v, ParamPoly) else _coord_const(v, names)
         object.__setattr__(self, "m", conv(m))
         object.__setattr__(self, "a_minus", conv(a_minus))
@@ -84,12 +84,12 @@ class GroupCoords:
         raise AttributeError("GroupCoords is immutable")
 
     @classmethod
-    def identity(cls, names=COORDS):
+    def identity(cls, names=COORD_RING):
         zero = _coord_const(0, names)
         return cls(zero, zero, zero)
 
     @classmethod
-    def point(cls, m, a_minus, a_plus, names=COORDS):
+    def point(cls, m, a_minus, a_plus, names=COORD_RING):
         return cls(_coord_const(m, names), _coord_const(a_minus, names),
                    _coord_const(a_plus, names))
 
@@ -150,11 +150,11 @@ def group_compose(g1: GroupCoords, g2: GroupCoords) -> GroupCoords:
 
 def _coefficient(index):
     """The property reading coefficient ``index`` of a PoissonStructure off
-    its numerators: a Fraction, or the ParamPoly itself."""
+    its numerators: a Fraction, or a ParamPoly over PARAMS."""
     def get(self):
         nums, den = self._ints
-        n = nums[index]
-        return n if isinstance(n, ParamPoly) else Fraction(n, den)
+        p = _build(dict(nums[index]), den, math.inf, PARAMS)
+        return p.constant_term() if p.is_constant() else p
     return property(get)
 
 
@@ -162,13 +162,11 @@ class PoissonStructure:
     """Poisson-Lie bracket coefficients (the six bialgebra coefficients).
 
     They are held as numerators over one common denominator, as
-    ``Cocommutator.numerators`` holds the nine: with every coefficient
-    rational, six ints over the lcm of their denominators; with a ParamPoly
-    among them, the coefficients themselves over 1.  ``bracket_table`` and
-    ``jacobi_check`` build their polynomials from these by ``params._build``,
-    whose ParamPoly-coefficient branch takes the symbolic case, so rational
-    and symbolic coefficients run one code path.  ``a1`` .. ``b3`` read a
-    coefficient back, as a Fraction or a ParamPoly.
+    ``Cocommutator.numerators`` holds the nine: each the (packed key over
+    PARAMS, int) pairs of a polynomial over PARAMS, one pair (0, n) for a
+    rational.  ``bracket_table`` and ``jacobi_check`` shift the keys into the
+    ring beside the coordinate monomials, so rational and symbolic
+    coefficients run one code path.  ``a1`` .. ``b3`` read one back.
     """
 
     __slots__ = ("_ints",)
@@ -177,12 +175,13 @@ class PoissonStructure:
 
     def __init__(self, a1=0, a2=0, a3=0, b1=0, b2=0, b3=0):
         vals = [as_scalar(v) for v in (a1, a2, a3, b1, b2, b3)]
-        if any(isinstance(v, ParamPoly) for v in vals):
-            ints = (tuple(vals), 1)
-        else:
-            nums, den = _integers(vals)
-            ints = (tuple(nums), den)
-        object.__setattr__(self, "_ints", ints)
+        den = math.lcm(*[v._den if isinstance(v, ParamPoly) else v.denominator
+                         for v in vals])
+        nums = tuple([tuple([(k, c * (den // v._den)) for k, c in v._num.items()])
+                      if isinstance(v, ParamPoly)
+                      else (((0, v.numerator * (den // v.denominator)),) if v else ())
+                      for v in vals])
+        object.__setattr__(self, "_ints", (nums, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonStructure is immutable")
@@ -193,35 +192,42 @@ class PoissonStructure:
         return self._ints
 
     @classmethod
-    def symbolic(cls, tag=None, order=DEFAULT_ORDER):
+    def symbolic(cls, tag=None):
         """Symbolic coefficients, optionally restricted to one family's shape."""
         from .bialgebra import BialgebraClass
         if tag is None:
-            return cls(*(ParamPoly.symbol(n, order)
-                         for n in ("a1", "a2", "a3", "b1", "b2", "b3")))
-        sym = BialgebraClass.symbolic(tag, order).normalized
+            return cls(*(ParamPoly.symbol(n) for n in ("a1", "a2", "a3", "b1", "b2", "b3")))
+        sym = BialgebraClass.symbolic(tag).normalized
         return cls(sym.a1, sym.a2, sym.a3, sym.b1, sym.b2, sym.b3)
 
     @classmethod
     def from_cocommutator(cls, delta):
         return cls(delta.a1, delta.a2, delta.a3, delta.b1, delta.b2, delta.b3)
 
-    def bracket_table(self, names=COORDS):
+    def bracket_table(self, names=COORD_RING):
         """{x_i, x_j} for i < j over the coordinate triple (and its primed
-        copy when ``names`` is the doubled list; cross brackets vanish).
-        Each entry is built from the numerators by ``_build``; the two with
-        a half of a1 or b1 are taken over twice the denominator."""
+        copy over COORD_RING2; cross brackets vanish), keyed by coordinate
+        indices and put together by ``_entry``; the two entries with a half
+        of a1 or b1 are taken over twice the denominator."""
         (a1, a2, a3, b1, b2, b3), den = self.numerators()
-        a1x, a2x, a3x, b1x, b2x, b3x = (2 * v for v in (a1, a2, a3, b1, b2, b3))
         table = {}
         for off, (am, ap, m, am2, ap2) in enumerate(_MONOMIALS[names]):
             i, j, k = 3 * off, 3 * off + 1, 3 * off + 2
-            table[(i, j)] = _build({am: a1, ap: b1}, den, math.inf, names)
-            table[(i, k)] = _build({am: a2x, ap: b2x, m: b1x, am2: -a1},
-                                   2 * den, math.inf, names)
-            table[(j, k)] = _build({am: a3x, ap: b3x, m: -a1x, ap2: b1},
-                                   2 * den, math.inf, names)
+            table[(i, j)] = _entry(((1, am, a1), (1, ap, b1)), den, names)
+            table[(i, k)] = _entry(((2, am, a2), (2, ap, b2), (2, m, b1), (-1, am2, a1)),
+                                   2 * den, names)
+            table[(j, k)] = _entry(((2, am, a3), (2, ap, b3), (-2, m, a1), (1, ap2, b1)),
+                                   2 * den, names)
         return table
+
+
+def _entry(parts, den, names) -> ParamPoly:
+    """The sum of f * n * x over ``den`` for the (int f, monomial key x,
+    numerator n) of ``parts``, each key of n shifted into the ring as
+    ``ParamPoly._lift`` shifts it.  The monomials x differ, so no keys meet."""
+    shift = _BITS * (len(names) - _P)
+    return _build({(k << shift) + x: c * f for f, x, n in parts for k, c in n},
+                  den, math.inf, names)
 
 
 def _exps(width, i, e=1):
@@ -229,12 +235,12 @@ def _exps(width, i, e=1):
     return tuple(e if k == i else 0 for k in range(width))
 
 
-#: Per coordinate triple of COORDS or COORDS2, the packed keys of the
+#: Per coordinate triple of COORD_RING or COORD_RING2, the packed keys of the
 #: monomials a table entry has: a_minus, a_plus, m, a_minus^2 and a_plus^2.
 _MONOMIALS = {names: [tuple(_pack(_exps(len(names), off + i, e))
                             for i, e in ((0, 1), (1, 1), (2, 1), (0, 2), (1, 2)))
-                      for off in range(0, len(names), 3)]
-              for names in (COORDS, COORDS2)}
+                      for off in range(_P, len(names), 3)]
+              for names in (COORD_RING, COORD_RING2)}
 
 
 def pl_bracket(f: ParamPoly, g: ParamPoly, ps: PoissonStructure) -> ParamPoly:
@@ -242,13 +248,14 @@ def pl_bracket(f: ParamPoly, g: ParamPoly, ps: PoissonStructure) -> ParamPoly:
     if f.names != g.names:
         raise ValueError("polynomials live over different variable lists")
     names = f.names
-    if names not in (COORDS, COORDS2):
+    if names not in (COORD_RING, COORD_RING2):
         raise ValueError("the bracket is defined on the coordinate algebra")
     return _bracket(_partials(f), _partials(g), ps.bracket_table(names), names)
 
 
 def _partials(f: ParamPoly) -> list:
-    return [f.partial(i) for i in range(len(f.names))]
+    """The partial derivatives in the coordinates, the names after PARAMS."""
+    return [f.partial(i) for i in range(_P, len(f.names))]
 
 
 def _bracket(fp, gp, table, names) -> ParamPoly:
@@ -270,37 +277,50 @@ def _bracket(fp, gp, table, names) -> ParamPoly:
     return out
 
 
-def jacobi_check(ps: PoissonStructure, names=COORDS) -> ParamPoly:
+def jacobi_check(ps: PoissonStructure, names=COORD_RING) -> ParamPoly:
     """Cyclic sum {a_minus, {a_plus, m}} + {a_plus, {m, a_minus}}
     + {m, {a_minus, a_plus}}, zero iff the bialgebra constraint equations hold.
 
-    In closed form it is a_minus*J1 + a_plus*J2, with (J1, J2) the two
-    co-Jacobi quadrics at (c1, c2, c3) = (0, b1, -a1), the values the cocycle
-    condition fixes.  J1 and J2 are formed from the numerators, so they sit
-    over the square of their denominator."""
+    In closed form it is a_minus*J1 + a_plus*J2, with J1 = a1 b3 - a1 a2
+    - 2 a3 b1 and J2 = a2 b1 - b1 b3 - 2 a1 b2, the two co-Jacobi quadrics
+    at (c1, c2, c3) = (0, b1, -a1), the values the cocycle condition fixes.
+    Each product of two numerator terms is keyed by the sum of their keys, so
+    J1 and J2 sit over the square of the denominator."""
     (a1, a2, a3, b1, b2, b3), den = ps.numerators()
-    j1, j2 = _cojacobi_forms(a1, a2, a3, b1, b2, b3, 0, b1, -a1)
     am, ap = _MONOMIALS[names][0][:2]
-    return _build({am: j1, ap: j2}, den * den, math.inf, names)
+    shift = _BITS * (len(names) - _P)
+    num = {}
+    for f, x, p, q in ((1, am, a1, b3), (-1, am, a1, a2), (-2, am, a3, b1),
+                       (1, ap, a2, b1), (-1, ap, b1, b3), (-2, ap, a1, b2)):
+        for k1, c1 in p:
+            for k2, c2 in q:
+                k = ((k1 + k2) << shift) + x
+                num[k] = num.get(k, 0) + f * c1 * c2
+    return _build(num, den * den, math.inf, names)
 
 
 @functools.cache
 def _group_law():
-    """The group-law images of (a_minus, a_plus, m) over COORDS2, the
-    partial-derivative list of each, and the packed image of every monomial
-    of degree <= 2 (those a table entry has): its key over COORDS maps to the
-    numerators of its image, whose coefficients are integers.  Built on first
-    use."""
-    am, ap, m, amp, app, mp = _GENS[COORDS2]
+    """The group-law images of (a_minus, a_plus, m) over COORD_RING2, the
+    partial-derivative list of each, and the packed image of every
+    coordinate monomial of degree <= 2 (those a table entry has): its key
+    over COORD_RING maps to the numerators of its image, whose coefficients
+    are integers.  Built on first use."""
+    am, ap, m, amp, app, mp = _GENS[COORD_RING2]
     images = (am + amp, ap + app, m + mp - am * app)
-    monomials = {_pack(exps): _monomial_image(images, exps)._num
-                 for exps in itertools.product(range(3), repeat=3) if sum(exps) <= 2}
+    monomials = {}
+    for exps in itertools.product(range(3), repeat=3):
+        if sum(exps) <= 2:
+            exps = (0,) * _P + exps
+            monomials[_pack(exps)] = _monomial_image(images, exps)._num
     return images, tuple(_partials(image) for image in images), monomials
 
 
 def _monomial_image(images, exps):
-    out = _coord_const(1, COORDS2)
-    for image, e in zip(images, exps):
+    """The image over COORD_RING2 of the monomial ``exps`` over COORD_RING:
+    its parameters stay, and each coordinate goes to its image."""
+    out = ParamPoly({exps[:_P] + (0,) * len(COORDS2): 1}, math.inf, COORD_RING2)
+    for image, e in zip(images, exps[_P:]):
         if e:
             out = out * image ** e
     return out
@@ -309,62 +329,64 @@ def _monomial_image(images, exps):
 def group_pullback(f: ParamPoly) -> ParamPoly:
     """Pull back a coordinate polynomial along the group law, landing in the
     doubled algebra (unprimed and primed copies).  Each packed key of ``f``
-    goes through the image table of ``_group_law``; a monomial of degree
-    above 2 has its image computed here.  The images have integer
-    coefficients, so the result keeps the denominator of ``f``."""
-    if f.names != COORDS:
+    goes through the image table of ``_group_law``; a monomial with
+    parameters, or of degree above 2, has its image computed here.  The
+    images have integer coefficients, so the result keeps the denominator of
+    ``f``."""
+    if f.names != COORD_RING:
         raise ValueError("expected a polynomial over the base coordinates")
     images, _, monomials = _group_law()
     num = {}
     get = num.get
     for key, c in f._num.items():
-        image = monomials.get(key)
-        if image is None:
-            image = _monomial_image(images, _unpack(key, len(COORDS)))._num
+        image = (monomials.get(key)
+                 or _monomial_image(images, _unpack(key, len(COORD_RING)))._num)
         for k, n in image.items():
             acc = get(k)
             num[k] = c * n if acc is None else acc + c * n
-    return _build(num, f._den, math.inf, COORDS2)
+    return _build(num, f._den, math.inf, COORD_RING2)
 
 
 def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
     """Residual Delta{u,v} - {Delta u, Delta v} per coordinate pair, where
     Delta is the group-law pullback and the doubled bracket acts copy-wise.
 
-    Built on each call: ``ps.bracket_table`` over COORDS and over COORDS2,
-    the pullback of each base entry (through the packed monomial images) and
-    the bracket of the coordinate images (``_bracket`` over the doubled
-    table).  Read from ``_group_law``, built once: the packed monomial images
-    and the partial derivatives of the coordinate images."""
-    table, table2 = ps.bracket_table(COORDS), ps.bracket_table(COORDS2)
+    Built on each call: ``ps.bracket_table`` over COORD_RING and over
+    COORD_RING2, the pullback of each base entry (through the packed monomial
+    images), the bracket of the coordinate images (``_bracket`` over the
+    doubled table), and their difference only where they differ (storage is
+    canonical, so ``!=`` is exact).  Read from ``_group_law``, built once:
+    the packed monomial images and the partial derivatives of the coordinate
+    images."""
+    table, table2 = ps.bracket_table(COORD_RING), ps.bracket_table(COORD_RING2)
     _, partials, _ = _group_law()
     out = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
         lhs = group_pullback(table[(i, j)])
-        rhs = _bracket(partials[i], partials[j], table2, COORDS2)
-        out[f"{{{COORDS[i]},{COORDS[j]}}}"] = lhs - rhs
+        rhs = _bracket(partials[i], partials[j], table2, COORD_RING2)
+        out[f"{{{COORDS[i]},{COORDS[j]}}}"] = (lhs - rhs if lhs != rhs
+                                               else ParamPoly.zero(math.inf, COORD_RING2))
     return out
 
 
 def chart_change(p: ParamPoly) -> ParamPoly:
     """Rewrite a coordinate polynomial in the chart x1 = a-, x2 = a+,
     x3 = m + a- a+."""
-    x1, x2, x3 = (_coord(n, CHART) for n in CHART)
+    x1, x2, x3 = (_coord(n, CHART_RING) for n in CHART)
     return p.subs({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2})
 
 
 def chart_change_inverse(p: ParamPoly) -> ParamPoly:
-    am, ap, m = _GENS[COORDS]
+    am, ap, m = _GENS[COORD_RING]
     return p.subs({"x1": am, "x2": ap, "x3": m + am * ap})
 
 
 def linear_bracket_table(ps: PoissonStructure):
-    """Degree-1 truncation of the generator brackets, as coefficient vectors
-    over (a_minus, a_plus, m); this is the dual Lie bracket."""
-    table = {}
-    for (i, j), poly in ps.bracket_table(COORDS).items():
-        vec = {}
-        for exps, coeff in poly.homogeneous_part(1).terms.items():
-            vec[exps.index(1)] = coeff
-        table[(i, j)] = vec
-    return table
+    """The coordinate-degree-1 part of the generator brackets, as coefficient
+    vectors over (a_minus, a_plus, m): the coefficient of x_k is d/dx_k at
+    the origin, a parameter polynomial in COORD_RING.  This is the dual Lie
+    bracket."""
+    origin = dict.fromkeys(COORDS, 0)
+    return {pair: {k: c for k, c in enumerate(d.subs(origin) for d in _partials(poly))
+                   if c._num}
+            for pair, poly in ps.bracket_table(COORD_RING).items()}

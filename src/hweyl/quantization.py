@@ -6,10 +6,10 @@ v, with theta = p * Theta.  From Theta alone this module builds the deformed
 commutation rules, the coproduct (exp(-theta)), the antipode (exp(theta)) and
 the closed forms, attaches the counit, and machine-verifies every Hopf axiom
 by exact truncated series; the zero cocommutator (TRIVIAL) is Theta = 0.  The
-differential realization of the I+ family acts on polynomials in x, held as
-ParamPoly over ("x",) with ``order=math.inf`` and parameter-polynomial
-coefficients.  Each exponential (exp(-theta), the [A-,A+] series and the
-realization's e^{a1 x/2}) is the scalar powers C^n/n! of
+differential realization of the I+ family acts on polynomials in x and the
+parameters, ParamPoly over ``ring(("x",))`` with ``order=math.inf``.  Each
+exponential (exp(-theta), the [A-,A+] series and the realization's
+e^{a1 x/2}) is the scalar powers C^n/n! of
 ``freealg._exp_terms`` placed on one letter: p, M or x.  ``quantize`` reads
 Theta once and sums one series E = exp(-theta) for the coproduct, and the
 antipode's F = exp(theta) = E^-1 is read off E's terms (``_Series``).  That
@@ -24,8 +24,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .params import (DEFAULT_ORDER, MAX_ORDER, PARAMS, ParamPoly, as_scalar,
-                     parse_rational, signed_sum)
+from .params import (_BITS, DEFAULT_ORDER, MAX_ORDER, PARAMS, ParamPoly, _build,
+                     as_scalar, parse_rational, ring, signed_sum)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
                       RewriteSystem, _exp_terms, _linear_extension, commutator,
                       exp_element, exp_matrix2, nc_mul, normal_form)
@@ -57,10 +57,10 @@ def _family_values(cls, order):
 
 
 def _theta(cls, order):
-    """(p, v, Theta): Theta[i][j] is the coefficient of p ^ v_j in delta(v_i).
+    """(p, v, Theta, values): Theta[i][j] is the coefficient of p ^ v_j in
+    delta(v_i), read off the family's graded parameter ``values``.
 
-    The normalized cocommutator must vanish on p and send each v_i into
-    v ^ p.  Theta is read off the family's graded parameter values.
+    The normalized cocommutator must vanish on p and send each v_i into v ^ p.
     """
     if cls.tag not in FAMILIES:
         raise ValueError(f"{cls.tag} has no matrix form")
@@ -71,23 +71,25 @@ def _theta(cls, order):
     for v in vector:
         if any(p not in pair for pair in cls.normalized.wedge_row(_IDX[v])):
             raise ValueError(f"{cls.tag}: delta({v}) contains a wedge without {prim}")
-    graded = Cocommutator(**_family_values(cls, order))
+    values = _family_values(cls, order)
+    graded = Cocommutator(**values)
     rows = [graded.full_row(_IDX[v]) for v in vector]
     zero = ParamPoly.zero(order)
-    return prim, vector, [[row.get((p, _IDX[v]), zero) for v in vector] for row in rows]
+    return (prim, vector, [[row.get((p, _IDX[v]), zero) for v in vector] for row in rows],
+            values)
 
 
 class _Series:
     """Theta, theta = p * Theta, E = exp(-theta) and F = exp(theta) of one
     family at one order, each computed at most once and only when asked for.
     Theta is read once, E is the one exponential series, and F is read off E
-    (module docstring).  ``quantize`` builds one and hands it to
-    ``family_rewrite``, ``build_coproduct`` and ``build_antipode``; called
-    alone, each of those builds its own."""
+    (module docstring).  ``quantize`` builds one, hands it to
+    ``family_rewrite``, ``build_coproduct`` and ``build_antipode``, and keeps
+    its graded parameter values; called alone, each of those builds its own."""
 
     def __init__(self, cls, order):
         self.order = order
-        self.prim, self.vector, self.theta = _theta(cls, order)
+        self.prim, self.vector, self.theta, self.values = _theta(cls, order)
 
     @functools.cached_property
     def matrix(self):
@@ -386,7 +388,7 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     antipode = build_antipode(cls, rewrite, _series=series)
     counit = {name: ParamPoly.zero(order) for name in GENERATORS}
     hp = HopfPresentation(
-        family=cls.tag, order=order, values=_family_values(cls, order),
+        family=cls.tag, order=order, values=series.values,
         rewrite=rewrite, coproduct=coproduct, counit=counit,
         antipode=antipode, bialgebra_class=cls,
         concrete={n: v for n, v in cls.family_params().items()
@@ -514,26 +516,35 @@ def central_element(hp) -> FreeElement:
     return c
 
 
-#: The variable list of the polynomials the differential realization acts
-#: on, and the polynomial x itself.
-_X = ("x",)
+#: The ring of the polynomials the differential realization acts on, PARAMS
+#: followed by x, and the polynomial x itself.
+_X = ring(("x",))
 _X_POLY = ParamPoly.symbol("x", math.inf, _X)
+
+
+def _cut(p, order):
+    """``p`` without its terms above parameter degree ``order``: the total
+    degree (top field) less the exponent of x (last field)."""
+    top = _BITS * len(_X)
+    num = {k: c for k, c in p._num.items() if (k >> top) - (k & MAX_ORDER) <= order}
+    return p if len(num) == len(p._num) else _build(num, p._den, math.inf, _X)
 
 
 def _realization_letters(a1, order):
     """The letters A+ = x, A- = s d/dx and M = s, s = lambda e^{a1 x/2}, as
-    operators {k: c_k}, meaning the sum of c_k(x) (d/dx)^k: each c_k is a
-    polynomial in x (ParamPoly over ("x",)) with parameter coefficients."""
+    operators {k: c_k}, meaning the sum of c_k (d/dx)^k: each c_k is a
+    polynomial over _X, and s is cut at parameter degree ``order``."""
     lam = ParamPoly.symbol("lambda", order)
-    s = ParamPoly({(k,): lam * t[0][0]
-                   for k, t in enumerate(_exp_terms([[a1 * Fraction(1, 2)]]))},
-                  math.inf, _X)
+    s = sum((_X_POLY ** k * (lam * t[0][0])
+             for k, t in enumerate(_exp_terms([[a1 * Fraction(1, 2)]]))),
+            ParamPoly.zero(math.inf, _X))
     return {GEN_AP: {0: _X_POLY}, GEN_AM: {1: s}, GEN_M: {0: s}}
 
 
-def _compose(left, right):
+def _compose(left, right, order):
     """The operator ``left`` after ``right``, by the Leibniz rule
-    (a d^i)(b d^j) = sum over m <= i of C(i, m) a b^(m) d^(i-m+j)."""
+    (a d^i)(b d^j) = sum over m <= i of C(i, m) a b^(m) d^(i-m+j), each
+    coefficient cut at parameter degree ``order``."""
     out = {}
     for j, b in right.items():
         for i, a in left.items():
@@ -545,17 +556,18 @@ def _compose(left, right):
                 k = i - m + j
                 acc = out.get(k)
                 out[k] = term if acc is None else acc + term
-                deriv = deriv.partial(0)
-    return out
+                deriv = deriv.partial(len(PARAMS))
+    return {k: _cut(c, order) for k, c in out.items()}
 
 
-def _word_operator(letters, word, memo):
+def _word_operator(letters, word, memo, order):
     """The operator of ``word``: its prefix's operator, from ``memo`` or
     built the same way, composed with its last letter."""
     op = memo.get(word)
     if op is None:
         if word:
-            op = _compose(_word_operator(letters, word[:-1], memo), letters[word[-1]])
+            op = _compose(_word_operator(letters, word[:-1], memo, order),
+                          letters[word[-1]], order)
         else:
             op = {0: ParamPoly.one(math.inf, _X)}
         memo[word] = op
@@ -564,14 +576,14 @@ def _word_operator(letters, word, memo):
 
 def _element_operator(letters, elem: FreeElement, memo):
     """The operator of ``elem``: the sum of its words' operators, each times
-    the word's coefficient."""
+    the word's coefficient, cut at parameter degree K, the element's order."""
     out = {}
     for word, coeff in elem.terms.items():
-        for k, c in _word_operator(letters, word, memo).items():
+        for k, c in _word_operator(letters, word, memo, elem.order).items():
             term = c * coeff
             acc = out.get(k)
             out[k] = term if acc is None else acc + term
-    return out
+    return {k: _cut(c, elem.order) for k, c in out.items()}
 
 
 def _apply_operator(op, powers, n):
@@ -603,15 +615,16 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
     monomial x^n, n <= max_degree; reports True where all residuals vanish.
     A negative ``max_degree`` would check nothing, so it raises ValueError.
 
-    Each residual is first made one operator, the sum of c_k(x) (d/dx)^k:
+    Each residual is first made one operator, the sum of c_k (d/dx)^k:
     every word is composed by the Leibniz rule, and words share the
     operators of their prefixes.  The operator is then applied to each x^n.
     This gives the same polynomials as applying the words letter by letter.
-    Cutting the coefficients at parameter degree K maps the parameter
-    polynomials onto their quotient ring, so it respects every sum and
-    product, and it commutes with d/dx, which acts on x alone.  x itself is
-    never cut.  So it does not matter whether the cut falls after each
-    letter or after each composed word.
+    The ring of x and the parameters is not truncated, so ``_cut`` drops
+    the terms above parameter degree K from each composed coefficient.
+    That cut maps the parameter polynomials onto their quotient ring, so it
+    respects every sum and product, and it commutes with d/dx, which acts on
+    x alone.  x itself is never cut.  So it does not matter whether the cut
+    falls after each letter or after each composed word.
 
     The products of the letter-by-letter application raise x^n by up to
     2K - 1 (the word M A+^K of C), so ``max_degree`` above
@@ -742,7 +755,7 @@ def closed_forms(hp) -> dict:
     primitive M, is shown as (exp(s*M) - 1)/s with s = -tr Theta.  Scalars
     are the engine's own text after the substitution of ``_render``.
     """
-    prim, (v0, v1), theta = _theta(hp.bialgebra_class, hp.order)
+    prim, (v0, v1), theta, _ = _theta(hp.bialgebra_class, hp.order)
     theta = [[hp._display(t) for t in row] for row in theta]
     (t00, t01), (t10, t11) = theta
     p = FreeElement.generator(prim, hp.order)

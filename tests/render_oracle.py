@@ -36,17 +36,12 @@ def coeff_prefix(coeff: Fraction, body: str) -> str:
 
 
 def join_signed(items) -> str:
-    """``(coeff, body)`` pairs as a sum; a ParamPoly coefficient is bracketed
-    and always joined with `` + ``."""
+    """``(rational coeff, body)`` pairs as a sum."""
     parts = []
     for coeff, body in items:
         if not coeff:
             continue
-        if isinstance(coeff, ParamPoly):
-            piece, negative = (f"({poly_str(coeff)})*{body}" if body
-                               else f"({poly_str(coeff)})"), False
-        else:
-            piece, negative = coeff_prefix(abs(coeff), body), coeff < 0
+        piece, negative = coeff_prefix(abs(coeff), body), coeff < 0
         if not parts:
             parts.append(f"-{piece}" if negative else piece)
         else:

@@ -20,7 +20,7 @@ from hweyl.bialgebra import (INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              classify, coboundary_delta, cocycle_residuals,
                              cojacobi_residuals, dual_bracket_table,
                              mcybe_check, schouten)
-from hweyl.poisson import (COORDS, GroupCoords, PoissonStructure,
+from hweyl.poisson import (COORD_RING, GroupCoords, PoissonStructure,
                            group_compose, jacobi_check, linear_bracket_table,
                            poisson_homomorphism_check)
 from hweyl.quantization import (central_element, check_realization,
@@ -201,7 +201,7 @@ def test_criterion_8_poisson_side():
     def mat_mul(a, b):
         return tuple(tuple(
             sum((a[i][k] * b[k][j] for k in range(3)),
-                ParamPoly.zero(math.inf, COORDS))
+                ParamPoly.zero(math.inf, COORD_RING))
             for j in range(3)) for i in range(3))
 
     for _ in range(100):

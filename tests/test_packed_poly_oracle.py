@@ -2,10 +2,13 @@
 keys) against sympy: the structural operations with denominators up to 30,
 canonical form, the single-term fast paths of ``*``, ``+`` and ``-`` (also
 against naive loops, for zero, unit, single- and multi-term operands and
-scalars on either side), coordinate polynomials that mix ParamPoly and
-rational coefficients, the packed-key field limit, the truncation cut-offs of
-the general product (against sympy and a naive Fraction pair loop), and
-setting grading symbols to 1 in one pass (against ``subs``)."""
+scalars on either side), coordinate polynomials with parameter coefficients
+(one polynomial over a ring of PARAMS followed by the coordinates, a
+parameter polynomial entering it by a key shift), the packed-key field
+limit, the truncation cut-offs of the general product (against sympy and a
+naive Fraction pair loop), and setting grading symbols to 1 in one pass
+(against ``subs``).  Every result keeps the storage invariant: int
+numerators, a positive denominator, gcd 1."""
 
 import math
 from fractions import Fraction
@@ -20,12 +23,17 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from hweyl.params import MAX_ORDER, PARAMS, ParamPoly  # noqa: E402
-from hweyl.poisson import CHART, COORDS  # noqa: E402
+from hweyl.poisson import (CHART, CHART_RING, COORD_RING, COORD_RING2,  # noqa: E402
+                           COORDS)
+from hweyl.quantization import _X  # noqa: E402
 
 PARAM_SYMS = sympy.symbols(PARAMS)
 COORD_SYMS = sympy.symbols(COORDS)
 CHART_SYMS = sympy.symbols(CHART)
-SYMS = {PARAMS: PARAM_SYMS, COORDS: COORD_SYMS, CHART: CHART_SYMS}
+SYMS = {PARAMS: PARAM_SYMS, COORDS: COORD_SYMS, CHART: CHART_SYMS,
+        COORD_RING: PARAM_SYMS + COORD_SYMS, CHART_RING: PARAM_SYMS + CHART_SYMS}
+#: The rings of the engine with coordinates after PARAMS.
+MIXED_RINGS = (COORD_RING, COORD_RING2, CHART_RING, _X)
 
 #: No shrink phase: a failure is reported as drawn.  With a product cut-off
 #: planted one degree early, shrinking took minutes per test (each candidate
@@ -67,8 +75,7 @@ def to_sympy(p):
     syms = SYMS[p.names]
     out = sympy.Integer(0)
     for exps, coeff in p.terms.items():
-        c = (to_sympy(coeff) if isinstance(coeff, ParamPoly)
-             else sympy.Rational(coeff.numerator, coeff.denominator))
+        c = sympy.Rational(coeff.numerator, coeff.denominator)
         out += c * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
     return out
 
@@ -87,8 +94,20 @@ def same(p, expr):
 
 
 def in_lowest_terms(p):
-    """The stored numerators and denominator share no factor."""
-    return p._den > 0 and gcd(p._den, *p._num.values()) == 1
+    """The storage invariant: int numerators over a positive int
+    denominator, sharing no factor with it."""
+    return (type(p._den) is int and p._den > 0
+            and all(type(c) is int for c in p._num.values())
+            and gcd(p._den, *p._num.values()) == 1)
+
+
+def coordinate_poly(terms, names=COORD_RING):
+    """The sum of c * x over {coordinate exponents of x: c}, a parameter
+    polynomial c lifted into the ring ``names`` by the product."""
+    out = ParamPoly.zero(math.inf, names)
+    for exps, c in terms.items():
+        out = out + ParamPoly({(0,) * len(PARAMS) + exps: 1}, math.inf, names) * c
+    return out
 
 
 # -- structural operations --------------------------------------------------------
@@ -133,16 +152,23 @@ def test_subs_matches_sympy(args, value, by_poly):
 
 
 @examples
-@given(st.dictionaries(exponents(len(COORDS), (0, 1, 2), 3), rationals, max_size=4))
+@given(st.dictionaries(exponents(len(COORDS), (0, 1, 2), 3),
+                       st.one_of(rationals, param_polys(3)), max_size=4))
 def test_subs_into_another_ring_matches_sympy(terms):
-    f = ParamPoly(terms, math.inf, COORDS)
-    x1, x2, x3 = (ParamPoly.symbol(n, math.inf, CHART) for n in CHART)
+    """The parameter fields, which lead both rings, move with each term."""
+    f = coordinate_poly(terms)
+    x1, x2, x3 = (ParamPoly.symbol(n, math.inf, CHART_RING) for n in CHART)
     out = f.subs({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2 * Fraction(1, 3)})
     X1, X2, X3 = CHART_SYMS
     expected = to_sympy(f).subs({COORD_SYMS[0]: X1, COORD_SYMS[1]: X2,
                                  COORD_SYMS[2]: X3 - X1 * X2 / 3}, simultaneous=True)
-    assert out.names == CHART
+    assert out.names is CHART_RING
     assert same(out, expected)
+    assert in_lowest_terms(out)
+    # a coordinate without an image cannot move; the parameter a1 can
+    a1_m = ParamPoly.symbol("m", math.inf, COORD_RING) * ParamPoly.symbol("a1", 3)
+    with pytest.raises(ValueError, match="no image for variable 'm'"):
+        a1_m.subs({"a_minus": x1})
 
 
 # -- canonical form ----------------------------------------------------------------
@@ -163,18 +189,18 @@ def test_canonical_form(args):
     assert (p - p)._den == 1 and not (p - p)._num
 
 
-# -- coordinate polynomials with mixed coefficients -------------------------------------
+# -- coordinate polynomials with parameter coefficients ----------------------------------
 
 @st.composite
 def mixed_coordinate_polys(draw):
-    """A coordinate polynomial with a ParamPoly coefficient and rational ones."""
+    """A coordinate polynomial over COORD_RING with a parameter polynomial
+    coefficient and rational ones."""
     order = draw(st.integers(1, 5))
     coord_exps = exponents(len(COORDS), (0, 1, 2), 3)
     terms = draw(st.dictionaries(coord_exps, rationals, max_size=3))
     exps = draw(coord_exps)
-    coeff = draw(param_polys(order)) + ParamPoly.symbol("a1", order)
-    terms[exps] = coeff
-    return order, ParamPoly(terms, math.inf, COORDS)
+    terms[exps] = draw(param_polys(order)) + ParamPoly.symbol("a1", order)
+    return order, coordinate_poly(terms)
 
 
 @examples
@@ -183,39 +209,89 @@ def mixed_coordinate_polys(draw):
                        min_size=1, max_size=3),
        st.integers(2, 30))
 def test_mixed_times_denominator_keeps_the_denominator(mixed, terms, den):
-    order, f = mixed
-    g = ParamPoly({e: c / den for e, c in terms.items()}, math.inf, COORDS)
-    expected = graded(to_sympy(f) * to_sympy(g), lambda d: d <= order)
-    assert same(f * g, expected)
-    assert same(g * f, expected)
+    """COORD_RING has ``order=math.inf``: nothing in a product is cut."""
+    _, f = mixed
+    g = coordinate_poly({e: c / den for e, c in terms.items()})
+    expected = to_sympy(f) * to_sympy(g)
+    for result in (f * g, g * f):
+        assert same(result, expected)
+        assert in_lowest_terms(result)
     assert same(f + g, to_sympy(f) + to_sympy(g))
     assert same(f * Fraction(1, den), to_sympy(f) / den)
 
 
 def test_mixed_polynomial_returns_to_int_form():
     a1 = ParamPoly.symbol("a1", 3)
-    am, ap = (ParamPoly.symbol(n, math.inf, COORDS) for n in COORDS[:2])
+    am, ap = (ParamPoly.symbol(n, math.inf, COORD_RING) for n in COORDS[:2])
     f = am * a1 + ap * Fraction(1, 6)
     rational = f - am * a1
     assert rational == ap * Fraction(1, 6)
     assert (rational._num, rational._den) == ((ap * Fraction(1, 6))._num, 6)
-    # a constant ParamPoly coefficient still equals the same rational
+    # a constant parameter polynomial still equals the same rational
     half = ParamPoly.const(Fraction(1, 2), 3)
     assert am * half == am * Fraction(1, 2)
     assert am * Fraction(1, 2) == am * half
     assert am * half != am * Fraction(1, 3)
 
 
+@examples
+@given(st.integers(0, 6).flatmap(param_polys),
+       st.sampled_from(MIXED_RINGS),
+       st.lists(st.integers(0, 2), min_size=1, max_size=6),
+       nonzero_rationals)
+def test_params_polynomial_times_a_coordinate_monomial_matches_sympy(p, names, exps, c):
+    """The PARAMS embedding into each ring, term by term: p times c x^e
+    lifts every key of p past the coordinate fields."""
+    width = len(names) - len(PARAMS)
+    exps = tuple((exps * width)[:width])
+    x = ParamPoly({(0,) * len(PARAMS) + exps: c}, math.inf, names)
+    syms = PARAM_SYMS + sympy.symbols(names[len(PARAMS):])
+    expected = sympy.Poly(sympy.expand(to_sympy(p) * c * sympy.Mul(
+        *(s ** e for s, e in zip(syms[len(PARAMS):], exps)))), *syms)
+    for product in (p * x, x * p):
+        assert product.names is names and product.order == math.inf
+        assert dict(product.terms) == {monom: Fraction(int(r.p), int(r.q))
+                                       for monom, r in expected.terms() if r}
+        assert in_lowest_terms(product)
+
+
+@st.composite
+def ring_operands(draw):
+    """(names, p, q): two polynomials over one engine ring, PARAMS at a
+    finite order or a ring of PARAMS and coordinates, with terms in the
+    first and last parameter and in every coordinate."""
+    names = draw(st.sampled_from((PARAMS,) + MIXED_RINGS))
+    order = draw(st.integers(0, 6)) if names is PARAMS else math.inf
+    pool = (0, len(PARAMS) - 1) + tuple(range(len(PARAMS), len(names)))
+    polys = st.dictionaries(exponents(len(names), pool, 3), rationals, max_size=5)
+    return (names, ParamPoly(draw(polys), order, names), ParamPoly(draw(polys), order, names))
+
+
+@settings(examples, max_examples=60)
+@given(ring_operands(), param_polys(4), nonzero_rationals)
+def test_storage_invariant_over_every_ring(args, coeff, value):
+    """Int numerators over a positive denominator, gcd 1, after every
+    operation and the PARAMS embedding, over PARAMS and each mixed ring."""
+    names, p, q = args
+    last = names[-1]
+    results = [p + q, p - q, p * q, -p, p * value, p ** 2,
+               p.subs({last: value}), p.subs({last: q, "a1": value}),
+               p.at_one({last, "a1"}), p.truncate(3), p.homogeneous_part(2)]
+    results += [p.partial(i) for i in range(len(names))]
+    if names is not PARAMS:
+        results += [p * coeff, coeff * p, p + coeff, coeff - p]
+    for result in results:
+        assert result.names is names
+        assert in_lowest_terms(result)
+        assert all(result._num.values())
+
+
 # -- single-term operands --------------------------------------------------------------
 
 def canonical(p):
-    """Canonical storage: no zero numerator and, with int numerators, lowest
-    terms (so zero has denominator 1); with a ParamPoly coefficient, den 1."""
-    if not all(p._num.values()):
-        return False
-    if any(isinstance(c, ParamPoly) for c in p._num.values()):
-        return p._den == 1
-    return in_lowest_terms(p)
+    """Canonical storage: no zero numerator, and int numerators in lowest
+    terms (so zero has denominator 1)."""
+    return all(p._num.values()) and in_lowest_terms(p)
 
 
 def one_term(nvars, pool, degrees, coefficients):
@@ -262,17 +338,20 @@ def short_param_operands(draw):
 
 @st.composite
 def short_coordinate_operands(draw):
-    """Over COORDS at ``order=math.inf``; a coefficient may be a ParamPoly
-    truncated at the order of the general operand's ParamPoly coefficients."""
-    order, general = draw(mixed_coordinate_polys())
-    coefficients = st.one_of(nonzero_rationals, param_polys(order).filter(bool))
-    monomials = one_term(len(COORDS), (0, 1, 2), st.integers(0, 2), coefficients)
-    return (order, *draw(short_operands(math.inf, COORDS, monomials, st.just(general))))
+    """Over COORD_RING at ``order=math.inf``, so no product is cut; a
+    monomial may hold parameters beside the coordinates, as the general
+    operand's parameter coefficient does."""
+    _, general = draw(mixed_coordinate_polys())
+    pool = (0, 5, len(PARAMS), len(PARAMS) + 1, len(PARAMS) + 2)
+    monomials = one_term(len(COORD_RING), pool, st.integers(0, 3), nonzero_rationals)
+    return (math.inf,
+            *draw(short_operands(math.inf, COORD_RING, monomials, st.just(general))))
 
 
 def check_arithmetic(order, p, partner, q):
     """``*``, ``+`` and ``-`` of the pairs against sympy, with products cut at
-    parameter degree ``order``; every result canonical."""
+    parameter degree ``order`` (nothing is cut at ``math.inf``); every result
+    canonical."""
     for x, y in ((p, q), (q, p), (p, partner)):
         X, Y = to_sympy(x), to_sympy(y)
         for result, expected in ((x * y, graded(X * Y, lambda d: d <= order)),
@@ -328,6 +407,22 @@ def test_untruncated_exponent_above_the_field_limit_raises():
     assert wide.terms == {(200, 200, 200): 1}
     assert wide.degree() == 600
     assert wide.partial(1).terms == {(200, 199, 200): 200}
+
+
+def test_field_limit_in_a_ring_of_parameters_and_coordinates():
+    """A parameter field of COORD_RING holds exponents up to MAX_ORDER, as a
+    coordinate field does; only the total degree, on top of the key, has no
+    limit."""
+    a1 = ParamPoly.symbol("a1", math.inf)
+    am = ParamPoly.symbol("a_minus", math.inf, COORD_RING)
+    top = a1 ** MAX_ORDER * am
+    assert top.terms == {(MAX_ORDER,) + (0,) * (len(PARAMS) - 1) + (1, 0, 0): 1}
+    for overflow in (lambda: top * a1, lambda: a1 * top, lambda: top * am ** MAX_ORDER):
+        with pytest.raises(ValueError, match=f"exponent above {MAX_ORDER}, the packed-key"):
+            overflow()
+    wide = top * am ** (MAX_ORDER - 1)
+    assert wide.degree() == 2 * MAX_ORDER
+    assert wide.terms == {(MAX_ORDER,) + (0,) * (len(PARAMS) - 1) + (MAX_ORDER, 0, 0): 1}
 
 
 # -- the truncation cut-offs of the general product ---------------------------------------
@@ -462,19 +557,21 @@ def test_untruncated_field_limit_with_sorted_operands():
 
 @st.composite
 def mixed_pairs(draw):
-    """Two coordinate polynomials whose ParamPoly coefficients share an order."""
+    """Two coordinate polynomials whose parameter coefficients share an order."""
     order, f = draw(mixed_coordinate_polys())
     coefficients = st.one_of(nonzero_rationals, param_polys(order).filter(bool))
     terms = draw(st.dictionaries(exponents(len(COORDS), (0, 1, 2), 3), coefficients,
                                  min_size=2, max_size=4))
-    return order, f, ParamPoly(terms, math.inf, COORDS)
+    return order, f, coordinate_poly(terms)
 
 
 @examples
 @given(mixed_pairs())
 def test_coordinate_products_with_parameter_coefficients_match_sympy(args):
-    order, f, g = args
-    expected = graded(to_sympy(f) * to_sympy(g), lambda d: d <= order)
+    """Untruncated: the parameter degree of a product may pass the order of
+    the coefficients that entered the ring."""
+    _, f, g = args
+    expected = to_sympy(f) * to_sympy(g)
     for result in (f * g, g * f):
         assert same(result, expected)
         assert canonical(result)
@@ -483,12 +580,14 @@ def test_coordinate_products_with_parameter_coefficients_match_sympy(args):
 # -- the fast paths of *, + and -, against the naive pair loop ------------------------
 
 def terms_of(x, names):
-    """The ``terms`` view of a polynomial, or of a scalar as a constant."""
-    if isinstance(x, ParamPoly) and x.names == names:
-        return dict(x.terms)
+    """The ``terms`` view of a polynomial over ``names`` or over a prefix of
+    them (its exponents padded with zeros), or of a scalar as a constant."""
+    if isinstance(x, ParamPoly):
+        pad = (0,) * (len(names) - len(x.names))
+        return {e + pad: c for e, c in x.terms.items()}
     if not x:
         return {}
-    return {(0,) * len(names): x if isinstance(x, ParamPoly) else Fraction(x)}
+    return {(0,) * len(names): Fraction(x)}
 
 
 def naive_sum(p, q, sign):
@@ -532,21 +631,20 @@ def test_fast_paths_over_parameters_match_the_pair_loop():
 
 
 def test_fast_paths_over_coordinates_with_parameter_coefficients():
-    """Untruncated coordinate polynomials, some with ParamPoly coefficients;
-    one coefficient is the parameter polynomial 1, which is no unit of the
-    coordinate ring's int form."""
+    """Untruncated polynomials over COORD_RING, some with parameter
+    coefficients; parameter polynomials on either side, the parameter
+    polynomial 1 among them, enter the ring by a key shift."""
     order = 3
     a1 = ParamPoly.symbol("a1", order)
     one = ParamPoly.one(order)
-    am, ap, m = (ParamPoly.symbol(n, math.inf, COORDS) for n in COORDS)
+    am, ap, m = (ParamPoly.symbol(n, math.inf, COORD_RING) for n in COORDS)
     operands = [
-        ParamPoly.zero(math.inf, COORDS), ParamPoly.one(math.inf, COORDS),
+        ParamPoly.zero(math.inf, COORD_RING), ParamPoly.one(math.inf, COORD_RING),
         m, am * Fraction(-7, 2), ap * (a1 + 1), am * one,
-        ParamPoly({(0, 0, 0): one}, math.inf, COORDS),
         m * ap + am * Fraction(1, 3) - 2, am * one + m * (a1 * 2 - 1) + 5,
         0, 1, 3, Fraction(1), Fraction(3, 7), a1 * Fraction(-1, 2), one,
     ]
-    check_fast_paths(operands, COORDS, math.inf)
+    check_fast_paths(operands, COORD_RING, math.inf)
 
 
 # -- grading symbols set to 1 in one pass ------------------------------------------------
@@ -564,11 +662,14 @@ def test_at_one_equals_subs(p, names):
 
 
 @examples
-@given(mixed_coordinate_polys(), st.sets(st.sampled_from(COORDS), min_size=1))
+@given(mixed_coordinate_polys(),
+       st.sets(st.sampled_from(COORDS + ("a1", "b2", "lambda")), min_size=1))
 def test_at_one_on_coordinate_polynomials_equals_subs(mixed, names):
     _, f = mixed
-    assert f.at_one(names) == f.subs(dict.fromkeys(names, 1))
-    assert str(f.at_one(names)) == str(f.subs(dict.fromkeys(names, 1)))
+    out, expected = f.at_one(names), f.subs(dict.fromkeys(names, 1))
+    assert out == expected
+    assert str(out) == str(expected)
+    assert canonical(out)
 
 
 def test_at_one_refuses_an_unknown_variable():

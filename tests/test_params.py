@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from hweyl.params import MAX_INPUT_DIGITS, PARAMS, ParamPoly, as_fraction, parse_rational
-from hweyl.poisson import CHART, COORDS
+from hweyl.params import (MAX_INPUT_DIGITS, PARAMS, ParamPoly, as_fraction, parse_rational,
+                          ring)
+from hweyl.poisson import CHART_RING, COORD_RING, COORD_RING2, COORDS
+from hweyl.quantization import _X
 
 
 def sym(name, order=6):
@@ -47,8 +49,8 @@ def test_mismatched_orders_rejected():
 
 
 def test_different_variable_lists_rejected_for_the_unit():
-    one = ParamPoly.one(math.inf, COORDS)
-    x = ParamPoly.symbol("x1", math.inf, CHART)
+    one = ParamPoly.one(math.inf, COORD_RING)
+    x = ParamPoly.symbol("x1", math.inf, CHART_RING)
     for op in (operator.mul, operator.add):
         with pytest.raises(ValueError, match="different variable lists"):
             op(one, x)
@@ -205,9 +207,9 @@ def _round_trips(value):
     lambda: ParamPoly.zero(4),
     lambda: ParamPoly.const(Fraction(-3, 7), 4),
     lambda: (sym("a1", 4) * Fraction(1, 6) + sym("b3", 4) ** 2 * 5 - 2) ** 2,
-    lambda: ParamPoly.symbol("m", math.inf, COORDS) ** 3 * Fraction(2, 3) + 1,
-    lambda: (ParamPoly.symbol("a_plus", math.inf, COORDS) * (sym("a1", 3) + 1)
-             + ParamPoly.symbol("m", math.inf, COORDS) * Fraction(1, 5)),
+    lambda: ParamPoly.symbol("m", math.inf, COORD_RING) ** 3 * Fraction(2, 3) + 1,
+    lambda: (ParamPoly.symbol("a_plus", math.inf, COORD_RING) * (sym("a1", 3) + 1)
+             + ParamPoly.symbol("m", math.inf, COORD_RING) * Fraction(1, 5)),
 ], ids=["zero", "constant", "series", "coordinates", "parameter-coefficients"])
 def test_param_poly_copy_and_pickle_round_trip(make):
     p = make()
@@ -223,38 +225,54 @@ def test_param_poly_copy_and_pickle_round_trip(make):
             q.order = 3
 
 
+#: A polynomial per ring of the engine: PARAMS, the three coordinate rings
+#: of ``poisson``, the realization's x and the nine group-law coordinates.
+RINGS = [PARAMS, COORD_RING, COORD_RING2, CHART_RING, _X,
+         ring(f"{n}{i}" for i in (1, 2, 3) for n in COORDS)]
+
+
+def sample(names, order):
+    """a1/3 + b2^2 over PARAMS; times the ring's last variable and plus 1
+    over a coordinate ring."""
+    p = sym("a1", order) * Fraction(1, 3) + sym("b2", order) ** 2
+    if names is PARAMS:
+        return p
+    return ParamPoly.symbol(names[-1], math.inf, names) * p + 1
+
+
 def test_restored_param_poly_shares_the_params_tuple():
-    """copy and pickle hand back PARAMS itself, also inside a coordinate
-    polynomial's coefficients, so arithmetic with a fresh polynomial takes
-    the same fast paths and gives the parent's result."""
-    p = sym("a1", 4) * Fraction(1, 3) + sym("b2", 4) ** 2
-    fresh = (sym("a1", 4), sym("a1", 4) * sym("b2", 4) - 2, ParamPoly.one(4))
-    for q in _round_trips(p):
-        assert q.names is PARAMS
-        for f in fresh:
-            for op in (operator.add, operator.sub, operator.mul):
-                assert op(q, f) == op(p, f) and op(f, q) == op(f, p)
-                assert op(q, f).names is PARAMS
-    coords = ParamPoly.symbol("m", math.inf, COORDS) * (sym("a1", 3) + 1)
-    for g in _round_trips(coords):
-        (coeff,) = g._num.values()
-        assert coeff.names is PARAMS
-        assert g * coords == coords * coords
+    """copy and pickle hand back the ring's one names tuple (``ring``), for
+    one polynomial per ring, so arithmetic with a fresh polynomial takes the
+    same fast paths (``names is``) and gives the parent's result."""
+    for names in RINGS:
+        order = 4 if names is PARAMS else math.inf
+        p = sample(names, 4)
+        fresh = (sample(names, 4), sample(names, 4) * sample(names, 4) - 2,
+                 ParamPoly.one(order, names))
+        for q in _round_trips(p):
+            assert q.names is names, names
+            for f in fresh:
+                for op in (operator.add, operator.sub, operator.mul):
+                    assert op(q, f) == op(p, f) and op(f, q) == op(f, p)
+                    assert op(q, f).names is names
 
 
 @pytest.mark.parametrize("c", [1, 2])
 def test_a_constant_parampoly_coefficient_is_stored_as_its_rational(c):
-    """Times a constant parameter polynomial, through ``_build`` or a
-    constructor, a coordinate polynomial is stored, printed and compared as
-    times the rational: int numerators over one denominator."""
-    a_minus = ParamPoly.symbol("a_minus", math.inf, COORDS)
+    """Times a constant parameter polynomial, lifted into its ring, a
+    coordinate polynomial is stored, printed and compared as times the
+    rational: int numerators over one denominator.  No constructor takes a
+    ParamPoly coefficient."""
+    a_minus = ParamPoly.symbol("a_minus", math.inf, COORD_RING)
     const = ParamPoly.const(c, 3)
     expected = a_minus * c
-    made = [a_minus * const, const * a_minus,
-            ParamPoly({(1, 0, 0): const}, math.inf, COORDS),
-            ParamPoly.const(const, math.inf, COORDS) * a_minus]
-    for p in made:
+    for p in (a_minus * const, const * a_minus):
         assert p._num == expected._num == {next(iter(a_minus._num)): c}
         assert p._den == 1
         assert str(p) == str(expected) == ("a_minus" if c == 1 else f"{c}*a_minus")
         assert p == expected and expected == p
+    exps = (0,) * len(PARAMS) + (1, 0, 0)
+    for build in (lambda: ParamPoly({exps: const}, math.inf, COORD_RING),
+                  lambda: ParamPoly.const(const, math.inf, COORD_RING)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            build()

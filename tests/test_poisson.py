@@ -5,19 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from hweyl.params import ParamPoly
+from hweyl.params import PARAMS, ParamPoly, ring
 from hweyl.bialgebra import (TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
                              BialgebraClass, Cocommutator, apply_automorphism,
                              cojacobi_residuals, dual_bracket_table)
-from hweyl.poisson import (CHART, COORDS, COORDS2, GroupCoords,
-                           PoissonStructure, chart_change,
+from hweyl.poisson import (CHART_RING, COORD_RING, COORD_RING2, COORDS,
+                           GroupCoords, PoissonStructure, chart_change,
                            chart_change_inverse, group_compose,
                            group_pullback, jacobi_check, linear_bracket_table,
                            pl_bracket, poisson_homomorphism_check)
 
 
-def var(name, names=COORDS):
+def var(name, names=COORD_RING):
     return ParamPoly.symbol(name, math.inf, names)
+
+
+def monomial(exps, coeff):
+    """coeff * a_minus^e0 a_plus^e1 m^e2 over COORD_RING."""
+    return ParamPoly({(0,) * len(PARAMS) + tuple(exps): coeff}, math.inf, COORD_RING)
 
 
 def sym(name):
@@ -45,7 +50,7 @@ def test_group_matrix_cross_check():
     def mat_mul(a, b):
         return tuple(tuple(
             sum((a[i][k] * b[k][j] for k in range(3)),
-                ParamPoly.zero(math.inf, COORDS))
+                ParamPoly.zero(math.inf, COORD_RING))
             for j in range(3)) for i in range(3))
 
     for _ in range(100):
@@ -56,7 +61,7 @@ def test_group_matrix_cross_check():
 
 
 def test_group_associativity_symbolic():
-    names = tuple(f"{n}{i}" for i in (1, 2, 3) for n in COORDS)
+    names = ring(f"{n}{i}" for i in (1, 2, 3) for n in COORDS)
     g1 = GroupCoords.generic(1, names)
     g2 = GroupCoords.generic(2, names)
     g3 = GroupCoords.generic(3, names)
@@ -90,7 +95,7 @@ def test_bracket_on_generators():
                      - am * am * (sym("a1") * Fraction(1, 2)))
     assert pl_bracket(am, m, ps) == expected_am_m
     assert str(pl_bracket(am, m, ps)) == \
-        "(a2)*a_minus + (b2)*a_plus + (b1)*m + (-(1/2)*a1)*a_minus^2"
+        "a2*a_minus + b1*m + b2*a_plus - (1/2)*a1*a_minus^2"
     assert str(am * Fraction(-2, 3) + m * m - 1) == "-1 - (2/3)*a_minus + m^2"
     expected_ap_m = (am * sym("a3") + ap * sym("b3") - m * sym("a1")
                      + ap * ap * (sym("b1") * Fraction(1, 2)))
@@ -189,12 +194,12 @@ class _PerturbedStructure(PoissonStructure):
         fixed = {}
         for key, poly in table.items():
             if key[1] == key[0] + 1 and key[0] % 3 == 0:
-                ap = ParamPoly.symbol(names[key[0] + 1], math.inf, names)
+                ap = ParamPoly.symbol(names[len(PARAMS) + key[0] + 1], math.inf, names)
                 poly = poly + ap * ap
             fixed[key] = poly
         return fixed
 
-    def bracket_table(self, names=COORDS):
+    def bracket_table(self, names=COORD_RING):
         return self.pollute(super().bracket_table(names), names)
 
 
@@ -207,10 +212,10 @@ def test_homomorphism_detects_perturbed_bracket():
 def test_pullback_is_group_law():
     m = var("m")
     image = group_pullback(m)
-    am = ParamPoly.symbol("a_minus", math.inf, COORDS2)
-    app = ParamPoly.symbol("a_plus'", math.inf, COORDS2)
-    mp = ParamPoly.symbol("m'", math.inf, COORDS2)
-    m2 = ParamPoly.symbol("m", math.inf, COORDS2)
+    am = ParamPoly.symbol("a_minus", math.inf, COORD_RING2)
+    app = ParamPoly.symbol("a_plus'", math.inf, COORD_RING2)
+    mp = ParamPoly.symbol("m'", math.inf, COORD_RING2)
+    m2 = ParamPoly.symbol("m", math.inf, COORD_RING2)
     assert image == m2 + mp - am * app
 
 
@@ -218,9 +223,9 @@ def test_pullback_is_group_law():
 
 def test_chart_change_examples():
     m = var("m")
-    x1 = ParamPoly.symbol("x1", math.inf, CHART)
-    x2 = ParamPoly.symbol("x2", math.inf, CHART)
-    x3 = ParamPoly.symbol("x3", math.inf, CHART)
+    x1 = ParamPoly.symbol("x1", math.inf, CHART_RING)
+    x2 = ParamPoly.symbol("x2", math.inf, CHART_RING)
+    x3 = ParamPoly.symbol("x3", math.inf, CHART_RING)
     assert chart_change(m) == x3 - x1 * x2
     assert chart_change(var("a_minus")) == x1
     assert chart_change_inverse(x3) == m + var("a_minus") * var("a_plus")
@@ -229,11 +234,10 @@ def test_chart_change_examples():
 def test_chart_roundtrip_random():
     rng = random.Random(63)
     for _ in range(20):
-        p = ParamPoly.zero(math.inf, COORDS)
+        p = ParamPoly.zero(math.inf, COORD_RING)
         for _ in range(5):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
-            p = p + ParamPoly({exps: Fraction(rng.randint(-4, 4))}, math.inf,
-                              COORDS)
+            p = p + monomial(exps, Fraction(rng.randint(-4, 4)))
         assert chart_change_inverse(chart_change(p)) == p
 
 
@@ -259,7 +263,7 @@ def test_linear_part_full_symbolic():
 # kept here as oracles.
 
 def _coords(names):
-    return tuple(ParamPoly.symbol(n, math.inf, names) for n in names)
+    return tuple(ParamPoly.symbol(n, math.inf, names) for n in names[len(PARAMS):])
 
 
 def oracle_bracket(f, g, ps):
@@ -272,20 +276,21 @@ def oracle_bracket(f, g, ps):
         table = ps.pollute(table, names)
     out = ParamPoly.zero(math.inf, names)
     for (i, j), entry in table.items():
+        i, j = len(PARAMS) + i, len(PARAMS) + j
         out = out + (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)) * entry
     return out
 
 
 def cyclic_sum(ps):
     """{a-, {a+, m}} + {a+, {m, a-}} + {m, {a-, a+}} through ``oracle_bracket``."""
-    am, ap, m = _coords(COORDS)
+    am, ap, m = _coords(COORD_RING)
     return sum((oracle_bracket(f, oracle_bracket(g, h, ps), ps)
                 for f, g, h in ((am, ap, m), (ap, m, am), (m, am, ap))),
-               ParamPoly.zero(math.inf, COORDS))
+               ParamPoly.zero(math.inf, COORD_RING))
 
 
 def pullback_by_subs(f):
-    am, ap, m, amp, app, mp = _coords(COORDS2)
+    am, ap, m, amp, app, mp = _coords(COORD_RING2)
     return f.subs({"m": m + mp - am * app, "a_minus": am + amp, "a_plus": ap + app})
 
 
@@ -304,7 +309,7 @@ def table_by_arithmetic(ps, names):
     """The generator table built by operator arithmetic on the coordinates."""
     gens = _coords(names)
     table = {}
-    for off in range(0, len(names), 3):
+    for off in range(0, len(names) - len(PARAMS), 3):
         am, ap, m = gens[off:off + 3]
         table[(off, off + 1)] = am * ps.a1 + ap * ps.b1
         table[(off, off + 2)] = (am * ps.a2 + ap * ps.b2 + m * ps.b1
@@ -383,12 +388,13 @@ def test_homomorphism_matches_the_subs_oracle_term_by_term():
 
 
 def random_coordinate_poly(rng, coeff):
-    p = ParamPoly.zero(math.inf, COORDS)
+    p = ParamPoly.zero(math.inf, COORD_RING)
     for _ in range(rng.randint(1, 6)):
         exps = [0, 0, 0]
         for _ in range(rng.randint(0, 4)):
             exps[rng.randrange(3)] += 1
-        p = p + ParamPoly({tuple(exps): coeff()}, math.inf, COORDS)
+        p = p + var("a_minus") ** exps[0] * var("a_plus") ** exps[1] * var("m") ** exps[2] \
+            * coeff()
     return p
 
 
@@ -406,7 +412,7 @@ def test_group_pullback_is_subs_up_to_degree_four():
 
 def test_bracket_table_matches_operator_arithmetic():
     for ps in symbolic_structures() + random_structures(3141, 30):
-        for names in (COORDS, COORDS2):
+        for names in (COORD_RING, COORD_RING2):
             new, old = ps.bracket_table(names), table_by_arithmetic(ps, names)
             assert new.keys() == old.keys()
             for key in new:
@@ -480,22 +486,26 @@ def test_wide_structures_cover_each_kind():
 
 
 def test_numerators_read_back_as_the_coefficients():
-    """Six ints over the lcm, in lowest terms, for rational coefficients; the
-    coefficients themselves over 1 when one is a ParamPoly."""
+    """Six constant int numerators over the lcm, in lowest terms, for
+    rational coefficients; the coefficients' own int numerators, over 1, for
+    the symbolic ones."""
     for ps in wide_structures(11) + random_structures(5, 12):
         nums, den = ps.numerators()
         vals = coefficients(ps)
-        assert all(type(n) is int for n in nums)
+        assert all(k == 0 and type(c) is int and c for n in nums for k, c in n)
         assert den == math.lcm(*(c.denominator for c in vals))
-        assert [Fraction(n, den) for n in nums] == vals
+        assert [Fraction(dict(n).get(0, 0), den) for n in nums] == vals
     for ps in symbolic_structures():
         nums, den = ps.numerators()
-        assert den == 1 and list(nums) == coefficients(ps)
+        assert den == 1
+        assert [dict(n) for n in nums] == [c._num if isinstance(c, ParamPoly)
+                                           else ({0: int(c)} if c else {})
+                                           for c in coefficients(ps)]
 
 
 def test_wide_structures_table_matches_operator_arithmetic():
     for ps in wide_structures(101):
-        for names in (COORDS, COORDS2):
+        for names in (COORD_RING, COORD_RING2):
             new, old = ps.bracket_table(names), table_by_arithmetic(ps, names)
             assert new.keys() == old.keys()
             for key in new:
@@ -507,7 +517,7 @@ def test_wide_structures_pullback_matches_subs():
     products with a coordinate (degree 3, imaged on the fly)."""
     m = var("m")
     for ps in wide_structures(202):
-        for entry in ps.bracket_table(COORDS).values():
+        for entry in ps.bracket_table(COORD_RING).values():
             for f in (entry, entry * m - entry * Fraction(3, 1000037)):
                 assert same_terms(group_pullback(f), pullback_by_subs(f))
 
@@ -541,12 +551,12 @@ class _PrimedPerturbedStructure(PoissonStructure):
     @staticmethod
     def pollute(table, names):
         table = dict(table)
-        if names == COORDS2:
-            app = ParamPoly.symbol("a_plus'", math.inf, COORDS2)
+        if names == COORD_RING2:
+            app = ParamPoly.symbol("a_plus'", math.inf, COORD_RING2)
             table[(3, 4)] = table[(3, 4)] + app * app
         return table
 
-    def bracket_table(self, names=COORDS):
+    def bracket_table(self, names=COORD_RING):
         return self.pollute(super().bracket_table(names), names)
 
 
@@ -555,8 +565,8 @@ def test_homomorphism_detects_a_fault_in_the_primed_copy_only():
     reads it through -a_minus * {a-', a+'}; {Delta a+, Delta m} never does."""
     ps = _PrimedPerturbedStructure(a1=1, a3=1)
     report = poisson_homomorphism_check(ps)
-    am = ParamPoly.symbol("a_minus", math.inf, COORDS2)
-    app = ParamPoly.symbol("a_plus'", math.inf, COORDS2)
+    am = ParamPoly.symbol("a_minus", math.inf, COORD_RING2)
+    app = ParamPoly.symbol("a_plus'", math.inf, COORD_RING2)
     assert report["{a_minus,a_plus}"] == -(app * app)
     assert report["{a_minus,m}"] == am * app * app
     assert not report["{a_plus,m}"]

@@ -1,6 +1,8 @@
 """ParamPoly against sympy: the ring operations over the parameters with
 truncation at total degree K, and products and derivatives of coordinate
-polynomials whose coefficients are parameter polynomials."""
+polynomials whose coefficients are parameter polynomials: polynomials over
+COORD_RING, PARAMS followed by the coordinates, where nothing is
+truncated."""
 
 import math
 from fractions import Fraction
@@ -13,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hweyl.params import PARAMS, ParamPoly  # noqa: E402
-from hweyl.poisson import COORDS  # noqa: E402
+from hweyl.poisson import COORD_RING, COORDS  # noqa: E402
 
 PARAM_SYMS = sympy.symbols(PARAMS)
 COORD_SYMS = sympy.symbols(COORDS)
@@ -54,17 +56,24 @@ def coord_pairs(draw):
     order = draw(st.integers(0, 6))
     coeffs = st.one_of(rationals, param_polys(order))
     coord_exps = exponents(len(COORDS), (0, 1, 2), 3)
-    polys = st.dictionaries(coord_exps, coeffs, max_size=4).map(
-        lambda terms: ParamPoly(terms, math.inf, COORDS))
+    polys = st.dictionaries(coord_exps, coeffs, max_size=4).map(coordinate_poly)
     return order, draw(polys), draw(polys)
 
 
+def coordinate_poly(terms):
+    """The sum of c * m over {coordinate exponents of m: c}, each
+    parameter polynomial c lifted into COORD_RING by the product."""
+    out = ParamPoly.zero(math.inf, COORD_RING)
+    for exps, c in terms.items():
+        out = out + ParamPoly({(0,) * len(PARAMS) + exps: 1}, math.inf, COORD_RING) * c
+    return out
+
+
 def to_sympy(p):
-    syms = PARAM_SYMS if p.names == PARAMS else COORD_SYMS
+    syms = PARAM_SYMS if p.names == PARAMS else PARAM_SYMS + COORD_SYMS
     out = sympy.Integer(0)
     for exps, coeff in p.terms.items():
-        c = (to_sympy(coeff) if isinstance(coeff, ParamPoly)
-             else sympy.Rational(coeff.numerator, coeff.denominator))
+        c = sympy.Rational(coeff.numerator, coeff.denominator)
         out += c * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
     return out
 
@@ -103,11 +112,13 @@ def test_param_powers_match_sympy(pair, n):
 @examples
 @given(coord_pairs())
 def test_coordinate_products_match_sympy(pair):
+    """COORD_RING has ``order=math.inf``: its products keep every term, also
+    those of parameter degree above the order of the lifted coefficients."""
     order, f, g = pair
-    assert same(f * g, truncated(to_sympy(f) * to_sympy(g), order))
+    assert same(f * g, to_sympy(f) * to_sympy(g))
     scale = ParamPoly.symbol("a1", order) + 1
-    assert same(f * scale, truncated(to_sympy(f) * to_sympy(scale), order))
-    assert same(scale * f, truncated(to_sympy(f) * to_sympy(scale), order))
+    assert same(f * scale, to_sympy(f) * to_sympy(scale))
+    assert same(scale * f, to_sympy(f) * to_sympy(scale))
     assert same(scale + f, to_sympy(scale) + to_sympy(f))
     assert same(scale - f, to_sympy(scale) - to_sympy(f))
 
@@ -116,5 +127,5 @@ def test_coordinate_products_match_sympy(pair):
 @given(coord_pairs())
 def test_coordinate_partials_match_sympy(pair):
     _, f, _ = pair
-    for i, s in enumerate(COORD_SYMS):
+    for i, s in enumerate(COORD_SYMS, len(PARAMS)):
         assert same(f.partial(i), sympy.diff(to_sympy(f), s))

@@ -617,16 +617,17 @@ def test_realization_bracket_on_constant():
     assert _apply_operator(op, [p0], 0) == diff
     lam = ParamPoly.symbol("lambda", order)
     half = a1 * Fraction(1, 2)
-    expected = {}
+    x = ParamPoly.symbol("x", math.inf, _X)
+    expected = ParamPoly.zero(math.inf, _X)
     power = lam
     fact = 1
     k = 0
     while power:
-        expected[(k,)] = power * Fraction(1, fact)
+        expected = expected + x ** k * (power * Fraction(1, fact))
         k += 1
         fact *= k
         power = power * half
-    assert diff == ParamPoly(expected, math.inf, _X)
+    assert diff == expected
 
 
 # -- serialization ----------------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 oracle (``realization_oracle``): random free-algebra elements and the four
 residuals of the realization, at K = 2..5, on the monomials x^n, n <= 6."""
 
-import math
 from fractions import Fraction
 from itertools import product
 
@@ -13,9 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from hweyl.bialgebra import TYPE_I_PLUS  # noqa: E402
-from hweyl.freealg import GENERATORS, FreeElement  # noqa: E402
+from hweyl.freealg import GEN_M, GENERATORS, FreeElement  # noqa: E402
 from hweyl.params import MAX_ORDER, ParamPoly  # noqa: E402
-from hweyl.quantization import (_X, _apply_operator, _element_operator,  # noqa: E402
+from hweyl.quantization import (_apply_operator, _element_operator,  # noqa: E402
                                 _realization_letters, _realization_residuals,
                                 check_realization)
 from realization_oracle import X_POLY, apply_element, realization_ops  # noqa: E402
@@ -131,8 +130,22 @@ def test_field_limit_bound_is_the_letter_by_letter_one():
             check_realization(TYPE_I_PLUS, max_degree=top + 1, order=order)
 
 
+def test_composed_coefficients_are_cut_within_the_field_limit():
+    """M^4 at K = 65: each composed coefficient is cut at parameter degree K,
+    so the a1 exponents of the next product stay within a packed-key field
+    (uncut, the four factors s would reach a1^256), and the operator still
+    equals the oracle."""
+    order = 65
+    a1 = ParamPoly.symbol("a1", order)
+    word = FreeElement.from_word((GEN_M,) * 4, order)
+    op = _element_operator(_realization_letters(a1, order), word, {})
+    ops = realization_ops(a1, order)
+    for n, power in enumerate(POWERS[:3]):
+        assert _apply_operator(op, POWERS, n) == apply_element(ops, word, power)
+
+
 def test_apply_operator_scales_by_the_falling_factorial():
     """(c d^2) x^5 = 20 c x^3, and d^k kills x^n for k > n."""
-    c = ParamPoly({(1,): Fraction(1, 3)}, math.inf, _X)
+    c = X_POLY * Fraction(1, 3)
     assert _apply_operator({2: c}, POWERS, 5) == c * X_POLY ** 3 * 20
     assert not _apply_operator({3: c}, POWERS, 2)

@@ -1,7 +1,8 @@
 """The printing of ParamPoly, FreeElement and TensorElement, and of the
 closed forms, against the ``terms``-view renderer of ``tests/render_oracle.py``
 on random operands: 13 parameter names, negative, fractional and zero
-coefficients, and coordinate polynomials with ParamPoly coefficients."""
+coefficients, and coordinate polynomials with parameter coefficients (one
+polynomial over PARAMS followed by the coordinates)."""
 
 import math
 
@@ -14,7 +15,7 @@ from hypothesis import Phase, find, given, settings, strategies as st  # noqa: E
 from hweyl.bialgebra import FAMILIES  # noqa: E402
 from hweyl.freealg import GENERATORS, FreeElement  # noqa: E402
 from hweyl.params import _BITS, PARAMS, ParamPoly  # noqa: E402
-from hweyl.poisson import COORDS  # noqa: E402
+from hweyl.poisson import COORD_RING  # noqa: E402
 from hweyl.quantization import _signed_sum, quantize  # noqa: E402
 from hweyl.tensor import TensorElement  # noqa: E402
 
@@ -57,10 +58,19 @@ def tensors(draw):
     return TensorElement(rank, draw(st.dictionaries(keys, param_polys(), max_size=5)), K)
 
 
+def coordinate_poly(terms):
+    """The sum of c * m over {coordinate exponents of m: c}, each
+    parameter polynomial c lifted into COORD_RING by the product."""
+    out = ParamPoly.zero(math.inf, COORD_RING)
+    for exps, c in terms.items():
+        out = out + ParamPoly({(0,) * len(PARAMS) + exps: 1}, math.inf, COORD_RING) * c
+    return out
+
+
 #: Coordinate polynomials whose coefficients are rationals or parameter series.
 coordinate_polys = st.dictionaries(
-    exponents(len(COORDS)), st.one_of(rationals, param_polys(math.inf)),
-    max_size=5).map(lambda terms: ParamPoly(terms, math.inf, COORDS))
+    exponents(len(COORD_RING) - len(PARAMS)), st.one_of(rationals, param_polys(math.inf)),
+    max_size=5).map(coordinate_poly)
 
 bodies = st.sampled_from(["M", "1 (x) A+", "A- (x) exp(a1*A+)", "M*A+*exp(-a3*A+)"])
 
