@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -394,11 +395,33 @@ def test_malformed_command_line_exits_1(capsys, argv):
     assert "usage: hweyl" in captured.err and "error:" in captured.err
 
 
-def test_help_exits_0(capsys):
+@pytest.mark.parametrize("command", [None, "classify", "quantize", "verify",
+                                     "coboundary", "poisson", "realize"])
+def test_help_exits_0(capsys, command):
     with pytest.raises(SystemExit) as exn:
-        main(["--help"])
+        main(["--help"] if command is None else [command, "--help"])
     assert exn.value.code == 0
-    assert "usage: hweyl" in capsys.readouterr().out
+    usage = "usage: hweyl" if command is None else f"usage: hweyl {command}"
+    assert usage in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # the argparse tree costs about 20 times what parsing one command line
+    # does, so in-process callers share one parser instead of rebuilding it
+    run(capsys, "classify")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (("classify",), ("quantize", "--family", "type2", "--order", "2"),
+                 ("poisson", "--check", "jacobi")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+    assert built == []
 
 
 def test_order_help_names_the_limit(capsys):

@@ -49,10 +49,14 @@ CASES["realize_json"] = ["realize", "--degree", "4", "--order", "4",
 
 
 def run(argv):
-    """(stdout, exit code) of one in-process CLI call."""
+    """(stdout, exit code) of one in-process CLI call, which may end in
+    ``SystemExit`` (``--help``, a malformed command line)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exn:
+            code = exn.code
     return out.getvalue(), code
 
 
@@ -62,6 +66,23 @@ def test_golden_output(name):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert code == codes[name]
     assert stdout.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def test_golden_outputs_repeat_in_one_process():
+    # every call shares one parser; no round, order or failed call between
+    # the rounds may leave state behind in it
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    names = sorted(CASES)
+    for round_names in (names, names[::-1]):
+        for name in round_names:
+            stdout, code = run(CASES[name])
+            assert code == codes[name], name
+            assert stdout.encode() == (GOLDEN / f"{name}.stdout").read_bytes(), name
+        if round_names is names:
+            assert run(["classify", "--format", "xml"]) == ("", 1)
+            stdout, code = run(["--help"])
+            assert code == 0 and stdout.startswith("usage: hweyl")
+            assert run(["quantize", "--family", "type2", '{"a1":"1"}']) == ("", 1)
 
 
 def record():
