@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .params import DEFAULT_ORDER, ParamPoly, as_fraction, as_scalar, parse_rational
+from .params import DEFAULT_ORDER, ParamPoly, as_fraction, as_scalar, parse_fields
 from .freealg import GEN_AM, GEN_AP, GEN_M
 from .tensor import _PERM_SIGN, TensorElement
 
@@ -193,17 +193,7 @@ class Cocommutator:
     @classmethod
     def from_json(cls, data):
         """Strict parse: known keys only, values as rational strings."""
-        if not isinstance(data, dict):
-            raise ValueError("cocommutator input must be a JSON object")
-        unknown = set(data) - set(_COEFF_NAMES)
-        if unknown:
-            raise ValueError(f"unknown cocommutator fields: {sorted(unknown)}")
-        vals = {key: parse_rational(key, raw) for key, raw in data.items()}
-        kwargs = {k: vals.get(k, 0) for k in _COEFF_NAMES[:6]}
-        for ck in ("c1", "c2", "c3"):
-            if ck in vals:
-                kwargs[ck] = vals[ck]
-        return cls(**kwargs)
+        return cls(**parse_fields("cocommutator", data, _COEFF_NAMES))
 
     def to_json(self):
         return {n: str(getattr(self, n)) for n in _COEFF_NAMES}
@@ -251,13 +241,7 @@ class RMatrix:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict):
-            raise ValueError("r-matrix input must be a JSON object")
-        names = ("xi", "beta_plus", "beta_minus")
-        unknown = set(data) - set(names)
-        if unknown:
-            raise ValueError(f"unknown r-matrix fields: {sorted(unknown)}")
-        return cls(**{key: parse_rational(key, raw) for key, raw in data.items()})
+        return cls(**parse_fields("r-matrix", data, ("xi", "beta_plus", "beta_minus")))
 
     def to_json(self):
         return {"xi": str(self.xi),

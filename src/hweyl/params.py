@@ -10,6 +10,11 @@ and a parameter coefficient is part of each monomial.  The module also holds
 the strict rational parser and the signed-sum renderer shared by all printed
 output.
 
+PARAMS ends with the grading variable t: a quantized presentation stores a
+rational parameter value q as q*t, so a concrete one is a series in t alone.
+t is last so that every monomial without t prints where it did without the
+name: the print order (``ParamPoly``) compares the fields in name order.
+
 Storage follows two known layouts, so that series arithmetic is int
 arithmetic with no Fraction in the inner loops:
 
@@ -70,9 +75,10 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 from types import MappingProxyType
 
-#: Parameter names, fixing the exponent-vector layout and the rendering order.
+#: Parameter names, fixing the exponent-vector layout and the rendering order;
+#: the last, t, grades the rational parameter values (module docstring).
 PARAMS = ("a1", "a2", "a3", "b1", "b2", "b3",
-          "c1", "c2", "c3", "xi", "beta_plus", "beta_minus", "lambda")
+          "c1", "c2", "c3", "xi", "beta_plus", "beta_minus", "lambda", "t")
 
 #: Default truncation order for deformation series.
 DEFAULT_ORDER = 6
@@ -136,6 +142,17 @@ def parse_rational(field, raw) -> Fraction:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"field {field!r}: {exc}") from None
+
+
+def parse_fields(what, data, names) -> dict:
+    """Strict parse of a JSON object whose keys are among ``names``, each value
+    by ``parse_rational``; else ``ValueError``, with ``what`` naming the object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} input must be a JSON object")
+    unknown = set(data) - set(names)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    return {key: parse_rational(key, raw) for key, raw in data.items()}
 
 
 def as_scalar(value):

@@ -40,7 +40,7 @@ import itertools
 import math
 
 from .params import (_BITS, PARAMS, ParamPoly, _build, _pack, _unpack, as_scalar,
-                     parse_rational, ring)
+                     parse_fields, parse_rational, ring)
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -121,18 +121,15 @@ class GroupCoords:
 
     @classmethod
     def from_json(cls, data):
-        """Accept a JSON triple [m, a_minus, a_plus] of string rationals."""
+        """Accept a JSON triple [m, a_minus, a_plus] of string rationals, or an
+        object of those fields (``parse_fields``), a missing one 0."""
         names = ("m", "a_minus", "a_plus")
         if isinstance(data, dict):
-            unknown = set(data) - set(names)
-            if unknown:
-                raise ValueError(f"unknown coordinate fields: {sorted(unknown)}")
-            vals = [data.get(name, "0") for name in names]
-        elif isinstance(data, list) and len(data) == 3:
-            vals = data
-        else:
-            raise ValueError("group element must be a [m, a_minus, a_plus] triple")
-        return cls.point(*(parse_rational(n, v) for n, v in zip(names, vals)))
+            vals = parse_fields("coordinate", data, names)
+            return cls.point(*(vals.get(n, 0) for n in names))
+        if isinstance(data, list) and len(data) == 3:
+            return cls.point(*(parse_rational(n, v) for n, v in zip(names, data)))
+        raise ValueError("group element must be a [m, a_minus, a_plus] triple")
 
     def to_json(self):
         return [str(self.m.as_fraction()), str(self.a_minus.as_fraction()),

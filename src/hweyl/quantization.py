@@ -42,8 +42,10 @@ class VerificationError(RuntimeError):
 def _family_values(cls, order):
     """Deformation parameter values as degree-1 ParamPoly, keyed by name.
 
-    Rational parameters q become q * <symbol>, keeping the series grading;
-    symbolic parameters are used as given.
+    A rational parameter q becomes q*t, so every rational value shares the
+    one grading variable t and the series stays graded; symbolic parameters
+    are used as given.  These values are a presentation's only copy of its
+    parameters (``HopfPresentation``).
     """
     values = {}
     for name, val in cls.family_params().items():
@@ -52,7 +54,7 @@ def _family_values(cls, order):
                 val = val.truncate(order)
             values[name] = val
         else:
-            values[name] = ParamPoly.symbol(name, order) * val
+            values[name] = ParamPoly.symbol("t", order) * val
     return values
 
 
@@ -232,23 +234,27 @@ class HopfPresentation:
 
     Deformation parameters are carried as degree-1 ParamPoly values so the
     series grading stays intact: a rational choice q of a parameter is the
-    value q * <symbol>, and ``concrete`` maps the names chosen that way to q.
-    When every parameter is concrete, rendering substitutes the symbols away.
+    value q*t, t the one grading variable (``_family_values``), and a
+    symbolic parameter is its own series.  ``values`` is the only copy of the
+    parameters: setting t to 1 in it gives each rational q back.
+    ``is_concrete``, read off ``values`` once, says that every parameter is
+    rational; then rendering sets t to 1.
 
     Delta and gamma of each word are computed once and kept with the
     presentation whose maps they extend.
     """
 
-    __slots__ = ("family", "order", "values", "concrete", "rewrite",
+    __slots__ = ("family", "order", "values", "is_concrete", "rewrite",
                  "coproduct", "counit", "antipode", "bialgebra_class",
                  "_deltas", "_gammas")
 
     def __init__(self, family, order, values, rewrite, coproduct, counit,
-                 antipode, bialgebra_class, concrete=None):
+                 antipode, bialgebra_class):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "concrete", concrete or {})
+        object.__setattr__(self, "is_concrete", bool(values) and all(
+            val.at_one(("t",)).is_constant() for val in values.values()))
         object.__setattr__(self, "rewrite", rewrite)
         object.__setattr__(self, "coproduct", coproduct)
         object.__setattr__(self, "counit", counit)
@@ -286,28 +292,21 @@ class HopfPresentation:
         return gamma
 
     def param_display(self):
-        """Parameter values as rational strings (concrete) or series."""
-        return {name: str(self.concrete.get(name, val))
-                for name, val in self.values.items()}
-
-    @property
-    def is_concrete(self):
-        return bool(self.values) and self.concrete.keys() == self.values.keys()
+        """Parameter values with t set to 1: rationals (concrete) or series."""
+        return {name: str(val.at_one(("t",))) for name, val in self.values.items()}
 
     def _display(self, obj):
-        """``obj`` with the grading symbols set to 1 when every parameter is
-        concrete, as the output shows it (``ParamPoly.at_one``)."""
+        """``obj`` with t set to 1 when every parameter is concrete, as the
+        output shows it (``ParamPoly.at_one``)."""
         if not self.is_concrete:
             return obj
-        grading = {name for val in self.values.values() for exps in val.terms
-                   for name, e in zip(val.names, exps) if e}
         if isinstance(obj, ParamPoly):
-            return obj.at_one(grading)
-        return obj.map_coeffs(lambda c: c.at_one(grading))
+            return obj.at_one(("t",))
+        return obj.map_coeffs(lambda c: c.at_one(("t",)))
 
     def _render(self, obj):
         """``obj`` as printed: series to parameter degree K or, with every parameter
-        concrete, grading symbols set to 1 and the terms of at most K letters (all
+        concrete, t set to 1 and the terms of at most K letters (all
         slots together), complete as no term has more parameter degree than letters."""
         obj = self._display(obj)
         return str(obj.truncate_words(self.order) if self.is_concrete else obj)
@@ -334,15 +333,16 @@ class HopfPresentation:
     @classmethod
     def from_json(cls, doc):
         """Rebuild from the serialized family, parameters and order.  A display
-        ``[-]<name in PARAMS>`` is that signed symbol (the transport of I+ shows
-        b1 as -a1); any other must be a rational, or ``ValueError`` names it."""
+        ``[-]<name in PARAMS>``, t aside, is that signed symbol (the transport of
+        I+ shows b1 as -a1); any other must be a rational, or ``ValueError``
+        names it."""
         family = doc["family"]
         order = int(doc["order"])
         params = {}
         for name, disp in doc.get("parameters", {}).items():
             base = disp.removeprefix("-") if isinstance(disp, str) else None
             params[name] = (ParamPoly.symbol(base, order) * (1 if base == disp else -1)
-                            if base in PARAMS else parse_rational(name, disp))
+                            if base in PARAMS[:-1] else parse_rational(name, disp))
         return quantize(family, order=order, params=params)
 
     def __repr__(self):
@@ -390,9 +390,7 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     hp = HopfPresentation(
         family=cls.tag, order=order, values=series.values,
         rewrite=rewrite, coproduct=coproduct, counit=counit,
-        antipode=antipode, bialgebra_class=cls,
-        concrete={n: v for n, v in cls.family_params().items()
-                  if not isinstance(v, ParamPoly)})
+        antipode=antipode, bialgebra_class=cls)
     if verify:
         failed = [name for name, ok in verify_all(hp).items() if not ok]
         if failed:
@@ -699,8 +697,6 @@ def swap_transport(hp) -> HopfPresentation:
     renames = ({"a1": "b1", "a3": "b2"} if hp.family == TYPE_I_PLUS
                else {"b1": "a1", "b2": "a3"})
     new_values = {new: -hp.values[old] for old, new in renames.items()}
-    concrete = {new: -hp.concrete[old] for old, new in renames.items()
-                if old in hp.concrete}
 
     # transported commutation rules first (their right-hand sides are series
     # in M, whose swap images are already normal words)
@@ -727,7 +723,7 @@ def swap_transport(hp) -> HopfPresentation:
     return HopfPresentation(
         family=target_tag, order=order, values=new_values, rewrite=rewrite,
         coproduct=coproduct, counit={n: ParamPoly.zero(order) for n in GENERATORS},
-        antipode=antipode, bialgebra_class=cls, concrete=concrete)
+        antipode=antipode, bialgebra_class=cls)
 
 
 # -- closed-form display ----------------------------------------------------------------

@@ -502,10 +502,11 @@ def test_outer_rows_past_the_limit_are_dropped_in_any_insertion_order():
     rows meet the longer operand within the order."""
     order = 6
     a1, a2, b2, b3 = (ParamPoly.symbol(n, order) for n in ("a1", "a2", "b2", "b3"))
-    outer = ParamPoly({(0, 0, 0, 0, 0, 6) + (0,) * 7: 2,
-                       (5, 0, 0, 0, 0, 0) + (0,) * 7: Fraction(-1, 3),
-                       (0, 0, 0, 0, 0, 0) + (0,) * 7: 7,
-                       (1, 0, 0, 0, 0, 0) + (0,) * 7: Fraction(5, 2)}, order)
+    rest = (0,) * (len(PARAMS) - 6)
+    outer = ParamPoly({(0, 0, 0, 0, 0, 6) + rest: 2,
+                       (5, 0, 0, 0, 0, 0) + rest: Fraction(-1, 3),
+                       (0, 0, 0, 0, 0, 0) + rest: 7,
+                       (1, 0, 0, 0, 0, 0) + rest: Fraction(5, 2)}, order)
     assert list(outer._num) != sorted(outer._num)
     inner = a2 + a2 * b2 + b2 ** 3 * 4 + b3 ** 2 * a1 * Fraction(1, 7) + a2 ** 4
     assert len(inner._num) > len(outer._num)

@@ -9,7 +9,8 @@ import pytest
 
 from hweyl.params import (MAX_INPUT_DIGITS, PARAMS, ParamPoly, as_fraction, parse_rational,
                           ring)
-from hweyl.poisson import CHART_RING, COORD_RING, COORD_RING2, COORDS
+from hweyl.bialgebra import Cocommutator, RMatrix
+from hweyl.poisson import CHART_RING, COORD_RING, COORD_RING2, COORDS, GroupCoords
 from hweyl.quantization import _X
 
 
@@ -165,6 +166,27 @@ def test_parse_rational_rejects_with_the_field_name(raw, message):
     with pytest.raises(ValueError) as exc:
         parse_rational("xi", raw)
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("reader,what,field,not_object", [
+    (Cocommutator.from_json, "cocommutator", "b2",
+     "cocommutator input must be a JSON object"),
+    (RMatrix.from_json, "r-matrix", "beta_plus", "r-matrix input must be a JSON object"),
+    (GroupCoords.from_json, "coordinate", "a_minus",
+     "group element must be a [m, a_minus, a_plus] triple"),
+], ids=["cocommutator", "r-matrix", "coordinates"])
+def test_json_readers_refuse_with_one_strict_field_parser(reader, what, field, not_object):
+    # the readers share ``parse_fields``: a non-object, an unknown key and a
+    # malformed value each end in a ValueError with a fixed message
+    for data, message in [
+        ("1", not_object),
+        ({field: "1", "zz": "2", "aa": "3"}, f"unknown {what} fields: ['aa', 'zz']"),
+        ({field: "x"}, f"field {field!r}: Invalid literal for Fraction: 'x'"),
+        ({field: 1}, f"field {field!r}: must be a string rational, got 1"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            reader(data)
+        assert str(exc.value) == message
 
 
 def test_parse_rational_accepts_string_rationals():

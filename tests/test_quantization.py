@@ -475,10 +475,8 @@ def test_specialization_commutes():
     concrete = {"a1": Fraction(1, 2), "a3": Fraction(-3)}
     direct = quantize(TYPE_I_PLUS, order=K, params=concrete)
     symbolic = quantize(TYPE_I_PLUS, order=K)
-    subs_map = {name: val * ParamPoly.symbol(name, K).subs({name: 1})
-                for name, val in concrete.items()}
-    scale = {name: ParamPoly.symbol(name, K) * val
-             for name, val in concrete.items()}
+    # a rational parameter q is graded as q*t
+    scale = {name: ParamPoly.symbol("t", K) * val for name, val in concrete.items()}
     for name in GENERATORS:
         assert direct.coproduct[name] == symbolic.coproduct[name].subs(scale)
         assert direct.antipode[name] == symbolic.antipode[name].subs(scale)
@@ -657,7 +655,7 @@ def test_hopf_json_roundtrip_concrete():
     (TYPE_I_MINUS, {"b1": Fraction(5, 3), "b2": -2}),
 ])
 def test_concrete_display_equals_every_parameter_set_to_one(tag, params):
-    # a concrete presentation carries only the grading symbols, so setting
+    # a concrete presentation carries only the grading variable t, so setting
     # every parameter to 1 through the general ``subs`` is the oracle
     hp = quantize(tag, order=5, params=params, verify=False)
     ones = dict.fromkeys(PARAMS, 1)
@@ -681,7 +679,7 @@ def test_hopf_from_json_rejects_non_rational_parameters():
     cls = BialgebraClass(TYPE_I_PLUS, normalized=Cocommutator(a1=-b1, a3=-b2))
     doc = quantize(cls, order=K, verify=False).to_json()
     assert doc["parameters"] == {"a1": "-b1", "a3": "-b2"}
-    for disp in ("2*b1", "b1^2", "--b1", "-b1 + b2", " b1", "-", "x", "", 1):
+    for disp in ("2*b1", "b1^2", "--b1", "-b1 + b2", " b1", "-", "x", "t", "-t", "", 1):
         bad = {**doc, "parameters": {"a1": disp, "a3": "-b2"}}
         with pytest.raises(ValueError, match="field 'a1'"):
             HopfPresentation.from_json(bad)
@@ -716,15 +714,43 @@ def test_concrete_parameter_equal_to_one_is_not_symbolic():
     hp = quantize(TYPE_I_PLUS, params={"a1": 1, "a3": 2})
     assert hp.param_display() == {"a1": "1", "a3": "2"}
     assert hp.is_concrete
-    assert HopfPresentation.from_json(hp.to_json()).concrete == {"a1": 1, "a3": 2}
+    rebuilt = HopfPresentation.from_json(hp.to_json())
+    assert rebuilt.param_display() == {"a1": "1", "a3": "2"}
+    assert rebuilt.is_concrete
+    assert rebuilt.values == hp.values
 
 
 def test_swap_transport_carries_concrete_values():
     source = quantize(TYPE_I_PLUS, order=K, params={"a1": 2, "a3": 1})
     transported = swap_transport(source)
     direct = quantize(TYPE_I_MINUS, order=K, params={"b1": -2, "b2": -1})
-    assert transported.concrete == direct.concrete
+    assert source.param_display() == {"a1": "2", "a3": "1"}
+    assert transported.param_display() == direct.param_display() == {"b1": "-2", "b2": "-1"}
+    assert source.is_concrete and transported.is_concrete and direct.is_concrete
+    assert transported.values == direct.values
     assert transported.to_json() == direct.to_json()
+
+
+def test_concrete_type_ii_coefficients_are_single_terms():
+    # every rational parameter is graded by the one variable t, so each
+    # coefficient of a concrete TYPE_II presentation is a multiple of a power of t
+    hp = quantize(TYPE_II, order=8, verify=False, params={
+        "a2": Fraction(1, 2), "a3": -2, "b2": 3, "b3": Fraction(1, 3)})
+    maps = [*hp.rewrite.rules.values(), *hp.coproduct.values(), *hp.antipode.values()]
+    coeffs = [c for x in maps for c in x.terms.values()]
+    assert len(coeffs) > 50
+    assert max(len(c.terms) for c in coeffs) == 1
+
+
+def test_mixed_presentation_grades_its_rational_parameter_by_t():
+    hp = quantize(TYPE_I_PLUS, order=3, params={"a1": Fraction(1, 2)})
+    assert hp.param_display() == {"a1": "1/2", "a3": "a3"}
+    assert not hp.is_concrete
+    doc = hp.to_json()
+    assert "(1/2)*t*A- (x) A+" in doc["coproduct"][GEN_AM]
+    rebuilt = HopfPresentation.from_json(doc)
+    assert rebuilt.to_json() == doc
+    assert rebuilt.values == hp.values
 
 
 def test_closed_forms_mention_exponential():

@@ -5,7 +5,7 @@ bracket series ``exprel_series`` and the determinant of the TYPE_II
 coproduct matrix E = exp(-theta) are compared with sympy's own expansions
 of exp(x) and (exp(x) - 1)/x, truncated at parameter degree K.  Every
 element here lives in the commutative subalgebra of one generator, so the
-generator is read as a commuting symbol t.
+generator is read as a commuting symbol g (not t, a name of PARAMS).
 """
 
 import pytest
@@ -22,7 +22,7 @@ from hweyl.bialgebra import TYPE_II, BialgebraClass, Cocommutator  # noqa: E402
 from hweyl.quantization import exprel_series, matrix_delta  # noqa: E402
 
 PARAM_SYMS = sympy.symbols(PARAMS)
-T = sympy.Symbol("t")
+G = sympy.Symbol("g")
 X = sympy.Symbol("x")
 
 examples = settings(max_examples=15, derandomize=True, database=None, deadline=None)
@@ -61,16 +61,16 @@ def poly_to_sympy(p):
 
 
 def element_to_sympy(x, letter):
-    """A FreeElement in powers of one generator as a polynomial in t."""
+    """A FreeElement in powers of one generator as a polynomial in g."""
     assert x.letters_used() <= {letter}
-    return sum((poly_to_sympy(c) * T ** len(w) for w, c in x.terms.items()),
+    return sum((poly_to_sympy(c) * G ** len(w) for w, c in x.terms.items()),
                sympy.Integer(0))
 
 
 def truncated(expr, order):
     """Drop the terms of parameter degree above ``order``."""
-    poly = sympy.Poly(sympy.expand(expr), *PARAM_SYMS, T)
-    return sum((c * sympy.Mul(*(s ** e for s, e in zip(PARAM_SYMS + (T,), monom)))
+    poly = sympy.Poly(sympy.expand(expr), *PARAM_SYMS, G)
+    return sum((c * sympy.Mul(*(s ** e for s, e in zip(PARAM_SYMS + (G,), monom)))
                 for monom, c in poly.terms()
                 if sum(monom[:len(PARAMS)]) <= order), sympy.Integer(0))
 
@@ -87,7 +87,7 @@ def series_at(fn, arg, order):
 def test_exp_element_matches_sympy(case, letter):
     order, c = case
     got = exp_element(FreeElement.generator(letter, order) * c)
-    want = series_at(sympy.exp(X), poly_to_sympy(c) * T, order)
+    want = series_at(sympy.exp(X), poly_to_sympy(c) * G, order)
     assert sympy.expand(element_to_sympy(got, letter) - want) == 0
 
 
@@ -97,7 +97,7 @@ def test_exprel_series_matches_sympy(case):
     order, s = case
     got = exprel_series(s, order)
     # (exp(s M) - 1)/s = M * (exp(x) - 1)/x at x = s M
-    want = truncated(T * series_at((sympy.exp(X) - 1) / X, poly_to_sympy(s) * T,
+    want = truncated(G * series_at((sympy.exp(X) - 1) / X, poly_to_sympy(s) * G,
                                    order), order)
     assert sympy.expand(element_to_sympy(got, GEN_M) - want) == 0
 
@@ -111,6 +111,6 @@ def test_type_ii_coproduct_matrix_determinant(order, qs):
     e = [[element_to_sympy(x, GEN_M) for x in row]
          for row in exp_matrix2([[-x for x in row] for row in theta])]
     det = truncated(e[0][0] * e[1][1] - e[0][1] * e[1][0], order)
-    trace = (rational(a2) * PARAM_SYMS[PARAMS.index("a2")]
-             + rational(b3) * PARAM_SYMS[PARAMS.index("b3")])
-    assert sympy.expand(det - series_at(sympy.exp(X), trace * T, order)) == 0
+    # a rational parameter q is graded as q*t
+    trace = (rational(a2) + rational(b3)) * PARAM_SYMS[PARAMS.index("t")]
+    assert sympy.expand(det - series_at(sympy.exp(X), trace * G, order)) == 0
