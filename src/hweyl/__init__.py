@@ -26,9 +26,8 @@ from .quantization import (HopfPresentation, VerificationError,
                            matrix_delta, quantize, swap_transport,
                            verify_all, verify_antipode, verify_coassoc,
                            verify_counit, verify_homomorphism)
-from .poisson import (CHART, CHART_RING, COORD_RING, COORD_RING2, COORDS,
-                      COORDS2, GroupCoords, PoissonStructure, chart_change,
-                      chart_change_inverse, group_compose, group_pullback,
+from .poisson import (COORD_RING, COORD_RING2, COORDS, COORDS2, GroupCoords,
+                      PoissonStructure, group_compose, group_pullback,
                       jacobi_check, linear_bracket_table, pl_bracket,
                       poisson_homomorphism_check)
 

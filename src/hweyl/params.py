@@ -689,13 +689,13 @@ def _check_order(order):
             f"truncation order {order} is above {MAX_ORDER}, the packed-key field limit")
 
 
-def _check_fields(a, b, width):
-    """Raise when a product of keys from ``a`` and ``b`` would carry out of
-    an exponent field."""
+def _check_fields(a, b, width, c=()):
+    """Raise when a product of keys from ``a`` and ``b`` (and ``c``) would
+    carry out of an exponent field."""
     for i in range(width):
         pos = _BITS * (width - 1 - i)
-        if (max((k >> pos) & MAX_ORDER for k in a)
-                + max((k >> pos) & MAX_ORDER for k in b)) > MAX_ORDER:
+        if sum(max(((k >> pos) & MAX_ORDER for k in keys), default=0)
+               for keys in (a, b, c)) > MAX_ORDER:
             raise ValueError(
                 f"exponent above {MAX_ORDER}, the packed-key field limit")
 

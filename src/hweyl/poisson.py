@@ -3,10 +3,10 @@
 The coordinate functions (a_minus, a_plus, m) generate a commutative
 polynomial algebra with parameter coefficients: ParamPoly over COORD_RING,
 PARAMS followed by COORDS (``params.ring``), with ``order=math.inf``, so no
-term is ever truncated; likewise COORD_RING2 for COORDS2 and CHART_RING for
-CHART.  The bracket differentiates in the coordinates only (``_partials``).
-The group law composes coordinates, and the classified bialgebra
-coefficients induce a Poisson bracket with two checks:
+term is ever truncated; likewise COORD_RING2 for COORDS2.  The bracket
+differentiates in the coordinates only (``_partials``).  The group law
+composes coordinates, and the classified bialgebra coefficients induce a
+Poisson bracket with two checks:
 
 - Jacobi, in closed form.  The cyclic sum over the coordinate triple is
   a_minus*J1 + a_plus*J2, with J1 and J2 the co-Jacobi quadrics of
@@ -24,13 +24,14 @@ entries and the Jacobi form are put together from the numerators of a
 ``PoissonStructure`` and the packed keys of the coordinate monomials, one
 code path for rational and symbolic coefficients.
 
-What does not depend on the input is built once, on first use
-(``_group_law``): the group-law images of the coordinates, the partial
-derivatives of those images, and the packed image of every monomial of
-degree <= 2 (the monomials a table entry has).  Every call of
-``poisson_homomorphism_check`` builds from its input both tables (over
-COORD_RING and COORD_RING2), the pullback of each base entry through the
-image table, and the bracket sums of ``_bracket``.
+A bracket is one sum over a plan (``_plan``), the (table pair, factor key,
+int factor) terms from the partials of its arguments.  Built once, on first
+use (``_group_law``), as they do not depend on the input: the group-law
+images of the coordinates, the plans of their brackets, and the packed image
+of every monomial of degree <= 2 (those a table entry has).  Built on every
+call of ``poisson_homomorphism_check``: both tables (over COORD_RING and
+COORD_RING2) and, per coordinate pair, two numerator sums, the pullback of
+the base entry and the bracket of the images.
 """
 
 from __future__ import annotations
@@ -39,17 +40,15 @@ import functools
 import itertools
 import math
 
-from .params import (_BITS, PARAMS, ParamPoly, _build, _pack, _unpack, as_scalar,
-                     parse_fields, parse_rational, ring)
+from .params import (_BITS, MAX_ORDER, PARAMS, ParamPoly, _build, _check_fields, _pack,
+                     _unpack, as_scalar, parse_fields, parse_rational, ring)
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
 #: Two tagged copies, for the group-law homomorphism check.
 COORDS2 = COORDS + ("a_minus'", "a_plus'", "m'")
-#: Target chart for the coordinate change.
-CHART = ("x1", "x2", "x3")
 #: The rings of these coordinates, and the number of parameter fields before them.
-COORD_RING, COORD_RING2, CHART_RING = ring(COORDS), ring(COORDS2), ring(CHART)
+COORD_RING, COORD_RING2 = ring(COORDS), ring(COORDS2)
 _P = len(PARAMS)
 
 
@@ -61,11 +60,6 @@ def _coord(name, names=COORD_RING) -> ParamPoly:
 def _coord_const(value, names=COORD_RING) -> ParamPoly:
     """A rational constant as a polynomial over ``names``."""
     return ParamPoly.const(value, math.inf, names)
-
-
-#: The coordinate functions of COORD_RING and of COORD_RING2, built once.
-_GENS = {names: tuple(_coord(n, names) for n in names[_P:])
-         for names in (COORD_RING, COORD_RING2)}
 
 
 class GroupCoords:
@@ -241,13 +235,19 @@ _MONOMIALS = {names: [tuple(_pack(_exps(len(names), off + i, e))
 
 
 def pl_bracket(f: ParamPoly, g: ParamPoly, ps: PoissonStructure) -> ParamPoly:
-    """Bracket extended from the generator table by bilinearity and Leibniz."""
+    """Bracket extended from the generator table by bilinearity and Leibniz:
+    the plan of f and g (``_plan``), built here, summed by ``_bracket``."""
     if f.names != g.names:
         raise ValueError("polynomials live over different variable lists")
     names = f.names
     if names not in (COORD_RING, COORD_RING2):
         raise ValueError("the bracket is defined on the coordinate algebra")
-    return _bracket(_partials(f), _partials(g), ps.bracket_table(names), names)
+    table = ps.bracket_table(names)
+    if f.degree() + g.degree() + max(e.degree() for e in table.values()) > MAX_ORDER:
+        _check_fields(f._num, g._num, len(names), [k for e in table.values() for k in e._num])
+    terms, den = _plan(_partials(f), _partials(g))
+    table_den = math.lcm(*(e._den for e in table.values()))
+    return _build(_bracket(terms, table, table_den), den * table_den, math.inf, names)
 
 
 def _partials(f: ParamPoly) -> list:
@@ -255,23 +255,41 @@ def _partials(f: ParamPoly) -> list:
     return [f.partial(i) for i in range(_P, len(f.names))]
 
 
-def _bracket(fp, gp, table, names) -> ParamPoly:
-    """sum_{i != j} df/dx_i dg/dx_j {x_i, x_j}, from the partial-derivative
-    lists of f and g and the generator table over ``names``.  Zero partials
-    and entries are skipped by their storage, ``_num``."""
-    out = ParamPoly.zero(math.inf, names)
-    gs = [(j, gj) for j, gj in enumerate(gp) if gj._num]
-    for i, fi in enumerate(fp):
-        if not fi._num:
+def _plan(fp, gp):
+    """The bracket plan of f and g from their partial-derivative lists: the
+    (table pair, factor key, signed int factor) terms of
+    sum_{i != j} df/dx_i dg/dx_j {x_i, x_j}, like terms merged, and the
+    common denominator of the factors."""
+    fden, gden = math.lcm(*(p._den for p in fp)), math.lcm(*(p._den for p in gp))
+    terms = {}
+    for (i, fi), (j, gj) in itertools.product(enumerate(fp), enumerate(gp)):
+        if i != j:
+            pair, s = ((i, j), 1) if i < j else ((j, i), -1)
+            s *= fden // fi._den * (gden // gj._den)
+            for k1, c1 in fi._num.items():
+                for k2, c2 in gj._num.items():
+                    key = pair, k1 + k2
+                    terms[key] = terms.get(key, 0) + s * c1 * c2
+    return [(pair, k, c) for (pair, k), c in terms.items() if c], fden * gden
+
+
+def _bracket(terms, table, den) -> dict:
+    """The numerators of a plan's bracket (``_plan``): factor * {x_i, x_j}
+    summed over ``terms`` into one dict, over ``den`` (a common multiple of
+    the table's denominators) times the plan's denominator.  A pair with no
+    table entry, a cross bracket of the doubled table, adds nothing."""
+    num = {}
+    get = num.get
+    for pair, fk, fc in terms:
+        entry = table.get(pair)
+        if entry is None:
             continue
-        for j, gj in gs:
-            if i == j:
-                continue
-            entry = table.get((i, j) if i < j else (j, i))
-            if entry is not None and entry._num:
-                term = fi * gj * entry
-                out = out + term if i < j else out - term
-    return out
+        fc *= den // entry._den
+        for ek, ec in entry._num.items():
+            k = fk + ek
+            acc = get(k)
+            num[k] = fc * ec if acc is None else acc + fc * ec
+    return num
 
 
 def jacobi_check(ps: PoissonStructure, names=COORD_RING) -> ParamPoly:
@@ -299,18 +317,21 @@ def jacobi_check(ps: PoissonStructure, names=COORD_RING) -> ParamPoly:
 @functools.cache
 def _group_law():
     """The group-law images of (a_minus, a_plus, m) over COORD_RING2, the
-    partial-derivative list of each, and the packed image of every
-    coordinate monomial of degree <= 2 (those a table entry has): its key
-    over COORD_RING maps to the numerators of its image, whose coefficients
-    are integers.  Built on first use."""
-    am, ap, m, amp, app, mp = _GENS[COORD_RING2]
+    bracket plan (``_plan``, from their partials) of images i < j, and
+    the packed image of every coordinate monomial of degree <= 2 (those a
+    table entry has): its key over COORD_RING maps to the numerators of its
+    image.  The images have integer coefficients, so the plans' denominator
+    is 1.  Built on first use."""
+    am, ap, m, amp, app, mp = (_coord(n, COORD_RING2) for n in COORDS2)
     images = (am + amp, ap + app, m + mp - am * app)
+    partials = [_partials(image) for image in images]
     monomials = {}
     for exps in itertools.product(range(3), repeat=3):
         if sum(exps) <= 2:
             exps = (0,) * _P + exps
             monomials[_pack(exps)] = _monomial_image(images, exps)._num
-    return images, tuple(_partials(image) for image in images), monomials
+    plans = {(i, j): _plan(partials[i], partials[j])[0] for i, j in ((0, 1), (0, 2), (1, 2))}
+    return images, plans, monomials
 
 
 def _monomial_image(images, exps):
@@ -325,23 +346,29 @@ def _monomial_image(images, exps):
 
 def group_pullback(f: ParamPoly) -> ParamPoly:
     """Pull back a coordinate polynomial along the group law, landing in the
-    doubled algebra (unprimed and primed copies).  Each packed key of ``f``
-    goes through the image table of ``_group_law``; a monomial with
-    parameters, or of degree above 2, has its image computed here.  The
-    images have integer coefficients, so the result keeps the denominator of
-    ``f``."""
+    doubled algebra (unprimed and primed copies).  The images have integer
+    coefficients, so the result keeps the denominator of ``f``."""
     if f.names != COORD_RING:
         raise ValueError("expected a polynomial over the base coordinates")
+    return _build(_pullback(f._num, 1), f._den, math.inf, COORD_RING2)
+
+
+def _pullback(num, scale) -> dict:
+    """The pullback of the numerators ``num`` over COORD_RING, times the int
+    ``scale``, as numerators over COORD_RING2.  Each packed key goes through
+    the image table of ``_group_law``; a monomial with parameters, or of
+    degree above 2, has its image computed here."""
     images, _, monomials = _group_law()
-    num = {}
-    get = num.get
-    for key, c in f._num.items():
+    out = {}
+    get = out.get
+    for key, c in num.items():
         image = (monomials.get(key)
                  or _monomial_image(images, _unpack(key, len(COORD_RING)))._num)
+        c *= scale
         for k, n in image.items():
             acc = get(k)
-            num[k] = c * n if acc is None else acc + c * n
-    return _build(num, f._den, math.inf, COORD_RING2)
+            out[k] = c * n if acc is None else acc + c * n
+    return out
 
 
 def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
@@ -349,33 +376,22 @@ def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
     Delta is the group-law pullback and the doubled bracket acts copy-wise.
 
     Built on each call: ``ps.bracket_table`` over COORD_RING and over
-    COORD_RING2, the pullback of each base entry (through the packed monomial
-    images), the bracket of the coordinate images (``_bracket`` over the
-    doubled table), and their difference only where they differ (storage is
-    canonical, so ``!=`` is exact).  Read from ``_group_law``, built once:
-    the packed monomial images and the partial derivatives of the coordinate
-    images."""
+    COORD_RING2, and per pair two numerator dicts over the lcm of both
+    tables' denominators: the pullback of the base entry (``_pullback``) and
+    the bracket of the coordinate images (``_bracket``).  Only where they
+    differ is their difference summed; ``_build`` makes it canonical.  Read
+    from ``_group_law``, built once: the image table and the plans."""
     table, table2 = ps.bracket_table(COORD_RING), ps.bracket_table(COORD_RING2)
-    _, partials, _ = _group_law()
+    _, plans, _ = _group_law()
+    den = math.lcm(*(e._den for e in table.values()), *(e._den for e in table2.values()))
     out = {}
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        lhs = group_pullback(table[(i, j)])
-        rhs = _bracket(partials[i], partials[j], table2, COORD_RING2)
-        out[f"{{{COORDS[i]},{COORDS[j]}}}"] = (lhs - rhs if lhs != rhs
-                                               else ParamPoly.zero(math.inf, COORD_RING2))
+    for (i, j), terms in plans.items():
+        entry = table[(i, j)]
+        lhs, rhs = _pullback(entry._num, den // entry._den), _bracket(terms, table2, den)
+        diff = ({k: lhs.get(k, 0) - rhs.get(k, 0) for k in lhs.keys() | rhs.keys()}
+                if lhs != rhs else {})
+        out[f"{{{COORDS[i]},{COORDS[j]}}}"] = _build(diff, den, math.inf, COORD_RING2)
     return out
-
-
-def chart_change(p: ParamPoly) -> ParamPoly:
-    """Rewrite a coordinate polynomial in the chart x1 = a-, x2 = a+,
-    x3 = m + a- a+."""
-    x1, x2, x3 = (_coord(n, CHART_RING) for n in CHART)
-    return p.subs({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2})
-
-
-def chart_change_inverse(p: ParamPoly) -> ParamPoly:
-    am, ap, m = _GENS[COORD_RING]
-    return p.subs({"x1": am, "x2": ap, "x3": m + am * ap})
 
 
 def linear_bracket_table(ps: PoissonStructure):

@@ -22,11 +22,13 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
-from hweyl.params import MAX_ORDER, PARAMS, ParamPoly  # noqa: E402
-from hweyl.poisson import (CHART, CHART_RING, COORD_RING, COORD_RING2,  # noqa: E402
-                           COORDS)
+from hweyl.params import MAX_ORDER, PARAMS, ParamPoly, ring  # noqa: E402
+from hweyl.poisson import COORD_RING, COORD_RING2, COORDS  # noqa: E402
 from hweyl.quantization import _X  # noqa: E402
 
+#: A coordinate chart x1, x2, x3 of the group, the target of ``subs`` below.
+CHART = ("x1", "x2", "x3")
+CHART_RING = ring(CHART)
 PARAM_SYMS = sympy.symbols(PARAMS)
 COORD_SYMS = sympy.symbols(COORDS)
 CHART_SYMS = sympy.symbols(CHART)

@@ -10,8 +10,11 @@ import pytest
 from hweyl.params import (MAX_INPUT_DIGITS, PARAMS, ParamPoly, as_fraction, parse_rational,
                           ring)
 from hweyl.bialgebra import Cocommutator, RMatrix
-from hweyl.poisson import CHART_RING, COORD_RING, COORD_RING2, COORDS, GroupCoords
+from hweyl.poisson import COORD_RING, COORD_RING2, COORDS, GroupCoords
 from hweyl.quantization import _X
+
+#: The ring of a coordinate chart (x1, x2, x3) of the group.
+CHART_RING = ring(("x1", "x2", "x3"))
 
 
 def sym(name, order=6):
@@ -247,8 +250,8 @@ def test_param_poly_copy_and_pickle_round_trip(make):
             q.order = 3
 
 
-#: A polynomial per ring of the engine: PARAMS, the three coordinate rings
-#: of ``poisson``, the realization's x and the nine group-law coordinates.
+#: A polynomial per ring: PARAMS, the two coordinate rings of ``poisson``,
+#: the chart ring, the realization's x and the nine group-law coordinates.
 RINGS = [PARAMS, COORD_RING, COORD_RING2, CHART_RING, _X,
          ring(f"{n}{i}" for i in (1, 2, 3) for n in COORDS)]
 

@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from hweyl.params import PARAMS, ParamPoly, ring
+from hweyl.params import MAX_ORDER, PARAMS, ParamPoly, ring
 from hweyl.bialgebra import (TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
                              BialgebraClass, Cocommutator, apply_automorphism,
                              cojacobi_residuals, dual_bracket_table)
-from hweyl.poisson import (CHART_RING, COORD_RING, COORD_RING2, COORDS,
-                           GroupCoords, PoissonStructure, chart_change,
-                           chart_change_inverse, group_compose,
-                           group_pullback, jacobi_check, linear_bracket_table,
-                           pl_bracket, poisson_homomorphism_check)
+from hweyl.poisson import (COORD_RING, COORD_RING2, COORDS, GroupCoords,
+                           PoissonStructure, group_compose, group_pullback,
+                           jacobi_check, linear_bracket_table, pl_bracket,
+                           poisson_homomorphism_check)
+
+#: A chart of the group, x1 = a-, x2 = a+, x3 = m + a- a+, and its ring.
+CHART = ("x1", "x2", "x3")
+CHART_RING = ring(CHART)
 
 
 def var(name, names=COORD_RING):
@@ -221,6 +224,18 @@ def test_pullback_is_group_law():
 
 # -- chart change -----------------------------------------------------------------------
 
+def chart_change(p):
+    """Rewrite a coordinate polynomial in the chart x1 = a-, x2 = a+,
+    x3 = m + a- a+."""
+    x1, x2, x3 = (var(n, CHART_RING) for n in CHART)
+    return p.subs({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2})
+
+
+def chart_change_inverse(p):
+    am, ap, m = (var(n) for n in COORDS)
+    return p.subs({"x1": am, "x2": ap, "x3": m + am * ap})
+
+
 def test_chart_change_examples():
     m = var("m")
     x1 = ParamPoly.symbol("x1", math.inf, CHART_RING)
@@ -387,14 +402,18 @@ def test_homomorphism_matches_the_subs_oracle_term_by_term():
     assert nonzero
 
 
-def random_coordinate_poly(rng, coeff):
-    p = ParamPoly.zero(math.inf, COORD_RING)
+def random_coordinate_poly(rng, coeff, names=COORD_RING):
+    """Up to six terms of degree <= 4 in the coordinates of ``names``."""
+    gens = _coords(names)
+    p = ParamPoly.zero(math.inf, names)
     for _ in range(rng.randint(1, 6)):
-        exps = [0, 0, 0]
+        exps = [0] * len(gens)
         for _ in range(rng.randint(0, 4)):
-            exps[rng.randrange(3)] += 1
-        p = p + var("a_minus") ** exps[0] * var("a_plus") ** exps[1] * var("m") ** exps[2] \
-            * coeff()
+            exps[rng.randrange(len(gens))] += 1
+        term = ParamPoly.one(math.inf, names)
+        for x, e in zip(gens, exps):
+            term = term * x ** e
+        p = p + term * coeff()
     return p
 
 
@@ -573,3 +592,77 @@ def test_homomorphism_detects_a_fault_in_the_primed_copy_only():
     old = homomorphism_oracle(ps)
     for key in report:
         assert same_terms(report[key], old[key]), key
+
+
+class _OneTablePerturbed(PoissonStructure):
+    """Type I+ values with {a-, a+} polluted by an a_plus^2 term in the table
+    over ``RING`` only; the table over the other ring is right."""
+
+    RING = None
+
+    @classmethod
+    def pollute(cls, table, names):
+        table = dict(table)
+        if names == cls.RING:
+            table[(0, 1)] = table[(0, 1)] + var("a_plus", names) ** 2
+        return table
+
+    def bracket_table(self, names=COORD_RING):
+        return self.pollute(super().bracket_table(names), names)
+
+
+class _BaseTablePerturbed(_OneTablePerturbed):
+    RING = COORD_RING
+
+
+class _DoubledTablePerturbed(_OneTablePerturbed):
+    RING = COORD_RING2
+
+
+@pytest.mark.parametrize("cls", [_BaseTablePerturbed, _DoubledTablePerturbed])
+def test_homomorphism_reads_both_tables_on_every_call(cls):
+    """A fault in either table shows, between two calls on the same values
+    with right tables: the check reads ``ps.bracket_table`` for both rings on
+    every call and keeps nothing of its input."""
+    plain = PoissonStructure(a1=1, a3=1)
+    for ps in (plain, cls(a1=1, a3=1), plain):
+        report, old = poisson_homomorphism_check(ps), homomorphism_oracle(ps)
+        assert report.keys() == old.keys()
+        for key in report:
+            assert same_terms(report[key], old[key]), key
+        assert any(report.values()) == (ps is not plain)
+
+
+def test_pl_bracket_matches_the_oracle_on_multi_term_partials():
+    """The fused bracket loop against ``oracle_bracket``, on random
+    polynomials of degree <= 4 over both rings (the check itself only feeds
+    it the linear partials of the group law), for rational, wide, symbolic
+    and perturbed structures."""
+    rng = random.Random(8128)
+    rational = lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+    symbolic = lambda: sym(rng.choice(("a1", "b2", "t"))) * rng.randint(-3, 3) + rational()
+    structures = (random_structures(1729, 12) + wide_structures(606) + symbolic_structures()
+                  + [_PerturbedStructure(a1=1, a3=1), _PrimedPerturbedStructure(a1=1, a3=1),
+                     _BaseTablePerturbed(a1=2, b2=-1), _DoubledTablePerturbed(b1=1, a2=3)])
+    longest = 0
+    for n, ps in enumerate(structures):
+        for names in (COORD_RING, COORD_RING2):
+            coeff = symbolic if n % 4 == 0 else rational
+            f, g = (random_coordinate_poly(rng, coeff, names) for _ in range(2))
+            assert same_terms(pl_bracket(f, g, ps), oracle_bracket(f, g, ps)), (n, names)
+            longest = max([longest] + [len(f.partial(i).terms)
+                                       for i in range(len(PARAMS), len(names))])
+    assert longest >= 4
+
+
+def test_pl_bracket_keeps_the_field_limit():
+    """An exponent past the packed-key field limit raises, as it does in a
+    product; a total degree past it, each exponent within, is summed."""
+    ps = PoissonStructure(a1=1, a2=2, b1=-1, b3=3)
+    am, m = var("a_minus"), var("m")
+    with pytest.raises(ValueError, match="field limit"):
+        pl_bracket(am ** 200, am ** 100 * m, ps)
+    f, g = am ** 200, m ** 100
+    out = pl_bracket(f, g, ps)
+    assert out.degree() > MAX_ORDER
+    assert same_terms(out, oracle_bracket(f, g, ps))
