@@ -10,7 +10,7 @@ from .params import DEFAULT_ORDER, PARAMS, ParamPoly, as_fraction, ring
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                       RewriteSystem, commutator, exp_element, exp_matrix2,
                       nc_mul, normal_form)
-from .tensor import TensorElement, flip, outer, tensor_mul, wedge2, wedge3
+from .tensor import TensorElement, flip, outer, tensor_mul, wedge3
 from .bialgebra import (BASIS, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                         TYPE_II, BRACKET, SWAP_AUTOMORPHISM, BialgebraClass,
                         Cocommutator, RMatrix, apply_automorphism,

@@ -257,9 +257,6 @@ class FreeElement(LinearSum):
         return FreeElement(
             {w: c for w, c in self.terms.items() if len(w) <= max_len}, self.order)
 
-    def letters_used(self):
-        return {x for w in self.terms for x in w}
-
     # -- rendering --------------------------------------------------------------
 
     def _key_parts(self, word):
@@ -427,6 +424,8 @@ def _linear_extension(image, pairs):
     for word, coeff in pairs:
         for key, c in image(word).terms.items():
             prod = c * coeff
+            if not prod._num:
+                continue
             acc = get(key)
             terms[key] = prod if acc is None else acc + prod
     return terms

@@ -41,13 +41,23 @@ its one term directly: one key add (and the truncation compare), then one
 ``gcd`` of the new numerator against the new denominator, in place of the
 sorted pair loop and the gcd pass over all numerators.
 
+Every zero result is shared: ``_zero`` keeps one zero per ring and order, and
+it carries the operands' very ``names`` tuple.  ``zero()``, a product with an
+empty side or cut off entirely by the truncation, a sum that cancels and an
+empty ``_build`` all return it; only copy and pickle build a zero of their
+own, without the caches.  The series layers skip a zero product before they
+add it into a sum.
+
 The tests run cheapest first, as most calls leave at one of them.  ``*``,
 ``+`` and ``-`` first ask ``type(other) is ParamPoly`` with the very same
 ``names`` tuple and an equal order; a scalar, or a polynomial over other
-variables, goes through ``_promote``.  A product then returns zero when a side
-has no term.  Its unit test reads the term count first, so a multi-term
-operand leaves after one compare; then the denominator and the constant
-numerator.  Next come the single-term path and the general loop.  Copy and
+variables, goes through ``_promote``.  A product then returns the shared zero
+when a side has no term.  Its unit test reads the term count first, so a
+multi-term operand leaves after one compare; then the denominator and the
+constant numerator.  The single-term path comes next, ahead of the general
+loop's set-up: its truncation test reads the total degree of the summed key,
+and at ``order=math.inf`` a degree past MAX_ORDER calls the field check.  Only
+then does the general loop compute its limit and sort its operands.  Copy and
 pickle map a names tuple back to its ring's one tuple (``ring``), so a
 restored polynomial meets the same tests.  The series layers
 test ``p._num`` where they drop zero coefficients, not ``bool(p)``, which
@@ -73,6 +83,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm
+from operator import attrgetter
 from types import MappingProxyType
 
 #: Parameter names, fixing the exponent-vector layout and the rendering order;
@@ -193,6 +204,11 @@ def signed_sum(rows) -> str:
     return "".join(out) or "0"
 
 
+def _refuse(poly, value):
+    """The setter of ``ParamPoly.order`` and ``ParamPoly.names``."""
+    raise AttributeError("ParamPoly is immutable")
+
+
 class ParamPoly:
     """Sparse commutative polynomial over a tuple of named variables.
 
@@ -227,12 +243,18 @@ class ParamPoly:
     MAX_ORDER - e within its field, so ``names[0]``, ``names[1]``, ... follow,
     each in reverse.
 
-    Instances are immutable; arithmetic between polynomials over the same
-    variables requires equal orders.  A rational acts coefficient-wise, and
+    Instances are immutable, as ``Fraction`` is: ``order`` and ``names`` are
+    read-only properties over the private slots ``_order`` and ``_names``,
+    and assigning either raises ``AttributeError``.  Only ``_make`` and the
+    two caches store into the private slots, by plain slot stores; this
+    module reads ``_order`` and ``_names`` directly.  The zero
+    results of one ring and order are one shared instance (module
+    docstring).  Arithmetic between polynomials over the same variables
+    requires equal orders.  A rational acts coefficient-wise, and
     a polynomial over a prefix of the other's names is lifted (``_lift``).
     """
 
-    __slots__ = ("_num", "_den", "order", "names", "_terms", "_sorted")
+    __slots__ = ("_num", "_den", "_order", "_names", "_terms", "_sorted")
 
     def __new__(cls, terms, order, names=PARAMS):
         _check_order(order)
@@ -244,25 +266,29 @@ class ParamPoly:
             coeff = as_fraction(coeff)
             if coeff and sum(exps) <= order:
                 num[_pack(exps)] = coeff
+        if not num:
+            return _zero(order, names)
         # over the lcm of denominators in lowest terms, the numerators share
         # no factor with it: this is already canonical
         den = lcm(*(c.denominator for c in num.values()))
         return _make({k: c.numerator * (den // c.denominator) for k, c in num.items()},
                      den, order, names)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPoly is immutable")
+    order = property(attrgetter("_order"), _refuse,
+                     doc="The truncation order; ``math.inf`` keeps every term.")
+    names = property(attrgetter("_names"), _refuse,
+                     doc="The variable names: one tuple per ring (``ring``).")
 
     def __reduce__(self):
         """Rebuild from the canonical storage, without the caches."""
-        return _restore, (dict(self._num), self._den, self.order, self.names)
+        return _restore, (dict(self._num), self._den, self._order, self._names)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, order=DEFAULT_ORDER, names=PARAMS):
         _check_order(order)
-        return _make({}, 1, order, names)
+        return _zero(order, names)
 
     @classmethod
     def one(cls, order=DEFAULT_ORDER, names=PARAMS):
@@ -274,7 +300,7 @@ class ParamPoly:
         if type(value) is not int:
             value = as_fraction(value)
         if not value:
-            return _make({}, 1, order, names)
+            return _zero(order, names)
         return _make({0: value.numerator}, value.denominator, order, names)
 
     @classmethod
@@ -283,7 +309,7 @@ class ParamPoly:
         if name not in names:
             raise ValueError(f"unknown variable {name!r}")
         if order < 1:
-            return _make({}, 1, order, names)
+            return _zero(order, names)
         width = len(names)
         key = (1 << (_BITS * width)) | (1 << (_BITS * (width - 1 - names.index(name))))
         return _make({key: 1}, 1, order, names)
@@ -294,28 +320,28 @@ class ParamPoly:
         """(self, other) in one ring, the wider of the two; None (for
         NotImplemented) when ``other`` is no polynomial or rational."""
         if isinstance(other, ParamPoly):
-            names, width = other.names, len(other.names)
-            if names == self.names:
-                if other.order != self.order:
+            names, width = other._names, len(other._names)
+            if names == self._names:
+                if other._order != self._order:
                     raise ValueError(
-                        f"mismatched truncation orders: {self.order} vs {other.order}")
+                        f"mismatched truncation orders: {self._order} vs {other._order}")
                 return self, other
-            if self.names[:width] == names:
+            if self._names[:width] == names:
                 return self, self._lift(other)
-            if names[:len(self.names)] == self.names:
+            if names[:len(self._names)] == self._names:
                 return other._lift(self), other
             raise ValueError("polynomials live over different variable lists")
         if isinstance(other, (int, Fraction)):
-            return self, ParamPoly.const(other, self.order, self.names)
+            return self, ParamPoly.const(other, self._order, self._names)
         return None
 
     def _lift(self, other):
         """``other``, over a prefix of self's names, in self's ring: each key
         shifted left past the further fields, then cut at self's order."""
-        shift = _BITS * (len(self.names) - len(other.names))
+        shift = _BITS * (len(self._names) - len(other._names))
         lifted = _make({k << shift: c for k, c in other._num.items()},
-                       other._den, inf, self.names)
-        return lifted if self.order == inf else lifted.truncate(self.order)
+                       other._den, inf, self._names)
+        return lifted if self._order == inf else lifted.truncate(self._order)
 
     @property
     def terms(self):
@@ -323,10 +349,9 @@ class ParamPoly:
         try:
             return self._terms
         except AttributeError:
-            width, den = len(self.names), self._den
-            view = MappingProxyType({_unpack(k, width): Fraction(c, den)
-                                     for k, c in self._num.items()})
-            _set(self, "_terms", view)
+            width, den = len(self._names), self._den
+            view = self._terms = MappingProxyType(
+                {_unpack(k, width): Fraction(c, den) for k, c in self._num.items()})
             return view
 
     def _sorted_terms(self):
@@ -335,8 +360,7 @@ class ParamPoly:
         try:
             return self._sorted
         except AttributeError:
-            pairs = sorted(self._num.items())
-            _set(self, "_sorted", pairs)
+            pairs = self._sorted = sorted(self._num.items())
             return pairs
 
     def __bool__(self):
@@ -359,11 +383,11 @@ class ParamPoly:
 
     def degree(self):
         """Maximal total degree among stored terms (-1 for the zero polynomial)."""
-        return max(self._num) >> _BITS * len(self.names) if self._num else -1
+        return max(self._num) >> _BITS * len(self._names) if self._num else -1
 
     def min_degree(self):
         """Minimal total degree among stored terms (None for zero)."""
-        return min(self._num) >> _BITS * len(self.names) if self._num else None
+        return min(self._num) >> _BITS * len(self._names) if self._num else None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -382,9 +406,9 @@ class ParamPoly:
             if k == k2:
                 c, den = c1 * d2 + sign * c2 * d1, d1 * d2
                 if not c:
-                    return _make({}, 1, self.order, self.names)
+                    return _zero(self._order, self._names)
                 g = gcd(c, den)
-                return _make({k: c // g}, den // g, self.order, self.names)
+                return _make({k: c // g}, den // g, self._order, self._names)
         g = gcd(d1, d2)
         s1, s2 = d2 // g, d1 // g * sign
         num = dict(self._num) if s1 == 1 else {k: c * s1 for k, c in self._num.items()}
@@ -393,11 +417,11 @@ class ParamPoly:
         for k, c in add.items():
             acc = get(k)
             num[k] = c if acc is None else acc + c
-        return _build(num, d1 * s1, self.order, self.names)
+        return _build(num, d1 * s1, self._order, self._names)
 
     def __add__(self, other):
-        if not (type(other) is ParamPoly and other.names is self.names
-                and other.order == self.order):
+        if not (type(other) is ParamPoly and other._names is self._names
+                and other._order == self._order):
             pair = self._promote(other)
             if pair is None:
                 return NotImplemented
@@ -407,8 +431,8 @@ class ParamPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not (type(other) is ParamPoly and other.names is self.names
-                and other.order == self.order):
+        if not (type(other) is ParamPoly and other._names is self._names
+                and other._order == self._order):
             pair = self._promote(other)
             if pair is None:
                 return NotImplemented
@@ -419,8 +443,10 @@ class ParamPoly:
         return (-self) + other
 
     def __neg__(self):
+        if not self._num:
+            return self
         return _make({k: -c for k, c in self._num.items()}, self._den,
-                     self.order, self.names)
+                     self._order, self._names)
 
     def _scale(self, s):
         """self times the rational ``s``."""
@@ -428,11 +454,11 @@ class ParamPoly:
             return self
         n = s.numerator
         return _build({k: c * n for k, c in self._num.items()}, self._den * s.denominator,
-                      self.order, self.names)
+                      self._order, self._names)
 
     def __mul__(self, other):
-        if not (type(other) is ParamPoly and other.names is self.names
-                and other.order == self.order):
+        if not (type(other) is ParamPoly and other._names is self._names
+                and other._order == self._order):
             if isinstance(other, (int, Fraction)):
                 return self._scale(other)
             pair = self._promote(other)
@@ -440,35 +466,39 @@ class ParamPoly:
                 return NotImplemented
             self, other = pair
         a, b = self._num, other._num
+        order, names = self._order, self._names
         if not a or not b:
-            return _make({}, 1, self.order, self.names)
+            return _zero(order, names)
         if len(b) == 1 and other._den == 1 and b.get(0) == 1:
             return self
         if len(a) == 1 and self._den == 1 and a.get(0) == 1:
             return other
-        shift = _BITS * len(self.names)
-        if self.order == inf:
-            top = (max(a) >> shift) + (max(b) >> shift)
-            if top > MAX_ORDER:
-                _check_fields(a, b, len(self.names))
-            limit = (top + 1) << shift
-        else:
-            limit = (self.order + 1) << shift
+        shift = _BITS * len(names)
         if len(a) == 1 == len(b):
             (k, c1), = a.items()
             (k2, c2), = b.items()
             k += k2
-            if k >= limit:
-                return _make({}, 1, self.order, self.names)
+            top = k >> shift
+            if top > order:
+                return _zero(order, names)
+            if top > MAX_ORDER:  # only at order=inf: a finite order is at most MAX_ORDER
+                _check_fields(a, b, len(names))
             c, den = c1 * c2, self._den * other._den
             g = gcd(c, den)
-            return _make({k: c // g}, den // g, self.order, self.names)
+            return _make({k: c // g}, den // g, order, names)
+        if order == inf:
+            top = (max(a) >> shift) + (max(b) >> shift)
+            if top > MAX_ORDER:
+                _check_fields(a, b, len(names))
+            limit = (top + 1) << shift
+        else:
+            limit = (order + 1) << shift
         left, right = self._sorted_terms(), other._sorted_terms()
         if len(left) > len(right):
             left, right = right, left
         low = right[0][0]
         if left[0][0] + low >= limit:
-            return _make({}, 1, self.order, self.names)
+            return _zero(order, names)
         num = {}
         get = num.get
         for k1, c1 in left:
@@ -481,7 +511,7 @@ class ParamPoly:
                 c = c1 * c2
                 acc = get(k)
                 num[k] = c if acc is None else acc + c
-        return _build(num, self._den * other._den, self.order, self.names)
+        return _build(num, self._den * other._den, order, names)
 
     __rmul__ = __mul__
 
@@ -489,7 +519,7 @@ class ParamPoly:
         if n < 0:
             raise ValueError("negative powers are not defined")
         if n == 0:
-            return ParamPoly.one(self.order, self.names)
+            return ParamPoly.one(self._order, self._names)
         out = self
         for _ in range(n - 1):
             out = out * self
@@ -499,7 +529,7 @@ class ParamPoly:
 
     def __eq__(self, other):
         """Equal storage in one ring (``_promote``) at one order."""
-        if not (isinstance(other, ParamPoly) and other.names == self.names):
+        if not (isinstance(other, ParamPoly) and other._names == self._names):
             try:
                 pair = self._promote(other)
             except ValueError:  # no ring holds both
@@ -507,7 +537,7 @@ class ParamPoly:
             if pair is None:
                 return NotImplemented
             self, other = pair
-        return (self.order == other.order and self._den == other._den
+        return (self._order == other._order and self._den == other._den
                 and self._num == other._num)
 
     __hash__ = None
@@ -518,19 +548,19 @@ class ParamPoly:
         """Copy of self in the ring truncated at ``order`` (may be lower or higher)."""
         _check_order(order)
         num = self._num
-        if order < self.order:
-            limit = (order + 1) << _BITS * len(self.names)
+        if order < self._order:
+            limit = (order + 1) << _BITS * len(self._names)
             num = {k: c for k, c in num.items() if k < limit}
-        return _build(num, self._den, order, self.names)
+        return _build(num, self._den, order, self._names)
 
     def homogeneous_part(self, degree):
-        shift = _BITS * len(self.names)
+        shift = _BITS * len(self._names)
         return _build({k: c for k, c in self._num.items() if k >> shift == degree},
-                      self._den, self.order, self.names)
+                      self._den, self._order, self._names)
 
     def partial(self, index):
         """Derivative in the variable ``names[index]``."""
-        width = len(self.names)
+        width = len(self._names)
         pos = _BITS * (width - 1 - index)
         step = (1 << pos) + (1 << (_BITS * width))
         num = {}
@@ -538,7 +568,7 @@ class ParamPoly:
             e = (k >> pos) & MAX_ORDER
             if e:
                 num[k - step] = c * e
-        return _build(num, self._den, self.order, self.names)
+        return _build(num, self._den, self._order, self._names)
 
     def subs(self, values):
         """Substitute variables by rationals or polynomials.
@@ -550,21 +580,21 @@ class ParamPoly:
         with (PARAMS, for two coordinate rings): each key keeps those fields
         and moves to the target ring as ``_lift`` moves a key.
         """
-        unknown = set(values) - set(self.names)
+        unknown = set(values) - set(self._names)
         if unknown:
             raise ValueError(f"unknown variable {sorted(unknown)[0]!r}")
         ring = next((v for v in values.values()
-                     if isinstance(v, ParamPoly) and v.names != self.names), self)
-        order, names = ring.order, ring.names
-        width = len(self.names)
+                     if isinstance(v, ParamPoly) and v._names != self._names), self)
+        order, names = ring._order, ring._names
+        width = len(self._names)
         shift = _BITS * width
-        common = next((i for i, (x, y) in enumerate(zip(self.names, names)) if x != y),
+        common = next((i for i, (x, y) in enumerate(zip(self._names, names)) if x != y),
                       min(width, len(names)))
         drop, add = _BITS * (width - common), _BITS * (len(names) - common)
         own, top = (1 << drop) - 1, _BITS * len(names)
         images = [(_BITS * (width - 1 - i),
                    val if isinstance(val, ParamPoly) else ParamPoly.const(val, order, names))
-                  for i, val in ((self.names.index(n), v) for n, v in values.items())]
+                  for i, val in ((self._names.index(n), v) for n, v in values.items())]
         powers = {}
         out = ParamPoly.zero(order, names)
         for key, c in self._num.items():
@@ -584,7 +614,7 @@ class ParamPoly:
             if factor is not None and not factor:
                 continue
             if rest & own:
-                missing = next(n for n, e in zip(self.names[common:],
+                missing = next(n for n, e in zip(self._names[common:],
                                                  _unpack(rest, width)[common:]) if e)
                 raise ValueError(f"no image for variable {missing!r}")
             rest = rest >> drop << add
@@ -599,14 +629,14 @@ class ParamPoly:
         keys: the fields of those variables are cleared (and their exponents
         taken off the total degree), and the numerators of keys that then
         coincide are summed.  Equal to ``subs(dict.fromkeys(names, 1))``."""
-        unknown = set(names) - set(self.names)
+        unknown = set(names) - set(self._names)
         if unknown:
             raise ValueError(f"unknown variable {sorted(unknown)[0]!r}")
-        width = len(self.names)
+        width = len(self._names)
         shift = _BITS * width
         mask = 0
         for name in names:
-            mask |= MAX_ORDER << _BITS * (width - 1 - self.names.index(name))
+            mask |= MAX_ORDER << _BITS * (width - 1 - self._names.index(name))
         num = {}
         get = num.get
         for k, c in self._num.items():
@@ -616,14 +646,14 @@ class ParamPoly:
                 k -= cleared + (sum(cleared.to_bytes(width, "big")) << shift)
             acc = get(k)
             num[k] = c if acc is None else acc + c
-        return _build(num, self._den, self.order, self.names)
+        return _build(num, self._den, self._order, self._names)
 
     # -- rendering -----------------------------------------------------------
 
     def _rows(self, body=""):
         """The ``signed_sum`` rows of the terms, keyed and sorted by the print
         order (class docstring); each monomial is joined to ``body`` by ``*``."""
-        names, width, den = self.names, len(self.names), self._den
+        names, width, den = self._names, len(self._names), self._den
         mask = (1 << _BITS * width) - 1
         rows = []
         for k, n in self._num.items():
@@ -639,25 +669,34 @@ class ParamPoly:
         return signed_sum(self._rows())
 
     def __repr__(self):
-        return f"ParamPoly({self}, order={self.order})"
+        return f"ParamPoly({self}, order={self._order})"
 
 
-_set = object.__setattr__
 _new = object.__new__
-# the slot descriptors' setters: they bypass the refusing ``__setattr__``
-# without the name lookup of ``object.__setattr__``
-_set_num, _set_den = ParamPoly._num.__set__, ParamPoly._den.__set__
-_set_order, _set_names = ParamPoly.order.__set__, ParamPoly.names.__set__
 
 
 def _make(num, den, order, names):
     """A ParamPoly from storage that is already canonical."""
     out = _new(ParamPoly)
-    _set_num(out, num)
-    _set_den(out, den)
-    _set_order(out, order)
-    _set_names(out, names)
+    out._num = num
+    out._den = den
+    out._order = order
+    out._names = names
     return out
+
+
+#: The zero of each ring and order, keyed by the id of the names tuple: the
+#: zero holds its tuple, so no other object takes that id while the entry lives.
+_ZEROS = {}
+
+
+def _zero(order, names):
+    """The one zero polynomial over the very tuple ``names`` at ``order``."""
+    key = (id(names), order)
+    zero = _ZEROS.get(key)
+    if zero is None:
+        zero = _ZEROS[key] = _make({}, 1, order, names)
+    return zero
 
 
 def _restore(num, den, order, names):
@@ -673,6 +712,8 @@ def _build(num, den, order, names):
     terms."""
     if not all(num.values()):
         num = {k: c for k, c in num.items() if c}
+    if not num:
+        return _zero(order, names)
     g = gcd(den, *num.values())
     if g != 1:
         num = {k: c // g for k, c in num.items()}

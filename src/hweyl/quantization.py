@@ -222,6 +222,8 @@ def _antipode_residual(hp, name, side="left"):
         for g, c in hp._gamma(u if left else w).terms.items():
             word = g + w if left else u + g
             prod = c * coeff
+            if not prod._num:
+                continue
             acc = get(word)
             terms[word] = prod if acc is None else acc + prod
     return normal_form(FreeElement._clean(terms, hp.order), hp.rewrite)
@@ -424,6 +426,8 @@ def _extend_slot(hp, t: TensorElement, slot: int) -> TensorElement:
         for (p, q), c in inner.terms.items():
             key = (p, q, w) if slot == 0 else (u, p, q)
             prod = coeff * c
+            if not prod._num:
+                continue
             acc = terms.get(key)
             terms[key] = prod if acc is None else acc + prod
     return TensorElement._clean(terms, order, 3)

@@ -138,6 +138,8 @@ def tensor_mul(u: TensorElement, v: TensorElement, rs: RewriteSystem) -> TensorE
                     continue
                 for wb, cb in right:
                     prod = ca * cb
+                    if not prod._num:
+                        continue
                     key = (wa, wb)
                     acc = get(key)
                     terms[key] = prod if acc is None else acc + prod
@@ -150,11 +152,6 @@ def flip(u: TensorElement) -> TensorElement:
         raise ValueError("flip is defined for rank-2 tensors")
     return TensorElement._clean({(w2, w1): c for (w1, w2), c in u.terms.items()},
                                 u.order, 2)
-
-
-def wedge2(x: FreeElement, y: FreeElement) -> TensorElement:
-    """x ^ y = x (x) y - y (x) x (no 1/2 normalization)."""
-    return outer(x, y) - outer(y, x)
 
 
 def wedge3(x: FreeElement, y: FreeElement, z: FreeElement) -> TensorElement:

@@ -614,7 +614,7 @@ def check_fast_paths(operands, names, order):
                 for result, expected in ((left * right, product),
                                          (left + right, naive_sum(lt, rt, 1)),
                                          (left - right, naive_sum(lt, rt, -1))):
-                    assert result.names == names and result.order == order
+                    assert result.names is names and result.order == order
                     assert result.terms == expected
                     assert canonical(result)
 
@@ -648,6 +648,29 @@ def test_fast_paths_over_coordinates_with_parameter_coefficients():
         0, 1, 3, Fraction(1), Fraction(3, 7), a1 * Fraction(-1, 2), one,
     ]
     check_fast_paths(operands, COORD_RING, math.inf)
+
+
+@pytest.mark.parametrize("base, order", [(PARAMS, 3), (COORD_RING, math.inf)],
+                         ids=["parameters", "coordinates"])
+def test_every_zero_carries_its_own_names_tuple(base, order):
+    """Two equal names tuples built at run time: each zero from ``*``, ``+``,
+    ``-`` and ``zero()`` carries its operands' very tuple and their order,
+    so the fast paths (``names is``) take it.  Over PARAMS a single-term and
+    a multi-term product truncated to zero do too."""
+    rings = tuple(list(base)), tuple(list(base))
+    assert rings[0] == rings[1] and rings[0] is not rings[1]
+    for names in rings:
+        x, y = (ParamPoly.symbol(n, order, names) for n in (names[0], names[-1]))
+        zero = ParamPoly.zero(order, names)
+        zeros = [zero, ParamPoly.const(0, order, names), x * 0, 0 * x, x * zero,
+                 zero * (x + y), x - x, (x + y) - (x + y), x + (-x), -zero, zero - zero]
+        if order != math.inf:
+            zeros += [x ** 2 * y ** 2, (x ** 2 + y ** 2) * (x ** 2 - y ** 3)]
+        for z in zeros:
+            assert z.names is names and z.order == order
+            assert (z._num, z._den) == ({}, 1)
+        for other in (0, 5):  # one zero per order, too
+            assert ParamPoly.zero(other, names).order == other
 
 
 # -- grading symbols set to 1 in one pass ------------------------------------------------

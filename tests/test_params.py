@@ -218,10 +218,18 @@ def test_parse_rational_rejects_past_the_digit_bound(raw):
         parse_rational("a1", raw)
 
 
-def test_immutable():
+@pytest.mark.parametrize("attr, value, message", [
+    ("order", 3, "^ParamPoly is immutable$"),
+    ("names", PARAMS[:2], "^ParamPoly is immutable$"),
+    ("terms", {}, None),
+], ids=["order", "names", "terms"])
+def test_immutable(attr, value, message):
     p = sym("a1")
     with pytest.raises(AttributeError):
         p.order = 3
+    with pytest.raises(AttributeError, match=message):
+        setattr(p, attr, value)
+    assert (p.order, p.names, dict(p.terms)) == (6, PARAMS, {(1,) + (0,) * 13: 1})
 
 
 def _round_trips(value):

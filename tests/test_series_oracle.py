@@ -62,7 +62,7 @@ def poly_to_sympy(p):
 
 def element_to_sympy(x, letter):
     """A FreeElement in powers of one generator as a polynomial in g."""
-    assert x.letters_used() <= {letter}
+    assert {g for w in x.terms for g in w} <= {letter}
     return sum((poly_to_sympy(c) * G ** len(w) for w, c in x.terms.items()),
                sympy.Integer(0))
 

