@@ -114,19 +114,6 @@ class Cocommutator:
     def __setattr__(self, name, value):
         raise AttributeError("Cocommutator is immutable")
 
-    @classmethod
-    def generic_symbolic(cls, order=DEFAULT_ORDER):
-        """All nine coefficients as formal symbols (c's included)."""
-        s = lambda n: ParamPoly.symbol(n, order)
-        return cls(*(s(n) for n in _COEFF_NAMES[:6]),
-                   c1=s("c1"), c2=s("c2"), c3=s("c3"))
-
-    @classmethod
-    def constrained_symbolic(cls, order=DEFAULT_ORDER):
-        """Six symbolic coefficients with the cocycle-forced c's."""
-        s = lambda n: ParamPoly.symbol(n, order)
-        return cls(*(s(n) for n in _COEFF_NAMES[:6]))
-
     def coefficients(self):
         return {name: getattr(self, name) for name in _COEFF_NAMES}
 
@@ -542,8 +529,6 @@ def classify(delta):
     if any(getattr(normalized, n) for n in _COEFF_NAMES[:6] if n not in kept):
         raise RuntimeError(f"normalization failed for {tag}: {normalized}")
 
-    coboundary = (not normalized.a1 and not normalized.a3 and not normalized.b1
-                  and not normalized.b2 and normalized.a2 == normalized.b3)
-    rmatrix = find_rmatrix(normalized) if coboundary else None
+    rmatrix = find_rmatrix(normalized)
     return BialgebraClass(tag, normalized=normalized, automorphism=B,
-                          coboundary=coboundary, rmatrix=rmatrix)
+                          coboundary=rmatrix is not None, rmatrix=rmatrix)

@@ -8,7 +8,10 @@ keeps the normal form of every word met on the way, so a word shared by many
 rewritings is normal-ordered once; it checks confluence by finishing the two
 one-step reductions of the one overlap A-*A+*M of two rules.  The linear
 structure of such sums lives in ``LinearSum``, which the tensors of
-``hweyl.tensor`` share.  An exponential is taken of parameter multiples of
+``hweyl.tensor`` share.  ``_word_image`` extends a map given on the letters
+to words, one product per letter, for every structure map given on
+generators: the coproduct, the antipode, the I+/I- swap and the
+differential realization.  An exponential is taken of parameter multiples of
 one generator only: its terms are the scalar powers C^n/n! of ``_exp_terms``
 placed on the powers of that letter.
 """
@@ -429,6 +432,24 @@ def _linear_extension(image, pairs):
             acc = get(key)
             terms[key] = prod if acc is None else acc + prod
     return terms
+
+
+def _word_image(word, letters, mul, memo):
+    """The image of ``word`` under the algebra map that sends each letter g
+    to ``letters[g]``, ``mul`` being the target's product.
+
+    ``memo`` maps words to their images and holds the unit at the empty word.
+    The image starts from the longest prefix held there, takes one ``mul``
+    per remaining letter and stores each new prefix.  It loops and does not
+    recurse, so no word is too long for the interpreter's recursion limit.
+    """
+    n = len(word)
+    while word[:n] not in memo:
+        n -= 1
+    image = memo[word[:n]]
+    for n in range(n + 1, len(word) + 1):
+        image = memo[word[:n]] = mul(image, letters[word[n - 1]])
+    return image
 
 
 def commutator(x: FreeElement, y: FreeElement, rs: RewriteSystem) -> FreeElement:

@@ -41,7 +41,7 @@ import itertools
 import math
 
 from .params import (_BITS, MAX_ORDER, PARAMS, ParamPoly, _build, _check_fields, _pack,
-                     _unpack, as_scalar, parse_fields, parse_rational, ring)
+                     as_scalar, parse_fields, parse_rational, ring)
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -316,32 +316,29 @@ def jacobi_check(ps: PoissonStructure, names=COORD_RING) -> ParamPoly:
 
 @functools.cache
 def _group_law():
-    """The group-law images of (a_minus, a_plus, m) over COORD_RING2, the
+    """The group-law images over COORD_RING2, keyed by coordinate, the
     bracket plan (``_plan``, from their partials) of images i < j, and
     the packed image of every coordinate monomial of degree <= 2 (those a
     table entry has): its key over COORD_RING maps to the numerators of its
     image.  The images have integer coefficients, so the plans' denominator
     is 1.  Built on first use."""
     am, ap, m, amp, app, mp = (_coord(n, COORD_RING2) for n in COORDS2)
-    images = (am + amp, ap + app, m + mp - am * app)
-    partials = [_partials(image) for image in images]
+    images = dict(zip(COORDS, (am + amp, ap + app, m + mp - am * app)))
+    partials = [_partials(image) for image in images.values()]
     monomials = {}
     for exps in itertools.product(range(3), repeat=3):
         if sum(exps) <= 2:
-            exps = (0,) * _P + exps
-            monomials[_pack(exps)] = _monomial_image(images, exps)._num
+            key = _pack((0,) * _P + exps)
+            monomials[key] = _monomial_image(images, key)
     plans = {(i, j): _plan(partials[i], partials[j])[0] for i, j in ((0, 1), (0, 2), (1, 2))}
     return images, plans, monomials
 
 
-def _monomial_image(images, exps):
-    """The image over COORD_RING2 of the monomial ``exps`` over COORD_RING:
-    its parameters stay, and each coordinate goes to its image."""
-    out = ParamPoly({exps[:_P] + (0,) * len(COORDS2): 1}, math.inf, COORD_RING2)
-    for image, e in zip(images, exps[_P:]):
-        if e:
-            out = out * image ** e
-    return out
+def _monomial_image(images, key):
+    """The numerators over COORD_RING2 of the image of the monomial with
+    packed ``key`` over COORD_RING: its parameters stay, and each coordinate
+    goes to its image."""
+    return _build({key: 1}, 1, math.inf, COORD_RING).subs(images)._num
 
 
 def group_pullback(f: ParamPoly) -> ParamPoly:
@@ -362,8 +359,7 @@ def _pullback(num, scale) -> dict:
     out = {}
     get = out.get
     for key, c in num.items():
-        image = (monomials.get(key)
-                 or _monomial_image(images, _unpack(key, len(COORD_RING)))._num)
+        image = monomials.get(key) or _monomial_image(images, key)
         c *= scale
         for k, n in image.items():
             acc = get(k)

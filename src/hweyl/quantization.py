@@ -27,8 +27,8 @@ from fractions import Fraction
 from .params import (_BITS, DEFAULT_ORDER, MAX_ORDER, PARAMS, ParamPoly, _build,
                      as_scalar, parse_rational, ring, signed_sum)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
-                      RewriteSystem, _exp_terms, _linear_extension, commutator,
-                      exp_element, exp_matrix2, nc_mul, normal_form)
+                      RewriteSystem, _exp_terms, _linear_extension, _word_image,
+                      commutator, exp_element, exp_matrix2, nc_mul, normal_form)
 from .tensor import TensorElement, _slot_product, flip, outer, tensor_mul
 from .bialgebra import (_IDX, BRACKET, FAMILIES, TYPE_I_MINUS, TYPE_I_PLUS,
                         BialgebraClass, Cocommutator)
@@ -205,12 +205,6 @@ def counit_of_word(counit, word, order):
     return acc
 
 
-def antipode_of_element(hp, x: FreeElement) -> FreeElement:
-    """Anti-multiplicative extension of the presentation's antipode, in
-    normal form."""
-    return FreeElement._clean(_linear_extension(hp._gamma, x.terms.items()), x.order)
-
-
 def _antipode_residual(hp, name, side="left"):
     """m(gamma (x) id) Delta(X)  or  m(id (x) gamma) Delta(X); the counit term
     vanishes on generators.  The words are merged first and normal-ordered
@@ -242,8 +236,11 @@ class HopfPresentation:
     ``is_concrete``, read off ``values`` once, says that every parameter is
     rational; then rendering sets t to 1.
 
-    Delta and gamma of each word are computed once and kept with the
-    presentation whose maps they extend.
+    Delta and gamma of each word are computed once by ``_word_image`` and
+    kept with the presentation whose maps they extend, in memos seeded with
+    the unit.  gamma is an anti-map, so its memo is keyed by the reversed
+    word: gamma(w) is the image of w reversed under the algebra map with the
+    letters' antipodes as images.
     """
 
     __slots__ = ("family", "order", "values", "is_concrete", "rewrite",
@@ -262,36 +259,27 @@ class HopfPresentation:
         object.__setattr__(self, "counit", counit)
         object.__setattr__(self, "antipode", antipode)
         object.__setattr__(self, "bialgebra_class", bialgebra_class)
-        object.__setattr__(self, "_deltas", {})
-        object.__setattr__(self, "_gammas", {})
+        one = FreeElement.one(order)
+        object.__setattr__(self, "_deltas", {(): outer(one, one)})
+        object.__setattr__(self, "_gammas", {(): one})
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfPresentation is immutable")
 
     def _delta(self, word) -> TensorElement:
-        """Delta(word), built by prefix: Delta(word[:-1]) * Delta(word[-1])."""
-        delta = self._deltas.get(word)
-        if delta is None:
-            if word:
-                delta = tensor_mul(self._delta(word[:-1]), self.coproduct[word[-1]],
-                                   self.rewrite)
-            else:
-                one = FreeElement.one(self.order)
-                delta = outer(one, one)
-            self._deltas[word] = delta
-        return delta
+        """Delta(word) = Delta(word[:-1]) * Delta(word[-1]), prefix by prefix."""
+        return _word_image(word, self.coproduct, self._tensor_product, self._deltas)
 
     def _gamma(self, word) -> FreeElement:
         """gamma(word): the letters' antipodes multiplied in reverse order,
-        in normal form."""
-        gamma = self._gammas.get(word)
-        if gamma is None:
-            acc = FreeElement.one(self.order)
-            for letter in reversed(word):
-                acc = nc_mul(acc, self.antipode[letter])
-            gamma = normal_form(acc, self.rewrite)
-            self._gammas[word] = gamma
-        return gamma
+        normal-ordered after each product."""
+        return _word_image(word[::-1], self.antipode, self._normal_product, self._gammas)
+
+    def _tensor_product(self, u, v):
+        return tensor_mul(u, v, self.rewrite)
+
+    def _normal_product(self, x, y):
+        return normal_form(nc_mul(x, y), self.rewrite)
 
     def param_display(self):
         """Parameter values with t set to 1: rationals (concrete) or series."""
@@ -562,26 +550,16 @@ def _compose(left, right, order):
     return {k: _cut(c, order) for k, c in out.items()}
 
 
-def _word_operator(letters, word, memo, order):
-    """The operator of ``word``: its prefix's operator, from ``memo`` or
-    built the same way, composed with its last letter."""
-    op = memo.get(word)
-    if op is None:
-        if word:
-            op = _compose(_word_operator(letters, word[:-1], memo, order),
-                          letters[word[-1]], order)
-        else:
-            op = {0: ParamPoly.one(math.inf, _X)}
-        memo[word] = op
-    return op
-
-
 def _element_operator(letters, elem: FreeElement, memo):
     """The operator of ``elem``: the sum of its words' operators, each times
-    the word's coefficient, cut at parameter degree K, the element's order."""
+    the word's coefficient, cut at parameter degree K, the element's order.
+    A word's operator is its prefix's, from the prefix ``memo`` (seeded here
+    with the identity), composed with its last letter (``_word_image``)."""
+    memo.setdefault((), {0: ParamPoly.one(math.inf, _X)})
+    compose = functools.partial(_compose, order=elem.order)
     out = {}
     for word, coeff in elem.terms.items():
-        for k, c in _word_operator(letters, word, memo, elem.order).items():
+        for k, c in _word_image(word, letters, compose, memo).items():
             term = c * coeff
             acc = out.get(k)
             out[k] = term if acc is None else acc + term
@@ -659,37 +637,23 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
 _SWAP = {GEN_AP: (GEN_AM, 1), GEN_AM: (GEN_AP, 1), GEN_M: (GEN_M, -1)}
 
 
-def _swap_word(word):
-    sign = 1
-    letters = []
-    for x in word:
-        image, s = _SWAP[x]
-        letters.append(image)
-        sign *= s
-    return tuple(letters), sign
+def _swap(x, rewrite=None):
+    """The swap image of an element or a tensor, each word's image
+    normal-ordered under ``rewrite`` when one is given."""
+    order = x.order
+    letters = {g: FreeElement.from_word((h,), order, coeff=s) for g, (h, s) in _SWAP.items()}
+    memo = {(): FreeElement.one(order)}
 
+    def image(word):
+        img = _word_image(word, letters, nc_mul, memo)
+        return img if rewrite is None else normal_form(img, rewrite)
 
-def _swap_elem(x: FreeElement) -> FreeElement:
-    """The swap image of x, signs folded in; the swap is a bijection on
-    words, so no two images meet."""
+    if isinstance(x, FreeElement):
+        return FreeElement._clean(_linear_extension(image, x.terms.items()), order)
     terms = {}
-    for word, coeff in x.terms.items():
-        image, sign = _swap_word(word)
-        terms[image] = coeff if sign == 1 else -coeff
-    return FreeElement._clean(terms, x.order)
-
-
-def _swap_tensor(t: TensorElement, target_rs) -> TensorElement:
-    terms = {}
-    for slots, coeff in t.terms.items():
-        elems = []
-        sign = 1
-        for w in slots:
-            image, s = _swap_word(w)
-            sign *= s
-            elems.append(target_rs._form(image))
-        _slot_product(elems, coeff * sign, terms)
-    return TensorElement(t.rank, terms, t.order)
+    for slots, coeff in x.terms.items():
+        _slot_product([image(w) for w in slots], coeff, terms)
+    return TensorElement._clean(terms, order, x.rank)
 
 
 def swap_transport(hp) -> HopfPresentation:
@@ -713,15 +677,15 @@ def swap_transport(hp) -> HopfPresentation:
         else:
             src, flip_sign = brackets[(hi, gi)], -1
         rules[(g, h)] = (FreeElement.from_word((h, g), order)
-                         + _swap_elem(src) * (sg * sh * flip_sign))
+                         + _swap(src) * (sg * sh * flip_sign))
     rewrite = RewriteSystem(f"swap({hp.rewrite.name})", rules, order)
 
     coproduct = {}
     antipode = {}
     for name in GENERATORS:
         src_letter, sign = _SWAP[name]
-        coproduct[name] = _swap_tensor(hp.coproduct[src_letter], rewrite) * sign
-        antipode[name] = normal_form(_swap_elem(hp.antipode[src_letter]), rewrite) * sign
+        coproduct[name] = _swap(hp.coproduct[src_letter], rewrite) * sign
+        antipode[name] = _swap(hp.antipode[src_letter], rewrite) * sign
 
     cls = BialgebraClass(target_tag, normalized=Cocommutator(**new_values))
     return HopfPresentation(

@@ -18,6 +18,8 @@ from hweyl.bialgebra import (BASIS, BRACKET, INVALID, TRIVIAL, TYPE_I_MINUS,
                              find_rmatrix, mcybe_check, rmatrix_gauge,
                              schouten)
 
+from symbolic_cocommutators import constrained_symbolic, generic_symbolic
+
 K = 4
 
 
@@ -251,7 +253,7 @@ def _fractional_automorphism(rng):
 
 def test_closed_cocycle_matches_ad_oracle():
     rng = random.Random(51)
-    deltas = [Cocommutator.generic_symbolic(K)]
+    deltas = [generic_symbolic(K)]
     deltas += [_free_c_delta(rng) for _ in range(200)]
     for delta in deltas:
         assert bialgebra._cocycle_raw(delta) == cocycle_raw_oracle(delta)
@@ -259,7 +261,7 @@ def test_closed_cocycle_matches_ad_oracle():
 
 def test_closed_cojacobi_matches_dual_jacobiator():
     rng = random.Random(52)
-    deltas = [Cocommutator.generic_symbolic(K), Cocommutator.constrained_symbolic(K)]
+    deltas = [generic_symbolic(K), constrained_symbolic(K)]
     deltas += [_free_c_delta(rng) for _ in range(200)]
     for delta in deltas:
         assert cojacobi_residuals(delta) == cojacobi_oracle(delta)
@@ -316,7 +318,7 @@ def test_closed_coboundary_side_matches_loop_oracles():
 
 def test_find_rmatrix_matches_unit_oracle_off_the_coboundaries():
     rng = random.Random(56)
-    deltas = [Cocommutator.generic_symbolic(K), Cocommutator.constrained_symbolic(K)]
+    deltas = [generic_symbolic(K), constrained_symbolic(K)]
     for _ in range(200):
         coeffs = coboundary_delta(_random_rmatrix(rng)).coefficients()
         coeffs[rng.choice(_COEFF_NAMES)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 5))
@@ -409,7 +411,7 @@ def test_integer_classify_failures_match_fraction_residuals():
 
 def test_transport_rejects_symbolic_delta():
     with pytest.raises(TypeError, match="rational"):
-        apply_automorphism(Cocommutator.constrained_symbolic(K), SWAP_AUTOMORPHISM)
+        apply_automorphism(constrained_symbolic(K), SWAP_AUTOMORPHISM)
 
 
 @pytest.mark.parametrize("entry, value", [((0, 2), 1), ((1, 2), Fraction(-1, 2)),
@@ -448,7 +450,7 @@ def test_heisenberg_weyl_brackets():
 # -- cocycle condition --------------------------------------------------------------
 
 def test_cocycle_symbolic_constraints():
-    res = cocycle_residuals(Cocommutator.generic_symbolic(K))
+    res = cocycle_residuals(generic_symbolic(K))
     expected = [sym("c1"), sym("c2") - sym("b1"), sym("c3") + sym("a1")]
     # every residual coefficient is one of the three constraints (up to sign),
     # and all three occur
@@ -480,7 +482,7 @@ def test_cocycle_forced_c_defaults_pass():
 
 def test_cocycle_matches_bruteforce_oracle():
     rng = random.Random(4)
-    deltas = [Cocommutator.generic_symbolic(K), Cocommutator(c1=1),
+    deltas = [generic_symbolic(K), Cocommutator(c1=1),
               Cocommutator(a1=1, c3=0)]
     for _ in range(10):
         deltas.append(Cocommutator(
@@ -494,7 +496,7 @@ def test_cocycle_matches_bruteforce_oracle():
 # -- co-Jacobi ------------------------------------------------------------------------
 
 def test_cojacobi_polynomials():
-    p1, p2 = cojacobi_residuals(Cocommutator.constrained_symbolic(K))
+    p1, p2 = cojacobi_residuals(constrained_symbolic(K))
     a1, a2, a3, b1, b2, b3 = (sym(n) for n in ("a1", "a2", "a3", "b1", "b2", "b3"))
     assert p1 == a1 * (b3 - a2) - 2 * b1 * a3
     assert p2 == b1 * (a2 - b3) - 2 * a1 * b2
@@ -563,7 +565,7 @@ def test_classify_raises_when_normalization_fails(monkeypatch):
 
 def test_classify_rejects_symbolic():
     with pytest.raises(TypeError):
-        classify(Cocommutator.constrained_symbolic())
+        classify(constrained_symbolic())
 
 
 def test_classification_grid_small():
@@ -723,7 +725,7 @@ def test_rmatrix_gauge():
 # -- dual bracket table -------------------------------------------------------------------
 
 def test_dual_bracket_table_constrained():
-    table = dual_bracket_table(Cocommutator.constrained_symbolic(K))
+    table = dual_bracket_table(constrained_symbolic(K))
     a1, a2, a3, b1, b2, b3 = (sym(n) for n in ("a1", "a2", "a3", "b1", "b2", "b3"))
     assert table[(0, 1)] == {0: a1, 1: b1}
     assert table[(0, 2)] == {0: a2, 1: b2, 2: b1}

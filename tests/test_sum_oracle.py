@@ -1,7 +1,7 @@
 """The in-place sums of the Hopf checks against the step-by-step sums they replaced.
 
-``coproduct_of_element``, ``antipode_of_element`` and ``_antipode_residual``
-add every product into one dict.  The oracles below are the earlier versions,
+``coproduct_of_element``, ``antipode_of_element`` (below, over ``hp._gamma``)
+and ``_antipode_residual`` add every product into one dict.  The oracles below are the earlier versions,
 which build each sum as ``acc = acc + x * c`` through the public operations;
 both must agree term by term on every family at two orders, with concrete
 parameters, and on a broken presentation whose residuals do not vanish.
@@ -11,12 +11,18 @@ from fractions import Fraction
 
 import pytest
 
-from hweyl.freealg import GEN_M, GENERATORS, FreeElement, nc_mul, normal_form
+from hweyl.freealg import (GEN_M, GENERATORS, FreeElement, _linear_extension, nc_mul,
+                           normal_form)
 from hweyl.tensor import TensorElement, outer
 from hweyl.bialgebra import TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II
 from hweyl.quantization import (HopfPresentation, _antipode_residual,
-                                antipode_of_element, coproduct_of_element,
-                                quantize)
+                                coproduct_of_element, quantize)
+
+
+def antipode_of_element(hp, x):
+    """Anti-multiplicative extension of the presentation's antipode, in
+    normal form."""
+    return FreeElement._clean(_linear_extension(hp._gamma, x.terms.items()), x.order)
 
 
 def coproduct_oracle(hp, x):
