@@ -43,7 +43,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .params import DEFAULT_ORDER, ParamPoly, as_fraction, as_scalar, parse_fields
+from .params import (DEFAULT_ORDER, ParamPoly, Record, ValueRecord, as_fraction, as_scalar,
+                     parse_fields)
 from .freealg import GEN_AM, GEN_AP, GEN_M
 from .tensor import _PERM_SIGN, TensorElement
 
@@ -89,30 +90,25 @@ def _skew(pairs):
     return out
 
 
-class Cocommutator:
+class Cocommutator(ValueRecord):
     """The nine-coefficient skew map delta: g -> g ^ g.
 
+    ``_FIELDS`` are the nine coefficients a1, a2, a3, b1, b2, b3, c1, c2, c3.
     Coefficients may be exact rationals or ParamPoly (for symbolic runs).
     Omitted c-coefficients default to the values forced by the cocycle
     condition: c1 = 0, c2 = b1, c3 = -a1.
     """
 
-    __slots__ = _COEFF_NAMES + ("_ints",)
+    _FIELDS = _COEFF_NAMES
+    __slots__ = _FIELDS + ("_ints",)
 
     def __init__(self, a1=0, a2=0, a3=0, b1=0, b2=0, b3=0,
                  c1=None, c2=None, c3=None):
-        vals = {
-            "a1": as_scalar(a1), "a2": as_scalar(a2), "a3": as_scalar(a3),
-            "b1": as_scalar(b1), "b2": as_scalar(b2), "b3": as_scalar(b3),
-        }
-        vals["c1"] = as_scalar(c1) if c1 is not None else Fraction(0)
-        vals["c2"] = as_scalar(c2) if c2 is not None else vals["b1"]
-        vals["c3"] = as_scalar(c3) if c3 is not None else -vals["a1"]
-        for name in _COEFF_NAMES:
-            object.__setattr__(self, name, vals[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cocommutator is immutable")
+        a1, a2, a3, b1, b2, b3 = map(as_scalar, (a1, a2, a3, b1, b2, b3))
+        self._store(a1, a2, a3, b1, b2, b3,
+                    as_scalar(c1) if c1 is not None else Fraction(0),
+                    as_scalar(c2) if c2 is not None else b1,
+                    as_scalar(c3) if c3 is not None else -a1)
 
     def coefficients(self):
         return {name: getattr(self, name) for name in _COEFF_NAMES}
@@ -150,24 +146,13 @@ class Cocommutator:
         return all(not getattr(self, n) for n in _COEFF_NAMES)
 
     def param_order(self):
-        for n in _COEFF_NAMES:
-            v = getattr(self, n)
-            if isinstance(v, ParamPoly):
-                return v.order
-        return None
+        return _order_of(*(getattr(self, n) for n in _COEFF_NAMES), default=None)
 
     def as_tensor(self, generator, order=None):
         """delta(generator) as a rank-2 TensorElement."""
         i = _IDX[generator] if isinstance(generator, str) else generator
         order = order or self.param_order() or DEFAULT_ORDER
         return _to_tensor(self.full_row(i), 2, order)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cocommutator):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in _COEFF_NAMES)
-
-    __hash__ = None
 
     def __str__(self):
         return ", ".join(f"{n}={getattr(self, n)}" for n in _COEFF_NAMES)
@@ -186,24 +171,19 @@ class Cocommutator:
         return {n: str(getattr(self, n)) for n in _COEFF_NAMES}
 
 
-class RMatrix:
-    """Skew element r = xi A+ ^ A- + beta_plus A+ ^ M + beta_minus A- ^ M."""
+class RMatrix(ValueRecord):
+    """Skew element r = xi A+ ^ A- + beta_plus A+ ^ M + beta_minus A- ^ M;
+    ``_FIELDS`` are xi, beta_plus and beta_minus."""
 
-    __slots__ = ("xi", "beta_plus", "beta_minus")
+    _FIELDS = ("xi", "beta_plus", "beta_minus")
+    __slots__ = _FIELDS
 
     def __init__(self, xi=0, beta_plus=0, beta_minus=0):
-        object.__setattr__(self, "xi", as_scalar(xi))
-        object.__setattr__(self, "beta_plus", as_scalar(beta_plus))
-        object.__setattr__(self, "beta_minus", as_scalar(beta_minus))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RMatrix is immutable")
+        self._store(as_scalar(xi), as_scalar(beta_plus), as_scalar(beta_minus))
 
     @classmethod
     def symbolic(cls, order=DEFAULT_ORDER):
-        return cls(ParamPoly.symbol("xi", order),
-                   ParamPoly.symbol("beta_plus", order),
-                   ParamPoly.symbol("beta_minus", order))
+        return cls(*(ParamPoly.symbol(n, order) for n in cls._FIELDS))
 
     def components(self):
         """Full rank-2 dict over basis-index pairs."""
@@ -214,26 +194,15 @@ class RMatrix:
         order = order or _order_of(self.xi, self.beta_plus, self.beta_minus)
         return _to_tensor(self.components(), 2, order)
 
-    def __eq__(self, other):
-        if not isinstance(other, RMatrix):
-            return NotImplemented
-        return (self.xi == other.xi and self.beta_plus == other.beta_plus
-                and self.beta_minus == other.beta_minus)
-
-    __hash__ = None
-
     def __str__(self):
-        return (f"xi={self.xi}, beta_plus={self.beta_plus}, "
-                f"beta_minus={self.beta_minus}")
+        return ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS)
 
     @classmethod
     def from_json(cls, data):
-        return cls(**parse_fields("r-matrix", data, ("xi", "beta_plus", "beta_minus")))
+        return cls(**parse_fields("r-matrix", data, cls._FIELDS))
 
     def to_json(self):
-        return {"xi": str(self.xi),
-                "beta_plus": str(self.beta_plus),
-                "beta_minus": str(self.beta_minus)}
+        return {n: str(getattr(self, n)) for n in self._FIELDS}
 
 
 def _promote(scalar, order):
@@ -443,38 +412,29 @@ def rmatrix_gauge():
 
 # -- classification -------------------------------------------------------------
 
-class BialgebraClass:
-    """Result of classifying a concrete cocommutator."""
+class BialgebraClass(Record):
+    """Result of classifying a concrete cocommutator; ``_FIELDS`` are tag,
+    normalized, automorphism, coboundary, rmatrix and failures."""
 
-    __slots__ = ("tag", "normalized", "automorphism", "coboundary",
-                 "rmatrix", "failures")
+    _FIELDS = ("tag", "normalized", "automorphism", "coboundary", "rmatrix", "failures")
+    __slots__ = _FIELDS
 
     def __init__(self, tag, normalized=None, automorphism=_IDENTITY,
                  coboundary=False, rmatrix=None, failures=None):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "normalized", normalized)
-        object.__setattr__(self, "automorphism", automorphism)
-        object.__setattr__(self, "coboundary", coboundary)
-        object.__setattr__(self, "rmatrix", rmatrix)
-        object.__setattr__(self, "failures", failures or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BialgebraClass is immutable")
-
-    #: Deformation parameter names retained by each normalized family.
-    FAMILY_PARAMS = {tag: fam[0] for tag, fam in FAMILIES.items()}
+        self._store(tag, normalized, automorphism, coboundary, rmatrix, failures or {})
 
     def family_params(self):
-        if self.tag not in self.FAMILY_PARAMS:
+        """The deformation parameters the normalized family keeps (``FAMILIES``)."""
+        if self.tag not in FAMILIES:
             raise ValueError(f"{self.tag} has no family parameters")
-        return {n: getattr(self.normalized, n) for n in self.FAMILY_PARAMS[self.tag]}
+        return {n: getattr(self.normalized, n) for n in FAMILIES[self.tag][0]}
 
     @classmethod
     def symbolic(cls, tag, order=DEFAULT_ORDER):
         """Normalized family with its parameters as formal symbols."""
-        if tag not in cls.FAMILY_PARAMS:
+        if tag not in FAMILIES:
             raise ValueError(f"no symbolic family for tag {tag!r}")
-        kwargs = {n: ParamPoly.symbol(n, order) for n in cls.FAMILY_PARAMS[tag]}
+        kwargs = {n: ParamPoly.symbol(n, order) for n in FAMILIES[tag][0]}
         normalized = Cocommutator(**kwargs)
         coboundary = tag == TRIVIAL
         return cls(tag, normalized=normalized,

@@ -321,9 +321,7 @@ def run_poisson(args):
 
 
 def run_realize(args):
-    # the check raises x^degree by up to 2K - 1, and an exponent of x must
-    # fit a packed-key field
-    top = MAX_ORDER + 1 - 2 * args.order
+    top = qu.realization_degree_limit(args.order)
     if args.degree > top:
         _err(f"--degree must be at most {top} at --order {args.order}" if top >= 0
              else f"realize needs --order at most {(MAX_ORDER + 1) // 2}")

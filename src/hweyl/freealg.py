@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .params import DEFAULT_ORDER, ParamPoly, signed_sum
+from .params import DEFAULT_ORDER, ParamPoly, Record, signed_sum
 
 GEN_M = "M"
 GEN_AP = "A+"
@@ -283,8 +283,9 @@ def nc_mul(x: FreeElement, y: FreeElement) -> FreeElement:
     return FreeElement._clean(terms, x.order)
 
 
-class RewriteSystem:
-    """Normal-form expansions of the out-of-order generator pairs.
+class RewriteSystem(Record):
+    """Normal-form expansions of the out-of-order generator pairs; ``_FIELDS``
+    are name, rules and order.
 
     Each rule maps a pair (g, h) with g > h to the normal form of the product
     g*h.  Construction checks the termination witness: everything in the rule
@@ -297,7 +298,8 @@ class RewriteSystem:
     of every word met on the way, is rewritten once and kept (see ``_form``).
     """
 
-    __slots__ = ("name", "rules", "order", "_forms")
+    _FIELDS = ("name", "rules", "order")
+    __slots__ = _FIELDS + ("_forms",)
 
     def __init__(self, name, rules, order):
         if set(rules) != set(REDEXES):
@@ -317,13 +319,8 @@ class RewriteSystem:
                     continue
                 raise ValueError(
                     f"rule {g}*{h} violates the termination witness on word {word}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rules", dict(rules))
-        object.__setattr__(self, "order", order)
+        self._store(name, dict(rules), order)
         object.__setattr__(self, "_forms", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RewriteSystem is immutable")
 
     def _form(self, word) -> FreeElement:
         """Normal form of the word with coefficient 1 by leftmost rewriting:

@@ -7,8 +7,8 @@ Hopf structure maps).  A coordinate ring (the group coordinates of
 ``poisson``, the x of the I+ differential realization) is PARAMS followed by
 the coordinates (``ring``), with ``order=math.inf``: nothing is truncated,
 and a parameter coefficient is part of each monomial.  The module also holds
-the strict rational parser and the signed-sum renderer shared by all printed
-output.
+the strict rational parser, the signed-sum renderer of all printed output and
+``Record``, the immutable base of the value classes, which all modules share.
 
 PARAMS ends with the grading variable t: a quantized presentation stores a
 rational parameter value q as q*t, so a concrete one is a series in t alone.
@@ -202,6 +202,44 @@ def signed_sum(rows) -> str:
         else:
             out.append(body if n == 1 else f"{n}*{body}")
     return "".join(out) or "0"
+
+
+class Record:
+    """Immutable base of the engine's value classes.
+
+    ``_FIELDS`` names the constructor's arguments in order, each read back by
+    the attribute of that name; a constructor stores them with ``_store``.
+    ``copy`` and ``pickle`` call the constructor on the fields
+    (``__reduce__``), so a cache in a further slot starts empty.  Equality
+    and hashing are by identity; ``ValueRecord`` compares field by field.
+    """
+
+    __slots__ = ()
+    _FIELDS = ()
+
+    def _store(self, *values):
+        """Store ``values`` in the slots named by ``_FIELDS``, in order."""
+        for name, value in zip(self._FIELDS, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._FIELDS)
+
+
+class ValueRecord(Record):
+    """A ``Record`` equal to one of its class with equal fields; unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._FIELDS)
+
+    __hash__ = None
 
 
 def _refuse(poly, value):
@@ -672,7 +710,7 @@ class ParamPoly:
         return f"ParamPoly({self}, order={self._order})"
 
 
-_new = object.__new__
+_new, _set = object.__new__, object.__setattr__
 
 
 def _make(num, den, order, names):

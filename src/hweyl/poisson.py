@@ -39,9 +39,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import attrgetter
 
-from .params import (_BITS, MAX_ORDER, PARAMS, ParamPoly, _build, _check_fields, _pack,
-                     as_scalar, parse_fields, parse_rational, ring)
+from .params import (_BITS, MAX_ORDER, PARAMS, ParamPoly, Record, ValueRecord, _build,
+                     _check_fields, _pack, as_scalar, parse_fields, parse_rational, ring)
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -62,36 +63,30 @@ def _coord_const(value, names=COORD_RING) -> ParamPoly:
     return ParamPoly.const(value, math.inf, names)
 
 
-class GroupCoords:
-    """A group element in the coordinates (m, a_minus, a_plus)."""
+class GroupCoords(ValueRecord):
+    """A group element in the coordinates (m, a_minus, a_plus), its
+    ``_FIELDS``: polynomials over one ring, a rational given as a constant."""
 
-    __slots__ = ("m", "a_minus", "a_plus")
+    _FIELDS = ("m", "a_minus", "a_plus")
+    __slots__ = _FIELDS
 
     def __init__(self, m, a_minus, a_plus):
         names = m.names if isinstance(m, ParamPoly) else COORD_RING
-        conv = lambda v: v if isinstance(v, ParamPoly) else _coord_const(v, names)
-        object.__setattr__(self, "m", conv(m))
-        object.__setattr__(self, "a_minus", conv(a_minus))
-        object.__setattr__(self, "a_plus", conv(a_plus))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupCoords is immutable")
+        self._store(*(v if isinstance(v, ParamPoly) else _coord_const(v, names)
+                      for v in (m, a_minus, a_plus)))
 
     @classmethod
     def identity(cls, names=COORD_RING):
-        zero = _coord_const(0, names)
-        return cls(zero, zero, zero)
+        return cls.point(0, 0, 0, names)
 
     @classmethod
     def point(cls, m, a_minus, a_plus, names=COORD_RING):
-        return cls(_coord_const(m, names), _coord_const(a_minus, names),
-                   _coord_const(a_plus, names))
+        return cls(*(_coord_const(v, names) for v in (m, a_minus, a_plus)))
 
     @classmethod
     def generic(cls, suffix, names):
         """Element whose coordinates are the variables m<suffix>, etc."""
-        return cls(_coord(f"m{suffix}", names), _coord(f"a_minus{suffix}", names),
-                   _coord(f"a_plus{suffix}", names))
+        return cls(*(_coord(f"{n}{suffix}", names) for n in cls._FIELDS))
 
     def matrix(self):
         """Upper-triangular 3x3 representation [[1, a-, m + a- a+], ...]."""
@@ -102,22 +97,14 @@ class GroupCoords:
                 (zero, one, self.a_plus),
                 (zero, zero, one))
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupCoords):
-            return NotImplemented
-        return (self.m == other.m and self.a_minus == other.a_minus
-                and self.a_plus == other.a_plus)
-
-    __hash__ = None
-
     def __str__(self):
-        return f"(m={self.m}, a_minus={self.a_minus}, a_plus={self.a_plus})"
+        return "(" + ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS) + ")"
 
     @classmethod
     def from_json(cls, data):
         """Accept a JSON triple [m, a_minus, a_plus] of string rationals, or an
         object of those fields (``parse_fields``), a missing one 0."""
-        names = ("m", "a_minus", "a_plus")
+        names = cls._FIELDS
         if isinstance(data, dict):
             vals = parse_fields("coordinate", data, names)
             return cls.point(*(vals.get(n, 0) for n in names))
@@ -126,8 +113,7 @@ class GroupCoords:
         raise ValueError("group element must be a [m, a_minus, a_plus] triple")
 
     def to_json(self):
-        return [str(self.m.as_fraction()), str(self.a_minus.as_fraction()),
-                str(self.a_plus.as_fraction())]
+        return [str(getattr(self, n).as_fraction()) for n in self._FIELDS]
 
 
 def group_compose(g1: GroupCoords, g2: GroupCoords) -> GroupCoords:
@@ -149,8 +135,9 @@ def _coefficient(index):
     return property(get)
 
 
-class PoissonStructure:
-    """Poisson-Lie bracket coefficients (the six bialgebra coefficients).
+class PoissonStructure(Record):
+    """Poisson-Lie bracket coefficients (the six bialgebra coefficients),
+    its ``_FIELDS`` a1, a2, a3, b1, b2, b3.
 
     They are held as numerators over one common denominator, as
     ``Cocommutator.numerators`` holds the nine: each the (packed key over
@@ -160,7 +147,9 @@ class PoissonStructure:
     coefficients run one code path.  ``a1`` .. ``b3`` read one back.
     """
 
+    _FIELDS = ("a1", "a2", "a3", "b1", "b2", "b3")
     __slots__ = ("_ints",)
+    _fields_of = attrgetter(*_FIELDS)
 
     a1, a2, a3, b1, b2, b3 = map(_coefficient, range(6))
 
@@ -174,9 +163,6 @@ class PoissonStructure:
                       for v in vals])
         object.__setattr__(self, "_ints", (nums, den))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonStructure is immutable")
-
     def numerators(self):
         """(the six numerators, in the order a1, a2, a3, b1, b2, b3, and
         their common denominator)."""
@@ -187,13 +173,12 @@ class PoissonStructure:
         """Symbolic coefficients, optionally restricted to one family's shape."""
         from .bialgebra import BialgebraClass
         if tag is None:
-            return cls(*(ParamPoly.symbol(n) for n in ("a1", "a2", "a3", "b1", "b2", "b3")))
-        sym = BialgebraClass.symbolic(tag).normalized
-        return cls(sym.a1, sym.a2, sym.a3, sym.b1, sym.b2, sym.b3)
+            return cls(*(ParamPoly.symbol(n) for n in cls._FIELDS))
+        return cls.from_cocommutator(BialgebraClass.symbolic(tag).normalized)
 
     @classmethod
     def from_cocommutator(cls, delta):
-        return cls(delta.a1, delta.a2, delta.a3, delta.b1, delta.b2, delta.b3)
+        return cls(*cls._fields_of(delta))
 
     def bracket_table(self, names=COORD_RING):
         """{x_i, x_j} for i < j over the coordinate triple (and its primed
@@ -316,14 +301,15 @@ def jacobi_check(ps: PoissonStructure, names=COORD_RING) -> ParamPoly:
 
 @functools.cache
 def _group_law():
-    """The group-law images over COORD_RING2, keyed by coordinate, the
-    bracket plan (``_plan``, from their partials) of images i < j, and
-    the packed image of every coordinate monomial of degree <= 2 (those a
-    table entry has): its key over COORD_RING maps to the numerators of its
-    image.  The images have integer coefficients, so the plans' denominator
-    is 1.  Built on first use."""
-    am, ap, m, amp, app, mp = (_coord(n, COORD_RING2) for n in COORDS2)
-    images = dict(zip(COORDS, (am + amp, ap + app, m + mp - am * app)))
+    """The group-law images over COORD_RING2, keyed by coordinate (the
+    ``group_compose`` of the generic elements with unprimed and with primed
+    coordinates), the bracket plan (``_plan``, from their partials) of
+    images i < j, and the packed image of every coordinate monomial of
+    degree <= 2 (those a table entry has): its key over COORD_RING maps to
+    the numerators of its image.  The images have integer coefficients, so
+    the plans' denominator is 1.  Built on first use."""
+    g = group_compose(*(GroupCoords.generic(s, COORD_RING2) for s in ("", "'")))
+    images = {n: getattr(g, n) for n in COORDS}
     partials = [_partials(image) for image in images.values()]
     monomials = {}
     for exps in itertools.product(range(3), repeat=3):

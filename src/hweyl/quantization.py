@@ -24,14 +24,14 @@ import functools
 import math
 from fractions import Fraction
 
-from .params import (_BITS, DEFAULT_ORDER, MAX_ORDER, PARAMS, ParamPoly, _build,
-                     as_scalar, parse_rational, ring, signed_sum)
+from .params import (_BITS, DEFAULT_ORDER, MAX_ORDER, PARAMS, ParamPoly, Record, _build,
+                     parse_rational, ring, signed_sum)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
                       RewriteSystem, _exp_terms, _linear_extension, _word_image,
                       commutator, exp_element, exp_matrix2, nc_mul, normal_form)
 from .tensor import TensorElement, _slot_product, flip, outer, tensor_mul
-from .bialgebra import (_IDX, BRACKET, FAMILIES, TYPE_I_MINUS, TYPE_I_PLUS,
-                        BialgebraClass, Cocommutator)
+from .bialgebra import (_IDX, BASIS, BRACKET, FAMILIES, SWAP_AUTOMORPHISM, TYPE_I_MINUS,
+                        TYPE_I_PLUS, BialgebraClass, Cocommutator)
 
 
 class VerificationError(RuntimeError):
@@ -225,8 +225,10 @@ def _antipode_residual(hp, name, side="left"):
 
 # -- the Hopf presentation -------------------------------------------------------
 
-class HopfPresentation:
+class HopfPresentation(Record):
     """A quantized family: rewrite rules, coproduct, counit and antipode.
+    ``_FIELDS`` are family, order, values, rewrite, coproduct, counit,
+    antipode and bialgebra_class.
 
     Deformation parameters are carried as degree-1 ParamPoly values so the
     series grading stays intact: a rational choice q of a parameter is the
@@ -243,28 +245,19 @@ class HopfPresentation:
     letters' antipodes as images.
     """
 
-    __slots__ = ("family", "order", "values", "is_concrete", "rewrite",
-                 "coproduct", "counit", "antipode", "bialgebra_class",
-                 "_deltas", "_gammas")
+    _FIELDS = ("family", "order", "values", "rewrite", "coproduct", "counit",
+               "antipode", "bialgebra_class")
+    __slots__ = _FIELDS + ("is_concrete", "_deltas", "_gammas")
 
     def __init__(self, family, order, values, rewrite, coproduct, counit,
                  antipode, bialgebra_class):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "values", values)
+        self._store(family, order, values, rewrite, coproduct, counit, antipode,
+                    bialgebra_class)
         object.__setattr__(self, "is_concrete", bool(values) and all(
             val.at_one(("t",)).is_constant() for val in values.values()))
-        object.__setattr__(self, "rewrite", rewrite)
-        object.__setattr__(self, "coproduct", coproduct)
-        object.__setattr__(self, "counit", counit)
-        object.__setattr__(self, "antipode", antipode)
-        object.__setattr__(self, "bialgebra_class", bialgebra_class)
         one = FreeElement.one(order)
         object.__setattr__(self, "_deltas", {(): outer(one, one)})
         object.__setattr__(self, "_gammas", {(): one})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HopfPresentation is immutable")
 
     def _delta(self, word) -> TensorElement:
         """Delta(word) = Delta(word[:-1]) * Delta(word[-1]), prefix by prefix."""
@@ -349,12 +342,8 @@ def _resolve_class(family, order, params):
     unknown = sorted(set(params) - set(FAMILIES[family][0]))
     if unknown:
         raise ValueError(f"{family} has no parameters {', '.join(unknown)}")
-    kwargs = {}
-    for name in FAMILIES[family][0]:
-        if params.get(name) is not None:
-            kwargs[name] = as_scalar(params[name])
-        else:
-            kwargs[name] = ParamPoly.symbol(name, order)
+    kwargs = {n: ParamPoly.symbol(n, order) if params.get(n) is None else params[n]
+              for n in FAMILIES[family][0]}
     return BialgebraClass(family, normalized=Cocommutator(**kwargs))
 
 
@@ -492,16 +481,19 @@ def first_order_residuals(hp) -> dict:
 
 # -- central element and differential realization ----------------------------------
 
+def _central(a1, order) -> FreeElement:
+    """C = M exp(-a1 A+ / 2), the central element of I+ at the value ``a1``."""
+    return nc_mul(FreeElement.generator(GEN_M, order),
+                  exp_element(FreeElement.generator(GEN_AP, order) * (a1 * Fraction(-1, 2))))
+
+
 def central_element(hp) -> FreeElement:
     """C = M exp(-a1 A+ / 2) for the I+ family; centrality is verified."""
     if hp.family != TYPE_I_PLUS:
         raise ValueError("the central element is defined for the I+ family")
-    order = hp.order
-    a1 = hp.values["a1"]
-    c = nc_mul(FreeElement.generator(GEN_M, order),
-               exp_element(FreeElement.generator(GEN_AP, order) * (a1 * Fraction(-1, 2))))
+    c = _central(hp.values["a1"], hp.order)
     for name in GENERATORS:
-        if commutator(c, FreeElement.generator(name, order), hp.rewrite):
+        if commutator(c, FreeElement.generator(name, hp.order), hp.rewrite):
             raise VerificationError(f"central element fails to commute with {name}")
     return c
 
@@ -576,16 +568,23 @@ def _apply_operator(op, powers, n):
     return out
 
 
-def _realization_residuals(a1, order) -> dict:
-    """The four relations of the realization, as elements that must act as 0."""
-    ap, am, m = (FreeElement.generator(n, order) for n in (GEN_AP, GEN_AM, GEN_M))
-    return {
-        "[A-,A+] = M": am * ap - ap * am - m,
-        "[A-,M] = (a1/2)*M^2": am * m - m * am - m * m * (a1 * Fraction(1, 2)),
-        "[A+,M] = 0": ap * m - m * ap,
-        "C = lambda": (m * exp_element(ap * (a1 * Fraction(-1, 2)))
-                       - ParamPoly.symbol("lambda", order)),
-    }
+def _realization_residuals(cls, order, *, _series=None) -> dict:
+    """The four relations of the realization of the I+ class ``cls``, as
+    elements that must act as 0: for each rule of the engine
+    (``family_rewrite``) the word g*h less its rewrite, g*h - h*g - [g, h],
+    and C - lambda for the central element of ``_central``."""
+    series = _series or _Series(cls, order)
+    rules = family_rewrite(cls, order, _series=series).rules
+    words = {"[A-,A+] = M": (GEN_AM, GEN_AP), "[A-,M] = (a1/2)*M^2": (GEN_AM, GEN_M),
+             "[A+,M] = 0": (GEN_AP, GEN_M)}
+    out = {label: FreeElement.from_word(w, order) - rules[w] for label, w in words.items()}
+    out["C = lambda"] = _central(series.values["a1"], order) - ParamPoly.symbol("lambda", order)
+    return out
+
+
+def realization_degree_limit(order):
+    """The largest ``max_degree`` of ``check_realization`` at ``order``."""
+    return MAX_ORDER + 1 - 2 * order
 
 
 def check_realization(cls, max_degree=6, order=4) -> dict:
@@ -608,7 +607,8 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
 
     The products of the letter-by-letter application raise x^n by up to
     2K - 1 (the word M A+^K of C), so ``max_degree`` above
-    MAX_ORDER + 1 - 2K raises the packed-key field-limit ``ValueError``.
+    ``realization_degree_limit(K)`` raises the packed-key field-limit
+    ``ValueError``.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -616,16 +616,16 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
         cls = BialgebraClass.symbolic(cls, order)
     if cls.tag != TYPE_I_PLUS:
         raise ValueError("the differential realization is defined for the I+ family")
-    a1 = _family_values(cls, order)["a1"]
-    if max_degree > MAX_ORDER + 1 - 2 * order:
+    if max_degree > realization_degree_limit(order):
         raise ValueError(f"exponent above {MAX_ORDER}, the packed-key field limit")
-    letters = _realization_letters(a1, order)
+    series = _Series(cls, order)
+    letters = _realization_letters(series.values["a1"], order)
     memo = {}
     powers = [ParamPoly.one(math.inf, _X)]
     for _ in range(max_degree):
         powers.append(powers[-1] * _X_POLY)
     report = {}
-    for label, res in _realization_residuals(a1, order).items():
+    for label, res in _realization_residuals(cls, order, _series=series).items():
         op = _element_operator(letters, res, memo)
         report[label] = not any(_apply_operator(op, powers, n)
                                 for n in range(max_degree + 1))
@@ -634,14 +634,19 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
 
 # -- swap transport I+ <-> I- ---------------------------------------------------------
 
-_SWAP = {GEN_AP: (GEN_AM, 1), GEN_AM: (GEN_AP, 1), GEN_M: (GEN_M, -1)}
+def _swap_letters(order):
+    """The swap image of each generator, read off the columns of
+    ``SWAP_AUTOMORPHISM``."""
+    return {g: FreeElement({(h,): ParamPoly.const(row[j], order)
+                            for h, row in zip(BASIS, SWAP_AUTOMORPHISM)}, order)
+            for j, g in enumerate(BASIS)}
 
 
 def _swap(x, rewrite=None):
     """The swap image of an element or a tensor, each word's image
     normal-ordered under ``rewrite`` when one is given."""
     order = x.order
-    letters = {g: FreeElement.from_word((h,), order, coeff=s) for g, (h, s) in _SWAP.items()}
+    letters = _swap_letters(order)
     memo = {(): FreeElement.one(order)}
 
     def image(word):
@@ -657,35 +662,29 @@ def _swap(x, rewrite=None):
 
 
 def swap_transport(hp) -> HopfPresentation:
-    """Transport a quantized I+ (or I-) presentation along A+ <-> A-, M -> -M."""
+    """Transport a quantized I+ (or I-) presentation along the swap s:
+    A+ <-> A-, M -> -M, an involution.  Each map of the new presentation is
+    s, then the old map, then s again."""
     if hp.family not in (TYPE_I_PLUS, TYPE_I_MINUS):
         raise ValueError("swap transport applies to the I+ / I- families")
     order = hp.order
     target_tag = TYPE_I_MINUS if hp.family == TYPE_I_PLUS else TYPE_I_PLUS
-    renames = ({"a1": "b1", "a3": "b2"} if hp.family == TYPE_I_PLUS
-               else {"b1": "a1", "b2": "a3"})
-    new_values = {new: -hp.values[old] for old, new in renames.items()}
+    renames = zip(FAMILIES[hp.family][0], FAMILIES[target_tag][0])
+    new_values = {new: -hp.values[old] for old, new in renames}
 
-    # transported commutation rules first (their right-hand sides are series
-    # in M, whose swap images are already normal words)
-    brackets = hp.rewrite.commutation_rules()
-    rules = {}
-    for (g, h) in REDEXES:
-        (gi, sg), (hi, sh) = _SWAP[g], _SWAP[h]
-        if (gi, hi) in brackets:
-            src, flip_sign = brackets[(gi, hi)], 1
-        else:
-            src, flip_sign = brackets[(hi, gi)], -1
-        rules[(g, h)] = (FreeElement.from_word((h, g), order)
-                         + _swap(src) * (sg * sh * flip_sign))
+    # transported commutation rules first: [g, h] = s[s(g), s(h)], whose
+    # right-hand sides are series in M, so their swap images are normal words
+    letters = _swap_letters(order)
+    rules = {(g, h): FreeElement.from_word((h, g), order)
+             + _swap(commutator(letters[g], letters[h], hp.rewrite))
+             for g, h in REDEXES}
     rewrite = RewriteSystem(f"swap({hp.rewrite.name})", rules, order)
 
-    coproduct = {}
-    antipode = {}
-    for name in GENERATORS:
-        src_letter, sign = _SWAP[name]
-        coproduct[name] = _swap(hp.coproduct[src_letter], rewrite) * sign
-        antipode[name] = _swap(hp.antipode[src_letter], rewrite) * sign
+    coproduct, antipode = {}, {}
+    for name, image in letters.items():
+        coproduct[name] = _swap(coproduct_of_element(hp, image), rewrite)
+        antipode[name] = _swap(FreeElement._clean(
+            _linear_extension(hp._gamma, image.terms.items()), order), rewrite)
 
     cls = BialgebraClass(target_tag, normalized=Cocommutator(**new_values))
     return HopfPresentation(

@@ -10,7 +10,7 @@ from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            RewriteSystem, commutator, exp_element, exp_matrix2,
                            nc_mul, normal_form)
 from hweyl.tensor import TensorElement, flip, outer, tensor_mul
-from hweyl.bialgebra import (INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
+from hweyl.bialgebra import (FAMILIES, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              TYPE_II, BialgebraClass, Cocommutator)
 from hweyl.quantization import (HopfPresentation, VerificationError,
                                 _Series, build_antipode,
@@ -410,7 +410,7 @@ def _series_cases(tag, order, rng):
     yield BialgebraClass.symbolic(tag, order)
     for _ in range(2):
         values = {}
-        for name in BialgebraClass.FAMILY_PARAMS[tag]:
+        for name in FAMILIES[tag][0]:
             den = rng.randint(1, 6)
             values[name] = Fraction(rng.randint(-5 * den, 5 * den), den)
         yield BialgebraClass(tag, normalized=Cocommutator(**values))

@@ -1,6 +1,7 @@
 """The composed operators of ``check_realization`` against the letter-by-letter
 oracle (``realization_oracle``): random free-algebra elements and the four
-residuals of the realization, at K = 2..5, on the monomials x^n, n <= 6."""
+residuals of the realization, at K = 2..5, on the monomials x^n, n <= 6.  The
+residuals are built from the engine's I+ rules, so a wrong rule fails."""
 
 from fractions import Fraction
 from itertools import product
@@ -11,8 +12,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
-from hweyl.bialgebra import TYPE_I_PLUS  # noqa: E402
-from hweyl.freealg import GEN_M, GENERATORS, FreeElement  # noqa: E402
+from hweyl import quantization  # noqa: E402
+from hweyl.bialgebra import TYPE_I_PLUS, BialgebraClass  # noqa: E402
+from hweyl.freealg import GEN_AM, GEN_M, GENERATORS, FreeElement, RewriteSystem  # noqa: E402
 from hweyl.params import MAX_ORDER, ParamPoly  # noqa: E402
 from hweyl.quantization import (_apply_operator, _element_operator,  # noqa: E402
                                 _realization_letters, _realization_residuals,
@@ -23,6 +25,11 @@ from realization_oracle import X_POLY, apply_element, realization_ops  # noqa: E
 POWERS = [X_POLY ** n for n in range(7)]
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def realization_residuals(order):
+    """The four residuals of the symbolic I+ family, whose a1 is the symbol."""
+    return _realization_residuals(BialgebraClass.symbolic(TYPE_I_PLUS, order), order)
 
 
 def coefficients(order):
@@ -84,7 +91,7 @@ def test_every_word_of_up_to_four_letters_equals_the_oracle(order):
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_residuals_act_as_zero_in_both_ways(order):
     a1 = ParamPoly.symbol("a1", order)
-    residuals = _realization_residuals(a1, order)
+    residuals = realization_residuals(order)
     composed_equals_oracle(order, a1, list(residuals.values()))
     ops = realization_ops(a1, order)
     for res in residuals.values():
@@ -102,9 +109,26 @@ def test_composed_operators_of_the_residuals_are_zero():
     a1 = ParamPoly.symbol("a1", order)
     letters = _realization_letters(a1, order)
     memo = {}
-    for res in _realization_residuals(a1, order).values():
+    for res in realization_residuals(order).values():
         assert not any(c for c in _element_operator(letters, res, memo).values())
     assert all(check_realization(TYPE_I_PLUS, max_degree=6, order=order).values())
+
+
+def test_a_wrong_engine_rule_fails_its_relation(monkeypatch):
+    """With the I+ rule [A-,M] = (a1/2) M^2 of ``family_rewrite`` doubled, the
+    realization fails that relation and passes the other three."""
+    engine_rules = quantization.family_rewrite
+
+    def doubled(cls, order, **kwargs):
+        rules = dict(engine_rules(cls, order, **kwargs).rules)
+        rules[(GEN_AM, GEN_M)] = rules[(GEN_AM, GEN_M)] * 2 - FreeElement.from_word(
+            (GEN_M, GEN_AM), order)
+        return RewriteSystem("doubled", rules, order)
+
+    monkeypatch.setattr(quantization, "family_rewrite", doubled)
+    assert check_realization(TYPE_I_PLUS, max_degree=4, order=4) == {
+        "[A-,A+] = M": True, "[A-,M] = (a1/2)*M^2": False, "[A+,M] = 0": True,
+        "C = lambda": True}
 
 
 def test_prefix_operators_are_shared():
@@ -113,7 +137,7 @@ def test_prefix_operators_are_shared():
     a1 = ParamPoly.symbol("a1", order)
     letters = _realization_letters(a1, order)
     memo = {}
-    _element_operator(letters, _realization_residuals(a1, order)["C = lambda"], memo)
+    _element_operator(letters, realization_residuals(order)["C = lambda"], memo)
     words = [w for w in memo if w and w[0] == GENERATORS[0]]
     assert sorted(map(len, words)) == list(range(1, order + 2))
     s = letters[GENERATORS[0]][0]

@@ -49,13 +49,13 @@ def _rational():
 
 def _random_point(data, tag):
     return {n: data.draw(_rational(), label=n)
-            for n in BialgebraClass.FAMILY_PARAMS[tag]}
+            for n in FAMILIES[tag][0]}
 
 
 # -- Theta read off delta -------------------------------------------------------
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(tag=st.sampled_from(sorted(BialgebraClass.FAMILY_PARAMS)), data=st.data())
+@given(tag=st.sampled_from(sorted(FAMILIES)), data=st.data())
 def test_matrix_delta_is_the_cocommutator_at_random_points(tag, data):
     values = _random_point(data, tag)
     theta, vector = matrix_delta(
