@@ -10,8 +10,8 @@ The only nonzero bracket is [A-, A+] = M, so the checks on the path of
 ``classify`` are closed forms in the nine coefficients rather than loops over
 index tensors:
 
-- the cocycle residuals are three linear forms (``_cocycle_raw``);
-- the co-Jacobi residuals are two quadrics (``cojacobi_residuals``);
+- the cocycle residuals are three linear forms (``_cocycle_forms``);
+- the co-Jacobi residuals are two quadrics (``_cojacobi_forms``);
 - a basis change B is an automorphism exactly when the image of M is
   det(B restricted to A-, A+) times M (``check_automorphism``);
 - the transport of delta by B needs the 2x2 minors of B^-1, which Jacobi's
@@ -46,7 +46,7 @@ from fractions import Fraction
 from .params import (DEFAULT_ORDER, ParamPoly, Record, ValueRecord, as_fraction, as_scalar,
                      parse_fields)
 from .freealg import GEN_AM, GEN_AP, GEN_M
-from .tensor import _PERM_SIGN, TensorElement
+from .tensor import TensorElement
 
 #: Basis order used for cocommutator coefficients and automorphism matrices.
 BASIS = (GEN_AM, GEN_AP, GEN_M)
@@ -54,6 +54,11 @@ _IDX = {name: i for i, name in enumerate(BASIS)}
 
 #: Ordered wedge basis A- ^ A+, A- ^ M, A+ ^ M.
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+#: The six slot orders of a rank-3 tensor and their permutation signs.
+_PERM_SIGN = {perm: sign for perm, sign in zip(
+    ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)),
+    (1, -1, -1, 1, 1, -1))}
 
 TRIVIAL = "TRIVIAL"
 TYPE_I_PLUS = "TYPE_I_PLUS"
@@ -141,18 +146,9 @@ class Cocommutator(ValueRecord):
     def is_symbolic(self):
         return any(isinstance(getattr(self, n), ParamPoly) for n in _COEFF_NAMES)
 
-    @property
-    def is_zero(self):
-        return all(not getattr(self, n) for n in _COEFF_NAMES)
-
-    def param_order(self):
-        return _order_of(*(getattr(self, n) for n in _COEFF_NAMES), default=None)
-
-    def as_tensor(self, generator, order=None):
-        """delta(generator) as a rank-2 TensorElement."""
-        i = _IDX[generator] if isinstance(generator, str) else generator
-        order = order or self.param_order() or DEFAULT_ORDER
-        return _to_tensor(self.full_row(i), 2, order)
+    def as_tensor(self, generator, order):
+        """delta(generator) as a rank-2 TensorElement at truncation ``order``."""
+        return _to_tensor(self.full_row(_IDX[generator]), 2, order)
 
     def __str__(self):
         return ", ".join(f"{n}={getattr(self, n)}" for n in _COEFF_NAMES)
@@ -185,15 +181,6 @@ class RMatrix(ValueRecord):
     def symbolic(cls, order=DEFAULT_ORDER):
         return cls(*(ParamPoly.symbol(n, order) for n in cls._FIELDS))
 
-    def components(self):
-        """Full rank-2 dict over basis-index pairs."""
-        return _skew((((1, 0), self.xi), ((1, 2), self.beta_plus),
-                      ((0, 2), self.beta_minus)))
-
-    def as_tensor(self, order=None):
-        order = order or _order_of(self.xi, self.beta_plus, self.beta_minus)
-        return _to_tensor(self.components(), 2, order)
-
     def __str__(self):
         return ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS)
 
@@ -213,11 +200,11 @@ def _promote(scalar, order):
     return ParamPoly.const(scalar, order)
 
 
-def _order_of(*scalars, default=DEFAULT_ORDER):
+def _order_of(*scalars):
     for s in scalars:
         if isinstance(s, ParamPoly):
             return s.order
-    return default
+    return DEFAULT_ORDER
 
 
 def _to_tensor(raw, rank, order):
@@ -235,25 +222,6 @@ def _cojacobi_forms(a1, a2, a3, b1, b2, b3, c1, c2, c3):
     """The two co-Jacobi quadrics in all nine coefficients."""
     return (a1 * b3 + a2 * c3 - a3 * b1 - a3 * c2,
             a2 * b1 - a1 * b2 + b2 * c3 - b3 * c2)
-
-
-def _cocycle_raw(delta):
-    """Residual of the 1-cocycle identity for each basis pair, as index tensors.
-
-    Pair (A-, A+) carries c1, c2 - b1 and a1 + c3 on A-^A+, A-^M and A+^M;
-    pairs (A-, M) and (A+, M) each carry -c1 on their own wedge.
-    """
-    f1, f2, f3 = _cocycle_forms(*(getattr(delta, n) for n in _COEFF_NAMES))
-    return [_skew((((0, 1), f1), ((0, 2), f2), ((1, 2), f3))),
-            _skew((((0, 2), -f1),)),
-            _skew((((1, 2), -f1),))]
-
-
-def cocycle_residuals(delta, order=None):
-    """delta([X,Y]) - [delta(X), 1(x)Y + Y(x)1] - [1(x)X + X(x)1, delta(Y)]
-    for the basis pairs (A-,A+), (A-,M), (A+,M), as rank-2 tensors."""
-    order = order or delta.param_order() or DEFAULT_ORDER
-    return [_to_tensor(raw, 2, order) for raw in _cocycle_raw(delta)]
 
 
 def dual_bracket_table(delta):
@@ -355,14 +323,15 @@ SWAP_AUTOMORPHISM = ((Fraction(0), Fraction(1), Fraction(0)),
 
 # -- coboundary machinery ------------------------------------------------------
 
-def schouten(r, order=None):
-    """Schouten bracket [[r, r]] as an alternating rank-3 tensor.
+def schouten(r):
+    """Schouten bracket [[r, r]] as an alternating rank-3 tensor, at the
+    order of a symbolic coefficient of r, else at DEFAULT_ORDER.
 
     The only bracket is [A-, A+] = M, and every term it makes from a beta
     wedge holds M twice, so only xi^2 is left: [[r, r]] = xi^2 (A- ^ A+ ^ M),
     the six slot orders of (A-, A+, M) with their permutation signs.
     """
-    order = order or _order_of(r.xi, r.beta_plus, r.beta_minus)
+    order = _order_of(r.xi, r.beta_plus, r.beta_minus)
     w = r.xi * r.xi
     return _to_tensor({perm: w if sign > 0 else -w for perm, sign in _PERM_SIGN.items()},
                       3, order)
@@ -414,14 +383,19 @@ def rmatrix_gauge():
 
 class BialgebraClass(Record):
     """Result of classifying a concrete cocommutator; ``_FIELDS`` are tag,
-    normalized, automorphism, coboundary, rmatrix and failures."""
+    normalized, automorphism, rmatrix and failures.  It is a coboundary
+    exactly when it has an r-matrix."""
 
-    _FIELDS = ("tag", "normalized", "automorphism", "coboundary", "rmatrix", "failures")
+    _FIELDS = ("tag", "normalized", "automorphism", "rmatrix", "failures")
     __slots__ = _FIELDS
 
     def __init__(self, tag, normalized=None, automorphism=_IDENTITY,
-                 coboundary=False, rmatrix=None, failures=None):
-        self._store(tag, normalized, automorphism, coboundary, rmatrix, failures or {})
+                 rmatrix=None, failures=None):
+        self._store(tag, normalized, automorphism, rmatrix, failures or {})
+
+    @property
+    def coboundary(self):
+        return self.rmatrix is not None
 
     def family_params(self):
         """The deformation parameters the normalized family keeps (``FAMILIES``)."""
@@ -435,11 +409,8 @@ class BialgebraClass(Record):
         if tag not in FAMILIES:
             raise ValueError(f"no symbolic family for tag {tag!r}")
         kwargs = {n: ParamPoly.symbol(n, order) for n in FAMILIES[tag][0]}
-        normalized = Cocommutator(**kwargs)
-        coboundary = tag == TRIVIAL
-        return cls(tag, normalized=normalized,
-                   coboundary=coboundary,
-                   rmatrix=RMatrix() if coboundary else None)
+        return cls(tag, normalized=Cocommutator(**kwargs),
+                   rmatrix=RMatrix() if tag == TRIVIAL else None)
 
     def __repr__(self):
         return f"BialgebraClass({self.tag}, normalized={self.normalized!r})"
@@ -479,8 +450,7 @@ def classify(delta):
             "cojacobi": tuple(Fraction(j, E * E) for j in jac)})
 
     if not any(R):
-        return BialgebraClass(TRIVIAL, normalized=delta, coboundary=True,
-                              rmatrix=RMatrix())
+        return BialgebraClass(TRIVIAL, normalized=delta, rmatrix=RMatrix())
 
     tag = TYPE_I_PLUS if delta.a1 else TYPE_I_MINUS if delta.b1 else TYPE_II
     B = _normalizing_matrix(tag, delta.a1, delta.a2, delta.a3, delta.b1, delta.b3)
@@ -489,6 +459,5 @@ def classify(delta):
     if any(getattr(normalized, n) for n in _COEFF_NAMES[:6] if n not in kept):
         raise RuntimeError(f"normalization failed for {tag}: {normalized}")
 
-    rmatrix = find_rmatrix(normalized)
     return BialgebraClass(tag, normalized=normalized, automorphism=B,
-                          coboundary=rmatrix is not None, rmatrix=rmatrix)
+                          rmatrix=find_rmatrix(normalized))

@@ -111,10 +111,6 @@ class LinearSum:
     def __bool__(self):
         return bool(self.terms)
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     # -- linear structure ----------------------------------------------------
 
     def _combine(self, other, sign):
@@ -171,12 +167,6 @@ class LinearSum:
                 out[key] = new
         order = next(iter(out.values())).order if out else self.order
         return self._like(out, order)
-
-    def subs(self, values):
-        return self.map_coeffs(lambda c: c.subs(values))
-
-    def truncate(self, order):
-        return self._like({k: c.truncate(order) for k, c in self.terms.items()}, order)
 
     def homogeneous_part(self, degree):
         return self.map_coeffs(lambda c: c.homogeneous_part(degree))

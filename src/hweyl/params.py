@@ -84,7 +84,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import attrgetter
-from types import MappingProxyType
+from types import MappingProxyType, MemberDescriptorType
 
 #: Parameter names, fixing the exponent-vector layout and the rendering order;
 #: the last, t, grades the rational parameter values (module docstring).
@@ -212,15 +212,29 @@ class Record:
     ``copy`` and ``pickle`` call the constructor on the fields
     (``__reduce__``), so a cache in a further slot starts empty.  Equality
     and hashing are by identity; ``ValueRecord`` compares field by field.
+
+    Each subclass gets the slot setters of its ``_FIELDS`` once, when it is
+    defined (``_setters``); a class with a field that is not a slot, such as
+    a property, gets None, and its ``_store`` raises.
     """
 
     __slots__ = ()
     _FIELDS = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        slots = [getattr(cls, name, None) for name in cls._FIELDS]
+        cls._setters = (tuple(slot.__set__ for slot in slots)
+                        if all(isinstance(slot, MemberDescriptorType) for slot in slots)
+                        else None)
+
     def _store(self, *values):
         """Store ``values`` in the slots named by ``_FIELDS``, in order."""
-        for name, value in zip(self._FIELDS, values):
-            _set(self, name, value)
+        setters = self._setters
+        if setters is None:
+            raise TypeError(f"{type(self).__name__} has fields that are not slots")
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -404,24 +418,11 @@ class ParamPoly:
     def __bool__(self):
         return bool(self._num)
 
-    @property
-    def is_zero(self):
-        return not self._num
-
     def is_constant(self):
         return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def constant_term(self):
         return Fraction(self._num.get(0, 0), self._den)
-
-    def as_fraction(self):
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.constant_term()
-
-    def degree(self):
-        """Maximal total degree among stored terms (-1 for the zero polynomial)."""
-        return max(self._num) >> _BITS * len(self._names) if self._num else -1
 
     def min_degree(self):
         """Minimal total degree among stored terms (None for zero)."""
@@ -710,7 +711,7 @@ class ParamPoly:
         return f"ParamPoly({self}, order={self._order})"
 
 
-_new, _set = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 def _make(num, den, order, names):
@@ -768,13 +769,13 @@ def _check_order(order):
             f"truncation order {order} is above {MAX_ORDER}, the packed-key field limit")
 
 
-def _check_fields(a, b, width, c=()):
-    """Raise when a product of keys from ``a`` and ``b`` (and ``c``) would
-    carry out of an exponent field."""
+def _check_fields(a, b, width):
+    """Raise when a product of keys from ``a`` and ``b`` would carry out of
+    an exponent field."""
     for i in range(width):
         pos = _BITS * (width - 1 - i)
         if sum(max(((k >> pos) & MAX_ORDER for k in keys), default=0)
-               for keys in (a, b, c)) > MAX_ORDER:
+               for keys in (a, b)) > MAX_ORDER:
             raise ValueError(
                 f"exponent above {MAX_ORDER}, the packed-key field limit")
 

@@ -13,7 +13,8 @@ Poisson bracket with two checks:
   ``bialgebra`` at the coefficients (c1, c2, c3) = (0, b1, -a1) that the
   cocycle condition fixes; so it vanishes exactly on the co-Jacobi locus
   (the bracket a cocommutator induces satisfies Jacobi iff co-Jacobi holds).
-  The cyclic sum through the generic bracket is kept as a test oracle.
+  The tests keep the cyclic sum through the generic bracket as its oracle,
+  a bracket of any two coordinate polynomials summed over ``_plan``.
 - The group-law homomorphism residual Delta{u,v} - {Delta u, Delta v}.  It
   vanishes for every six-coefficient structure, on the bialgebra locus and
   off it, so it guards the table code (``bracket_table`` on the base and the
@@ -41,8 +42,8 @@ import itertools
 import math
 from operator import attrgetter
 
-from .params import (_BITS, MAX_ORDER, PARAMS, ParamPoly, Record, ValueRecord, _build,
-                     _check_fields, _pack, as_scalar, parse_fields, parse_rational, ring)
+from .params import (_BITS, PARAMS, ParamPoly, Record, ValueRecord, _build, _pack, as_scalar,
+                     ring)
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -99,21 +100,6 @@ class GroupCoords(ValueRecord):
 
     def __str__(self):
         return "(" + ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS) + ")"
-
-    @classmethod
-    def from_json(cls, data):
-        """Accept a JSON triple [m, a_minus, a_plus] of string rationals, or an
-        object of those fields (``parse_fields``), a missing one 0."""
-        names = cls._FIELDS
-        if isinstance(data, dict):
-            vals = parse_fields("coordinate", data, names)
-            return cls.point(*(vals.get(n, 0) for n in names))
-        if isinstance(data, list) and len(data) == 3:
-            return cls.point(*(parse_rational(n, v) for n, v in zip(names, data)))
-        raise ValueError("group element must be a [m, a_minus, a_plus] triple")
-
-    def to_json(self):
-        return [str(getattr(self, n).as_fraction()) for n in self._FIELDS]
 
 
 def group_compose(g1: GroupCoords, g2: GroupCoords) -> GroupCoords:
@@ -219,22 +205,6 @@ _MONOMIALS = {names: [tuple(_pack(_exps(len(names), off + i, e))
               for names in (COORD_RING, COORD_RING2)}
 
 
-def pl_bracket(f: ParamPoly, g: ParamPoly, ps: PoissonStructure) -> ParamPoly:
-    """Bracket extended from the generator table by bilinearity and Leibniz:
-    the plan of f and g (``_plan``), built here, summed by ``_bracket``."""
-    if f.names != g.names:
-        raise ValueError("polynomials live over different variable lists")
-    names = f.names
-    if names not in (COORD_RING, COORD_RING2):
-        raise ValueError("the bracket is defined on the coordinate algebra")
-    table = ps.bracket_table(names)
-    if f.degree() + g.degree() + max(e.degree() for e in table.values()) > MAX_ORDER:
-        _check_fields(f._num, g._num, len(names), [k for e in table.values() for k in e._num])
-    terms, den = _plan(_partials(f), _partials(g))
-    table_den = math.lcm(*(e._den for e in table.values()))
-    return _build(_bracket(terms, table, table_den), den * table_den, math.inf, names)
-
-
 def _partials(f: ParamPoly) -> list:
     """The partial derivatives in the coordinates, the names after PARAMS."""
     return [f.partial(i) for i in range(_P, len(f.names))]
@@ -277,7 +247,7 @@ def _bracket(terms, table, den) -> dict:
     return num
 
 
-def jacobi_check(ps: PoissonStructure, names=COORD_RING) -> ParamPoly:
+def jacobi_check(ps: PoissonStructure) -> ParamPoly:
     """Cyclic sum {a_minus, {a_plus, m}} + {a_plus, {m, a_minus}}
     + {m, {a_minus, a_plus}}, zero iff the bialgebra constraint equations hold.
 
@@ -287,8 +257,8 @@ def jacobi_check(ps: PoissonStructure, names=COORD_RING) -> ParamPoly:
     Each product of two numerator terms is keyed by the sum of their keys, so
     J1 and J2 sit over the square of the denominator."""
     (a1, a2, a3, b1, b2, b3), den = ps.numerators()
-    am, ap = _MONOMIALS[names][0][:2]
-    shift = _BITS * (len(names) - _P)
+    am, ap = _MONOMIALS[COORD_RING][0][:2]
+    shift = _BITS * (len(COORD_RING) - _P)
     num = {}
     for f, x, p, q in ((1, am, a1, b3), (-1, am, a1, a2), (-2, am, a3, b1),
                        (1, ap, a2, b1), (-1, ap, b1, b3), (-2, ap, a1, b2)):
@@ -296,7 +266,7 @@ def jacobi_check(ps: PoissonStructure, names=COORD_RING) -> ParamPoly:
             for k2, c2 in q:
                 k = ((k1 + k2) << shift) + x
                 num[k] = num.get(k, 0) + f * c1 * c2
-    return _build(num, den * den, math.inf, names)
+    return _build(num, den * den, math.inf, COORD_RING)
 
 
 @functools.cache
@@ -325,15 +295,6 @@ def _monomial_image(images, key):
     packed ``key`` over COORD_RING: its parameters stay, and each coordinate
     goes to its image."""
     return _build({key: 1}, 1, math.inf, COORD_RING).subs(images)._num
-
-
-def group_pullback(f: ParamPoly) -> ParamPoly:
-    """Pull back a coordinate polynomial along the group law, landing in the
-    doubled algebra (unprimed and primed copies).  The images have integer
-    coefficients, so the result keeps the denominator of ``f``."""
-    if f.names != COORD_RING:
-        raise ValueError("expected a polynomial over the base coordinates")
-    return _build(_pullback(f._num, 1), f._den, math.inf, COORD_RING2)
 
 
 def _pullback(num, scale) -> dict:

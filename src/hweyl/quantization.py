@@ -109,16 +109,6 @@ class _Series:
                                     e.order) for e in row] for row in self.exp_neg]
 
 
-def matrix_delta(cls, order=DEFAULT_ORDER):
-    """Matrix form of the cocommutator on the non-primitive generator vector.
-
-    Returns (theta, vector) with delta(v_i) = sum_j theta[i][j] ^ v_j and
-    theta = p * Theta, every entry linear in the primitive generator p.
-    """
-    series = _Series(cls, order)
-    return series.matrix, series.vector
-
-
 def build_coproduct(cls, order=DEFAULT_ORDER, *, _series=None):
     """Deformed coproduct: primitive on the primitive generator, and
     1 (x) v + sigma(exp(-theta) (x) v) on the non-primitive vector."""
@@ -227,8 +217,8 @@ def _antipode_residual(hp, name, side="left"):
 
 class HopfPresentation(Record):
     """A quantized family: rewrite rules, coproduct, counit and antipode.
-    ``_FIELDS`` are family, order, values, rewrite, coproduct, counit,
-    antipode and bialgebra_class.
+    ``_FIELDS`` are order, values, rewrite, coproduct, counit, antipode and
+    bialgebra_class; ``family`` is the tag of ``bialgebra_class``.
 
     Deformation parameters are carried as degree-1 ParamPoly values so the
     series grading stays intact: a rational choice q of a parameter is the
@@ -245,19 +235,22 @@ class HopfPresentation(Record):
     letters' antipodes as images.
     """
 
-    _FIELDS = ("family", "order", "values", "rewrite", "coproduct", "counit",
-               "antipode", "bialgebra_class")
+    _FIELDS = ("order", "values", "rewrite", "coproduct", "counit", "antipode",
+               "bialgebra_class")
     __slots__ = _FIELDS + ("is_concrete", "_deltas", "_gammas")
 
-    def __init__(self, family, order, values, rewrite, coproduct, counit,
-                 antipode, bialgebra_class):
-        self._store(family, order, values, rewrite, coproduct, counit, antipode,
-                    bialgebra_class)
+    def __init__(self, order, values, rewrite, coproduct, counit, antipode,
+                 bialgebra_class):
+        self._store(order, values, rewrite, coproduct, counit, antipode, bialgebra_class)
         object.__setattr__(self, "is_concrete", bool(values) and all(
             val.at_one(("t",)).is_constant() for val in values.values()))
         one = FreeElement.one(order)
         object.__setattr__(self, "_deltas", {(): outer(one, one)})
         object.__setattr__(self, "_gammas", {(): one})
+
+    @property
+    def family(self):
+        return self.bialgebra_class.tag
 
     def _delta(self, word) -> TensorElement:
         """Delta(word) = Delta(word[:-1]) * Delta(word[-1]), prefix by prefix."""
@@ -334,6 +327,8 @@ class HopfPresentation(Record):
 
 def _resolve_class(family, order, params):
     if isinstance(family, BialgebraClass):
+        if params is not None:
+            raise ValueError("params apply to a family tag, not to a BialgebraClass")
         return family
     if family not in FAMILIES:
         raise ValueError(f"not a quantizable family: {family!r}")
@@ -351,7 +346,8 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     """Quantize a family (tag or BialgebraClass) at the given truncation order.
 
     ``params`` maps parameter names to rationals or ParamPoly values (None
-    entries stay symbolic), as a BialgebraClass may carry them.  With
+    entries stay symbolic), as a BialgebraClass may carry them; it is
+    refused with a BialgebraClass, which carries its own values.  With
     ``verify`` the four Hopf axioms are machine-checked before returning;
     with ``verify=False`` nothing checks the antipode (``verify_all`` does).
     """
@@ -367,7 +363,7 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     antipode = build_antipode(cls, rewrite, _series=series)
     counit = {name: ParamPoly.zero(order) for name in GENERATORS}
     hp = HopfPresentation(
-        family=cls.tag, order=order, values=series.values,
+        order=order, values=series.values,
         rewrite=rewrite, coproduct=coproduct, counit=counit,
         antipode=antipode, bialgebra_class=cls)
     if verify:
@@ -688,7 +684,7 @@ def swap_transport(hp) -> HopfPresentation:
 
     cls = BialgebraClass(target_tag, normalized=Cocommutator(**new_values))
     return HopfPresentation(
-        family=target_tag, order=order, values=new_values, rewrite=rewrite,
+        order=order, values=new_values, rewrite=rewrite,
         coproduct=coproduct, counit={n: ParamPoly.zero(order) for n in GENERATORS},
         antipode=antipode, bialgebra_class=cls)
 

@@ -7,13 +7,8 @@ tensors only, is slotwise, with each slot normal-ordered under a rewrite system.
 
 from __future__ import annotations
 
-from .params import DEFAULT_ORDER, ParamPoly
+from .params import ParamPoly
 from .freealg import FreeElement, LinearSum, RewriteSystem, word_key, word_str
-
-_PERM_SIGN = {perm: sign for perm, sign in zip(
-    ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)),
-    (1, -1, -1, 1, 1, -1))}
-
 
 class TensorElement(LinearSum):
     """Linear combination of word tuples (rank 2 or 3) with ParamPoly coefficients."""
@@ -35,10 +30,6 @@ class TensorElement(LinearSum):
 
     def __reduce__(self):
         return TensorElement._clean, (dict(self.terms), self.order, self.rank)
-
-    @classmethod
-    def zero(cls, rank, order=DEFAULT_ORDER):
-        return cls(rank, {}, order)
 
     def _key(self, slots):
         if len(slots) != self.rank:
@@ -152,13 +143,3 @@ def flip(u: TensorElement) -> TensorElement:
         raise ValueError("flip is defined for rank-2 tensors")
     return TensorElement._clean({(w2, w1): c for (w1, w2), c in u.terms.items()},
                                 u.order, 2)
-
-
-def wedge3(x: FreeElement, y: FreeElement, z: FreeElement) -> TensorElement:
-    """Full alternating sum over the six slot orders, unit coefficients."""
-    factors = (x, y, z)
-    acc = TensorElement.zero(3, x.order)
-    for perm, sign in _PERM_SIGN.items():
-        term = outer(*(factors[p] for p in perm))
-        acc = acc + (term if sign == 1 else -term)
-    return acc

@@ -14,21 +14,19 @@ from hweyl.params import ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            RewriteSystem, commutator, exp_element, exp_matrix2,
                            nc_mul, normal_form)
-from hweyl.tensor import flip, wedge3
 from hweyl.bialgebra import (INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              TYPE_II, BialgebraClass, Cocommutator, RMatrix,
-                             classify, coboundary_delta, cocycle_residuals,
-                             cojacobi_residuals, dual_bracket_table,
-                             mcybe_check, schouten)
+                             classify, coboundary_delta, cojacobi_residuals,
+                             dual_bracket_table, mcybe_check, schouten)
 from hweyl.poisson import (COORD_RING, GroupCoords, PoissonStructure,
                            group_compose, jacobi_check, linear_bracket_table,
                            poisson_homomorphism_check)
-from hweyl.quantization import (central_element, check_realization,
-                                first_order_cocommutator, matrix_delta,
-                                quantize, swap_transport, verify_all,
-                                verify_antipode, verify_coassoc,
+from hweyl.quantization import (_Series, central_element, check_realization,
+                                first_order_cocommutator, quantize,
+                                swap_transport, verify_antipode, verify_coassoc,
                                 verify_counit, verify_homomorphism)
 
+from engine_helpers import cocycle_residuals, wedge3
 from symbolic_cocommutators import constrained_symbolic, generic_symbolic
 
 
@@ -156,7 +154,7 @@ def test_criterion_5_hopf_type_ii():
     assert _zero_report(verify_antipode(hp))
 
     order = 8
-    theta, _ = matrix_delta(BialgebraClass.symbolic(TYPE_II, order), order)
+    theta = _Series(BialgebraClass.symbolic(TYPE_II, order), order).matrix
     e = exp_matrix2([[-x for x in row] for row in theta])
     rs = RewriteSystem.undeformed(order)
     det = normal_form(nc_mul(e[0][0], e[1][1]) - nc_mul(e[0][1], e[1][0]), rs)
@@ -181,8 +179,7 @@ def test_criterion_7_centrality_and_realization():
     hp = quantize(TYPE_I_PLUS, order=6, verify=False)
     c = central_element(hp)
     for name in GENERATORS:
-        assert commutator(c, FreeElement.generator(name, 6),
-                          hp.rewrite).is_zero
+        assert not commutator(c, FreeElement.generator(name, 6), hp.rewrite)
     report = check_realization(TYPE_I_PLUS, max_degree=6, order=4)
     assert report == {"[A-,A+] = M": True, "[A-,M] = (a1/2)*M^2": True,
                       "[A+,M] = 0": True, "C = lambda": True}

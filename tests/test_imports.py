@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every function it
-defines is referenced somewhere, and no check in it is an ``assert``.
+defines is called by another engine module or by the benchmark (a short
+allow-list aside), and no check in it is an ``assert``.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 left out of the import check.
@@ -61,11 +62,28 @@ def test_unreferenced_functions_are_found():
     assert unreferenced_functions([source], [source, "C().x.m"]) == ["g"]
 
 
+#: Functions that only the tests call, each kept for a planned engine user
+#: (ROADMAP.md).
+ALLOWED_UNREFERENCED = {
+    # item 4: the I+ <-> I- duality; the K = 40 CI step runs it
+    "swap_transport",
+    # item 2a: leaves src/hweyl when 2a retires its perfbench metric
+    "cojacobi_residuals",
+}
+
+
 def test_every_function_is_referenced():
+    """Every function the engine defines is called by another engine module
+    or by the benchmark, a client of the engine; the tests do not count.
+
+    The check goes by name: a method that shares its name with one that is
+    called (one ``as_tensor`` for another) passes, so such a pair must still
+    be checked by hand."""
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    readers = sources + [p.read_text(encoding="utf-8")
-                         for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    assert unreferenced_functions(sources, readers) == []
+    readers = [PACKAGE / m for m in MODULES] + sorted((ROOT / "perfbench").rglob("*.py"))
+    unreferenced = unreferenced_functions(
+        sources, [p.read_text(encoding="utf-8") for p in readers])
+    assert set(unreferenced) == ALLOWED_UNREFERENCED
 
 
 def assert_lines(source):

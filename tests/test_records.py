@@ -112,6 +112,34 @@ def test_value_records_of_different_fields_differ():
     assert Cocommutator(a1=1) != RMatrix(1)
 
 
+def test_store_sets_the_slots_of_the_fields_or_refuses():
+    """Each class gets one slot setter per field when it is defined.
+    PoissonStructure's fields are properties over its numerators, so it has
+    none, and ``_store`` raises rather than store nothing."""
+    for cls in CLASSES:
+        if cls is PoissonStructure:
+            assert cls._setters is None
+        else:
+            assert len(cls._setters) == len(cls._FIELDS), cls
+    with pytest.raises(TypeError, match="not slots"):
+        PoissonStructure()._store(*range(6))
+
+
+def test_coboundary_and_family_are_read_off_the_fields():
+    """A class is a coboundary exactly when it has an r-matrix, and a
+    presentation's family is the tag of its class; neither is a field."""
+    for name in ("BialgebraClass", "BialgebraClass-invalid", "HopfPresentation"):
+        record = RECORDS[name]()
+        cls = getattr(record, "bialgebra_class", record)
+        assert cls.coboundary == (cls.rmatrix is not None)
+        assert "coboundary" not in cls._FIELDS
+    hp = RECORDS["HopfPresentation"]()
+    assert hp.family == hp.bialgebra_class.tag == TYPE_I_PLUS
+    assert "family" not in hp._FIELDS
+    assert classify(Cocommutator(a2=2, b3=2)).coboundary
+    assert BialgebraClass.symbolic("TRIVIAL").coboundary
+
+
 def test_an_unpickled_presentation_verifies_and_renders_the_same():
     """The restored presentation starts with empty word memos and a fresh
     rewrite memo, and rebuilds them while it verifies."""

@@ -42,7 +42,7 @@ def homomorphism_sides(hp):
     """{"g*h": (Delta(g)Delta(h), Delta of the rule's right side)}."""
     out = {}
     for (g, h), rhs in hp.rewrite.rules.items():
-        right = TensorElement.zero(2, hp.order)
+        right = TensorElement(2, {}, hp.order)
         for word, coeff in rhs.terms.items():
             right = right + hp._delta(word) * coeff
         out[f"{g}*{h}"] = (tensor_mul(hp.coproduct[g], hp.coproduct[h], hp.rewrite),
@@ -54,7 +54,7 @@ def coassoc_sides(hp):
     """{X: ((Delta (x) id) Delta(X), (id (x) Delta) Delta(X))}."""
     out = {}
     for name in GENERATORS:
-        left = right = TensorElement.zero(3, hp.order)
+        left = right = TensorElement(3, {}, hp.order)
         for (u, w), coeff in hp.coproduct[name].terms.items():
             for (p, q), c in hp._delta(u).terms.items():
                 left = left + TensorElement(3, {(p, q, w): coeff * c}, hp.order)
@@ -88,7 +88,7 @@ def with_rule_changed(tag, order):
     rules[(GEN_AM, GEN_AP)] = rules[(GEN_AM, GEN_AP)] + FreeElement.from_word(
         (GEN_M, GEN_M), order, coeff=p * p)
     return HopfPresentation(
-        family=hp.family, order=order, values=hp.values,
+        order=order, values=hp.values,
         rewrite=RewriteSystem("changed", rules, order), coproduct=hp.coproduct,
         counit=hp.counit, antipode=hp.antipode, bialgebra_class=hp.bialgebra_class)
 
@@ -111,7 +111,7 @@ def test_faulty_residuals_equal_an_independent_subtraction(plant, tag):
 def test_every_family_has_zero_residuals(tag, order):
     hp = quantize(tag, order=order, verify=False)
     assert check_residuals(hp) == 0
-    assert all(isinstance(r, TensorElement) and r.is_zero
+    assert all(isinstance(r, TensorElement) and not r
                for report in (verify_homomorphism(hp), verify_coassoc(hp))
                for r in report.values())
 

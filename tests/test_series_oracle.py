@@ -19,7 +19,7 @@ from hweyl.params import PARAMS, ParamPoly  # noqa: E402
 from hweyl.freealg import (GEN_M, GENERATORS, FreeElement,  # noqa: E402
                            exp_element, exp_matrix2)
 from hweyl.bialgebra import TYPE_II, BialgebraClass, Cocommutator  # noqa: E402
-from hweyl.quantization import exprel_series, matrix_delta  # noqa: E402
+from hweyl.quantization import _Series, exprel_series  # noqa: E402
 
 PARAM_SYMS = sympy.symbols(PARAMS)
 G = sympy.Symbol("g")
@@ -107,7 +107,7 @@ def test_exprel_series_matches_sympy(case):
 def test_type_ii_coproduct_matrix_determinant(order, qs):
     a2, a3, b2, b3 = qs
     cls = BialgebraClass(TYPE_II, normalized=Cocommutator(a2=a2, a3=a3, b2=b2, b3=b3))
-    theta, _ = matrix_delta(cls, order)
+    theta = _Series(cls, order).matrix
     e = [[element_to_sympy(x, GEN_M) for x in row]
          for row in exp_matrix2([[-x for x in row] for row in theta])]
     det = truncated(e[0][0] * e[1][1] - e[0][1] * e[1][0], order)
