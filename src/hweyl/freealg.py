@@ -35,6 +35,16 @@ _ORD = {GEN_M: 0, GEN_AP: 1, GEN_AM: 2}
 REDEXES = ((GEN_AP, GEN_M), (GEN_AM, GEN_M), (GEN_AM, GEN_AP))
 
 
+def _word(letters):
+    """``letters`` as a word; a letter that is no generator raises
+    ``ValueError`` naming it."""
+    word = tuple(letters)
+    for x in word:
+        if x not in _ORD:
+            raise ValueError(f"unknown generator {x!r}")
+    return word
+
+
 def word_key(word):
     return (len(word), tuple(_ORD[x] for x in word))
 
@@ -51,8 +61,9 @@ class LinearSum:
 
     There are two constructors.  The public one, ``FreeElement(terms, order)``
     or ``TensorElement(rank, terms, order)``, checks that every coefficient is
-    a ParamPoly of the element's order and normalizes every key; use it for
-    terms from outside the engine.  The private classmethod ``_clean`` checks
+    a ParamPoly of the element's order, normalizes every key to a tuple (of
+    words) and refuses a letter that is no generator; use it for terms from
+    outside the engine.  The private classmethod ``_clean`` checks
     nothing and only drops zero coefficients; use it only for terms built
     from sums of the same kind and order, whose keys are already tuples (of
     words) and whose coefficients are already ParamPoly of that order.
@@ -60,8 +71,16 @@ class LinearSum:
     A subclass gives ``_key`` (normalizes one key of the input), ``_like``
     (a sum of self's kind and ring through ``_clean``), ``_ring`` (what two
     summands must share) and ``_key_parts`` (sort key, text before and after
-    the first ``(x)``).  ``__str__`` prints from ``_num`` and ``_den``, not
-    ``terms``, in the print order of ``ParamPoly`` and then by key.
+    the first ``(x)``).
+
+    There is one printer, ``_text(texts)``: it prints from each coefficient's
+    ``_num`` and ``_den``, not ``terms``, in the print order of ``ParamPoly``
+    and then by key.  ``texts`` is a table of the text already formatted: the
+    ``_key_parts`` of each key under the class, and the text of each
+    monomial key under its names tuple (``ParamPoly._rows``).  ``__str__``
+    passes a fresh table, so ``str()`` keeps no state; a ``HopfPresentation``
+    passes its own, so each word and monomial of its output is formatted
+    once.
     """
 
     __slots__ = ("terms", "order")
@@ -173,14 +192,26 @@ class LinearSum:
 
     # -- rendering --------------------------------------------------------------
 
-    def __str__(self):
+    def _text(self, texts):
+        """The printed sum, formatting through the table ``texts``: under the
+        class it keeps the ``_key_parts`` of each key met so far, and
+        ``ParamPoly._rows`` keeps the monomial texts in it."""
+        parts = texts.get(type(self))
+        if parts is None:
+            parts = texts[type(self)] = {}
         rows = []
         for key, poly in self.terms.items():
-            sort_key, head, tail = self._key_parts(key)
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = self._key_parts(key)
+            sort_key, head, tail = part
             rows += [((k, sort_key), n, den, text + tail)
-                     for k, n, den, text in poly._rows(head)]
+                     for k, n, den, text in poly._rows(texts, head)]
         rows.sort()  # first entries are unique: no coefficient is compared
         return signed_sum(rows)
+
+    def __str__(self):
+        return self._text({})
 
 
 class FreeElement(LinearSum):
@@ -188,7 +219,7 @@ class FreeElement(LinearSum):
 
     __slots__ = ()
 
-    _key = tuple
+    _key = staticmethod(_word)
 
     # -- constructors --------------------------------------------------------
 
@@ -202,8 +233,6 @@ class FreeElement(LinearSum):
 
     @classmethod
     def generator(cls, name, order=DEFAULT_ORDER):
-        if name not in _ORD:
-            raise ValueError(f"unknown generator {name!r}")
         return cls({(name,): ParamPoly.one(order)}, order)
 
     @classmethod
@@ -247,7 +276,7 @@ class FreeElement(LinearSum):
     # -- structural operations -------------------------------------------------
 
     def truncate_words(self, max_len):
-        return FreeElement(
+        return FreeElement._clean(
             {w: c for w, c in self.terms.items() if len(w) <= max_len}, self.order)
 
     # -- rendering --------------------------------------------------------------

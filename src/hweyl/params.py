@@ -21,7 +21,10 @@ arithmetic with no Fraction in the inner loops:
 - Integer numerators over one common denominator per polynomial, as in
   FLINT's ``fmpq_poly``.  A product multiplies ints and then makes one gcd
   pass against the product of the denominators; a sum scales both sides to
-  the lcm of their denominators.
+  the lcm of their denominators.  It copies the first side's numerators,
+  scaled, and scales each of the second side's as it merges it in, so no
+  scaled copy of that side is built; one gcd pass then brings the sum into
+  lowest terms.
 - Packed exponent monomials (M. Monagan and R. Pearce, "Sparse polynomial
   division using a heap", J. Symb. Comp. 46 (2011) 807-822).  Over n
   variables a monomial is one int: the exponent of ``names[i]`` sits in
@@ -151,7 +154,9 @@ def parse_rational(field, raw) -> Fraction:
             raise ValueError(f"more than {MAX_INPUT_DIGITS} digits, counting "
                              "the exponent magnitude")
         return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValueError(f"field {field!r}: zero denominator") from None
+    except ValueError as exc:
         raise ValueError(f"field {field!r}: {exc}") from None
 
 
@@ -432,7 +437,8 @@ class ParamPoly:
 
     def _combine(self, other, sign):
         """self + sign*other for ``other`` in self's ring: both sides are
-        scaled to the lcm of the two denominators."""
+        scaled to the lcm of the two denominators, ``other``'s numerators as
+        they are merged (module docstring)."""
         a, b = self._num, other._num
         if not b:
             return self
@@ -450,12 +456,11 @@ class ParamPoly:
                 return _make({k: c // g}, den // g, self._order, self._names)
         g = gcd(d1, d2)
         s1, s2 = d2 // g, d1 // g * sign
-        num = dict(self._num) if s1 == 1 else {k: c * s1 for k, c in self._num.items()}
-        add = other._num if s2 == 1 else {k: c * s2 for k, c in other._num.items()}
+        num = dict(a) if s1 == 1 else {k: c * s1 for k, c in a.items()}
         get = num.get
-        for k, c in add.items():
+        for k, c in b.items():
             acc = get(k)
-            num[k] = c if acc is None else acc + c
+            num[k] = c * s2 if acc is None else acc + c * s2
         return _build(num, d1 * s1, self._order, self._names)
 
     def __add__(self, other):
@@ -689,23 +694,32 @@ class ParamPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    def _rows(self, body=""):
+    def _rows(self, texts, body=""):
         """The ``signed_sum`` rows of the terms, keyed and sorted by the print
-        order (class docstring); each monomial is joined to ``body`` by ``*``."""
+        order (class docstring); each monomial is joined to ``body`` by ``*``.
+
+        ``texts`` is the printer's table (``freealg.LinearSum``): under the
+        names tuple it keeps the text of each monomial key met so far, so a
+        monomial is formatted once per table."""
         names, width, den = self._names, len(self._names), self._den
         mask = (1 << _BITS * width) - 1
+        monos = texts.get(names)
+        if monos is None:
+            monos = texts[names] = {}
         rows = []
         for k, n in self._num.items():
-            factors = [name if e == 1 else f"{name}^{e}"
-                       for name, e in zip(names, _unpack(k, width)) if e]
-            if body:
-                factors.append(body)
-            rows.append((k ^ mask, n, den, "*".join(factors)))
+            mono = monos.get(k)
+            if mono is None:
+                mono = monos[k] = "*".join([name if e == 1 else f"{name}^{e}"
+                                            for name, e in zip(names, _unpack(k, width))
+                                            if e])
+            rows.append((k ^ mask, n, den, f"{mono}*{body}" if mono and body
+                         else mono or body))
         rows.sort()  # first entries are unique: no coefficient is compared
         return rows
 
     def __str__(self):
-        return signed_sum(self._rows())
+        return signed_sum(self._rows({}))
 
     def __repr__(self):
         return f"ParamPoly({self}, order={self._order})"

@@ -233,11 +233,18 @@ class HopfPresentation(Record):
     the unit.  gamma is an anti-map, so its memo is keyed by the reversed
     word: gamma(w) is the image of w reversed under the algebra map with the
     letters' antipodes as images.
+
+    A third memo, ``_texts``, is the printer's table (``LinearSum._text``)
+    for everything the presentation renders: ``_render``, so ``to_json`` and
+    ``closed_forms``, write through it, and each monomial and each word or
+    slot tuple of the output is formatted once.  Like the other two it lives
+    and dies with the presentation; ``copy`` and ``pickle`` start all three
+    afresh.
     """
 
     _FIELDS = ("order", "values", "rewrite", "coproduct", "counit", "antipode",
                "bialgebra_class")
-    __slots__ = _FIELDS + ("is_concrete", "_deltas", "_gammas")
+    __slots__ = _FIELDS + ("is_concrete", "_deltas", "_gammas", "_texts")
 
     def __init__(self, order, values, rewrite, coproduct, counit, antipode,
                  bialgebra_class):
@@ -247,6 +254,7 @@ class HopfPresentation(Record):
         one = FreeElement.one(order)
         object.__setattr__(self, "_deltas", {(): outer(one, one)})
         object.__setattr__(self, "_gammas", {(): one})
+        object.__setattr__(self, "_texts", {})
 
     @property
     def family(self):
@@ -283,9 +291,10 @@ class HopfPresentation(Record):
     def _render(self, obj):
         """``obj`` as printed: series to parameter degree K or, with every parameter
         concrete, t set to 1 and the terms of at most K letters (all
-        slots together), complete as no term has more parameter degree than letters."""
+        slots together), complete as no term has more parameter degree than letters;
+        formatted through the presentation's text memo (class docstring)."""
         obj = self._display(obj)
-        return str(obj.truncate_words(self.order) if self.is_concrete else obj)
+        return (obj.truncate_words(self.order) if self.is_concrete else obj)._text(self._texts)
 
     def relations(self):
         """Commutators [g, h] encoded by the rewrite rules, as elements."""
@@ -691,10 +700,11 @@ def swap_transport(hp) -> HopfPresentation:
 
 # -- closed-form display ----------------------------------------------------------------
 
-def _signed_sum(items):
+def _signed_sum(items, texts):
     """(ParamPoly scalar, body) pairs as one sum, each scalar spread over its
-    monomials the way the engine renders a coefficient."""
-    return signed_sum(row for s, body in items for row in s._rows(body))
+    monomials the way the engine renders a coefficient, through the printer's
+    table ``texts`` (``LinearSum._text``)."""
+    return signed_sum(row for s, body in items for row in s._rows(texts, body))
 
 
 def _times(*factors):
@@ -733,9 +743,10 @@ def closed_forms(hp) -> dict:
         for v, off in ((v1, []), (v0, [(-t01, v1)])):
             coproduct.append(f"Delta({v}) = " + _signed_sum(
                 [(one, f"1 (x) {v}"), (one, f"{v} (x) {e or 1}")]
-                + [(c, f"{w} (x) {_times(prim, e)}") for c, w in off]))
+                + [(c, f"{w} (x) {_times(prim, e)}") for c, w in off], hp._texts))
             antipode.append(f"gamma({v}) = " + _signed_sum(
-                [(-one, _times(v, f))] + [(c, _times(w, prim, f)) for c, w in off]))
+                [(-one, _times(v, f))] + [(c, _times(w, prim, f)) for c, w in off],
+                hp._texts))
     else:
         for i, v in enumerate((v0, v1), 1):
             coproduct.append(f"Delta({v}) = 1 (x) {v} + {v0} (x) E{i}1({prim})"

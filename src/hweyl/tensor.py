@@ -8,7 +8,7 @@ tensors only, is slotwise, with each slot normal-ordered under a rewrite system.
 from __future__ import annotations
 
 from .params import ParamPoly
-from .freealg import FreeElement, LinearSum, RewriteSystem, word_key, word_str
+from .freealg import FreeElement, LinearSum, RewriteSystem, _word, word_key, word_str
 
 class TensorElement(LinearSum):
     """Linear combination of word tuples (rank 2 or 3) with ParamPoly coefficients."""
@@ -34,7 +34,7 @@ class TensorElement(LinearSum):
     def _key(self, slots):
         if len(slots) != self.rank:
             raise ValueError(f"term {slots} does not have rank {self.rank}")
-        return tuple(map(tuple, slots))
+        return tuple(map(_word, slots))
 
     def _like(self, terms, order):
         return self._clean(terms, order, self.rank)
@@ -45,11 +45,10 @@ class TensorElement(LinearSum):
     # -- structural operations ----------------------------------------------
 
     def truncate_words(self, max_total_len):
-        return TensorElement(
-            self.rank,
+        return TensorElement._clean(
             {s: c for s, c in self.terms.items()
              if sum(len(w) for w in s) <= max_total_len},
-            self.order)
+            self.order, self.rank)
 
     def is_alternating(self):
         """True when coefficients flip by permutation sign across slot orbits (rank 3).

@@ -142,6 +142,17 @@ def test_exp_rejects_degree_zero():
         exp_element(FreeElement.from_word((GEN_AP, GEN_AP), K, coeff=sym("a1")))
 
 
+def test_constructor_refuses_a_letter_that_is_no_generator():
+    # the string "A+" is read letter by letter: the word ('A', '+') was
+    # stored, and printing it raised KeyError
+    one = ParamPoly.one(K)
+    for terms, letter in (({"A+": one}, "A"), ({(GEN_M, "B"): one}, "B"),
+                          ({(GEN_AP, "A"): one}, "A")):
+        with pytest.raises(ValueError, match=f"unknown generator '{letter}'"):
+            FreeElement(terms, K)
+    assert str(FreeElement({(GEN_M, GEN_AP): one}, K)) == "M*A+"
+
+
 # -- exp_matrix2 ----------------------------------------------------------------------
 
 def test_exp_matrix_jordan_block():

@@ -69,18 +69,22 @@ ALLOWED_UNREFERENCED = {
     "swap_transport",
     # item 2a: leaves src/hweyl when 2a retires its perfbench metric
     "cojacobi_residuals",
+    # items 2a and 19: only perfbench's own test calls it, and that file
+    # changes only in a change to the benchmark
+    "coefficients",
 }
 
 
 def test_every_function_is_referenced():
     """Every function the engine defines is called by another engine module
-    or by the benchmark, a client of the engine; the tests do not count.
+    or by the benchmark client (``perfbench/*.py``); no tests count, those of
+    perfbench included.
 
     The check goes by name: a method that shares its name with one that is
     called (one ``as_tensor`` for another) passes, so such a pair must still
     be checked by hand."""
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    readers = [PACKAGE / m for m in MODULES] + sorted((ROOT / "perfbench").rglob("*.py"))
+    readers = [PACKAGE / m for m in MODULES] + sorted((ROOT / "perfbench").glob("*.py"))
     unreferenced = unreferenced_functions(
         sources, [p.read_text(encoding="utf-8") for p in readers])
     assert set(unreferenced) == ALLOWED_UNREFERENCED

@@ -158,7 +158,7 @@ def test_as_fraction():
 
 
 @pytest.mark.parametrize("raw,message", [
-    ("1/0", "field 'xi': Fraction(1, 0)"),
+    ("1/0", "field 'xi': zero denominator"),
     ("x", "field 'xi': Invalid literal"),
     (1, "field 'xi': must be a string rational, got 1"),
 ])

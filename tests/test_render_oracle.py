@@ -102,7 +102,7 @@ def test_coordinate_poly_with_param_coefficients_prints_as_the_oracle(p):
 @given(st.lists(st.tuples(param_polys(), bodies), max_size=4))
 @examples
 def test_closed_form_sums_print_as_the_oracle(items):
-    assert _signed_sum(items) == spread_sum(items)
+    assert _signed_sum(items, {}) == spread_sum(items)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -121,9 +121,9 @@ def test_sorting_by_the_bare_key_fails_the_oracle(monkeypatch):
     # degree would come first, and every check above finds it
     rows = ParamPoly._rows
 
-    def by_bare_key(self, body=""):
+    def by_bare_key(self, texts, body=""):
         mask = (1 << _BITS * len(self.names)) - 1
-        return sorted((k ^ mask, *row) for k, *row in rows(self, body))
+        return sorted((k ^ mask, *row) for k, *row in rows(self, texts, body))
 
     monkeypatch.setattr(ParamPoly, "_rows", by_bare_key)
     # the first counterexample is enough: no shrinking

@@ -49,6 +49,15 @@ def test_tensor_mul_m_slots():
     assert tensor_mul(u, v, rs) == outer(gen(GEN_M), gen(GEN_M))
 
 
+def test_constructor_refuses_a_letter_that_is_no_generator():
+    # a slot given as the string "A+" is read letter by letter
+    c = ParamPoly.one(K)
+    for terms in ({("A+", (GEN_M,)): c}, {((GEN_M,), (GEN_AP, "x"), ()): c}):
+        with pytest.raises(ValueError, match="unknown generator"):
+            TensorElement(len(next(iter(terms))), terms, K)
+    assert str(TensorElement(2, {((GEN_AP,), (GEN_M, GEN_M)): c}, K)) == "A+ (x) M^2"
+
+
 def test_tensor_mul_rank_mismatch():
     rs = RewriteSystem.undeformed(K)
     with pytest.raises(ValueError):
