@@ -17,10 +17,9 @@ from .bialgebra import (BASIS, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                         classify, coboundary_delta, cojacobi_residuals,
                         dual_bracket_table, find_rmatrix, mcybe_check,
                         rmatrix_gauge, schouten)
-from .quantization import (HopfPresentation, VerificationError,
+from .quantization import (HopfPresentation, VerificationError, WordMap,
                            build_antipode, build_coproduct, central_element,
-                           check_realization, closed_forms,
-                           coproduct_of_element, family_rewrite,
+                           check_realization, closed_forms, family_rewrite,
                            first_order_cocommutator, first_order_residuals,
                            quantize, swap_transport,
                            verify_all, verify_antipode, verify_coassoc,

@@ -139,7 +139,7 @@ def parse_rational(field, raw) -> Fraction:
     ``p/q`` in decimal digits are read as ints directly; every other form goes
     to ``Fraction`` once its digits plus its exponent magnitude are checked
     against MAX_INPUT_DIGITS.  Anything else, a zero denominator and a value
-    past that bound included, raises ``ValueError`` naming the field.
+    past that bound included, raises ``ValueError`` naming the field and the fault.
     """
     if not isinstance(raw, str):
         raise ValueError(f"field {field!r}: must be a string rational, got {raw!r}")
@@ -150,14 +150,15 @@ def parse_rational(field, raw) -> Fraction:
                 and (not slash or den.isdecimal())):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         size = _input_size(raw)
-        if size is not None and size > MAX_INPUT_DIGITS:
-            raise ValueError(f"more than {MAX_INPUT_DIGITS} digits, counting "
-                             "the exponent magnitude")
-        return Fraction(raw)
+        if size is None or size <= MAX_INPUT_DIGITS:
+            return Fraction(raw)
+        fault = f"more than {MAX_INPUT_DIGITS} digits, counting the exponent magnitude"
     except ZeroDivisionError:
-        raise ValueError(f"field {field!r}: zero denominator") from None
-    except ValueError as exc:
-        raise ValueError(f"field {field!r}: {exc}") from None
+        fault = "zero denominator"
+    except ValueError:
+        fault = (f"{raw!r} is not a rational: write an integer, p/q or a decimal"
+                 " such as -2/3 or 1.5e-3")
+    raise ValueError(f"field {field!r}: {fault}")
 
 
 def parse_fields(what, data, names) -> dict:

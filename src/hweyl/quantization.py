@@ -16,6 +16,16 @@ antipode's F = exp(theta) = E^-1 is read off E's terms (``_Series``).  That
 is exact, not an approximation: every entry of theta is a multiple C p of
 the one letter p, so (-C)^n/n! = (-1)^n C^n/n! and the coefficient of p^n
 in F is (-1)^n times its coefficient in E.
+
+Every map the engine checks is given on generators and is one ``WordMap``:
+the letter images, the target product, and a prefix memo seeded with the
+unit, through which ``_word_image`` extends the map to words.  Delta, gamma,
+the I+/I- swap and the I+ realization are instances, and each Hopf check is
+its ``respects``, ``agrees`` or slot application.  gamma is an anti-map: it
+reads each word reversed, so its memo is keyed by the reversed word.  The
+counit (``_Counit``) keeps no memo: a memo would share the prefixes of its
+product chains, which cuts ``quantize(TYPE_I_PLUS, order=3)`` to 990
+multiplies, under perfbench's floor of 1,000 (ROADMAP item 2b).
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from fractions import Fraction
 
 from .params import (_BITS, DEFAULT_ORDER, MAX_ORDER, PARAMS, ParamPoly, Record, _build,
                      parse_rational, ring, signed_sum)
-from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement,
+from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement, LinearSum,
                       RewriteSystem, _exp_terms, _linear_extension, _word_image,
                       commutator, exp_element, exp_matrix2, nc_mul, normal_form)
 from .tensor import TensorElement, _slot_product, flip, outer, tensor_mul
@@ -178,39 +188,105 @@ def family_rewrite(cls, order=DEFAULT_ORDER, *, _series=None):
     return RewriteSystem(cls.tag.lower(), rules, order)
 
 
-# -- coproduct / counit / antipode extension to arbitrary elements -------------
+# -- maps given on generators ------------------------------------------------------
 
-def coproduct_of_element(hp, x: FreeElement) -> TensorElement:
-    """Algebra-map extension of the presentation's coproduct to a free-algebra
-    element."""
-    return TensorElement._clean(_linear_extension(hp._delta, x.terms.items()), x.order, 2)
-
-
-def counit_of_word(counit, word, order):
-    acc = ParamPoly.one(order)
-    for letter in word:
-        acc = acc * counit[letter]
-        if not acc:
-            break
-    return acc
+def _residual(lhs, rhs):
+    """lhs - rhs, built only when the sides differ: with canonical coefficients
+    and no zero terms, ``lhs == rhs`` exactly when the difference is zero."""
+    return lhs._like({}, lhs.order) if lhs == rhs else lhs - rhs
 
 
-def _antipode_residual(hp, name, side="left"):
-    """m(gamma (x) id) Delta(X)  or  m(id (x) gamma) Delta(X); the counit term
-    vanishes on generators.  The words are merged first and normal-ordered
-    once."""
-    left = side == "left"
-    terms = {}
-    get = terms.get
-    for (u, w), coeff in hp.coproduct[name].terms.items():
-        for g, c in hp._gamma(u if left else w).terms.items():
-            word = g + w if left else u + g
-            prod = c * coeff
-            if not prod._num:
-                continue
-            acc = get(word)
-            terms[word] = prod if acc is None else acc + prod
-    return normal_form(FreeElement._clean(terms, hp.order), hp.rewrite)
+def _normal_product(rewrite):
+    """The product of the algebra ``rewrite`` presents; like every map's
+    product it names the traced functions, so they are looked up per call."""
+    return lambda x, y: normal_form(nc_mul(x, y), rewrite)
+
+
+class WordMap(Record):
+    """An algebra map given on generators (module docstring); ``_FIELDS`` are
+    letters (each generator's image), mul (the target's product), unit (the
+    target's unit) and anti.  A composite from ``then`` is known on the
+    generators only, for ``agrees``: it has no product.  The product is a
+    closure, so a map is not pickled; a presentation builds its own."""
+
+    _FIELDS = ("letters", "mul", "unit", "anti")
+    __slots__ = _FIELDS + ("_memo",)
+
+    def __init__(self, letters, mul=None, unit=None, anti=False):
+        self._store(letters, mul, unit, anti)
+        object.__setattr__(self, "_memo", {(): unit})
+
+    def image(self, word):
+        return _word_image(word[::-1] if self.anti else word, self.letters, self.mul,
+                           self._memo)
+
+    def extend(self, x):
+        """The linear extension to an element, or phi (x) phi on a tensor: each
+        term's image times its coefficient, added into one dict."""
+        if isinstance(x, TensorElement):
+            terms = {}
+            for slots, coeff in x.terms.items():
+                _slot_product([self.image(w) for w in slots], coeff, terms)
+            return TensorElement._clean(terms, x.order, x.rank)
+        return self.unit._like(_linear_extension(self.image, x.terms.items()), x.order)
+
+    def apply(self, t, slot):
+        """(phi (x) id) t at slot 0, (id (x) phi) t at slot 1, for a rank-2
+        tensor t.  Each key of an image is joined to the other slot's word: as
+        further slots when the images are tensors, and as one word (the
+        product m) when they are elements, so that m(gamma (x) id) is merged
+        before one normal-ordering."""
+        tensor = isinstance(self.unit, TensorElement)
+        terms = {}
+        get = terms.get
+        for (u, w), coeff in t.terms.items():
+            own, other = (u, w) if slot == 0 else (w, u)
+            if tensor:
+                other = (other,)
+            for key, c in self.image(own).terms.items():
+                key = key + other if slot == 0 else other + key
+                prod = c * coeff
+                if not prod._num:
+                    continue
+                acc = get(key)
+                terms[key] = prod if acc is None else acc + prod
+        return TensorElement._clean(terms, t.order, 3) if tensor else FreeElement._clean(
+            terms, t.order)
+
+    def then(self, outer, slot):
+        """(outer (x) id) after self at slot 0, (id (x) outer) at slot 1."""
+        return WordMap({g: outer.apply(x, slot) for g, x in self.letters.items()})
+
+    def respects(self, rules):
+        """phi(g)phi(h) - phi(rhs) per rule g*h -> rhs, built only when the two
+        differ; phi(g)phi(h) is one product of the two images.  The map factors
+        through the relations exactly when every residual is zero."""
+        out = {}
+        for (g, h), rhs in rules.items():
+            x, y = self.letters[g], self.letters[h]
+            out[g, h] = _residual(self.mul(y, x) if self.anti else self.mul(x, y),
+                                  self.extend(rhs))
+        return out
+
+    def agrees(self, other, generators):
+        """self(g) - other(g) per generator g, built only when the two differ.
+        Algebra maps that agree on the generators agree everywhere."""
+        return {g: _residual(self.letters[g], other.letters[g]) for g in generators}
+
+
+class _Counit(WordMap):
+    """The counit, with images on the empty word and no memo: the image of a
+    word is the product chain of its letters' counits (module docstring)."""
+
+    __slots__ = ()
+
+    def image(self, word):
+        acc = self.unit
+        for letter in word:
+            acc = acc * self.letters[letter]
+            if not acc:
+                break
+        return FreeElement._clean({(): acc}, acc.order)
 
 
 # -- the Hopf presentation -------------------------------------------------------
@@ -228,23 +304,21 @@ class HopfPresentation(Record):
     ``is_concrete``, read off ``values`` once, says that every parameter is
     rational; then rendering sets t to 1.
 
-    Delta and gamma of each word are computed once by ``_word_image`` and
-    kept with the presentation whose maps they extend, in memos seeded with
-    the unit.  gamma is an anti-map, so its memo is keyed by the reversed
-    word: gamma(w) is the image of w reversed under the algebra map with the
-    letters' antipodes as images.
+    Delta and gamma are ``WordMap``s, ``coproduct_map`` and the anti-map
+    ``antipode_map``, so the image of each word is computed once and kept
+    with the presentation whose maps it extends.
 
     A third memo, ``_texts``, is the printer's table (``LinearSum._text``)
     for everything the presentation renders: ``_render``, so ``to_json`` and
     ``closed_forms``, write through it, and each monomial and each word or
-    slot tuple of the output is formatted once.  Like the other two it lives
-    and dies with the presentation; ``copy`` and ``pickle`` start all three
-    afresh.
+    slot tuple of the output is formatted once.  Like the maps' memos it
+    lives and dies with the presentation; ``copy`` and ``pickle`` start all
+    three afresh.
     """
 
     _FIELDS = ("order", "values", "rewrite", "coproduct", "counit", "antipode",
                "bialgebra_class")
-    __slots__ = _FIELDS + ("is_concrete", "_deltas", "_gammas", "_texts")
+    __slots__ = _FIELDS + ("is_concrete", "coproduct_map", "antipode_map", "_texts")
 
     def __init__(self, order, values, rewrite, coproduct, counit, antipode,
                  bialgebra_class):
@@ -252,28 +326,15 @@ class HopfPresentation(Record):
         object.__setattr__(self, "is_concrete", bool(values) and all(
             val.at_one(("t",)).is_constant() for val in values.values()))
         one = FreeElement.one(order)
-        object.__setattr__(self, "_deltas", {(): outer(one, one)})
-        object.__setattr__(self, "_gammas", {(): one})
+        object.__setattr__(self, "coproduct_map", WordMap(
+            coproduct, lambda u, v: tensor_mul(u, v, rewrite), outer(one, one)))
+        object.__setattr__(self, "antipode_map", WordMap(
+            antipode, _normal_product(rewrite), one, anti=True))
         object.__setattr__(self, "_texts", {})
 
     @property
     def family(self):
         return self.bialgebra_class.tag
-
-    def _delta(self, word) -> TensorElement:
-        """Delta(word) = Delta(word[:-1]) * Delta(word[-1]), prefix by prefix."""
-        return _word_image(word, self.coproduct, self._tensor_product, self._deltas)
-
-    def _gamma(self, word) -> FreeElement:
-        """gamma(word): the letters' antipodes multiplied in reverse order,
-        normal-ordered after each product."""
-        return _word_image(word[::-1], self.antipode, self._normal_product, self._gammas)
-
-    def _tensor_product(self, u, v):
-        return tensor_mul(u, v, self.rewrite)
-
-    def _normal_product(self, x, y):
-        return normal_form(nc_mul(x, y), self.rewrite)
 
     def param_display(self):
         """Parameter values with t set to 1: rationals (concrete) or series."""
@@ -384,74 +445,37 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
 
 # -- verification suite ------------------------------------------------------------
 
-def _residual(lhs, rhs):
-    """lhs - rhs, built only when the sides differ: with canonical coefficients
-    and no zero terms, ``lhs == rhs`` exactly when the difference is zero."""
-    return lhs._like({}, lhs.order) if lhs == rhs else lhs - rhs
-
-
 def verify_homomorphism(hp) -> dict:
     """Residual Delta(g)Delta(h) - Delta(g*h as rewritten) per defining
     relation; the difference is built only when the two sides differ."""
-    out = {}
-    for (g, h), rhs in hp.rewrite.rules.items():
-        lhs = tensor_mul(hp.coproduct[g], hp.coproduct[h], hp.rewrite)
-        out[f"{g}*{h}"] = _residual(lhs, coproduct_of_element(hp, rhs))
-    return out
-
-
-def _extend_slot(hp, t: TensorElement, slot: int) -> TensorElement:
-    order = t.order
-    terms = {}
-    for (u, w), coeff in t.terms.items():
-        inner = hp._delta(u if slot == 0 else w)
-        for (p, q), c in inner.terms.items():
-            key = (p, q, w) if slot == 0 else (u, p, q)
-            prod = coeff * c
-            if not prod._num:
-                continue
-            acc = terms.get(key)
-            terms[key] = prod if acc is None else acc + prod
-    return TensorElement._clean(terms, order, 3)
+    return {f"{g}*{h}": r for (g, h), r in hp.coproduct_map.respects(hp.rewrite.rules).items()}
 
 
 def verify_coassoc(hp) -> dict:
     """(Delta (x) id) Delta(X) - (id (x) Delta) Delta(X) per generator; the
     difference is built only when the two sides differ."""
-    out = {}
-    for name in GENERATORS:
-        d = hp.coproduct[name]
-        out[name] = _residual(_extend_slot(hp, d, 0), _extend_slot(hp, d, 1))
-    return out
+    delta = hp.coproduct_map
+    return delta.then(delta, 0).agrees(delta.then(delta, 1), GENERATORS)
 
 
 def verify_counit(hp) -> dict:
     """((eps (x) id) Delta(X) - X,  (id (x) eps) Delta(X) - X) per generator."""
-    order = hp.order
-    out = {}
-    for name in GENERATORS:
-        left = FreeElement.zero(order)
-        right = FreeElement.zero(order)
-        for (u, w), coeff in hp.coproduct[name].terms.items():
-            s = counit_of_word(hp.counit, u, order)
-            if s:
-                left = left + FreeElement.from_word(w, order, coeff=coeff * s)
-            s = counit_of_word(hp.counit, w, order)
-            if s:
-                right = right + FreeElement.from_word(u, order, coeff=coeff * s)
-        x = FreeElement.generator(name, order)
-        out[name] = (left - x, right - x)
-    return out
+    eps = _Counit(hp.counit, unit=ParamPoly.one(hp.order))
+    identity = WordMap({g: FreeElement.generator(g, hp.order) for g in GENERATORS})
+    left, right = (hp.coproduct_map.then(eps, slot).agrees(identity, GENERATORS)
+                   for slot in (0, 1))
+    return {name: (left[name], right[name]) for name in GENERATORS}
 
 
 def verify_antipode(hp) -> dict:
     """(m(gamma (x) id) Delta(X), m(id (x) gamma) Delta(X)) per generator;
-    both must equal eps(X) = 0."""
-    out = {}
-    for name in GENERATORS:
-        out[name] = (
-            _antipode_residual(hp, name, "left"), _antipode_residual(hp, name, "right"))
-    return out
+    both must equal eps(X) = 0.  The words are merged first and
+    normal-ordered once.  Generators suffice: gamma is an anti-map and Delta
+    an algebra map, so the elements on which both sides agree with
+    eta eps form a subalgebra (Kassel, Quantum Groups, GTM 155, ch. III)."""
+    sides = [hp.coproduct_map.then(hp.antipode_map, slot).letters for slot in (0, 1)]
+    return {name: tuple(normal_form(side[name], hp.rewrite) for side in sides)
+            for name in GENERATORS}
 
 
 def _report_ok(report):
@@ -471,9 +495,10 @@ def verify_all(hp) -> dict:
 
 
 def first_order_cocommutator(hp) -> dict:
-    """Degree-1 part of Delta - sigma Delta per generator."""
-    return {name: (hp.coproduct[name] - flip(hp.coproduct[name])).homogeneous_part(1)
-            for name in GENERATORS}
+    """Degree-1 part of Delta - sigma Delta per generator: the flip of the
+    degree-1 part, as the projection is linear and commutes with the flip."""
+    parts = {name: hp.coproduct[name].homogeneous_part(1) for name in GENERATORS}
+    return {name: d - flip(d) for name, d in parts.items()}
 
 
 def first_order_residuals(hp) -> dict:
@@ -517,24 +542,36 @@ def _cut(p, order):
     return p if len(num) == len(p._num) else _build(num, p._den, math.inf, _X)
 
 
-def _realization_letters(a1, order):
-    """The letters A+ = x, A- = s d/dx and M = s, s = lambda e^{a1 x/2}, as
-    operators {k: c_k}, meaning the sum of c_k (d/dx)^k: each c_k is a
-    polynomial over _X, and s is cut at parameter degree ``order``."""
+class _Operator(LinearSum):
+    """An operator, the sum of c_k (d/dx)^k keyed by k: each c_k is a
+    polynomial over _X, cut at parameter degree ``order`` (``_cut``)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _clean(cls, terms, order):
+        return super()._clean({k: _cut(c, order) for k, c in terms.items()}, order)
+
+
+def _realization(a1, order):
+    """The realization as a ``WordMap`` into operators cut at parameter
+    degree ``order``: A+ = x, A- = s d/dx and M = s, s = lambda e^{a1 x/2}."""
     lam = ParamPoly.symbol("lambda", order)
     s = sum((_X_POLY ** k * (lam * t[0][0])
              for k, t in enumerate(_exp_terms([[a1 * Fraction(1, 2)]]))),
             ParamPoly.zero(math.inf, _X))
-    return {GEN_AP: {0: _X_POLY}, GEN_AM: {1: s}, GEN_M: {0: s}}
+    letters = {GEN_AP: {0: _X_POLY}, GEN_AM: {1: s}, GEN_M: {0: s}}
+    return WordMap({g: _Operator._clean(op, order) for g, op in letters.items()}, _compose,
+                   _Operator._clean({0: ParamPoly.one(math.inf, _X)}, order))
 
 
-def _compose(left, right, order):
+def _compose(left, right):
     """The operator ``left`` after ``right``, by the Leibniz rule
     (a d^i)(b d^j) = sum over m <= i of C(i, m) a b^(m) d^(i-m+j), each
-    coefficient cut at parameter degree ``order``."""
+    coefficient cut at ``left``'s parameter degree (``_Operator``)."""
     out = {}
-    for j, b in right.items():
-        for i, a in left.items():
+    for j, b in right.terms.items():
+        for i, a in left.terms.items():
             deriv = b
             for m in range(i + 1):
                 if not deriv._num:
@@ -544,31 +581,15 @@ def _compose(left, right, order):
                 acc = out.get(k)
                 out[k] = term if acc is None else acc + term
                 deriv = deriv.partial(len(PARAMS))
-    return {k: _cut(c, order) for k, c in out.items()}
-
-
-def _element_operator(letters, elem: FreeElement, memo):
-    """The operator of ``elem``: the sum of its words' operators, each times
-    the word's coefficient, cut at parameter degree K, the element's order.
-    A word's operator is its prefix's, from the prefix ``memo`` (seeded here
-    with the identity), composed with its last letter (``_word_image``)."""
-    memo.setdefault((), {0: ParamPoly.one(math.inf, _X)})
-    compose = functools.partial(_compose, order=elem.order)
-    out = {}
-    for word, coeff in elem.terms.items():
-        for k, c in _word_image(word, letters, compose, memo).items():
-            term = c * coeff
-            acc = out.get(k)
-            out[k] = term if acc is None else acc + term
-    return {k: _cut(c, elem.order) for k, c in out.items()}
+    return _Operator._clean(out, left.order)
 
 
 def _apply_operator(op, powers, n):
     """The operator ``op`` applied to x^n = ``powers[n]``: the sum of
     c_k n!/(n-k)! x^(n-k) over k <= n."""
     out = ParamPoly.zero(math.inf, _X)
-    for k, c in op.items():
-        if k <= n and c._num:
+    for k, c in op.terms.items():
+        if k <= n:
             out = out + c * (powers[n - k] * math.perm(n, k))
     return out
 
@@ -624,47 +645,19 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
     if max_degree > realization_degree_limit(order):
         raise ValueError(f"exponent above {MAX_ORDER}, the packed-key field limit")
     series = _Series(cls, order)
-    letters = _realization_letters(series.values["a1"], order)
-    memo = {}
+    rho = _realization(series.values["a1"], order)
     powers = [ParamPoly.one(math.inf, _X)]
     for _ in range(max_degree):
         powers.append(powers[-1] * _X_POLY)
     report = {}
     for label, res in _realization_residuals(cls, order, _series=series).items():
-        op = _element_operator(letters, res, memo)
+        op = rho.extend(res)
         report[label] = not any(_apply_operator(op, powers, n)
                                 for n in range(max_degree + 1))
     return report
 
 
 # -- swap transport I+ <-> I- ---------------------------------------------------------
-
-def _swap_letters(order):
-    """The swap image of each generator, read off the columns of
-    ``SWAP_AUTOMORPHISM``."""
-    return {g: FreeElement({(h,): ParamPoly.const(row[j], order)
-                            for h, row in zip(BASIS, SWAP_AUTOMORPHISM)}, order)
-            for j, g in enumerate(BASIS)}
-
-
-def _swap(x, rewrite=None):
-    """The swap image of an element or a tensor, each word's image
-    normal-ordered under ``rewrite`` when one is given."""
-    order = x.order
-    letters = _swap_letters(order)
-    memo = {(): FreeElement.one(order)}
-
-    def image(word):
-        img = _word_image(word, letters, nc_mul, memo)
-        return img if rewrite is None else normal_form(img, rewrite)
-
-    if isinstance(x, FreeElement):
-        return FreeElement._clean(_linear_extension(image, x.terms.items()), order)
-    terms = {}
-    for slots, coeff in x.terms.items():
-        _slot_product([image(w) for w in slots], coeff, terms)
-    return TensorElement._clean(terms, order, x.rank)
-
 
 def swap_transport(hp) -> HopfPresentation:
     """Transport a quantized I+ (or I-) presentation along the swap s:
@@ -677,19 +670,23 @@ def swap_transport(hp) -> HopfPresentation:
     renames = zip(FAMILIES[hp.family][0], FAMILIES[target_tag][0])
     new_values = {new: -hp.values[old] for old, new in renames}
 
+    # s on the generators, read off the columns of SWAP_AUTOMORPHISM
+    letters = {g: FreeElement({(h,): ParamPoly.const(row[j], order)
+                               for h, row in zip(BASIS, SWAP_AUTOMORPHISM)}, order)
+               for j, g in enumerate(BASIS)}
+    one = FreeElement.one(order)
     # transported commutation rules first: [g, h] = s[s(g), s(h)], whose
-    # right-hand sides are series in M, so their swap images are normal words
-    letters = _swap_letters(order)
+    # right-hand sides are series in M, so their images under s into the
+    # free algebra (product nc_mul, named per call) are normal words
+    free_swap = WordMap(letters, lambda x, y: nc_mul(x, y), one)
     rules = {(g, h): FreeElement.from_word((h, g), order)
-             + _swap(commutator(letters[g], letters[h], hp.rewrite))
+             + free_swap.extend(commutator(letters[g], letters[h], hp.rewrite))
              for g, h in REDEXES}
     rewrite = RewriteSystem(f"swap({hp.rewrite.name})", rules, order)
-
-    coproduct, antipode = {}, {}
-    for name, image in letters.items():
-        coproduct[name] = _swap(coproduct_of_element(hp, image), rewrite)
-        antipode[name] = _swap(FreeElement._clean(
-            _linear_extension(hp._gamma, image.terms.items()), order), rewrite)
+    # then s into the new presentation, normal-ordered there
+    swap = WordMap(letters, _normal_product(rewrite), one)
+    coproduct = {g: swap.extend(hp.coproduct_map.extend(x)) for g, x in letters.items()}
+    antipode = {g: swap.extend(hp.antipode_map.extend(x)) for g, x in letters.items()}
 
     cls = BialgebraClass(target_tag, normalized=Cocommutator(**new_values))
     return HopfPresentation(

@@ -261,6 +261,16 @@ def test_zero_denominator_exits_1_without_traceback(capsys, command, doc):
     assert err == f"invalid input: field {field!r}: zero denominator\n"
 
 
+@pytest.mark.parametrize("raw", ["0x10", "x", "1/2/3", "1e2/0"])
+def test_malformed_rational_exits_1_naming_the_fault(capsys, raw):
+    # the message says what is wrong in the input's terms, not Fraction's
+    code, out, err = run(capsys, "quantize", json.dumps({"a1": raw}))
+    assert code == 1
+    assert out == ""
+    assert err == (f"invalid input: field 'a1': {raw!r} is not a rational: write an "
+                   "integer, p/q or a decimal such as -2/3 or 1.5e-3\n")
+
+
 def test_coboundary_json(capsys):
     code, out, _ = run(capsys, "coboundary", '{"xi":"2"}', "--format", "json")
     assert code == 0

@@ -22,8 +22,7 @@ from hweyl.freealg import (GENERATORS, FreeElement,  # noqa: E402
 from hweyl.tensor import outer, tensor_mul  # noqa: E402
 from hweyl.bialgebra import (TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,  # noqa: E402
                              TYPE_II)
-from hweyl.quantization import (coproduct_of_element, quantize,  # noqa: E402
-                                verify_all)
+from hweyl.quantization import quantize, verify_all  # noqa: E402
 
 from rewrite_oracle import rightmost_normal_form  # noqa: E402
 
@@ -103,8 +102,8 @@ def test_memoized_word_maps_equal_letter_by_letter_products(tag, order, data):
     for letter in word:
         delta = tensor_mul(delta, hp.coproduct[letter], hp.rewrite)
         gamma = nc_mul(hp.antipode[letter], gamma)
-    assert coproduct_of_element(hp, elem) == delta
-    assert hp._gamma(word) == normal_form(gamma, hp.rewrite)
+    assert hp.coproduct_map.extend(elem) == delta
+    assert hp.antipode_map.image(word) == normal_form(gamma, hp.rewrite)
 
 
 @pytest.mark.parametrize("tag,order", CASES)

@@ -15,8 +15,7 @@ from hweyl.bialgebra import (FAMILIES, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PL
 from hweyl.quantization import (HopfPresentation, VerificationError,
                                 _Series, build_antipode,
                                 build_coproduct, central_element,
-                                check_realization, closed_forms,
-                                coproduct_of_element, exprel_series,
+                                check_realization, closed_forms, exprel_series,
                                 family_rewrite, first_order_cocommutator,
                                 first_order_residuals, quantize,
                                 swap_transport, verify_all, verify_antipode,
@@ -475,6 +474,18 @@ def test_first_order_matches_cocommutator(tag):
     assert report_zero(first_order_residuals(hp))
 
 
+@pytest.mark.parametrize("order", range(2, 7))
+@pytest.mark.parametrize("tag", [TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL])
+def test_first_order_cocommutator_flips_only_the_degree_1_part(tag, order):
+    # the projection to degree 1 is linear and commutes with the flip, so
+    # projecting Delta - sigma Delta equals flipping the projection
+    hp = quantize(tag, order=order, verify=False)
+    got = first_order_cocommutator(hp)
+    for name in GENERATORS:
+        d = hp.coproduct[name]
+        assert got[name] == (d - flip(d)).homogeneous_part(1)
+
+
 # -- specialization ------------------------------------------------------------------------
 
 def test_specialization_commutes():
@@ -525,10 +536,10 @@ def test_central_element_only_for_i_plus():
 
 # -- coassociativity details -------------------------------------------------------------------
 
-def test_coproduct_of_element_multiplicative():
+def test_coproduct_extension_multiplicative():
     hp = quantize(TYPE_I_PLUS, order=K)
     x = nc_mul(gen(GEN_M), gen(GEN_M))
-    direct = coproduct_of_element(hp, x)
+    direct = hp.coproduct_map.extend(x)
     square = tensor_mul(hp.coproduct[GEN_M], hp.coproduct[GEN_M], hp.rewrite)
     assert direct == square
 
@@ -607,8 +618,7 @@ def test_realization_refuses_an_empty_range():
 def test_realization_bracket_on_constant():
     # [A-, A+] applied to 1 gives lambda e^{a1 x / 2}, letter by letter in
     # the oracle and through the engine's composed operator
-    from hweyl.quantization import (_X, _apply_operator, _element_operator,
-                                    _realization_letters)
+    from hweyl.quantization import _X, _apply_operator, _realization
     from realization_oracle import apply_element, realization_ops
     order = 3
     a1 = sym("a1", order)
@@ -617,7 +627,7 @@ def test_realization_bracket_on_constant():
     p0 = ParamPoly.one(math.inf, _X)
     bracket = nc_mul(am, ap) - nc_mul(ap, am)
     diff = apply_element(ops, bracket, p0)
-    op = _element_operator(_realization_letters(a1, order), bracket, {})
+    op = _realization(a1, order).extend(bracket)
     assert _apply_operator(op, [p0], 0) == diff
     lam = ParamPoly.symbol("lambda", order)
     half = a1 * Fraction(1, 2)

@@ -16,9 +16,8 @@ from hweyl import quantization  # noqa: E402
 from hweyl.bialgebra import TYPE_I_PLUS, BialgebraClass  # noqa: E402
 from hweyl.freealg import GEN_AM, GEN_M, GENERATORS, FreeElement, RewriteSystem  # noqa: E402
 from hweyl.params import MAX_ORDER, ParamPoly  # noqa: E402
-from hweyl.quantization import (_apply_operator, _element_operator,  # noqa: E402
-                                _realization_letters, _realization_residuals,
-                                check_realization)
+from hweyl.quantization import (_Operator, _apply_operator, _realization,  # noqa: E402
+                                _realization_residuals, check_realization)
 from realization_oracle import X_POLY, apply_element, realization_ops  # noqa: E402
 
 #: The monomials x^0 .. x^6.
@@ -59,11 +58,10 @@ def elements(draw):
 def composed_equals_oracle(order, a1, elems):
     """Each element's composed operator on x^0 .. x^6 equals the oracle's
     letter-by-letter action; one prefix memo serves all elements."""
-    letters = _realization_letters(a1, order)
+    rho = _realization(a1, order)
     ops = realization_ops(a1, order)
-    memo = {}
     for elem in elems:
-        op = _element_operator(letters, elem, memo)
+        op = rho.extend(elem)
         for n, power in enumerate(POWERS):
             assert _apply_operator(op, POWERS, n) == apply_element(ops, elem, power)
 
@@ -106,11 +104,9 @@ def test_composed_operators_of_the_residuals_are_zero():
     """Each residual's operator is zero term by term, so it vanishes on
     every monomial, and ``check_realization`` passes."""
     order = 6
-    a1 = ParamPoly.symbol("a1", order)
-    letters = _realization_letters(a1, order)
-    memo = {}
+    rho = _realization(ParamPoly.symbol("a1", order), order)
     for res in realization_residuals(order).values():
-        assert not any(c for c in _element_operator(letters, res, memo).values())
+        assert not rho.extend(res)
     assert all(check_realization(TYPE_I_PLUS, max_degree=6, order=order).values())
 
 
@@ -134,14 +130,12 @@ def test_a_wrong_engine_rule_fails_its_relation(monkeypatch):
 def test_prefix_operators_are_shared():
     """The word M A+^j is composed from the stored operator of M A+^(j-1)."""
     order = 4
-    a1 = ParamPoly.symbol("a1", order)
-    letters = _realization_letters(a1, order)
-    memo = {}
-    _element_operator(letters, realization_residuals(order)["C = lambda"], memo)
-    words = [w for w in memo if w and w[0] == GENERATORS[0]]
+    rho = _realization(ParamPoly.symbol("a1", order), order)
+    rho.extend(realization_residuals(order)["C = lambda"])
+    words = [w for w in rho._memo if w and w[0] == GENERATORS[0]]
     assert sorted(map(len, words)) == list(range(1, order + 2))
-    s = letters[GENERATORS[0]][0]
-    assert memo[(GENERATORS[0],) + (GENERATORS[1],) * 2] == {0: s * X_POLY ** 2}
+    s = rho.letters[GENERATORS[0]].terms[0]
+    assert rho._memo[(GENERATORS[0],) + (GENERATORS[1],) * 2].terms == {0: s * X_POLY ** 2}
 
 
 def test_field_limit_bound_is_the_letter_by_letter_one():
@@ -162,7 +156,7 @@ def test_composed_coefficients_are_cut_within_the_field_limit():
     order = 65
     a1 = ParamPoly.symbol("a1", order)
     word = FreeElement.from_word((GEN_M,) * 4, order)
-    op = _element_operator(_realization_letters(a1, order), word, {})
+    op = _realization(a1, order).extend(word)
     ops = realization_ops(a1, order)
     for n, power in enumerate(POWERS[:3]):
         assert _apply_operator(op, POWERS, n) == apply_element(ops, word, power)
@@ -171,5 +165,5 @@ def test_composed_coefficients_are_cut_within_the_field_limit():
 def test_apply_operator_scales_by_the_falling_factorial():
     """(c d^2) x^5 = 20 c x^3, and d^k kills x^n for k > n."""
     c = X_POLY * Fraction(1, 3)
-    assert _apply_operator({2: c}, POWERS, 5) == c * X_POLY ** 3 * 20
-    assert not _apply_operator({3: c}, POWERS, 2)
+    assert _apply_operator(_Operator._clean({2: c}, 2), POWERS, 5) == c * X_POLY ** 3 * 20
+    assert not _apply_operator(_Operator._clean({3: c}, 2), POWERS, 2)

@@ -145,7 +145,7 @@ def test_an_unpickled_presentation_verifies_and_renders_the_same():
     rewrite memo, and rebuilds them while it verifies."""
     hp = quantize(TYPE_I_PLUS, order=4)
     restored = pickle.loads(pickle.dumps(hp))
-    assert restored._deltas.keys() == {()} and not restored.rewrite._forms
+    assert restored.coproduct_map._memo.keys() == {()} and not restored.rewrite._forms
     assert all(verify_all(restored).values())
     assert restored.to_json() == hp.to_json()
     assert restored.is_concrete == hp.is_concrete

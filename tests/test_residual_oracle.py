@@ -44,7 +44,7 @@ def homomorphism_sides(hp):
     for (g, h), rhs in hp.rewrite.rules.items():
         right = TensorElement(2, {}, hp.order)
         for word, coeff in rhs.terms.items():
-            right = right + hp._delta(word) * coeff
+            right = right + hp.coproduct_map.image(word) * coeff
         out[f"{g}*{h}"] = (tensor_mul(hp.coproduct[g], hp.coproduct[h], hp.rewrite),
                            right)
     return out
@@ -56,9 +56,9 @@ def coassoc_sides(hp):
     for name in GENERATORS:
         left = right = TensorElement(3, {}, hp.order)
         for (u, w), coeff in hp.coproduct[name].terms.items():
-            for (p, q), c in hp._delta(u).terms.items():
+            for (p, q), c in hp.coproduct_map.image(u).terms.items():
                 left = left + TensorElement(3, {(p, q, w): coeff * c}, hp.order)
-            for (p, q), c in hp._delta(w).terms.items():
+            for (p, q), c in hp.coproduct_map.image(w).terms.items():
                 right = right + TensorElement(3, {(u, p, q): coeff * c}, hp.order)
         out[name] = (left, right)
     return out

@@ -1,7 +1,8 @@
 """The in-place sums of the Hopf checks against the step-by-step sums they replaced.
 
-``coproduct_of_element``, ``antipode_of_element`` (below, over ``hp._gamma``)
-and ``_antipode_residual`` add every product into one dict.  The oracles below are the earlier versions,
+The linear extensions of Delta and gamma (``WordMap.extend``) and the
+antipode residuals of ``verify_antipode`` (``WordMap.apply``) add every
+product into one dict.  The oracles below are the earlier versions,
 which build each sum as ``acc = acc + x * c`` through the public operations;
 both must agree term by term on every family at two orders, with concrete
 parameters, and on a broken presentation whose residuals do not vanish.
@@ -11,42 +12,35 @@ from fractions import Fraction
 
 import pytest
 
-from hweyl.freealg import (GEN_M, GENERATORS, FreeElement, _linear_extension, nc_mul,
-                           normal_form)
+from hweyl.freealg import GEN_M, GENERATORS, FreeElement, nc_mul, normal_form
 from hweyl.tensor import TensorElement, outer
 from hweyl.bialgebra import TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II
-from hweyl.quantization import (HopfPresentation, _antipode_residual,
-                                coproduct_of_element, quantize)
-
-
-def antipode_of_element(hp, x):
-    """Anti-multiplicative extension of the presentation's antipode, in
-    normal form."""
-    return FreeElement._clean(_linear_extension(hp._gamma, x.terms.items()), x.order)
+from hweyl.quantization import HopfPresentation, quantize, verify_antipode
 
 
 def coproduct_oracle(hp, x):
     out = TensorElement(2, {}, x.order)
     for word, coeff in x.terms.items():
-        out = out + hp._delta(word) * coeff
+        out = out + hp.coproduct_map.image(word) * coeff
     return out
 
 
 def antipode_oracle(hp, x):
     out = FreeElement.zero(x.order)
     for word, coeff in x.terms.items():
-        out = out + hp._gamma(word) * coeff
+        out = out + hp.antipode_map.image(word) * coeff
     return out
 
 
 def antipode_residual_oracle(hp, name, side):
     order = hp.order
+    gamma = hp.antipode_map.image
     acc = FreeElement.zero(order)
     for (u, w), coeff in hp.coproduct[name].terms.items():
         if side == "left":
-            elem = nc_mul(hp._gamma(u), FreeElement.from_word(w, order))
+            elem = nc_mul(gamma(u), FreeElement.from_word(w, order))
         else:
-            elem = nc_mul(FreeElement.from_word(u, order), hp._gamma(w))
+            elem = nc_mul(FreeElement.from_word(u, order), gamma(w))
         acc = acc + elem * coeff
     return normal_form(acc, hp.rewrite)
 
@@ -60,17 +54,17 @@ def same_terms(got, want):
 def check_against_oracles(hp):
     """Compare every in-place sum with its oracle; return the residuals."""
     elements = (list(hp.rewrite.rules.values()) + list(hp.antipode.values())
-                + [hp._gamma(tuple(reversed(GENERATORS))),
+                + [hp.antipode_map.image(tuple(reversed(GENERATORS))),
                    FreeElement.from_word(GENERATORS, hp.order, coeff=Fraction(-3, 2))])
     for x in elements:
-        got = coproduct_of_element(hp, x)
+        got = hp.coproduct_map.extend(x)
         same_terms(got, coproduct_oracle(hp, x))
         assert got.rank == 2
-        same_terms(antipode_of_element(hp, x), antipode_oracle(hp, x))
+        same_terms(hp.antipode_map.extend(x), antipode_oracle(hp, x))
     residuals = []
+    report = verify_antipode(hp)
     for name in GENERATORS:
-        for side in ("left", "right"):
-            got = _antipode_residual(hp, name, side)
+        for side, got in zip(("left", "right"), report[name]):
             same_terms(got, antipode_residual_oracle(hp, name, side))
             residuals.append(got)
     return residuals

@@ -44,8 +44,8 @@ def test_every_short_word_map_equals_its_letter_by_letter_definition(tag):
             delta = tensor_mul(delta, hp.coproduct[letter], hp.rewrite)
         for letter in reversed(word):
             gamma = nc_mul(gamma, hp.antipode[letter])
-        assert hp._delta(word) == delta, word
-        assert hp._gamma(word) == normal_form(gamma, hp.rewrite), word
+        assert hp.coproduct_map.image(word) == delta, word
+        assert hp.antipode_map.image(word) == normal_form(gamma, hp.rewrite), word
 
 
 @pytest.mark.parametrize("tag", [TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II, TRIVIAL])
@@ -56,11 +56,12 @@ def test_both_antipode_axioms_hold_on_every_two_letter_word(tag):
     gamma extended as an algebra map; these words do not."""
     order = 3
     hp = quantize(tag, order=order, verify=False)
+    gamma = hp.antipode_map.image
     for word in product(GENERATORS, repeat=2):
         left = right = FreeElement.zero(order)
-        for (u, w), c in hp._delta(word).terms.items():
-            left = left + nc_mul(hp._gamma(u), FreeElement.from_word(w, order, coeff=c))
-            right = right + nc_mul(FreeElement.from_word(u, order, coeff=c), hp._gamma(w))
+        for (u, w), c in hp.coproduct_map.image(word).terms.items():
+            left = left + nc_mul(gamma(u), FreeElement.from_word(w, order, coeff=c))
+            right = right + nc_mul(FreeElement.from_word(u, order, coeff=c), gamma(w))
         assert not normal_form(left, hp.rewrite), word
         assert not normal_form(right, hp.rewrite), word
 
@@ -97,4 +98,4 @@ def test_gamma_of_a_long_word_on_i_plus():
     order = 2
     hp = quantize(TYPE_I_PLUS, order=order, verify=False)
     word = (GEN_AP,) * 1200
-    assert hp._gamma(word) == FreeElement.from_word(word, order)
+    assert hp.antipode_map.image(word) == FreeElement.from_word(word, order)
