@@ -181,9 +181,6 @@ class RMatrix(ValueRecord):
     def symbolic(cls, order=DEFAULT_ORDER):
         return cls(*(ParamPoly.symbol(n, order) for n in cls._FIELDS))
 
-    def __str__(self):
-        return ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS)
-
     @classmethod
     def from_json(cls, data):
         return cls(**parse_fields("r-matrix", data, cls._FIELDS))

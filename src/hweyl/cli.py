@@ -378,7 +378,12 @@ def build_parser():
     common(p, with_input=True, with_family=tuple(_FAMILY_BY_NAME))
     p.set_defaults(handler=run_quantize, family=None)
 
-    p = sub.add_parser("verify", help="verify the Hopf axioms symbolically")
+    p = sub.add_parser("verify", help="verify the Hopf axioms symbolically",
+                       description="Verify the Hopf axioms of each family's "
+                                   "quantization, exactly, on its series "
+                                   "truncated at parameter degree K: a PASS "
+                                   "holds modulo parameter degree K+1, not in "
+                                   "the Hopf algebra itself.")
     common(p, with_family=_FAMILY_CHOICES)
     p.set_defaults(handler=run_verify)
 

@@ -154,9 +154,6 @@ class LinearSum:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()}, self.order)
 
@@ -259,16 +256,6 @@ class FreeElement(LinearSum):
         if isinstance(other, FreeElement):
             return nc_mul(self, other)
         return LinearSum.__mul__(self, other)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = FreeElement.one(self.order)
-        for _ in range(n):
-            out = nc_mul(out, self)
-            if not out:
-                break
-        return out
 
     def __eq__(self, other):
         return LinearSum.__eq__(self, self._lift(other))

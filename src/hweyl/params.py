@@ -32,9 +32,9 @@ arithmetic with no Fraction in the inner loops:
   degree in the top field, at bit ``_BITS * n``.  Adding two keys
   multiplies the monomials, keys compare by total degree first, and the
   truncation test of a product at order K is one compare,
-  ``k1 + k2 < (K + 1) << (_BITS * n)``.  A polynomial over a prefix of a
-  ring's names (PARAMS, in a coordinate ring) enters the ring when each of
-  its keys shifts left by ``_BITS`` per further name (``_lift``).
+  ``k1 + k2 < (K + 1) << (_BITS * n)``.  A polynomial over a prefix of an
+  untruncated ring's names (PARAMS, in a coordinate ring) enters the ring
+  when each of its keys shifts left by ``_BITS`` per further name (``_lift``).
 
 Most operands of the series arithmetic have one term, and many are the
 constant 1.  So a product with the unit 1 returns the other operand (instances
@@ -85,7 +85,7 @@ wraps into the next field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf
 from operator import attrgetter
 from types import MappingProxyType, MemberDescriptorType
 
@@ -308,29 +308,12 @@ class ParamPoly:
     module reads ``_order`` and ``_names`` directly.  The zero
     results of one ring and order are one shared instance (module
     docstring).  Arithmetic between polynomials over the same variables
-    requires equal orders.  A rational acts coefficient-wise, and
-    a polynomial over a prefix of the other's names is lifted (``_lift``).
+    requires equal orders.  A rational acts coefficient-wise, and a
+    polynomial over a prefix of the names of an untruncated one is lifted
+    (``_lift``).
     """
 
     __slots__ = ("_num", "_den", "_order", "_names", "_terms", "_sorted")
-
-    def __new__(cls, terms, order, names=PARAMS):
-        _check_order(order)
-        width = len(names)
-        num = {}
-        for exps, coeff in terms.items():
-            if len(exps) != width:
-                raise ValueError(f"exponent vector {exps!r} does not match {names!r}")
-            coeff = as_fraction(coeff)
-            if coeff and sum(exps) <= order:
-                num[_pack(exps)] = coeff
-        if not num:
-            return _zero(order, names)
-        # over the lcm of denominators in lowest terms, the numerators share
-        # no factor with it: this is already canonical
-        den = lcm(*(c.denominator for c in num.values()))
-        return _make({k: c.numerator * (den // c.denominator) for k, c in num.items()},
-                     den, order, names)
 
     order = property(attrgetter("_order"), _refuse,
                      doc="The truncation order; ``math.inf`` keeps every term.")
@@ -384,22 +367,22 @@ class ParamPoly:
                     raise ValueError(
                         f"mismatched truncation orders: {self._order} vs {other._order}")
                 return self, other
-            if self._names[:width] == names:
+            if self._names[:width] == names and self._order == inf:
                 return self, self._lift(other)
-            if names[:len(self._names)] == self._names:
+            if names[:len(self._names)] == self._names and other._order == inf:
                 return other._lift(self), other
-            raise ValueError("polynomials live over different variable lists")
+            raise ValueError("polynomials live over different variable lists, or the"
+                             " wider list is truncated")
         if isinstance(other, (int, Fraction)):
             return self, ParamPoly.const(other, self._order, self._names)
         return None
 
     def _lift(self, other):
-        """``other``, over a prefix of self's names, in self's ring: each key
-        shifted left past the further fields, then cut at self's order."""
+        """``other``, over a prefix of self's names, in self's untruncated
+        ring: each key shifted left past the further fields."""
         shift = _BITS * (len(self._names) - len(other._names))
-        lifted = _make({k << shift: c for k, c in other._num.items()},
-                       other._den, inf, self._names)
-        return lifted if self._order == inf else lifted.truncate(self._order)
+        return _make({k << shift: c for k, c in other._num.items()},
+                     other._den, inf, self._names)
 
     @property
     def terms(self):
@@ -426,9 +409,6 @@ class ParamPoly:
 
     def is_constant(self):
         return not self._num or (len(self._num) == 1 and 0 in self._num)
-
-    def constant_term(self):
-        return Fraction(self._num.get(0, 0), self._den)
 
     def min_degree(self):
         """Minimal total degree among stored terms (None for zero)."""
@@ -483,9 +463,6 @@ class ParamPoly:
                 return NotImplemented
             self, other = pair
         return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         if not self._num:
@@ -588,15 +565,6 @@ class ParamPoly:
     __hash__ = None
 
     # -- structural operations ----------------------------------------------
-
-    def truncate(self, order):
-        """Copy of self in the ring truncated at ``order`` (may be lower or higher)."""
-        _check_order(order)
-        num = self._num
-        if order < self._order:
-            limit = (order + 1) << _BITS * len(self._names)
-            num = {k: c for k, c in num.items() if k < limit}
-        return _build(num, self._den, order, self._names)
 
     def homogeneous_part(self, degree):
         shift = _BITS * len(self._names)

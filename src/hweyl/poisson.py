@@ -98,9 +98,6 @@ class GroupCoords(ValueRecord):
                 (zero, one, self.a_plus),
                 (zero, zero, one))
 
-    def __str__(self):
-        return "(" + ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS) + ")"
-
 
 def group_compose(g1: GroupCoords, g2: GroupCoords) -> GroupCoords:
     """Coordinates of the product whose matrix is D(g2) * D(g1):
@@ -109,16 +106,6 @@ def group_compose(g1: GroupCoords, g2: GroupCoords) -> GroupCoords:
         g1.m + g2.m - g1.a_minus * g2.a_plus,
         g2.a_minus + g1.a_minus,
         g2.a_plus + g1.a_plus)
-
-
-def _coefficient(index):
-    """The property reading coefficient ``index`` of a PoissonStructure off
-    its numerators: a Fraction, or a ParamPoly over PARAMS."""
-    def get(self):
-        nums, den = self._ints
-        p = _build(dict(nums[index]), den, math.inf, PARAMS)
-        return p.constant_term() if p.is_constant() else p
-    return property(get)
 
 
 class PoissonStructure(Record):
@@ -130,14 +117,13 @@ class PoissonStructure(Record):
     PARAMS, int) pairs of a polynomial over PARAMS, one pair (0, n) for a
     rational.  ``bracket_table`` and ``jacobi_check`` shift the keys into the
     ring beside the coordinate monomials, so rational and symbolic
-    coefficients run one code path.  ``a1`` .. ``b3`` read one back.
+    coefficients run one code path.  No attribute reads a coefficient back,
+    so ``copy`` and ``pickle`` rebuild from the numerators (``__reduce__``).
     """
 
     _FIELDS = ("a1", "a2", "a3", "b1", "b2", "b3")
     __slots__ = ("_ints",)
     _fields_of = attrgetter(*_FIELDS)
-
-    a1, a2, a3, b1, b2, b3 = map(_coefficient, range(6))
 
     def __init__(self, a1=0, a2=0, a3=0, b1=0, b2=0, b3=0):
         vals = [as_scalar(v) for v in (a1, a2, a3, b1, b2, b3)]
@@ -148,6 +134,12 @@ class PoissonStructure(Record):
                       else (((0, v.numerator * (den // v.denominator)),) if v else ())
                       for v in vals])
         object.__setattr__(self, "_ints", (nums, den))
+
+    def __reduce__(self):
+        """Each numerator as a polynomial over PARAMS, which the constructor
+        reads back unchanged."""
+        nums, den = self._ints
+        return type(self), tuple(_build(dict(n), den, math.inf, PARAMS) for n in nums)
 
     def numerators(self):
         """(the six numerators, in the order a1, a2, a3, b1, b2, b3, and

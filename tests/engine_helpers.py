@@ -7,10 +7,17 @@
 - A series element cut to a lower truncation order or with values
   substituted into its coefficients, and the total degree of a polynomial
   read off its ``terms`` view.
+- A polynomial written as {exponent tuple: rational}, and one cut to another
+  truncation order, built on the packed storage of ``params``.
+- The six coefficients of a ``PoissonStructure``, read off its numerators.
 """
+
+import math
+from fractions import Fraction
 
 from hweyl.bialgebra import (_COEFF_NAMES, _PERM_SIGN, _cocycle_forms, _order_of, _skew,
                              _to_tensor)
+from hweyl.params import (_BITS, PARAMS, _build, _check_order, _pack, as_fraction)
 from hweyl.tensor import TensorElement, outer
 
 
@@ -48,7 +55,7 @@ def wedge3(x, y, z):
 def truncated(x, order):
     """A free-algebra element or a tensor with every coefficient cut to
     parameter degree ``order``, at that order."""
-    return x._like({k: c.truncate(order) for k, c in x.terms.items()}, order)
+    return x._like({k: cut(c, order) for k, c in x.terms.items()}, order)
 
 
 def specialized(x, values):
@@ -60,3 +67,43 @@ def specialized(x, values):
 def degree(p):
     """The largest total degree of a term of the polynomial ``p``, -1 for 0."""
     return max((sum(exps) for exps in p.terms), default=-1)
+
+
+def poly(terms, order, names=PARAMS):
+    """The polynomial over ``names`` truncated at ``order`` with the
+    {exponent tuple: rational} ``terms``; terms above the order are dropped.
+    An order or an exponent past the packed-key field limit, or a tuple not
+    as long as ``names``, raises ``ValueError``."""
+    _check_order(order)
+    num = {}
+    for exps, coeff in terms.items():
+        if len(exps) != len(names):
+            raise ValueError(f"exponent vector {exps!r} does not match {names!r}")
+        coeff = as_fraction(coeff)
+        if coeff and sum(exps) <= order:
+            num[_pack(exps)] = coeff
+    den = math.lcm(*(c.denominator for c in num.values()))
+    return _build({k: c.numerator * (den // c.denominator) for k, c in num.items()},
+                  den, order, names)
+
+
+def cut(p, order):
+    """The polynomial ``p`` in its ring truncated at ``order``, which may be
+    lower or higher than its own."""
+    _check_order(order)
+    num = p._num
+    if order < p.order:
+        limit = (order + 1) << _BITS * len(p.names)
+        num = {k: c for k, c in num.items() if k < limit}
+    return _build(num, p._den, order, p.names)
+
+
+def structure_coefficients(ps):
+    """The coefficients a1, a2, a3, b1, b2, b3 of the PoissonStructure ``ps``:
+    each a Fraction, or a polynomial over PARAMS when it has a parameter."""
+    nums, den = ps.numerators()
+    out = []
+    for num in nums:
+        p = _build(dict(num), den, math.inf, PARAMS)
+        out.append(Fraction(p._num.get(0, 0), p._den) if p.is_constant() else p)
+    return out

@@ -17,14 +17,15 @@ from hweyl.freealg import GEN_AM, GEN_AP, GEN_M, FreeElement
 from hweyl.params import ParamPoly
 from hweyl.quantization import _X
 
+from engine_helpers import poly
+
 X_POLY = ParamPoly.symbol("x", math.inf, _X)
 
 
 def cut(p, order):
     """``p`` without its terms of parameter degree (every exponent but the
     last, which is x's) above ``order``."""
-    return ParamPoly({e: c for e, c in p.terms.items() if sum(e[:-1]) <= order},
-                     math.inf, _X)
+    return poly({e: c for e, c in p.terms.items() if sum(e[:-1]) <= order}, math.inf, _X)
 
 
 def realization_ops(a1, order):

@@ -227,7 +227,7 @@ def find_rmatrix_oracle(delta):
     target = list(delta.coefficients().values())
     pivot = next(n for n, u in enumerate(unit) if u)
     xi = target[pivot] * (1 / unit[pivot])
-    if any(t - xi * u for t, u in zip(target, unit)):
+    if any(xi * u - t for t, u in zip(target, unit)):
         return None
     return RMatrix(xi)
 

@@ -376,6 +376,13 @@ def test_realize_help_states_the_degree_bound(capsys):
     assert f"at most {MAX_ORDER + 1} - 2*K" in " ".join(capsys.readouterr().out.split())
 
 
+def test_verify_help_states_that_a_pass_is_modulo_degree_k_plus_1(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "a PASS holds modulo parameter degree K+1" in " ".join(
+        capsys.readouterr().out.split())
+
+
 # -- global behavior ---------------------------------------------------------------------
 
 def test_order_must_be_positive(capsys):
@@ -406,6 +413,44 @@ def test_malformed_command_line_exits_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage: hweyl" in captured.err and "error:" in captured.err
+
+
+#: Malformed command lines and inputs, one per way in which a command refuses
+#: to run: each exits 1 with a message on stderr and nothing on stdout, never
+#: a traceback.  CI runs them through the installed ``hweyl`` too, and
+#: ``test_reachability`` traces them through the console entry point.
+MALFORMED_COMMAND_LINES = (
+    ("bogus",),
+    ("classify", "--format", "xml"),
+    ("quantize", "--order", "abc"),
+    ("verify", "--family", "bogus"),
+    ("classify", "{not json"),
+    ("classify", "no-such-input.json"),
+    ("classify", "."),
+    ("classify", "[]"),
+    ("classify", '{"zz":"1"}'),
+    ("coboundary", '{"xi":"1/0"}'),
+    ("quantize", '{"a1":"0x10"}'),
+    ("classify", '{"b2":"0","a1":"1e-999999"}'),
+    ("classify", "{}", "--input", "{}"),
+    ("quantize", "--family", "type2", '{"a1":"1"}'),
+    ("classify", "{}", "--order", "0"),
+    ("quantize", "--family", "type2", "--order", str(MAX_ORDER + 1)),
+    ("realize", "--order", "2", "--degree", "-1"),
+    ("realize", "--order", "2", "--degree", str(MAX_ORDER - 2)),
+    ("realize", "--order", str((MAX_ORDER + 1) // 2 + 1), "--degree", "0"),
+)
+
+
+@pytest.mark.parametrize("argv", MALFORMED_COMMAND_LINES, ids=" ".join)
+def test_malformed_input_exits_1_with_a_message_and_no_traceback(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exn:
+        code = exn.code
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.strip() and "Traceback" not in captured.err
 
 
 def test_help_exits_0(capsys):

@@ -29,9 +29,10 @@ def sym(name, order=K):
 
 def series_exp(x, order):
     """Independent exponential oracle: explicit sum x^n / n!."""
-    out = FreeElement.one(order)
+    out = power = FreeElement.one(order)
     for n in range(1, order + 1):
-        out = out + x ** n * Fraction(1, factorial(n))
+        power = nc_mul(power, x)
+        out = out + power * Fraction(1, factorial(n))
     return out
 
 

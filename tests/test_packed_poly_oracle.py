@@ -26,7 +26,7 @@ from hweyl.params import MAX_ORDER, PARAMS, ParamPoly, ring  # noqa: E402
 from hweyl.poisson import COORD_RING, COORD_RING2, COORDS  # noqa: E402
 from hweyl.quantization import _X  # noqa: E402
 
-from engine_helpers import degree  # noqa: E402
+from engine_helpers import cut, degree, poly  # noqa: E402
 
 #: A coordinate chart x1, x2, x3 of the group, the target of ``subs`` below.
 CHART = ("x1", "x2", "x3")
@@ -66,7 +66,7 @@ def exponents(nvars, pool, max_factors):
 
 def param_polys(order):
     return st.dictionaries(exponents(len(PARAMS), POOL, 3), rationals,
-                           max_size=5).map(lambda terms: ParamPoly(terms, order))
+                           max_size=5).map(lambda terms: poly(terms, order))
 
 
 @st.composite
@@ -110,7 +110,7 @@ def coordinate_poly(terms, names=COORD_RING):
     polynomial c lifted into the ring ``names`` by the product."""
     out = ParamPoly.zero(math.inf, names)
     for exps, c in terms.items():
-        out = out + ParamPoly({(0,) * len(PARAMS) + exps: 1}, math.inf, names) * c
+        out = out + poly({(0,) * len(PARAMS) + exps: 1}, math.inf, names) * c
     return out
 
 
@@ -124,10 +124,10 @@ def test_homogeneous_part_and_truncate_match_sympy(args, k):
     part = p.homogeneous_part(k)
     assert same(part, graded(P, lambda d: d == k))
     assert in_lowest_terms(part)
-    cut = p.truncate(k)
-    assert cut.order == k
-    assert same(cut, graded(P, lambda d: d <= k))
-    assert in_lowest_terms(cut)
+    low = cut(p, k)
+    assert low.order == k
+    assert same(low, graded(P, lambda d: d <= k))
+    assert in_lowest_terms(low)
 
 
 @examples
@@ -248,7 +248,7 @@ def test_params_polynomial_times_a_coordinate_monomial_matches_sympy(p, names, e
     lifts every key of p past the coordinate fields."""
     width = len(names) - len(PARAMS)
     exps = tuple((exps * width)[:width])
-    x = ParamPoly({(0,) * len(PARAMS) + exps: c}, math.inf, names)
+    x = poly({(0,) * len(PARAMS) + exps: c}, math.inf, names)
     syms = PARAM_SYMS + sympy.symbols(names[len(PARAMS):])
     expected = sympy.Poly(sympy.expand(to_sympy(p) * c * sympy.Mul(
         *(s ** e for s, e in zip(syms[len(PARAMS):], exps)))), *syms)
@@ -268,7 +268,7 @@ def ring_operands(draw):
     order = draw(st.integers(0, 6)) if names is PARAMS else math.inf
     pool = (0, len(PARAMS) - 1) + tuple(range(len(PARAMS), len(names)))
     polys = st.dictionaries(exponents(len(names), pool, 3), rationals, max_size=5)
-    return (names, ParamPoly(draw(polys), order, names), ParamPoly(draw(polys), order, names))
+    return (names, poly(draw(polys), order, names), poly(draw(polys), order, names))
 
 
 @settings(examples, max_examples=60)
@@ -280,7 +280,7 @@ def test_storage_invariant_over_every_ring(args, coeff, value):
     last = names[-1]
     results = [p + q, p - q, p * q, -p, p * value, p ** 2,
                p.subs({last: value}), p.subs({last: q, "a1": value}),
-               p.at_one({last, "a1"}), p.truncate(3), p.homogeneous_part(2)]
+               p.at_one({last, "a1"}), cut(p, 3), p.homogeneous_part(2)]
     results += [p.partial(i) for i in range(len(names))]
     if names is not PARAMS:
         results += [p * coeff, coeff * p, p + coeff, coeff - p]
@@ -326,8 +326,8 @@ def short_operands(draw, order, names, monomials, general):
     (exps, coeff), = terms.items()
     partner = draw(st.one_of(st.sampled_from([coeff, -coeff]), nonzero_rationals))
     q = draw(st.one_of(short_terms(len(names), monomials).map(
-        lambda t: ParamPoly(t, order, names)), general))
-    return (ParamPoly(terms, order, names), ParamPoly({exps: partner}, order, names), q)
+        lambda t: poly(t, order, names)), general))
+    return (poly(terms, order, names), poly({exps: partner}, order, names), q)
 
 
 @st.composite
@@ -385,8 +385,8 @@ def test_finite_order_above_the_field_limit_raises():
     for build in (lambda: ParamPoly.symbol("a1", above),
                   lambda: ParamPoly.zero(above),
                   lambda: ParamPoly.const(2, above),
-                  lambda: ParamPoly({}, above),
-                  lambda: ParamPoly.symbol("a1", 4).truncate(above)):
+                  lambda: poly({}, above),
+                  lambda: cut(ParamPoly.symbol("a1", 4), above)):
         with pytest.raises(ValueError, match=f"above {MAX_ORDER}"):
             build()
     top = ParamPoly.symbol("a1", MAX_ORDER) ** MAX_ORDER
@@ -405,7 +405,7 @@ def test_untruncated_exponent_above_the_field_limit_raises():
     with pytest.raises(ValueError, match=f"above {MAX_ORDER}"):
         (am + 1) ** (MAX_ORDER + 1)
     with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):
-        ParamPoly({(MAX_ORDER + 1, 0, 0): 1}, math.inf, COORDS)
+        poly({(MAX_ORDER + 1, 0, 0): 1}, math.inf, COORDS)
     # a total degree above the limit is fine while each exponent fits
     wide = am ** 200 * ap ** 200 * m ** 200
     assert wide.terms == {(200, 200, 200): 1}
@@ -465,7 +465,7 @@ def lowest_at(order, degree):
         for t in tail:  # the lowest term is not first in insertion order
             terms.update(t)
         terms.update(head)
-        return ParamPoly(terms, order)
+        return poly(terms, order)
     return st.tuples(first, rest).map(build)
 
 
@@ -507,10 +507,10 @@ def test_outer_rows_past_the_limit_are_dropped_in_any_insertion_order():
     order = 6
     a1, a2, b2, b3 = (ParamPoly.symbol(n, order) for n in ("a1", "a2", "b2", "b3"))
     rest = (0,) * (len(PARAMS) - 6)
-    outer = ParamPoly({(0, 0, 0, 0, 0, 6) + rest: 2,
-                       (5, 0, 0, 0, 0, 0) + rest: Fraction(-1, 3),
-                       (0, 0, 0, 0, 0, 0) + rest: 7,
-                       (1, 0, 0, 0, 0, 0) + rest: Fraction(5, 2)}, order)
+    outer = poly({(0, 0, 0, 0, 0, 6) + rest: 2,
+                  (5, 0, 0, 0, 0, 0) + rest: Fraction(-1, 3),
+                  (0, 0, 0, 0, 0, 0) + rest: 7,
+                  (1, 0, 0, 0, 0, 0) + rest: Fraction(5, 2)}, order)
     assert list(outer._num) != sorted(outer._num)
     inner = a2 + a2 * b2 + b2 ** 3 * 4 + b3 ** 2 * a1 * Fraction(1, 7) + a2 ** 4
     assert len(inner._num) > len(outer._num)
@@ -539,7 +539,7 @@ def test_an_operand_reused_in_many_products(args):
 @given(st.dictionaries(exponents(len(PARAMS), POOL, 5), rationals, max_size=5),
        st.dictionaries(exponents(len(PARAMS), POOL, 5), rationals, max_size=5))
 def test_untruncated_products_match_the_pair_loop(left, right):
-    p, q = ParamPoly(left, math.inf), ParamPoly(right, math.inf)
+    p, q = poly(left, math.inf), poly(right, math.inf)
     check_product(p, q)
     expected = sympy.expand(to_sympy(p) * to_sympy(q))
     assert same(p * q, expected)
@@ -605,17 +605,19 @@ def naive_sum(p, q, sign):
 def check_fast_paths(operands, names, order):
     """Every pair of operands, one of them a polynomial over ``names``:
     ``*``, ``+`` and ``-`` against the naive loops over the ``terms`` views,
-    each result in canonical storage."""
+    each result in canonical storage.  A polynomial is subtracted from a
+    scalar as its negation added, since only a polynomial has ``-``."""
     polys = [x for x in operands if isinstance(x, ParamPoly) and x.names == names]
     for x in operands:
         for y in polys:
             for left, right in ((x, y), (y, x)):
                 lt, rt = terms_of(left, names), terms_of(right, names)
-                product = naive_product(ParamPoly(lt, order, names),
-                                        ParamPoly(rt, order, names))
+                product = naive_product(poly(lt, order, names),
+                                        poly(rt, order, names))
+                difference = left - right if isinstance(left, ParamPoly) else left + -right
                 for result, expected in ((left * right, product),
                                          (left + right, naive_sum(lt, rt, 1)),
-                                         (left - right, naive_sum(lt, rt, -1))):
+                                         (difference, naive_sum(lt, rt, -1))):
                     assert result.names is names and result.order == order
                     assert result.terms == expected
                     assert canonical(result)

@@ -14,7 +14,7 @@ from hweyl.poisson import (COORD_RING, COORD_RING2, COORDS, GroupCoords,
                            group_compose, jacobi_check, linear_bracket_table,
                            poisson_homomorphism_check)
 
-from engine_helpers import degree
+from engine_helpers import degree, poly, structure_coefficients
 from symbolic_cocommutators import constrained_symbolic
 
 #: A chart of the group, x1 = a-, x2 = a+, x3 = m + a- a+, and its ring.
@@ -28,7 +28,7 @@ def var(name, names=COORD_RING):
 
 def monomial(exps, coeff):
     """coeff * a_minus^e0 a_plus^e1 m^e2 over COORD_RING."""
-    return ParamPoly({(0,) * len(PARAMS) + tuple(exps): coeff}, math.inf, COORD_RING)
+    return poly({(0,) * len(PARAMS) + tuple(exps): coeff}, math.inf, COORD_RING)
 
 
 def sym(name):
@@ -349,13 +349,14 @@ def table_by_arithmetic(ps, names):
     """The generator table built by operator arithmetic on the coordinates."""
     gens = _coords(names)
     table = {}
+    a1, a2, a3, b1, b2, b3 = structure_coefficients(ps)
     for off in range(0, len(names) - len(PARAMS), 3):
         am, ap, m = gens[off:off + 3]
-        table[(off, off + 1)] = am * ps.a1 + ap * ps.b1
-        table[(off, off + 2)] = (am * ps.a2 + ap * ps.b2 + m * ps.b1
-                                 - am * am * (ps.a1 * Fraction(1, 2)))
-        table[(off + 1, off + 2)] = (am * ps.a3 + ap * ps.b3 - m * ps.a1
-                                     + ap * ap * (ps.b1 * Fraction(1, 2)))
+        table[(off, off + 1)] = am * a1 + ap * b1
+        table[(off, off + 2)] = (am * a2 + ap * b2 + m * b1
+                                 - am * am * (a1 * Fraction(1, 2)))
+        table[(off + 1, off + 2)] = (am * a3 + ap * b3 - m * a1
+                                     + ap * ap * (b1 * Fraction(1, 2)))
     return table
 
 
@@ -407,7 +408,7 @@ def test_jacobi_closed_form_is_the_cyclic_sum_on_random_rationals():
     for ps in random_structures(2718, 300):
         closed = jacobi_check(ps)
         assert same_terms(closed, cyclic_sum(ps))
-        delta = Cocommutator(ps.a1, ps.a2, ps.a3, ps.b1, ps.b2, ps.b3)
+        delta = Cocommutator(*structure_coefficients(ps))
         assert (not closed) == (not any(cojacobi_residuals(delta)))
         off_locus += bool(closed)
     assert 100 <= off_locus <= 200
@@ -512,30 +513,36 @@ def transported_structures(rng, count):
     return out
 
 
-def coefficients(ps):
-    return [ps.a1, ps.a2, ps.a3, ps.b1, ps.b2, ps.b3]
-
-
 def test_wide_structures_cover_each_kind():
     structures = wide_structures(7)
     for first in structures[:6]:
-        dens = [c.denominator for c in coefficients(first)]
+        dens = [c.denominator for c in structure_coefficients(first)]
         assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(dens, 2))
         assert math.lcm(*dens) > 2**64
-    assert sum(sum(bool(c) for c in coefficients(ps)) == 1 for ps in structures) == 18
-    assert sum(all(c < 0 for c in coefficients(ps)) for ps in structures) >= 6
+    assert sum(sum(bool(c) for c in structure_coefficients(ps)) == 1 for ps in structures) == 18
+    assert sum(all(c < 0 for c in structure_coefficients(ps)) for ps in structures) >= 6
     # the automorphisms bring in denominators past those of the representatives
     moved = structures[-12:]
-    assert any(max(c.denominator for c in coefficients(ps)) > 9 for ps in moved)
+    assert any(max(c.denominator for c in structure_coefficients(ps)) > 9 for ps in moved)
 
 
 def test_numerators_read_back_as_the_coefficients():
     """Six constant int numerators over the lcm, in lowest terms, for
     rational coefficients; the coefficients' own int numerators, over 1, for
-    the symbolic ones."""
+    the symbolic ones.  Either way they read back as the coefficients the
+    constructor was given."""
+    rng = random.Random(5)
+    for _ in range(12):
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(6)]
+        assert structure_coefficients(PoissonStructure(*vals)) == vals
+    terms = lambda c: dict(c.terms) if isinstance(c, ParamPoly) else c
+    for tag in (TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II):
+        vals = PoissonStructure._fields_of(BialgebraClass.symbolic(tag).normalized)
+        assert ([terms(c) for c in structure_coefficients(PoissonStructure(*vals))]
+                == [terms(c) for c in vals])
     for ps in wide_structures(11) + random_structures(5, 12):
         nums, den = ps.numerators()
-        vals = coefficients(ps)
+        vals = structure_coefficients(ps)
         assert all(k == 0 and type(c) is int and c for n in nums for k, c in n)
         assert den == math.lcm(*(c.denominator for c in vals))
         assert [Fraction(dict(n).get(0, 0), den) for n in nums] == vals
@@ -544,7 +551,7 @@ def test_numerators_read_back_as_the_coefficients():
         assert den == 1
         assert [dict(n) for n in nums] == [c._num if isinstance(c, ParamPoly)
                                            else ({0: int(c)} if c else {})
-                                           for c in coefficients(ps)]
+                                           for c in structure_coefficients(ps)]
 
 
 def test_wide_structures_table_matches_operator_arithmetic():
@@ -580,7 +587,7 @@ def test_wide_structures_jacobi_is_the_cyclic_sum():
     for ps in wide_structures(404):
         closed = jacobi_check(ps)
         assert same_terms(closed, cyclic_sum(ps))
-        delta = Cocommutator(*coefficients(ps))
+        delta = Cocommutator(*structure_coefficients(ps))
         assert (not closed) == (not any(cojacobi_residuals(delta)))
         on_locus += not closed
         off_locus += bool(closed)

@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hweyl.params import PARAMS, ParamPoly  # noqa: E402
 from hweyl.poisson import COORD_RING, COORDS  # noqa: E402
 
+from engine_helpers import poly  # noqa: E402
+
 PARAM_SYMS = sympy.symbols(PARAMS)
 COORD_SYMS = sympy.symbols(COORDS)
 
@@ -42,7 +44,7 @@ param_exps = exponents(len(PARAMS), (0, 1, 5, len(PARAMS) - 1), 3)
 
 def param_polys(order):
     return st.dictionaries(param_exps, rationals, max_size=5).map(
-        lambda terms: ParamPoly(terms, order))
+        lambda terms: poly(terms, order))
 
 
 @st.composite
@@ -65,7 +67,7 @@ def coordinate_poly(terms):
     parameter polynomial c lifted into COORD_RING by the product."""
     out = ParamPoly.zero(math.inf, COORD_RING)
     for exps, c in terms.items():
-        out = out + ParamPoly({(0,) * len(PARAMS) + exps: 1}, math.inf, COORD_RING) * c
+        out = out + poly({(0,) * len(PARAMS) + exps: 1}, math.inf, COORD_RING) * c
     return out
 
 

@@ -730,6 +730,15 @@ def test_quantize_refuses_params_beside_a_bialgebra_class():
     assert quantize(cls, order=K).param_display() == {"a1": "a1", "a3": "a3"}
 
 
+def test_quantize_refuses_symbolic_parameters_at_another_order():
+    # the series are built at the requested order; a class whose symbols are
+    # truncated at another one is refused, not cut to fit
+    for other in (K - 1, K + 2):
+        cls = BialgebraClass.symbolic(TYPE_I_PLUS, other)
+        with pytest.raises(ValueError, match="truncation order"):
+            quantize(cls, order=K)
+
+
 def test_hopf_from_json_rejects_parameters_the_family_lacks():
     doc = {"family": TYPE_I_PLUS, "order": 2,
            "parameters": {"a1": "1", "a3": "2", "zz": "5"}}

@@ -19,6 +19,7 @@ from hweyl.poisson import COORD_RING  # noqa: E402
 from hweyl.quantization import _signed_sum, quantize  # noqa: E402
 from hweyl.tensor import TensorElement  # noqa: E402
 
+from engine_helpers import poly  # noqa: E402
 from render_oracle import poly_str, spread_sum, sum_str  # noqa: E402
 
 examples = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -43,7 +44,7 @@ def exponents(width):
 def param_polys(order=K):
     """Polynomials over all 13 parameters; terms above ``order`` are dropped."""
     return st.dictionaries(exponents(len(PARAMS)), rationals, max_size=6).map(
-        lambda terms: ParamPoly(terms, order))
+        lambda terms: poly(terms, order))
 
 
 words = st.lists(st.sampled_from(GENERATORS), max_size=4).map(tuple)
@@ -63,7 +64,7 @@ def coordinate_poly(terms):
     parameter polynomial c lifted into COORD_RING by the product."""
     out = ParamPoly.zero(math.inf, COORD_RING)
     for exps, c in terms.items():
-        out = out + ParamPoly({(0,) * len(PARAMS) + exps: 1}, math.inf, COORD_RING) * c
+        out = out + poly({(0,) * len(PARAMS) + exps: 1}, math.inf, COORD_RING) * c
     return out
 
 

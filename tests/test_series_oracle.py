@@ -21,6 +21,8 @@ from hweyl.freealg import (GEN_M, GENERATORS, FreeElement,  # noqa: E402
 from hweyl.bialgebra import TYPE_II, BialgebraClass, Cocommutator  # noqa: E402
 from hweyl.quantization import _Series, exprel_series  # noqa: E402
 
+from engine_helpers import poly  # noqa: E402
+
 PARAM_SYMS = sympy.symbols(PARAMS)
 G = sympy.Symbol("g")
 X = sympy.Symbol("x")
@@ -42,7 +44,7 @@ def graded_polys(draw, order):
         for _ in range(draw(st.integers(1, 2))):
             exps[draw(st.sampled_from(_POOL))] += 1
         terms[tuple(exps)] = draw(rationals)
-    return ParamPoly(terms, order)
+    return poly(terms, order)
 
 
 @st.composite

@@ -93,15 +93,16 @@ def planted(tag, order, axiom):
 
 
 #: The axioms each planted fault fails: a changed rule is read by the
-#: antipode check's normal-ordering too, and the changed Delta(A-) by the
-#: homomorphism and antipode checks too.
+#: antipode check's normal-ordering too, the changed Delta(A-) by the
+#: homomorphism and antipode checks too, and the changed eps(M) by the
+#: antipode check, whose sides must equal eps(M)1.
 FAILS = {
     (TYPE_I_PLUS, "homomorphism"): {"homomorphism"},
     (TYPE_II, "homomorphism"): {"homomorphism", "antipode"},
     (TYPE_I_PLUS, "coassociativity"): {"homomorphism", "coassociativity", "antipode"},
     (TYPE_II, "coassociativity"): {"homomorphism", "coassociativity", "antipode"},
-    (TYPE_I_PLUS, "counit"): {"counit"},
-    (TYPE_II, "counit"): {"counit"},
+    (TYPE_I_PLUS, "counit"): {"counit", "antipode"},
+    (TYPE_II, "counit"): {"counit", "antipode"},
     (TYPE_I_PLUS, "antipode"): {"antipode"},
     (TYPE_II, "antipode"): {"antipode"},
 }
