@@ -14,9 +14,8 @@ from .tensor import TensorElement, flip, outer, tensor_mul
 from .bialgebra import (BASIS, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                         TYPE_II, BRACKET, SWAP_AUTOMORPHISM, BialgebraClass,
                         Cocommutator, RMatrix, apply_automorphism,
-                        classify, coboundary_delta, cojacobi_residuals,
-                        dual_bracket_table, find_rmatrix, mcybe_check,
-                        rmatrix_gauge, schouten)
+                        classify, coboundary_delta, dual_bracket_table,
+                        find_rmatrix, mcybe_check, rmatrix_gauge, schouten)
 from .quantization import (HopfPresentation, VerificationError, WordMap,
                            build_antipode, build_coproduct, central_element,
                            check_realization, closed_forms, family_rewrite,

@@ -238,17 +238,6 @@ def dual_bracket_table(delta):
     return table
 
 
-def cojacobi_residuals(delta):
-    """The two Jacobi residuals of the dual bracket (components on a-, a+).
-
-    For all nine coefficients these are a1*b3 + a2*c3 - a3*b1 - a3*c2 and
-    a2*b1 - a1*b2 + b2*c3 - b3*c2.  With the cocycle constraints imposed they
-    are a1*(b3-a2) - 2*b1*a3 and b1*(a2-b3) - 2*a1*b2, and the component on m
-    vanishes identically.
-    """
-    return list(_cojacobi_forms(*(getattr(delta, n) for n in _COEFF_NAMES)))
-
-
 # -- automorphisms ------------------------------------------------------------
 
 def _mat(rows):

@@ -321,10 +321,8 @@ def run_poisson(args):
 
 
 def run_realize(args):
-    top = qu.realization_degree_limit(args.order)
-    if args.degree > top:
-        _err(f"--degree must be at most {top} at --order {args.order}" if top >= 0
-             else f"realize needs --order at most {(MAX_ORDER + 1) // 2}")
+    if args.order > (MAX_ORDER + 1) // 2:
+        _err(f"realize needs --order at most {(MAX_ORDER + 1) // 2}")
         return EXIT_PARSE
     report = qu.check_realization(bi.TYPE_I_PLUS, max_degree=args.degree,
                                   order=args.order)
@@ -406,10 +404,14 @@ def build_parser():
     p.set_defaults(handler=run_poisson)
 
     p = sub.add_parser("realize", help="differential realization of the I+ family")
-    common(p)
+    common(p, order_help=f"series truncation order K, 1 to {(MAX_ORDER + 1) // 2} "
+                         "(default %(default)s): the composed operators reach "
+                         "x^(2K-1), within the packed-key field limit")
     p.add_argument("--degree", type=int, default=6,
-                   help=f"maximal monomial degree checked, at most {MAX_ORDER + 1} "
-                        "- 2*K at --order K (default %(default)s)")
+                   help="maximal monomial degree D checked, any D >= 0 at the "
+                        "same cost: a residual acts as 0 on x^0..x^D exactly "
+                        "when its operator has no term (d/dx)^k with k <= D "
+                        "(default %(default)s)")
     p.set_defaults(handler=run_realize)
     return parser
 

@@ -49,57 +49,48 @@ class VerificationError(RuntimeError):
     the central element failed to verify."""
 
 
-def _family_values(cls, order):
-    """Deformation parameter values as degree-1 ParamPoly, keyed by name.
+class _Series(Record):
+    """One reading of a family at one order.  ``_FIELDS`` are bialgebra_class
+    and order.  Building a series checks the shape of the class and reads,
+    once, its graded parameter ``values``, the graded ``cocommutator`` and
+    Theta (``theta``): Theta[i][j] is the coefficient of p ^ v_j in
+    delta(v_i).  theta = p * Theta (``matrix``), E = exp(-theta)
+    (``exp_neg``) and F = exp(theta) (``exp_pos``) are computed at most once
+    and only when asked for: E is the one exponential series, and F is read
+    off E (module docstring).  ``quantize`` builds one, every builder of a
+    presentation reads it, and the presentation keeps it.
 
     A rational parameter q becomes q*t, so every rational value shares the
     one grading variable t and the series stays graded; symbolic parameters
-    are used as given.  These values are a presentation's only copy of its
-    parameters (``HopfPresentation``).
+    are used as given.  The normalized cocommutator must vanish on p and send
+    each v_i into v ^ p.
     """
-    values = {}
-    for name, val in cls.family_params().items():
-        if isinstance(val, ParamPoly):
-            values[name] = val
-        else:
-            values[name] = ParamPoly.symbol("t", order) * val
-    return values
 
+    _FIELDS = ("bialgebra_class", "order")
+    __slots__ = _FIELDS + ("__dict__",)
 
-def _theta(cls, order):
-    """(p, v, Theta, values): Theta[i][j] is the coefficient of p ^ v_j in
-    delta(v_i), read off the family's graded parameter ``values``.
-
-    The normalized cocommutator must vanish on p and send each v_i into v ^ p.
-    """
-    if cls.tag not in FAMILIES:
-        raise ValueError(f"{cls.tag} has no matrix form")
-    _, prim, vector = FAMILIES[cls.tag]
-    p = _IDX[prim]
-    if cls.normalized.wedge_row(p):
-        raise ValueError(f"{cls.tag}: delta({prim}) must vanish")
-    for v in vector:
-        if any(p not in pair for pair in cls.normalized.wedge_row(_IDX[v])):
-            raise ValueError(f"{cls.tag}: delta({v}) contains a wedge without {prim}")
-    values = _family_values(cls, order)
-    graded = Cocommutator(**values)
-    rows = [graded.full_row(_IDX[v]) for v in vector]
-    zero = ParamPoly.zero(order)
-    return (prim, vector, [[row.get((p, _IDX[v]), zero) for v in vector] for row in rows],
-            values)
-
-
-class _Series:
-    """Theta, theta = p * Theta, E = exp(-theta) and F = exp(theta) of one
-    family at one order, each computed at most once and only when asked for.
-    Theta is read once, E is the one exponential series, and F is read off E
-    (module docstring).  ``quantize`` builds one, hands it to
-    ``family_rewrite``, ``build_coproduct`` and ``build_antipode``, and keeps
-    its graded parameter values; called alone, each of those builds its own."""
-
-    def __init__(self, cls, order):
-        self.order = order
-        self.prim, self.vector, self.theta, self.values = _theta(cls, order)
+    def __init__(self, bialgebra_class, order):
+        self._store(bialgebra_class, order)
+        tag, delta = bialgebra_class.tag, bialgebra_class.normalized
+        if tag not in FAMILIES:
+            raise ValueError(f"{tag} has no matrix form")
+        _, prim, vector = FAMILIES[tag]
+        p = _IDX[prim]
+        if delta.wedge_row(p):
+            raise ValueError(f"{tag}: delta({prim}) must vanish")
+        for v in vector:
+            if any(p not in pair for pair in delta.wedge_row(_IDX[v])):
+                raise ValueError(f"{tag}: delta({v}) contains a wedge without {prim}")
+        values = {name: val if isinstance(val, ParamPoly) else ParamPoly.symbol("t", order) * val
+                  for name, val in bialgebra_class.family_params().items()}
+        graded = Cocommutator(**values)
+        rows = [graded.full_row(_IDX[v]) for v in vector]
+        zero = ParamPoly.zero(order)
+        # the computed fields live in the instance dict, beside the caches
+        # of the properties below; copy and pickle start it afresh
+        self.__dict__.update(prim=prim, vector=vector, values=values, cocommutator=graded,
+                             theta=[[row.get((p, _IDX[v]), zero) for v in vector]
+                                    for row in rows])
 
     @functools.cached_property
     def matrix(self):
@@ -117,11 +108,10 @@ class _Series:
                                     e.order) for e in row] for row in self.exp_neg]
 
 
-def build_coproduct(cls, order=DEFAULT_ORDER, *, _series=None):
+def build_coproduct(series):
     """Deformed coproduct: primitive on the primitive generator, and
     1 (x) v + sigma(exp(-theta) (x) v) on the non-primitive vector."""
-    series = _series or _Series(cls, order)
-    prim, vector, exp_neg = series.prim, series.vector, series.exp_neg
+    order, prim, vector, exp_neg = series.order, series.prim, series.vector, series.exp_neg
     one = FreeElement.one(order)
     x = FreeElement.generator(prim, order)
     cop = {prim: outer(one, x) + outer(x, one)}
@@ -134,7 +124,7 @@ def build_coproduct(cls, order=DEFAULT_ORDER, *, _series=None):
     return cop
 
 
-def build_antipode(cls, rewrite, *, _series=None):
+def build_antipode(series, rewrite):
     """Antipode of the deformed coproduct: -prim on the primitive generator,
     and gamma(v_j) = -sum_k v_k exp(theta)[j][k] on the non-primitive vector.
 
@@ -145,9 +135,7 @@ def build_antipode(cls, rewrite, *, _series=None):
     series E: every entry of theta is a multiple of the one letter p, so
     (-C)^n/n! = (-1)^n C^n/n! term by term, exactly.
     """
-    order = rewrite.order
-    series = _series or _Series(cls, order)
-    prim, vector, exp_pos = series.prim, series.vector, series.exp_pos
+    order, prim, vector, exp_pos = series.order, series.prim, series.vector, series.exp_pos
     gamma = {prim: -FreeElement.generator(prim, order)}
     for j, vj in enumerate(vector):
         acc = FreeElement.zero(order)
@@ -164,15 +152,14 @@ def exprel_series(scale, order):
                         for n, t in enumerate(_exp_terms([[scale]]), 1)}, order)
 
 
-def family_rewrite(cls, order=DEFAULT_ORDER, *, _series=None):
+def family_rewrite(series):
     """The family's deformed commutation rules as a rewrite system.
 
     One undeformed rule changes, and Theta gives the change.  For the central
     primitive M, [A-,A+] = (exp(s M) - 1)/s with s = -tr Theta.  For a ladder
     primitive p with [v_0, p] = eps M, [v_0, M] = -(eps Theta_00 / 2) M^2.
     """
-    series = _series or _Series(cls, order)
-    prim, vector, theta = series.prim, series.vector, series.theta
+    order, prim, vector, theta = series.order, series.prim, series.vector, series.theta
     rules = dict(RewriteSystem.undeformed(order).rules)
     if prim == GEN_M:
         s = -(theta[0][0] + theta[1][1])
@@ -183,7 +170,7 @@ def family_rewrite(cls, order=DEFAULT_ORDER, *, _series=None):
         eps = BRACKET[(_IDX[v], _IDX[prim])][_IDX[GEN_M]]
         rules[(v, GEN_M)] = rules[(v, GEN_M)] + FreeElement.from_word(
             (GEN_M, GEN_M), order, coeff=theta[0][0] * (-eps / 2))
-    return RewriteSystem(cls.tag.lower(), rules, order)
+    return RewriteSystem(series.bialgebra_class.tag.lower(), rules, order)
 
 
 # -- maps given on generators ------------------------------------------------------
@@ -291,14 +278,15 @@ class _Counit(WordMap):
 
 class HopfPresentation(Record):
     """A quantized family: rewrite rules, coproduct, counit and antipode.
-    ``_FIELDS`` are order, values, rewrite, coproduct, counit, antipode and
-    bialgebra_class; ``family`` is the tag of ``bialgebra_class``.
+    ``_FIELDS`` are series, rewrite, coproduct, counit and antipode; order,
+    values and bialgebra_class are read off the series (``_Series``), and
+    ``family`` is the tag of ``bialgebra_class``.
 
     Deformation parameters are carried as degree-1 ParamPoly values so the
     series grading stays intact: a rational choice q of a parameter is the
-    value q*t, t the one grading variable (``_family_values``), and a
-    symbolic parameter is its own series.  ``values`` is the only copy of the
-    parameters: setting t to 1 in it gives each rational q back.
+    value q*t, t the one grading variable, and a symbolic parameter is its
+    own series.  The series' ``values`` are the only graded copy of the
+    parameters: setting t to 1 in them gives each rational q back.
     ``is_concrete``, read off ``values`` once, says that every parameter is
     rational; then rendering sets t to 1.
 
@@ -314,21 +302,31 @@ class HopfPresentation(Record):
     three afresh.
     """
 
-    _FIELDS = ("order", "values", "rewrite", "coproduct", "counit", "antipode",
-               "bialgebra_class")
+    _FIELDS = ("series", "rewrite", "coproduct", "counit", "antipode")
     __slots__ = _FIELDS + ("is_concrete", "coproduct_map", "antipode_map", "_texts")
 
-    def __init__(self, order, values, rewrite, coproduct, counit, antipode,
-                 bialgebra_class):
-        self._store(order, values, rewrite, coproduct, counit, antipode, bialgebra_class)
-        object.__setattr__(self, "is_concrete", bool(values) and all(
-            val.at_one(("t",)).is_constant() for val in values.values()))
-        one = FreeElement.one(order)
+    def __init__(self, series, rewrite, coproduct, counit, antipode):
+        self._store(series, rewrite, coproduct, counit, antipode)
+        object.__setattr__(self, "is_concrete", bool(series.values) and all(
+            val.at_one(("t",)).is_constant() for val in series.values.values()))
+        one = FreeElement.one(series.order)
         object.__setattr__(self, "coproduct_map", WordMap(
             coproduct, lambda u, v: tensor_mul(u, v, rewrite), outer(one, one)))
         object.__setattr__(self, "antipode_map", WordMap(
             antipode, _normal_product(rewrite), one, anti=True))
         object.__setattr__(self, "_texts", {})
+
+    @property
+    def order(self):
+        return self.series.order
+
+    @property
+    def values(self):
+        return self.series.values
+
+    @property
+    def bialgebra_class(self):
+        return self.series.bialgebra_class
 
     @property
     def family(self):
@@ -423,17 +421,14 @@ def quantize(family, order=DEFAULT_ORDER, params=None, verify=True):
     if cls.tag not in FAMILIES:
         raise ValueError(f"cannot quantize class {cls.tag}")
     series = _Series(cls, order)
-    rewrite = family_rewrite(cls, order, _series=series)
+    rewrite = family_rewrite(series)
     bad = rewrite.check_confluence()
     if bad:
         raise VerificationError(f"rewrite rules are not confluent on {bad}")
-    coproduct = build_coproduct(cls, order, _series=series)
-    antipode = build_antipode(cls, rewrite, _series=series)
-    counit = {name: ParamPoly.zero(order) for name in GENERATORS}
     hp = HopfPresentation(
-        order=order, values=series.values,
-        rewrite=rewrite, coproduct=coproduct, counit=counit,
-        antipode=antipode, bialgebra_class=cls)
+        series=series, rewrite=rewrite, coproduct=build_coproduct(series),
+        counit={name: ParamPoly.zero(order) for name in GENERATORS},
+        antipode=build_antipode(series, rewrite))
     if verify:
         failed = [name for name, ok in verify_all(hp).items() if not ok]
         if failed:
@@ -509,7 +504,7 @@ def first_order_cocommutator(hp) -> dict:
 def first_order_residuals(hp) -> dict:
     """Difference between the coproduct's first-order asymmetry and the
     cocommutator the family was built from."""
-    delta = Cocommutator(**hp.values)
+    delta = hp.series.cocommutator
     got = first_order_cocommutator(hp)
     return {name: got[name] - delta.as_tensor(name, hp.order) for name in GENERATORS}
 
@@ -589,23 +584,13 @@ def _compose(left, right):
     return _Operator._clean(out, left.order)
 
 
-def _apply_operator(op, powers, n):
-    """The operator ``op`` applied to x^n = ``powers[n]``: the sum of
-    c_k n!/(n-k)! x^(n-k) over k <= n."""
-    out = ParamPoly.zero(math.inf, _X)
-    for k, c in op.terms.items():
-        if k <= n:
-            out = out + c * (powers[n - k] * math.perm(n, k))
-    return out
-
-
-def _realization_residuals(cls, order, *, _series=None) -> dict:
-    """The four relations of the realization of the I+ class ``cls``, as
-    elements that must act as 0: for each rule of the engine
+def _realization_residuals(series) -> dict:
+    """The four relations of the realization of the I+ family read by
+    ``series``, as elements that must act as 0: for each rule of the engine
     (``family_rewrite``) the word g*h less its rewrite, g*h - h*g - [g, h],
     and C - lambda for the central element of ``_central``."""
-    series = _series or _Series(cls, order)
-    rules = family_rewrite(cls, order, _series=series).rules
+    order = series.order
+    rules = family_rewrite(series).rules
     words = {"[A-,A+] = M": (GEN_AM, GEN_AP), "[A-,M] = (a1/2)*M^2": (GEN_AM, GEN_M),
              "[A+,M] = 0": (GEN_AP, GEN_M)}
     out = {label: FreeElement.from_word(w, order) - rules[w] for label, w in words.items()}
@@ -613,33 +598,31 @@ def _realization_residuals(cls, order, *, _series=None) -> dict:
     return out
 
 
-def realization_degree_limit(order):
-    """The largest ``max_degree`` of ``check_realization`` at ``order``."""
-    return MAX_ORDER + 1 - 2 * order
-
-
 def check_realization(cls, max_degree=6, order=4) -> dict:
     """Check the single-variable differential realization of the I+ family.
 
-    Applies [A-,A+] - M, [A-,M] - (a1/2) M^2, [A+,M], and C - lambda to every
-    monomial x^n, n <= max_degree; reports True where all residuals vanish.
-    A negative ``max_degree`` would check nothing, so it raises ValueError.
+    Reports, for [A-,A+] - M, [A-,M] - (a1/2) M^2, [A+,M], and C - lambda,
+    whether it acts as 0 on every monomial x^n, n <= max_degree.  A negative
+    ``max_degree`` would check nothing, so it raises ValueError.
 
-    Each residual is first made one operator, the sum of c_k (d/dx)^k:
-    every word is composed by the Leibniz rule, and words share the
-    operators of their prefixes.  The operator is then applied to each x^n.
-    This gives the same polynomials as applying the words letter by letter.
-    The ring of x and the parameters is not truncated, so ``_cut`` drops
-    the terms above parameter degree K from each composed coefficient.
+    Each residual is made one operator, the sum of c_k (d/dx)^k: every word
+    is composed by the Leibniz rule, and words share the operators of their
+    prefixes.  This is the operator that applying the word letter by letter
+    gives.  The ring of x and the parameters is not truncated, so ``_cut``
+    drops the terms above parameter degree K from each composed coefficient.
     That cut maps the parameter polynomials onto their quotient ring, so it
     respects every sum and product, and it commutes with d/dx, which acts on
     x alone.  x itself is never cut.  So it does not matter whether the cut
     falls after each letter or after each composed word.
 
-    The products of the letter-by-letter application raise x^n by up to
-    2K - 1 (the word M A+^K of C), so ``max_degree`` above
-    ``realization_degree_limit(K)`` raises the packed-key field-limit
-    ``ValueError``.
+    The verdict is read off the orders k of the operator.  It sends x^n to
+    the sum of c_k n!/(n-k)! x^(n-k) over k <= n, a triangular system: if
+    c_0 .. c_(n-1) vanish, the image of x^n is n! c_n.  So the operator
+    kills x^0 .. x^D exactly when c_0 .. c_D all vanish, and a residual
+    passes when its operator has no term of order at most ``max_degree``.
+    Any ``max_degree`` costs the same.  The composition raises the packed-key
+    field-limit ``ValueError`` above K = 128, where the word M A+^K of C
+    reaches x^(2K-1).
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -647,19 +630,10 @@ def check_realization(cls, max_degree=6, order=4) -> dict:
         cls = BialgebraClass.symbolic(cls, order)
     if cls.tag != TYPE_I_PLUS:
         raise ValueError("the differential realization is defined for the I+ family")
-    if max_degree > realization_degree_limit(order):
-        raise ValueError(f"exponent above {MAX_ORDER}, the packed-key field limit")
     series = _Series(cls, order)
     rho = _realization(series.values["a1"], order)
-    powers = [ParamPoly.one(math.inf, _X)]
-    for _ in range(max_degree):
-        powers.append(powers[-1] * _X_POLY)
-    report = {}
-    for label, res in _realization_residuals(cls, order, _series=series).items():
-        op = rho.extend(res)
-        report[label] = not any(_apply_operator(op, powers, n)
-                                for n in range(max_degree + 1))
-    return report
+    return {label: all(k > max_degree for k in rho.extend(res).terms)
+            for label, res in _realization_residuals(series).items()}
 
 
 # -- swap transport I+ <-> I- ---------------------------------------------------------
@@ -672,8 +646,12 @@ def swap_transport(hp) -> HopfPresentation:
         raise ValueError("swap transport applies to the I+ / I- families")
     order = hp.order
     target_tag = TYPE_I_MINUS if hp.family == TYPE_I_PLUS else TYPE_I_PLUS
+    # the target class holds the source class's own parameters, negated, in
+    # the form quantize gives a class: rationals as rationals
+    source = hp.bialgebra_class.family_params()
     renames = zip(FAMILIES[hp.family][0], FAMILIES[target_tag][0])
-    new_values = {new: -hp.values[old] for old, new in renames}
+    cls = BialgebraClass(target_tag, normalized=Cocommutator(
+        **{new: -source[old] for old, new in renames}))
 
     # s on the generators, read off the columns of SWAP_AUTOMORPHISM
     letters = {g: FreeElement({(h,): ParamPoly.const(row[j], order)
@@ -693,11 +671,9 @@ def swap_transport(hp) -> HopfPresentation:
     coproduct = {g: swap.extend(hp.coproduct_map.extend(x)) for g, x in letters.items()}
     antipode = {g: swap.extend(hp.antipode_map.extend(x)) for g, x in letters.items()}
 
-    cls = BialgebraClass(target_tag, normalized=Cocommutator(**new_values))
     return HopfPresentation(
-        order=order, values=new_values, rewrite=rewrite,
-        coproduct=coproduct, counit={n: ParamPoly.zero(order) for n in GENERATORS},
-        antipode=antipode, bialgebra_class=cls)
+        series=_Series(cls, order), rewrite=rewrite, coproduct=coproduct,
+        counit={n: ParamPoly.zero(order) for n in GENERATORS}, antipode=antipode)
 
 
 # -- closed-form display ----------------------------------------------------------------
@@ -726,8 +702,8 @@ def closed_forms(hp) -> dict:
     primitive M, is shown as (exp(s*M) - 1)/s with s = -tr Theta.  Scalars
     are the engine's own text after the substitution of ``_render``.
     """
-    prim, (v0, v1), theta, _ = _theta(hp.bialgebra_class, hp.order)
-    theta = [[hp._display(t) for t in row] for row in theta]
+    prim, (v0, v1) = hp.series.prim, hp.series.vector
+    theta = [[hp._display(t) for t in row] for row in hp.series.theta]
     (t00, t01), (t10, t11) = theta
     p = FreeElement.generator(prim, hp.order)
     one = ParamPoly.one(hp.order)

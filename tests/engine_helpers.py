@@ -2,7 +2,9 @@
 ``src/hweyl`` because no command and no benchmark workload calls them.
 
 - The cocycle residuals as rank-2 tensors, put together from the three
-  linear forms that ``classify`` evaluates (``bialgebra._cocycle_forms``).
+  linear forms that ``classify`` evaluates (``bialgebra._cocycle_forms``),
+  and the two co-Jacobi residuals, its two quadrics
+  (``bialgebra._cojacobi_forms``).
 - The full wedge of three elements, the shape of a Schouten bracket.
 - A series element cut to a lower truncation order or with values
   substituted into its coefficients, and the total degree of a polynomial
@@ -15,8 +17,8 @@
 import math
 from fractions import Fraction
 
-from hweyl.bialgebra import (_COEFF_NAMES, _PERM_SIGN, _cocycle_forms, _order_of, _skew,
-                             _to_tensor)
+from hweyl.bialgebra import (_COEFF_NAMES, _PERM_SIGN, _cocycle_forms, _cojacobi_forms,
+                             _order_of, _skew, _to_tensor)
 from hweyl.params import (_BITS, PARAMS, _build, _check_order, _pack, as_fraction)
 from hweyl.tensor import TensorElement, outer
 
@@ -40,6 +42,17 @@ def cocycle_residuals(delta, order=None):
     DEFAULT_ORDER."""
     order = order or _order_of(*(getattr(delta, n) for n in _COEFF_NAMES))
     return [_to_tensor(raw, 2, order) for raw in cocycle_raw(delta)]
+
+
+def cojacobi_residuals(delta):
+    """The two Jacobi residuals of the dual bracket (components on a-, a+).
+
+    For all nine coefficients these are a1*b3 + a2*c3 - a3*b1 - a3*c2 and
+    a2*b1 - a1*b2 + b2*c3 - b3*c2.  With the cocycle constraints imposed they
+    are a1*(b3-a2) - 2*b1*a3 and b1*(a2-b3) - 2*a1*b2, and the component on m
+    vanishes identically.
+    """
+    return list(_cojacobi_forms(*(getattr(delta, n) for n in _COEFF_NAMES)))
 
 
 def wedge3(x, y, z):

@@ -1,5 +1,7 @@
-"""The differential realization of I+ applied letter by letter: a test oracle
-for the composed operators of ``check_realization``.
+"""The differential realization of I+ applied letter by letter, and a composed
+operator applied to one monomial: test oracles for ``check_realization``,
+which composes each residual into one operator and reads its verdict off the
+operator's orders.
 
 A+ = x, A- = s d/dx and M = s, with s = lambda e^{a1 x/2} cut at parameter
 degree K, act on a polynomial in x and the parameters one letter at a time,
@@ -41,6 +43,16 @@ def realization_ops(a1, order):
     x = len(_X) - 1
     return {GEN_AP: lambda p: p * X_POLY, GEN_AM: lambda p: p.partial(x) * s,
             GEN_M: lambda p: p * s}
+
+
+def apply_operator(op, n):
+    """The operator ``op``, the sum of c_k (d/dx)^k keyed by k, applied to
+    x^n: the sum of c_k n!/(n-k)! x^(n-k) over k <= n."""
+    out = ParamPoly.zero(math.inf, _X)
+    for k, c in op.terms.items():
+        if k <= n:
+            out = out + c * (X_POLY ** (n - k) * math.perm(n, k))
+    return out
 
 
 def apply_element(ops, elem: FreeElement, p):

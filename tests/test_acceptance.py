@@ -16,8 +16,8 @@ from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            nc_mul, normal_form)
 from hweyl.bialgebra import (INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              TYPE_II, BialgebraClass, Cocommutator, RMatrix,
-                             classify, coboundary_delta, cojacobi_residuals,
-                             dual_bracket_table, mcybe_check, schouten)
+                             classify, coboundary_delta, dual_bracket_table,
+                             mcybe_check, schouten)
 from hweyl.poisson import (COORD_RING, GroupCoords, PoissonStructure,
                            group_compose, jacobi_check, linear_bracket_table,
                            poisson_homomorphism_check)
@@ -26,7 +26,7 @@ from hweyl.quantization import (_Series, central_element, check_realization,
                                 swap_transport, verify_antipode, verify_coassoc,
                                 verify_counit, verify_homomorphism)
 
-from engine_helpers import cocycle_residuals, wedge3
+from engine_helpers import cocycle_residuals, cojacobi_residuals, wedge3
 from symbolic_cocommutators import constrained_symbolic, generic_symbolic
 
 

@@ -12,10 +12,10 @@ from hweyl.bialgebra import (BASIS, BRACKET, INVALID, TRIVIAL, TYPE_I_MINUS,
                              TYPE_I_PLUS, TYPE_II, SWAP_AUTOMORPHISM, WEDGE_PAIRS,
                              _COEFF_NAMES, Cocommutator, RMatrix, _skew,
                              apply_automorphism, check_automorphism, classify,
-                             coboundary_delta, cojacobi_residuals, dual_bracket_table,
-                             find_rmatrix, mcybe_check, rmatrix_gauge, schouten)
+                             coboundary_delta, dual_bracket_table, find_rmatrix,
+                             mcybe_check, rmatrix_gauge, schouten)
 
-from engine_helpers import cocycle_raw, cocycle_residuals, wedge3
+from engine_helpers import cocycle_raw, cocycle_residuals, cojacobi_residuals, wedge3
 from symbolic_cocommutators import constrained_symbolic, generic_symbolic
 
 K = 4

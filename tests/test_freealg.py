@@ -11,7 +11,7 @@ from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
                            nc_mul, normal_form)
 from hweyl.bialgebra import (BialgebraClass, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              TYPE_II)
-from hweyl.quantization import family_rewrite
+from hweyl.quantization import _Series, family_rewrite
 
 from engine_helpers import truncated
 from rewrite_oracle import rightmost_normal_form
@@ -65,7 +65,7 @@ def test_normal_form_undeformed():
 
 
 def test_normal_form_type_i_plus_am_m():
-    rs = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, K), K)
+    rs = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, K), K))
     x = nc_mul(gen(GEN_AM), gen(GEN_M))
     expected = FreeElement.from_word((GEN_M, GEN_AM), K) \
         + FreeElement.from_word((GEN_M, GEN_M), K, coeff=sym("a1") * Fraction(1, 2))
@@ -73,7 +73,7 @@ def test_normal_form_type_i_plus_am_m():
 
 
 def test_normal_form_type_ii_m_central():
-    rs = family_rewrite(BialgebraClass.symbolic(TYPE_II, K), K)
+    rs = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_II, K), K))
     x = nc_mul(gen(GEN_AP), gen(GEN_M))
     assert normal_form(x, rs) == FreeElement.from_word((GEN_M, GEN_AP), K)
 
@@ -95,7 +95,7 @@ def test_commutator_undeformed():
 
 
 def test_commutator_type_i_plus():
-    rs = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, K), K)
+    rs = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, K), K))
     c = commutator(gen(GEN_AM), gen(GEN_M), rs)
     assert c == FreeElement.from_word((GEN_M, GEN_M), K,
                                       coeff=sym("a1") * Fraction(1, 2))
@@ -223,7 +223,7 @@ def test_confluence_all_families(tag):
     if tag is None:
         rs = RewriteSystem.undeformed(4)
     else:
-        rs = family_rewrite(BialgebraClass.symbolic(tag, 4), 4)
+        rs = family_rewrite(_Series(BialgebraClass.symbolic(tag, 4), 4))
     assert rs.check_confluence() == []
 
 
@@ -263,11 +263,11 @@ def _confluence_systems():
     order = 4
     a1, a3 = sym("a1", order), sym("a3", order)
     flat = RewriteSystem.undeformed(order)
-    plus = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, order), order)
+    plus = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, order), order))
     one = ParamPoly.one(K)
     yield "undeformed", flat
     for tag in (TRIVIAL, TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II):
-        yield tag, family_rewrite(BialgebraClass.symbolic(tag, order), order)
+        yield tag, family_rewrite(_Series(BialgebraClass.symbolic(tag, order), order))
     yield "jacobi-breaking", RewriteSystem("jacobi-breaking", {
         (GEN_AP, GEN_M): FreeElement({(GEN_M, GEN_AP): one, (GEN_AP,): one}, K),
         (GEN_AM, GEN_M): FreeElement({(GEN_M, GEN_AM): one}, K),
@@ -311,8 +311,8 @@ def test_rule_terms_must_lower_the_rank(pair, word):
 
 def _deep_words():
     order = 3
-    plus = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, order), order)
-    two = family_rewrite(BialgebraClass.symbolic(TYPE_II, order), order)
+    plus = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, order), order))
+    two = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_II, order), order))
     m, ap, am = (GEN_M,), (GEN_AP,), (GEN_AM,)
     yield plus, ap * 2000 + m
     yield plus, am + m * 300
@@ -336,7 +336,7 @@ def test_associativity_short_words(tag):
     if tag is None:
         rs = RewriteSystem.undeformed(order)
     else:
-        rs = family_rewrite(BialgebraClass.symbolic(tag, order), order)
+        rs = family_rewrite(_Series(BialgebraClass.symbolic(tag, order), order))
     words = [()] + [(g,) for g in GENERATORS] \
         + [(g, h) for g in GENERATORS for h in GENERATORS]
     rng = random.Random(7)
@@ -352,7 +352,7 @@ def test_associativity_short_words(tag):
 
 def test_associativity_length_four_words():
     order = 4
-    rs = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, order), order)
+    rs = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, order), order))
     rng = random.Random(11)
     for _ in range(60):
         w = tuple(rng.choice(GENERATORS) for _ in range(4))
@@ -381,8 +381,8 @@ def _random_element(rng, order, max_len=3):
 
 def test_truncation_consistency_mul_and_normal_form():
     rng = random.Random(99)
-    rs6 = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, 6), 6)
-    rs3 = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, 3), 3)
+    rs6 = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, 6), 6))
+    rs3 = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, 3), 3))
     for _ in range(25):
         x6, y6 = _random_element(rng, 6), _random_element(rng, 6)
         x3, y3 = truncated(x6, 3), truncated(y6, 3)

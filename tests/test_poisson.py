@@ -8,13 +8,13 @@ import pytest
 from hweyl.params import _BITS, MAX_ORDER, PARAMS, ParamPoly, _build, ring
 from hweyl.bialgebra import (TYPE_I_MINUS, TYPE_I_PLUS, TYPE_II,
                              BialgebraClass, Cocommutator, apply_automorphism,
-                             cojacobi_residuals, dual_bracket_table)
+                             dual_bracket_table)
 from hweyl.poisson import (COORD_RING, COORD_RING2, COORDS, GroupCoords,
                            PoissonStructure, _bracket, _partials, _plan, _pullback,
                            group_compose, jacobi_check, linear_bracket_table,
                            poisson_homomorphism_check)
 
-from engine_helpers import degree, poly, structure_coefficients
+from engine_helpers import cojacobi_residuals, degree, poly, structure_coefficients
 from symbolic_cocommutators import constrained_symbolic
 
 #: A chart of the group, x1 = a-, x2 = a+, x3 = m + a- a+, and its ring.

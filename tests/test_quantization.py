@@ -118,7 +118,7 @@ def test_matrix_delta_rejects_invalid():
 # -- coproducts -------------------------------------------------------------------
 
 def test_coproduct_type_i_plus_closed_forms():
-    cop = build_coproduct(BialgebraClass.symbolic(TYPE_I_PLUS, K), K)
+    cop = build_coproduct(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, K), K))
     one = FreeElement.one(K)
     am, ap, m = gen(GEN_AM), gen(GEN_AP), gen(GEN_M)
     e = exp_element(ap * sym("a1"))
@@ -133,7 +133,7 @@ def test_coproduct_type_ii_diagonal():
     # a3 = b2 = 0: independent series oracle for each slot
     cls = BialgebraClass(TYPE_II, normalized=Cocommutator(
         a2=sym("a2"), b3=sym("b3")))
-    cop = build_coproduct(cls, K)
+    cop = build_coproduct(_Series(cls, K))
     one = FreeElement.one(K)
     am, ap, m = gen(GEN_AM), gen(GEN_AP), gen(GEN_M)
 
@@ -154,7 +154,7 @@ def test_coproduct_type_ii_diagonal():
 
 def test_coproduct_all_zero_parameters_primitive():
     cls = BialgebraClass(TYPE_II, normalized=Cocommutator())
-    cop = build_coproduct(cls, K)
+    cop = build_coproduct(_Series(cls, K))
     one = FreeElement.one(K)
     for name in GENERATORS:
         x = gen(name)
@@ -164,7 +164,7 @@ def test_coproduct_all_zero_parameters_primitive():
 # -- rewrite systems ----------------------------------------------------------------
 
 def test_family_rewrite_type_i_plus():
-    rs = family_rewrite(BialgebraClass.symbolic(TYPE_I_PLUS, K), K)
+    rs = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, K), K))
     one = ParamPoly.one(K)
     assert rs.rules[(GEN_AM, GEN_AP)] == FreeElement(
         {(GEN_AP, GEN_AM): one, (GEN_M,): one}, K)
@@ -175,7 +175,7 @@ def test_family_rewrite_type_i_plus():
 
 
 def test_family_rewrite_type_i_minus():
-    rs = family_rewrite(BialgebraClass.symbolic(TYPE_I_MINUS, K), K)
+    rs = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_I_MINUS, K), K))
     one = ParamPoly.one(K)
     assert rs.rules[(GEN_AM, GEN_AP)] == FreeElement(
         {(GEN_AP, GEN_AM): one, (GEN_M,): one}, K)
@@ -186,12 +186,12 @@ def test_family_rewrite_type_i_minus():
 
 
 def test_family_rewrite_trivial_is_undeformed():
-    rs = family_rewrite(BialgebraClass.symbolic(TRIVIAL, K), K)
+    rs = family_rewrite(_Series(BialgebraClass.symbolic(TRIVIAL, K), K))
     assert rs.rules == RewriteSystem.undeformed(K).rules
 
 
 def test_family_rewrite_type_ii_series():
-    rs = family_rewrite(BialgebraClass.symbolic(TYPE_II, 2), 2)
+    rs = family_rewrite(_Series(BialgebraClass.symbolic(TYPE_II, 2), 2))
     s = sym("a2", 2) + sym("b3", 2)
     expected = FreeElement.from_word((GEN_AP, GEN_AM), 2) \
         + FreeElement.from_word((GEN_M,), 2) \
@@ -202,7 +202,7 @@ def test_family_rewrite_type_ii_series():
 
 def test_family_rewrite_zero_parameters_undeformed():
     cls = BialgebraClass(TYPE_II, normalized=Cocommutator())
-    rs = family_rewrite(cls, K)
+    rs = family_rewrite(_Series(cls, K))
     assert rs.rules == RewriteSystem.undeformed(K).rules
 
 
@@ -234,10 +234,8 @@ def test_homomorphism_fails_with_undeformed_rules():
     # the Type II coproduct is not an algebra map for [A-,A+] = M
     hp = quantize(TYPE_II, order=K, verify=False)
     broken = HopfPresentation(
-        order=hp.order, values=hp.values,
-        rewrite=RewriteSystem.undeformed(K), coproduct=hp.coproduct,
-        counit=hp.counit, antipode=hp.antipode,
-        bialgebra_class=hp.bialgebra_class)
+        series=hp.series, rewrite=RewriteSystem.undeformed(K), coproduct=hp.coproduct,
+        counit=hp.counit, antipode=hp.antipode)
     res = verify_homomorphism(broken)[f"{GEN_AM}*{GEN_AP}"]
     assert res
     assert res.homogeneous_part(1)
@@ -289,8 +287,9 @@ def test_antipode_type_i_minus_closed_form():
 def test_antipode_type_ii_diagonal():
     cls = BialgebraClass(TYPE_II, normalized=Cocommutator(
         a2=sym("a2"), b3=sym("b3")))
-    rs = family_rewrite(cls, K)
-    gamma = build_antipode(cls, rs)
+    series = _Series(cls, K)
+    rs = family_rewrite(series)
+    gamma = build_antipode(series, rs)
     m = gen(GEN_M)
     expected = normal_form(
         -nc_mul(gen(GEN_AM), exp_element(m * -sym("a2"))), rs)
@@ -304,9 +303,8 @@ def test_inconsistent_coproduct_fails_the_antipode_gate():
     broken = dict(hp.coproduct)
     broken[GEN_M] = outer(FreeElement.one(K), gen(GEN_M))
     bad = HopfPresentation(
-        order=hp.order, values=hp.values,
-        rewrite=hp.rewrite, coproduct=broken, counit=hp.counit,
-        antipode=hp.antipode, bialgebra_class=hp.bialgebra_class)
+        series=hp.series, rewrite=hp.rewrite, coproduct=broken, counit=hp.counit,
+        antipode=hp.antipode)
     left, right = verify_antipode(bad)[GEN_M]
     assert left and right
     assert verify_all(bad)["antipode"] is False
@@ -321,9 +319,8 @@ def _with_delta_am_changed_at_degree_2(tag, order):
     terms[key] = terms[key] + terms[key].homogeneous_part(2)
     broken = {**hp.coproduct, GEN_AM: TensorElement(2, terms, order)}
     return HopfPresentation(
-        order=order, values=hp.values,
-        rewrite=hp.rewrite, coproduct=broken, counit=hp.counit,
-        antipode=hp.antipode, bialgebra_class=hp.bialgebra_class)
+        series=hp.series, rewrite=hp.rewrite, coproduct=broken, counit=hp.counit,
+        antipode=hp.antipode)
 
 
 @pytest.mark.parametrize("tag", [TYPE_I_PLUS, TYPE_II])
@@ -348,9 +345,8 @@ def test_memos_do_not_leak_between_presentations():
     broken = dict(good.coproduct)
     broken[GEN_M] = outer(FreeElement.one(order), gen(GEN_M, order))
     bad = HopfPresentation(
-        order=order, values=good.values,
-        rewrite=good.rewrite, coproduct=broken, counit=good.counit,
-        antipode=good.antipode, bialgebra_class=good.bialgebra_class)
+        series=good.series, rewrite=good.rewrite, coproduct=broken, counit=good.counit,
+        antipode=good.antipode)
     for _ in range(2):
         left, right = verify_antipode(bad)[GEN_M]
         assert left and right
@@ -441,8 +437,8 @@ def test_e_times_f_normal_orders_to_the_identity(tag):
     rng = random.Random(98)
     for order in range(1, 9):
         for cls in _series_cases(tag, order, rng):
-            rewrite = family_rewrite(cls, order)
             series = _Series(cls, order)
+            rewrite = family_rewrite(series)
             exp_neg, exp_pos = series.exp_neg, series.exp_pos
             for i in range(2):
                 for k in range(2):
@@ -457,9 +453,9 @@ def test_standalone_maps_equal_the_maps_quantize_returns(tag):
     for order in range(1, 7):
         for cls in _series_cases(tag, order, rng):
             hp = quantize(cls, order=order, verify=False)
-            assert family_rewrite(cls, order).rules == hp.rewrite.rules
-            assert build_coproduct(cls, order) == hp.coproduct
-            assert build_antipode(cls, hp.rewrite) == hp.antipode
+            assert family_rewrite(_Series(cls, order)).rules == hp.rewrite.rules
+            assert build_coproduct(_Series(cls, order)) == hp.coproduct
+            assert build_antipode(_Series(cls, order), hp.rewrite) == hp.antipode
 
 
 # -- first order --------------------------------------------------------------------------
@@ -618,8 +614,8 @@ def test_realization_refuses_an_empty_range():
 def test_realization_bracket_on_constant():
     # [A-, A+] applied to 1 gives lambda e^{a1 x / 2}, letter by letter in
     # the oracle and through the engine's composed operator
-    from hweyl.quantization import _X, _apply_operator, _realization
-    from realization_oracle import apply_element, realization_ops
+    from hweyl.quantization import _X, _realization
+    from realization_oracle import apply_element, apply_operator, realization_ops
     order = 3
     a1 = sym("a1", order)
     ops = realization_ops(a1, order)
@@ -628,7 +624,7 @@ def test_realization_bracket_on_constant():
     bracket = nc_mul(am, ap) - nc_mul(ap, am)
     diff = apply_element(ops, bracket, p0)
     op = _realization(a1, order).extend(bracket)
-    assert _apply_operator(op, [p0], 0) == diff
+    assert apply_operator(op, 0) == diff
     lam = ParamPoly.symbol("lambda", order)
     half = a1 * Fraction(1, 2)
     x = ParamPoly.symbol("x", math.inf, _X)
@@ -763,6 +759,18 @@ def test_swap_transport_carries_concrete_values():
     assert source.param_display() == {"a1": "2", "a3": "1"}
     assert transported.param_display() == direct.param_display() == {"b1": "-2", "b2": "-1"}
     assert source.is_concrete and transported.is_concrete and direct.is_concrete
+    assert transported.values == direct.values
+    assert transported.to_json() == direct.to_json()
+
+
+def test_swap_transport_builds_the_class_quantize_builds():
+    # the target class holds the source's own rationals, negated
+    order = 4
+    source = quantize(TYPE_I_PLUS, order=order, params={"a1": 2, "a3": 1})
+    transported = swap_transport(source)
+    direct = quantize(TYPE_I_MINUS, order=order, params={"b1": -2, "b2": -1})
+    assert transported.bialgebra_class.normalized == direct.bialgebra_class.normalized
+    assert transported.bialgebra_class.family_params() == {"b1": -2, "b2": -1}
     assert transported.values == direct.values
     assert transported.to_json() == direct.to_json()
 

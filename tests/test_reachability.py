@@ -59,8 +59,8 @@ ALLOWED = {
     },
     "input guards no command reaches": {
         "params._check_fields": "a product of untruncated polynomials that would carry "
-                                "past an exponent field; the bounds of --order and "
-                                "--degree refuse every such input first",
+                                "past an exponent field; the --order bounds refuse "
+                                "every such input first, realize's at K = 128",
     },
     "__repr__ and the __str__ it calls": {
         "params.ParamPoly.__repr__": "debugging display",
@@ -78,8 +78,6 @@ ALLOWED = {
                                        "runs it at K = 40",
         "quantization.HopfPresentation.from_json": "ROADMAP item 20 reads a "
                                                    "presentation back",
-        "bialgebra.cojacobi_residuals": "leaves with its perfbench metric (ROADMAP "
-                                        "item 2a)",
         "bialgebra.Cocommutator.coefficients": "perfbench's own test calls it, and that "
                                                "file changes only with the benchmark",
     },

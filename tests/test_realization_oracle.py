@@ -1,7 +1,9 @@
 """The composed operators of ``check_realization`` against the letter-by-letter
 oracle (``realization_oracle``): random free-algebra elements and the four
 residuals of the realization, at K = 2..5, on the monomials x^n, n <= 6.  The
-residuals are built from the engine's I+ rules, so a wrong rule fails."""
+residuals are built from the engine's I+ rules, so a wrong rule fails.  The
+verdict, read off the operator's orders, is checked against the operator
+applied to each monomial."""
 
 from fractions import Fraction
 from itertools import product
@@ -16,9 +18,10 @@ from hweyl import quantization  # noqa: E402
 from hweyl.bialgebra import TYPE_I_PLUS, BialgebraClass  # noqa: E402
 from hweyl.freealg import GEN_AM, GEN_M, GENERATORS, FreeElement, RewriteSystem  # noqa: E402
 from hweyl.params import MAX_ORDER, ParamPoly  # noqa: E402
-from hweyl.quantization import (_Operator, _apply_operator, _realization,  # noqa: E402
-                                _realization_residuals, check_realization)
-from realization_oracle import X_POLY, apply_element, realization_ops  # noqa: E402
+from hweyl.quantization import (_Operator, _realization, _realization_residuals,  # noqa: E402
+                                _Series, check_realization)
+from realization_oracle import (X_POLY, apply_element, apply_operator,  # noqa: E402
+                                realization_ops)
 
 #: The monomials x^0 .. x^6.
 POWERS = [X_POLY ** n for n in range(7)]
@@ -28,7 +31,7 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 def realization_residuals(order):
     """The four residuals of the symbolic I+ family, whose a1 is the symbol."""
-    return _realization_residuals(BialgebraClass.symbolic(TYPE_I_PLUS, order), order)
+    return _realization_residuals(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, order), order))
 
 
 def coefficients(order):
@@ -63,7 +66,7 @@ def composed_equals_oracle(order, a1, elems):
     for elem in elems:
         op = rho.extend(elem)
         for n, power in enumerate(POWERS):
-            assert _apply_operator(op, POWERS, n) == apply_element(ops, elem, power)
+            assert apply_operator(op, n) == apply_element(ops, elem, power)
 
 
 # no shrink phase: shrinking a failure here takes minutes, and the word-by-word
@@ -110,21 +113,60 @@ def test_composed_operators_of_the_residuals_are_zero():
     assert all(check_realization(TYPE_I_PLUS, max_degree=6, order=order).values())
 
 
-def test_a_wrong_engine_rule_fails_its_relation(monkeypatch):
-    """With the I+ rule [A-,M] = (a1/2) M^2 of ``family_rewrite`` doubled, the
-    realization fails that relation and passes the other three."""
+def plant_doubled_rule(monkeypatch):
+    """The I+ rule [A-,M] = (a1/2) M^2 of ``family_rewrite`` with a1/2 read
+    as a1, planted where ``check_realization`` reads its rules."""
     engine_rules = quantization.family_rewrite
 
-    def doubled(cls, order, **kwargs):
-        rules = dict(engine_rules(cls, order, **kwargs).rules)
+    def doubled(series):
+        order = series.order
+        rules = dict(engine_rules(series).rules)
         rules[(GEN_AM, GEN_M)] = rules[(GEN_AM, GEN_M)] * 2 - FreeElement.from_word(
             (GEN_M, GEN_AM), order)
         return RewriteSystem("doubled", rules, order)
 
     monkeypatch.setattr(quantization, "family_rewrite", doubled)
+
+
+def plant_an_added_letter(monkeypatch):
+    """The residual of [A+,M] = 0 plus the letter A-, which acts as
+    s d/dx: its operator has no term of order 0, so it kills x^0 alone."""
+    engine_residuals = quantization._realization_residuals
+
+    def added(series):
+        out = engine_residuals(series)
+        out["[A+,M] = 0"] = out["[A+,M] = 0"] + FreeElement.generator(GEN_AM, series.order)
+        return out
+
+    monkeypatch.setattr(quantization, "_realization_residuals", added)
+
+
+def test_a_wrong_engine_rule_fails_its_relation(monkeypatch):
+    """With the I+ rule [A-,M] = (a1/2) M^2 of ``family_rewrite`` doubled, the
+    realization fails that relation and passes the other three."""
+    plant_doubled_rule(monkeypatch)
     assert check_realization(TYPE_I_PLUS, max_degree=4, order=4) == {
         "[A-,A+] = M": True, "[A-,M] = (a1/2)*M^2": False, "[A+,M] = 0": True,
         "C = lambda": True}
+
+
+@pytest.mark.parametrize("plant", [plant_doubled_rule, plant_an_added_letter])
+def test_the_verdict_from_the_orders_equals_the_applied_operator(monkeypatch, plant):
+    """With a planted fault, for each D from 0 to one past the lowest order of
+    a faulty residual's operator, ``check_realization`` reports what applying
+    each operator to x^0 .. x^D reports."""
+    order = 4
+    plant(monkeypatch)
+    series = _Series(BialgebraClass.symbolic(TYPE_I_PLUS, order), order)
+    rho = _realization(series.values["a1"], order)
+    ops = {label: rho.extend(res)
+           for label, res in quantization._realization_residuals(series).items()}
+    lowest = min(min(op.terms) for op in ops.values() if op)
+    for top in range(lowest + 2):
+        want = {label: not any(apply_operator(op, n) for n in range(top + 1))
+                for label, op in ops.items()}
+        assert check_realization(TYPE_I_PLUS, max_degree=top, order=order) == want, top
+    assert not all(want.values())
 
 
 def test_prefix_operators_are_shared():
@@ -138,14 +180,17 @@ def test_prefix_operators_are_shared():
     assert rho._memo[(GENERATORS[0],) + (GENERATORS[1],) * 2].terms == {0: s * X_POLY ** 2}
 
 
-def test_field_limit_bound_is_the_letter_by_letter_one():
-    """``max_degree`` up to MAX_ORDER + 1 - 2K passes; one more raises the
-    packed-key field-limit error of the letter-by-letter products."""
-    for order in (4, 128):
-        top = MAX_ORDER + 1 - 2 * order
-        assert all(check_realization(TYPE_I_PLUS, max_degree=top, order=order).values())
-        with pytest.raises(ValueError, match=f"exponent above {MAX_ORDER}, the packed-key"):
-            check_realization(TYPE_I_PLUS, max_degree=top + 1, order=order)
+def test_any_degree_passes_up_to_the_order_limit():
+    """The verdict applies no operator, so any ``max_degree`` passes,
+    including one past MAX_ORDER + 1 - 2K, where applying the operators of
+    the words to x^n would carry past a packed-key field; the composition
+    itself reaches that limit above K = (MAX_ORDER + 1) / 2."""
+    last = (MAX_ORDER + 1) // 2
+    for order in (4, last):
+        for top in (MAX_ORDER + 2 - 2 * order, 10 ** 6):
+            assert all(check_realization(TYPE_I_PLUS, max_degree=top, order=order).values())
+    with pytest.raises(ValueError, match=f"exponent above {MAX_ORDER}, the packed-key"):
+        check_realization(TYPE_I_PLUS, max_degree=0, order=last + 1)
 
 
 def test_composed_coefficients_are_cut_within_the_field_limit():
@@ -159,11 +204,11 @@ def test_composed_coefficients_are_cut_within_the_field_limit():
     op = _realization(a1, order).extend(word)
     ops = realization_ops(a1, order)
     for n, power in enumerate(POWERS[:3]):
-        assert _apply_operator(op, POWERS, n) == apply_element(ops, word, power)
+        assert apply_operator(op, n) == apply_element(ops, word, power)
 
 
 def test_apply_operator_scales_by_the_falling_factorial():
     """(c d^2) x^5 = 20 c x^3, and d^k kills x^n for k > n."""
     c = X_POLY * Fraction(1, 3)
-    assert _apply_operator(_Operator._clean({2: c}, 2), POWERS, 5) == c * X_POLY ** 3 * 20
-    assert not _apply_operator(_Operator._clean({3: c}, 2), POWERS, 2)
+    assert apply_operator(_Operator._clean({2: c}, 2), 5) == c * X_POLY ** 3 * 20
+    assert not apply_operator(_Operator._clean({3: c}, 2), 2)

@@ -88,9 +88,8 @@ def with_rule_changed(tag, order):
     rules[(GEN_AM, GEN_AP)] = rules[(GEN_AM, GEN_AP)] + FreeElement.from_word(
         (GEN_M, GEN_M), order, coeff=p * p)
     return HopfPresentation(
-        order=order, values=hp.values,
-        rewrite=RewriteSystem("changed", rules, order), coproduct=hp.coproduct,
-        counit=hp.counit, antipode=hp.antipode, bialgebra_class=hp.bialgebra_class)
+        series=hp.series, rewrite=RewriteSystem("changed", rules, order),
+        coproduct=hp.coproduct, counit=hp.counit, antipode=hp.antipode)
 
 
 FAULTS = [pytest.param(_with_delta_am_changed_at_degree_2, tag, id=f"delta-{tag}")

@@ -95,8 +95,7 @@ def test_in_place_sums_match_the_oracles_on_a_broken_presentation():
     broken = dict(hp.coproduct)
     broken[GEN_M] = outer(FreeElement.one(order), FreeElement.generator(GEN_M, order))
     bad = HopfPresentation(
-        order=hp.order, values=hp.values,
-        rewrite=hp.rewrite, coproduct=broken, counit=hp.counit,
-        antipode=hp.antipode, bialgebra_class=hp.bialgebra_class)
+        series=hp.series, rewrite=hp.rewrite, coproduct=broken, counit=hp.counit,
+        antipode=hp.antipode)
     residuals = check_against_oracles(bad)
     assert residuals[0] and residuals[1]
