@@ -8,7 +8,7 @@ machine-verified axioms, and the Poisson-Lie group side.
 
 from .params import DEFAULT_ORDER, PARAMS, ParamPoly, as_fraction, ring
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
-                      RewriteSystem, commutator, exp_element, exp_matrix2,
+                      RewriteSystem, commutator, exp_matrix2,
                       nc_mul, normal_form)
 from .tensor import TensorElement, flip, outer, tensor_mul
 from .bialgebra import (BASIS, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,

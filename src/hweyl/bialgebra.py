@@ -27,15 +27,17 @@ co-Jacobi residual becomes a Fraction, j / E^2.
 On the coboundary side only the xi A+ ^ A- part of an r-matrix has a nonzero
 bracket, so every map is read off xi:
 
-- the Schouten bracket [[r, r]] is xi^2 (A- ^ A+ ^ M) (``schouten``), zero,
-  so r triangular, exactly when xi = 0;
+- Lambda^3 g is one-dimensional, spanned by A- ^ A+ ^ M, so the Schouten
+  bracket [[r, r]] is one coordinate on it: xi^2 (``schouten``), zero, so r
+  triangular, exactly when xi = 0;
+- ad_x acts on Lambda^3 g by tr(ad_x) (Chari & Pressley, A Guide to Quantum
+  Groups, 1994), so the modified CYBE holds for the coordinate c exactly
+  when c tr(ad_x) = 0 for every basis vector x (``mcybe_check``); the traces
+  vanish here, as the algebra is nilpotent;
 - the induced cocommutator is xi times a2 = b3 = -1 (``coboundary_delta``),
   so ``find_rmatrix`` reads xi = -a2 off delta once the other eight
   coefficients are checked, and beta_plus, beta_minus are the gauge
-  (``rmatrix_gauge``);
-- Lambda^3 g is one-dimensional and ad_x acts on it by tr(ad_x) = 0, since
-  the algebra is nilpotent, so the modified CYBE holds for every alternating
-  rank-3 tensor (``mcybe_check``).
+  (``rmatrix_gauge``).
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ _IDX = {name: i for i, name in enumerate(BASIS)}
 
 #: Ordered wedge basis A- ^ A+, A- ^ M, A+ ^ M.
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-#: The six slot orders of a rank-3 tensor and their permutation signs.
-_PERM_SIGN = {perm: sign for perm, sign in zip(
-    ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)),
-    (1, -1, -1, 1, 1, -1))}
 
 TRIVIAL = "TRIVIAL"
 TYPE_I_PLUS = "TYPE_I_PLUS"
@@ -148,7 +145,7 @@ class Cocommutator(ValueRecord):
 
     def as_tensor(self, generator, order):
         """delta(generator) as a rank-2 TensorElement at truncation ``order``."""
-        return _to_tensor(self.full_row(_IDX[generator]), 2, order)
+        return _to_tensor(self.full_row(_IDX[generator]), order)
 
     def __str__(self):
         return ", ".join(f"{n}={getattr(self, n)}" for n in _COEFF_NAMES)
@@ -178,8 +175,10 @@ class RMatrix(ValueRecord):
         self._store(as_scalar(xi), as_scalar(beta_plus), as_scalar(beta_minus))
 
     @classmethod
-    def symbolic(cls, order=DEFAULT_ORDER):
-        return cls(*(ParamPoly.symbol(n, order) for n in cls._FIELDS))
+    def symbolic(cls):
+        """xi, beta_plus and beta_minus as untruncated symbols: every
+        coboundary map is a polynomial of degree at most 2 in them."""
+        return cls(*(ParamPoly.symbol(n, math.inf) for n in cls._FIELDS))
 
     @classmethod
     def from_json(cls, data):
@@ -197,17 +196,10 @@ def _promote(scalar, order):
     return ParamPoly.const(scalar, order)
 
 
-def _order_of(*scalars):
-    for s in scalars:
-        if isinstance(s, ParamPoly):
-            return s.order
-    return DEFAULT_ORDER
-
-
-def _to_tensor(raw, rank, order):
-    """An index tensor {(i, j, ...): c} as a rank-``rank`` TensorElement."""
-    return TensorElement(rank, {tuple((BASIS[i],) for i in key): _promote(c, order)
-                                for key, c in raw.items()}, order)
+def _to_tensor(raw, order):
+    """An index tensor {(i, j): c} as a rank-2 TensorElement."""
+    return TensorElement(2, {tuple((BASIS[i],) for i in key): _promote(c, order)
+                             for key, c in raw.items()}, order)
 
 
 def _cocycle_forms(a1, a2, a3, b1, b2, b3, c1, c2, c3):
@@ -310,30 +302,21 @@ SWAP_AUTOMORPHISM = ((Fraction(0), Fraction(1), Fraction(0)),
 # -- coboundary machinery ------------------------------------------------------
 
 def schouten(r):
-    """Schouten bracket [[r, r]] as an alternating rank-3 tensor, at the
-    order of a symbolic coefficient of r, else at DEFAULT_ORDER.
+    """The Schouten bracket [[r, r]] as its coordinate on A- ^ A+ ^ M, which
+    spans Lambda^3 g: a Fraction, or a ParamPoly for a symbolic r.
 
     The only bracket is [A-, A+] = M, and every term it makes from a beta
-    wedge holds M twice, so only xi^2 is left: [[r, r]] = xi^2 (A- ^ A+ ^ M),
-    the six slot orders of (A-, A+, M) with their permutation signs.
+    wedge holds M twice, so only xi^2 is left: [[r, r]] = xi^2 (A- ^ A+ ^ M).
     """
-    order = _order_of(r.xi, r.beta_plus, r.beta_minus)
-    w = r.xi * r.xi
-    return _to_tensor({perm: w if sign > 0 else -w for perm, sign in _PERM_SIGN.items()},
-                      3, order)
+    return r.xi * r.xi
 
 
-def mcybe_check(omega):
-    """The modified CYBE for an alternating rank-3 tensor over single
-    generators: True, since it is a multiple of A- ^ A+ ^ M and ad_x acts on
-    Lambda^3 g by tr(ad_x) = 0.  Any other tensor raises ``ValueError``."""
-    if omega.rank != 3:
-        raise ValueError("expected a rank-3 tensor")
-    if not omega.is_alternating():
-        raise ValueError("expected an alternating tensor")
-    if any(len(w) != 1 or w[0] not in _IDX for slots in omega.terms for w in slots):
-        raise ValueError("tensor slots must be single generators")
-    return True
+def mcybe_check(c):
+    """The modified CYBE for the bracket c (A- ^ A+ ^ M) (``schouten``): ad_x
+    acts on Lambda^3 g by tr(ad_x), so it holds exactly when c tr(ad_x) = 0
+    for every basis vector x.  The traces are read off ``BRACKET``."""
+    return not c or not any(sum(BRACKET.get((x, i), {}).get(i, 0) for i in range(3))
+                            for x in range(3))
 
 
 def coboundary_delta(r):

@@ -132,21 +132,13 @@ def _render_automorphism(matrix):
     return ", ".join(pieces)
 
 
-def _render_wedge3(t):
-    """Alternating rank-3 tensors as a multiple of (M ^ A+ ^ A-)."""
-    if not t:
+def _render_wedge3(c):
+    """The bracket c (A- ^ A+ ^ M) (``schouten``) as -c (M ^ A+ ^ A-); c is a
+    square, xi^2, so -c is never 1 and never a sum of terms."""
+    if not c:
         return "0"
-    coeff = t.terms.get((("M",), ("A+",), ("A-",)))
-    if coeff is None or not t.is_alternating():
-        return str(t)
-    s = str(coeff)
-    if s == "1":
-        return "(M ^ A+ ^ A-)"
-    if s == "-1":
-        return "-(M ^ A+ ^ A-)"
-    if len(coeff.terms) == 1:
-        return f"{s}*(M ^ A+ ^ A-)"
-    return f"({s})*(M ^ A+ ^ A-)"
+    s = str(-c)
+    return "-(M ^ A+ ^ A-)" if s == "-1" else f"{s}*(M ^ A+ ^ A-)"
 
 
 def _classification_doc(result):
@@ -258,7 +250,7 @@ def _coboundary_lines(doc):
 
 
 def run_coboundary(args):
-    r = (bi.RMatrix.symbolic(args.order) if args.input is None
+    r = (bi.RMatrix.symbolic() if args.input is None
          else bi.RMatrix.from_json(_load_json_arg(args.input)))
     sch = bi.schouten(r)
     induced = bi.coboundary_delta(r)
@@ -388,7 +380,11 @@ def build_parser():
     p = sub.add_parser("coboundary",
                        help="Schouten bracket, mCYBE, CYBE and induced "
                             "cocommutator of an r-matrix (symbolic without input)")
-    common(p, with_input=True)
+    common(p, with_input=True,
+           order_help=f"accepted, 1 to {MAX_ORDER}, and not used: every map of "
+                      "the coboundary command is a polynomial of degree at most "
+                      "2 in the r-matrix coefficients, so the symbols are not "
+                      "truncated at K")
     p.set_defaults(handler=run_coboundary)
 
     p = sub.add_parser("poisson", help="group law and Poisson-Lie checks")

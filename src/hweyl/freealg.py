@@ -11,9 +11,9 @@ structure of such sums lives in ``LinearSum``, which the tensors of
 ``hweyl.tensor`` share.  ``_word_image`` extends a map given on the letters
 to words, one product per letter, for every structure map given on
 generators: the coproduct, the antipode, the I+/I- swap and the
-differential realization.  An exponential is taken of parameter multiples of
-one generator only: its terms are the scalar powers C^n/n! of ``_exp_terms``
-placed on the powers of that letter.
+differential realization.  An exponential is built on its named letter g:
+exp(C g) for a matrix C of parameter series is the scalar powers C^n/n! of
+``_exp_terms`` placed on the powers g^n (``exp_matrix2``).
 """
 
 from __future__ import annotations
@@ -481,32 +481,12 @@ def _exp_terms(mat):
     return out
 
 
-def _exp_on_letter(mat):
-    """exp of a square matrix whose entries are parameter multiples C_ij * g
-    of one generator g: entry (i, j) is sum_n (C^n/n!)_ij g^n."""
-    words = {word for row in mat for entry in row for word in entry.terms}
-    if len(words) > 1 or any(len(word) != 1 for word in words):
-        raise ValueError(
-            f"exp requires parameter multiples of one generator; got words {sorted(words)}")
-    word = words.pop() if words else ()
-    terms = _exp_terms([[e.terms.get(word, ParamPoly.zero(e.order)) for e in row]
-                        for row in mat])
-    return [[FreeElement({word * n: t[i][j] for n, t in enumerate(terms)}, e.order)
-             for j, e in enumerate(row)] for i, row in enumerate(mat)]
-
-
-def exp_element(x: FreeElement) -> FreeElement:
-    """Truncated exponential series of c * g, a parameter multiple of one
-    generator g with parameter degree >= 1: sum_n c^n/n! g^n."""
-    return _exp_on_letter([[x]])[0][0]
-
-
-def exp_matrix2(mat):
-    """Exponential of a 2x2 matrix of FreeElements by the terminating series.
-
-    Every entry must be a parameter multiple of one and the same generator,
-    with parameter degree >= 1.
-    """
-    if len(mat) != 2 or any(len(row) != 2 for row in mat):
-        raise ValueError("expected a 2x2 matrix")
-    return _exp_on_letter(mat)
+def exp_matrix2(letter, mat):
+    """exp(C g) for the generator g named ``letter`` and a square matrix C of
+    ParamPoly, each entry of parameter degree >= 1: entry (i, j) is the sum of
+    (C^n/n!)_ij g^n (``_exp_terms``)."""
+    terms = _exp_terms(mat)
+    order = mat[0][0].order
+    size = range(len(mat))
+    return [[FreeElement({(letter,) * n: t[i][j] for n, t in enumerate(terms)}, order)
+             for j in size] for i in size]

@@ -147,11 +147,9 @@ class PoissonStructure(Record):
         return self._ints
 
     @classmethod
-    def symbolic(cls, tag=None):
-        """Symbolic coefficients, optionally restricted to one family's shape."""
+    def symbolic(cls, tag):
+        """The structure of the family ``tag`` with its parameters as symbols."""
         from .bialgebra import BialgebraClass
-        if tag is None:
-            return cls(*(ParamPoly.symbol(n) for n in cls._FIELDS))
         return cls.from_cocommutator(BialgebraClass.symbolic(tag).normalized)
 
     @classmethod

@@ -8,14 +8,15 @@ the closed forms, attaches the counit, and machine-verifies every Hopf axiom
 by exact truncated series; the zero cocommutator (TRIVIAL) is Theta = 0.  The
 differential realization of the I+ family acts on polynomials in x and the
 parameters, ParamPoly over ``ring(("x",))`` with ``order=math.inf``.  Each
-exponential (exp(-theta), the [A-,A+] series and the realization's
-e^{a1 x/2}) is the scalar powers C^n/n! of
-``freealg._exp_terms`` placed on one letter: p, M or x.  ``quantize`` reads
-Theta once and sums one series E = exp(-theta) for the coproduct, and the
-antipode's F = exp(theta) = E^-1 is read off E's terms (``_Series``).  That
-is exact, not an approximation: every entry of theta is a multiple C p of
-the one letter p, so (-C)^n/n! = (-1)^n C^n/n! and the coefficient of p^n
-in F is (-1)^n times its coefficient in E.
+exponential (exp(-theta), the [A-,A+] series, the realization's e^{a1 x/2}
+and the exp(-a1 A+/2) of the I+ central element) is built directly on its
+one letter, p, M, x or A+, from the scalar powers C^n/n! of
+``freealg._exp_terms``.  ``quantize`` reads Theta once and sums one series
+E = exp(-theta) for the coproduct, and the antipode's F = exp(theta) = E^-1
+is read off E's terms (``_Series``).  That is exact, not an approximation:
+every entry of theta is a multiple C p of the one letter p, so
+(-C)^n/n! = (-1)^n C^n/n! and the coefficient of p^n in F is (-1)^n times
+its coefficient in E.
 
 Every map the engine checks is given on generators and is one ``WordMap``:
 the letter images, the target product, and a prefix memo seeded with the
@@ -38,7 +39,7 @@ from .params import (_BITS, DEFAULT_ORDER, MAX_ORDER, PARAMS, ParamPoly, Record,
                      parse_rational, ring, signed_sum)
 from .freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, REDEXES, FreeElement, LinearSum,
                       RewriteSystem, _exp_terms, _linear_extension, _word_image,
-                      commutator, exp_element, exp_matrix2, nc_mul, normal_form)
+                      commutator, exp_matrix2, nc_mul, normal_form)
 from .tensor import TensorElement, _slot_product, flip, outer, tensor_mul
 from .bialgebra import (_IDX, BASIS, BRACKET, FAMILIES, SWAP_AUTOMORPHISM, TYPE_I_MINUS,
                         TYPE_I_PLUS, BialgebraClass, Cocommutator)
@@ -54,11 +55,11 @@ class _Series(Record):
     and order.  Building a series checks the shape of the class and reads,
     once, its graded parameter ``values``, the graded ``cocommutator`` and
     Theta (``theta``): Theta[i][j] is the coefficient of p ^ v_j in
-    delta(v_i).  theta = p * Theta (``matrix``), E = exp(-theta)
-    (``exp_neg``) and F = exp(theta) (``exp_pos``) are computed at most once
-    and only when asked for: E is the one exponential series, and F is read
-    off E (module docstring).  ``quantize`` builds one, every builder of a
-    presentation reads it, and the presentation keeps it.
+    delta(v_i).  With theta = p * Theta, E = exp(-theta) (``exp_neg``, built
+    on the letter p from -Theta) and F = exp(theta) (``exp_pos``) are
+    computed at most once and only when asked for: E is the one exponential
+    series, and F is read off E (module docstring).  ``quantize`` builds one,
+    every builder of a presentation reads it, and the presentation keeps it.
 
     A rational parameter q becomes q*t, so every rational value shares the
     one grading variable t and the series stays graded; symbolic parameters
@@ -93,13 +94,8 @@ class _Series(Record):
                                     for row in rows])
 
     @functools.cached_property
-    def matrix(self):
-        gen = FreeElement.generator(self.prim, self.order)
-        return [[gen * t for t in row] for row in self.theta]
-
-    @functools.cached_property
     def exp_neg(self):
-        return exp_matrix2([[-e for e in row] for row in self.matrix])
+        return exp_matrix2(self.prim, [[-t for t in row] for row in self.theta])
 
     @functools.cached_property
     def exp_pos(self):
@@ -512,9 +508,10 @@ def first_order_residuals(hp) -> dict:
 # -- central element and differential realization ----------------------------------
 
 def _central(a1, order) -> FreeElement:
-    """C = M exp(-a1 A+ / 2), the central element of I+ at the value ``a1``."""
-    return nc_mul(FreeElement.generator(GEN_M, order),
-                  exp_element(FreeElement.generator(GEN_AP, order) * (a1 * Fraction(-1, 2))))
+    """C = M exp(-a1 A+ / 2), the central element of I+ at the value ``a1``:
+    the sum of (-a1/2)^n/n! M A+^n, from the terms of ``_exp_terms``."""
+    return FreeElement({(GEN_M,) + (GEN_AP,) * n: t[0][0]
+                        for n, t in enumerate(_exp_terms([[a1 * Fraction(-1, 2)]]))}, order)
 
 
 def central_element(hp) -> FreeElement:

@@ -50,23 +50,6 @@ class TensorElement(LinearSum):
              if sum(len(w) for w in s) <= max_total_len},
             self.order, self.rank)
 
-    def is_alternating(self):
-        """True when coefficients flip by permutation sign across slot orbits (rank 3).
-
-        Each term is checked against its images under the slot swaps (0 1) and
-        (1 2) only: they generate the permutations of three slots and the sign
-        is a homomorphism, so every permutation then acts by its sign.
-        """
-        if self.rank != 3:
-            raise ValueError("alternation is defined for rank-3 tensors")
-        terms = self.terms
-        for (x, y, z), coeff in terms.items():
-            for image in ((y, x, z), (x, z, y)):
-                other = terms.get(image)
-                if other is None or other + coeff:
-                    return False
-        return True
-
     # -- rendering -------------------------------------------------------------
 
     def _key_parts(self, slots):

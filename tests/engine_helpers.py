@@ -5,7 +5,10 @@
   linear forms that ``classify`` evaluates (``bialgebra._cocycle_forms``),
   and the two co-Jacobi residuals, its two quadrics
   (``bialgebra._cojacobi_forms``).
-- The full wedge of three elements, the shape of a Schouten bracket.
+- The full wedge of three elements, the shape of a Schouten bracket, and the
+  six slot orders with their permutation signs that it sums over.
+- The exponential of one parameter series times one generator, the 1x1 case
+  of ``freealg.exp_matrix2``.
 - A series element cut to a lower truncation order or with values
   substituted into its coefficients, and the total degree of a polynomial
   read off its ``terms`` view.
@@ -17,10 +20,24 @@
 import math
 from fractions import Fraction
 
-from hweyl.bialgebra import (_COEFF_NAMES, _PERM_SIGN, _cocycle_forms, _cojacobi_forms,
-                             _order_of, _skew, _to_tensor)
-from hweyl.params import (_BITS, PARAMS, _build, _check_order, _pack, as_fraction)
+from hweyl.bialgebra import _COEFF_NAMES, _cocycle_forms, _cojacobi_forms, _skew, _to_tensor
+from hweyl.freealg import exp_matrix2
+from hweyl.params import (_BITS, DEFAULT_ORDER, PARAMS, ParamPoly, _build, _check_order,
+                          _pack, as_fraction)
 from hweyl.tensor import TensorElement, outer
+
+#: The six slot orders of a rank-3 tensor and their permutation signs.
+PERM_SIGN = {perm: sign for perm, sign in zip(
+    ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)),
+    (1, -1, -1, 1, 1, -1))}
+
+
+def order_of(*scalars):
+    """The order of the first ParamPoly among ``scalars``, else DEFAULT_ORDER."""
+    for s in scalars:
+        if isinstance(s, ParamPoly):
+            return s.order
+    return DEFAULT_ORDER
 
 
 def cocycle_raw(delta):
@@ -40,8 +57,8 @@ def cocycle_residuals(delta, order=None):
     for the basis pairs (A-,A+), (A-,M), (A+,M), as rank-2 tensors at
     ``order``: by default the order of a symbolic coefficient, else
     DEFAULT_ORDER."""
-    order = order or _order_of(*(getattr(delta, n) for n in _COEFF_NAMES))
-    return [_to_tensor(raw, 2, order) for raw in cocycle_raw(delta)]
+    order = order or order_of(*(getattr(delta, n) for n in _COEFF_NAMES))
+    return [_to_tensor(raw, order) for raw in cocycle_raw(delta)]
 
 
 def cojacobi_residuals(delta):
@@ -59,10 +76,16 @@ def wedge3(x, y, z):
     """Full alternating sum over the six slot orders, unit coefficients."""
     factors = (x, y, z)
     acc = TensorElement(3, {}, x.order)
-    for perm, sign in _PERM_SIGN.items():
+    for perm, sign in PERM_SIGN.items():
         term = outer(*(factors[p] for p in perm))
         acc = acc + (term if sign == 1 else -term)
     return acc
+
+
+def exp_on(letter, c):
+    """exp(c g) = sum_n c^n/n! g^n for the generator g named ``letter`` and a
+    ParamPoly c of parameter degree >= 1."""
+    return exp_matrix2(letter, [[c]])[0][0]
 
 
 def truncated(x, order):

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hweyl import bialgebra
-from hweyl.params import DEFAULT_ORDER, ParamPoly
+from hweyl.params import ParamPoly
 from hweyl.freealg import FreeElement, RewriteSystem, commutator
 from hweyl.tensor import TensorElement, outer, tensor_mul
 from hweyl.bialgebra import (BASIS, BRACKET, INVALID, TRIVIAL, TYPE_I_MINUS,
@@ -15,7 +16,7 @@ from hweyl.bialgebra import (BASIS, BRACKET, INVALID, TRIVIAL, TYPE_I_MINUS,
                              coboundary_delta, dual_bracket_table, find_rmatrix,
                              mcybe_check, rmatrix_gauge, schouten)
 
-from engine_helpers import cocycle_raw, cocycle_residuals, cojacobi_residuals, wedge3
+from engine_helpers import PERM_SIGN, cocycle_raw, cocycle_residuals, cojacobi_residuals
 from symbolic_cocommutators import constrained_symbolic, generic_symbolic
 
 K = 4
@@ -176,17 +177,10 @@ def broken_bracket_oracle(B):
     return None
 
 
-def tensor_of(raw, rank, order=K):
-    """An index tensor {(i, j, ...): c} as a TensorElement over BASIS."""
-    return TensorElement(rank, {
-        tuple((BASIS[i],) for i in key):
-            c if isinstance(c, ParamPoly) else ParamPoly.const(c, order)
-        for key, c in raw.items()}, order)
-
-
-def index_dict(t):
-    """A tensor over single generators as an index tensor."""
-    return {tuple(BASIS.index(w[0]) for w in slots): c for slots, c in t.terms.items()}
+def unit_wedge3(c):
+    """c (A- ^ A+ ^ M) as an index tensor: c times the sign of each of the six
+    slot orders of (A-, A+, M); no terms when c is zero."""
+    return {perm: c * sign for perm, sign in PERM_SIGN.items()} if c else {}
 
 
 def rmatrix_components(r):
@@ -309,13 +303,29 @@ def _random_rmatrix(rng):
     return RMatrix(*(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)))
 
 
+def _random_symbolic_rmatrix(rng, order):
+    """Each coefficient a random rational plus a random multiple of its own
+    symbol, at ``order``."""
+    return RMatrix(*(sym(name, order) * Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                     + Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                     for name in RMatrix._FIELDS))
+
+
+def test_schouten_is_the_coordinate_of_the_loop_oracle():
+    rng = random.Random(58)
+    rs = [_random_rmatrix(rng) for _ in range(50)]
+    rs += [_random_symbolic_rmatrix(rng, order) for order in (K, math.inf) * 25]
+    for r in rs:
+        assert schouten_oracle(r) == unit_wedge3(schouten(r))
+    assert sum(not schouten(r) for r in rs) < 10
+
+
 def test_closed_coboundary_side_matches_loop_oracles():
     rng = random.Random(55)
-    rs = [RMatrix.symbolic(K), RMatrix(), RMatrix(0, 3, -2)]
+    rs = [RMatrix.symbolic(), RMatrix(), RMatrix(0, 3, -2)]
     rs += [_random_rmatrix(rng) for _ in range(100)]
     for r in rs:
-        order = r.xi.order if isinstance(r.xi, ParamPoly) else DEFAULT_ORDER
-        assert schouten(r) == tensor_of(schouten_oracle(r), 3, order)
+        assert schouten_oracle(r) == unit_wedge3(schouten(r))
         delta = coboundary_delta(r)
         assert delta == coboundary_delta_oracle(r)
         assert find_rmatrix(delta) == find_rmatrix_oracle(delta) == RMatrix(r.xi)
@@ -329,9 +339,10 @@ def test_find_rmatrix_matches_unit_oracle_off_the_coboundaries():
         coeffs = coboundary_delta(_random_rmatrix(rng)).coefficients()
         coeffs[rng.choice(_COEFF_NAMES)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 5))
         deltas.append(Cocommutator(**coeffs))
-    symbolic = coboundary_delta(RMatrix.symbolic(K)).coefficients()
+    symbolic = coboundary_delta(RMatrix.symbolic()).coefficients()
     for name in _COEFF_NAMES:
-        deltas.append(Cocommutator(**dict(symbolic, **{name: symbolic[name] + sym("a1")})))
+        deltas.append(Cocommutator(**dict(symbolic, **{name: symbolic[name]
+                                                       + sym("a1", math.inf)})))
     for delta in deltas:
         assert find_rmatrix(delta) is None
         assert find_rmatrix_oracle(delta) is None
@@ -339,28 +350,24 @@ def test_find_rmatrix_matches_unit_oracle_off_the_coboundaries():
 
 def test_mcybe_matches_ad_loop_on_alternating_tensors():
     rng = random.Random(57)
-    gens = [gen(name) for name in BASIS]
-    coeffs = [sym("xi") * sym("xi"), sym("a1") - 3 * sym("b2") * sym("c1")]
-    coeffs += [ParamPoly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), K)
-               for _ in range(100)]
+    coeffs = [sym("xi") * sym("xi"), sym("a1") - 3 * sym("b2") * sym("c1"),
+              ParamPoly.zero(K), Fraction(0)]
+    coeffs += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(100)]
     for c in coeffs:
-        # a sum of wedges of the three generators in random slot orders
-        t = TensorElement(3, {}, K)
-        for _ in range(rng.randint(1, 3)):
-            t = t + wedge3(*rng.sample(gens, 3)) * (c + rng.randint(-2, 2))
-        assert t.is_alternating()
-        assert all(not ad_oracle(x, index_dict(t)) for x in range(3))
-        assert mcybe_check(t) is True
-    # the oracle itself can fail, on the tensors mcybe_check refuses
-    bad = outer(gen("A+"), gen("A+"), gen("M"))
-    assert ad_oracle(0, index_dict(bad))
-    with pytest.raises(ValueError, match="alternating"):
-        mcybe_check(bad)
-    long_slot = wedge3(FreeElement.from_word(("A+", "A-"), K), gen("A+"), gen("M"))
-    with pytest.raises(ValueError, match="single generators"):
-        mcybe_check(long_slot)
-    with pytest.raises(ValueError, match="rank-3"):
-        mcybe_check(outer(gen("A+"), gen("M")))
+        kills = all(not ad_oracle(x, unit_wedge3(c)) for x in range(3))
+        assert mcybe_check(c) is kills is True
+
+
+def test_mcybe_fails_under_a_non_unimodular_bracket(monkeypatch):
+    # [A-, M] = M keeps the Jacobi identity and gives tr(ad_A-) = 1, so ad_A-
+    # is the identity on Lambda^3 g
+    monkeypatch.setitem(BRACKET, (0, 2), {2: Fraction(1)})
+    monkeypatch.setitem(BRACKET, (2, 0), {2: Fraction(-1)})
+    for c in (Fraction(1), Fraction(-2, 3), sym("xi") * sym("xi"), sym("a1") + 1):
+        assert mcybe_check(c) is False
+        assert ad_oracle(0, unit_wedge3(c)) == unit_wedge3(c)
+    assert mcybe_check(Fraction(0)) is True
+    assert mcybe_check(ParamPoly.zero(K)) is True
 
 
 def _big(rng):
@@ -661,27 +668,23 @@ def test_automorphism_preserves_residual_checks():
 # -- r-matrices -------------------------------------------------------------------------
 
 def test_schouten_symbolic():
-    r = RMatrix.symbolic(K)
-    xi = sym("xi")
-    w = wedge3(gen("M"), gen("A+"), gen("A-"))
-    assert schouten(r) == w * (-(xi * xi))
+    # the symbols are untruncated, so xi^2 survives every order K
+    xi = sym("xi", math.inf)
+    assert schouten(RMatrix.symbolic()) == xi * xi
 
 
 def test_schouten_examples():
-    # rational coefficients carry no order, so the bracket is at DEFAULT_ORDER
-    w = wedge3(*(gen(n, DEFAULT_ORDER) for n in ("M", "A+", "A-")))
-    assert schouten(RMatrix(1, 0, 0)) == w * ParamPoly.const(-1, DEFAULT_ORDER)
+    # rational coefficients give a rational coordinate
+    assert schouten(RMatrix(1, 0, 0)) == 1
+    assert schouten(RMatrix(Fraction(-3, 2), 1)) == Fraction(9, 4)
     assert not schouten(RMatrix(0, 5, -2))
     assert not schouten(RMatrix())
 
 
 def test_mcybe():
-    w = wedge3(gen("M"), gen("A+"), gen("A-")) * ParamPoly.const(-1, K)
-    assert mcybe_check(w)
-    assert mcybe_check(TensorElement(3, {}, K))
-    bad = outer(gen("A+"), gen("A+"), gen("M"))
-    with pytest.raises(ValueError):
-        mcybe_check(bad)
+    assert mcybe_check(Fraction(1)) is True
+    assert mcybe_check(Fraction(0)) is True
+    assert mcybe_check(schouten(RMatrix.symbolic())) is True
 
 
 def test_coboundary_delta_examples():
@@ -691,8 +694,8 @@ def test_coboundary_delta_examples():
 
 
 def test_coboundary_delta_symbolic():
-    delta = coboundary_delta(RMatrix.symbolic(K))
-    xi = sym("xi")
+    delta = coboundary_delta(RMatrix.symbolic())
+    xi = sym("xi", math.inf)
     assert delta.a2 == -xi and delta.b3 == -xi
     assert not delta.a1 and not delta.a3 and not delta.b1 and not delta.b2
     assert not delta.c1 and not delta.c2 and not delta.c3

@@ -247,6 +247,26 @@ def test_coboundary_cybe_holds_only_for_xi_zero(capsys, doc, holds):
     assert code == 0 and json.loads(out)["cybe"] is holds
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coboundary_output_does_not_depend_on_the_order(capsys, fmt):
+    # at K = 1 a truncated xi^2 read as 0, and r as triangular
+    code, default, _ = run(capsys, "coboundary", "--format", fmt)
+    assert code == 0
+    assert "xi^2*(M ^ A+ ^ A-)" in default
+    for order in ("1", "6", str(MAX_ORDER)):
+        code, out, _ = run(capsys, "coboundary", "--order", order, "--format", fmt)
+        assert code == 0
+        assert out == default
+
+
+def test_coboundary_help_says_the_order_is_not_used(capsys):
+    with pytest.raises(SystemExit):
+        main(["coboundary", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"accepted, 1 to {MAX_ORDER}, and not used" in text
+    assert "grows steeply" not in text
+
+
 @pytest.mark.parametrize("command,doc", [
     ("coboundary", '{"xi":"1/0"}'),
     ("classify", '{"a1":"1/0"}'),

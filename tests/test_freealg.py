@@ -7,13 +7,12 @@ import pytest
 
 from hweyl.params import ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
-                           RewriteSystem, commutator, exp_element, exp_matrix2,
-                           nc_mul, normal_form)
+                           RewriteSystem, commutator, exp_matrix2, nc_mul, normal_form)
 from hweyl.bialgebra import (BialgebraClass, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              TYPE_II)
 from hweyl.quantization import _Series, family_rewrite
 
-from engine_helpers import truncated
+from engine_helpers import cut, exp_on, truncated
 from rewrite_oracle import rightmost_normal_form
 
 K = 6
@@ -104,7 +103,7 @@ def test_commutator_type_i_plus():
 # -- exp ------------------------------------------------------------------------------
 
 def test_exp_zero():
-    assert exp_element(FreeElement.zero(K)) == FreeElement.one(K)
+    assert exp_on(GEN_AP, ParamPoly.zero(K)) == FreeElement.one(K)
 
 
 def test_exp_single_generator_against_series_oracle():
@@ -112,8 +111,8 @@ def test_exp_single_generator_against_series_oracle():
     expected = FreeElement.one(2) + x \
         + FreeElement.from_word((GEN_AP, GEN_AP), 2,
                                 coeff=sym("a1", 2) ** 2 * Fraction(1, 2))
-    assert exp_element(x) == expected
-    assert exp_element(x) == series_exp(x, 2)
+    assert exp_on(GEN_AP, sym("a1", 2)) == expected
+    assert exp_on(GEN_AP, sym("a1", 2)) == series_exp(x, 2)
 
 
 def test_exp_sum_scale():
@@ -121,26 +120,23 @@ def test_exp_sum_scale():
     x = gen(GEN_M, 2) * s
     expected = FreeElement.one(2) + x \
         + FreeElement.from_word((GEN_M, GEN_M), 2, coeff=s ** 2 * Fraction(1, 2))
-    assert exp_element(x) == expected
+    assert exp_on(GEN_M, s) == expected
 
 
 def test_exp_inverse_property():
     rs = RewriteSystem.undeformed(K)
     for name, pname in ((GEN_AP, "a1"), (GEN_M, "b3"), (GEN_AM, "xi")):
-        x = gen(name) * sym(pname)
-        prod = normal_form(nc_mul(exp_element(x), exp_element(-x)), rs)
+        prod = normal_form(nc_mul(exp_on(name, sym(pname)), exp_on(name, -sym(pname))), rs)
         assert prod == FreeElement.one(K)
 
 
 def test_exp_rejects_degree_zero():
     with pytest.raises(ValueError):
-        exp_element(gen(GEN_AP))
+        exp_on(GEN_AP, ParamPoly.one(K))
     with pytest.raises(ValueError):
-        exp_element(gen(GEN_AP) * (1 + sym("a1")))
+        exp_on(GEN_AP, 1 + sym("a1"))
     with pytest.raises(ValueError):
-        exp_element(gen(GEN_AP) * sym("a1") + gen(GEN_M) * sym("a2"))
-    with pytest.raises(ValueError):
-        exp_element(FreeElement.from_word((GEN_AP, GEN_AP), K, coeff=sym("a1")))
+        exp_matrix2(GEN_M, [[sym("a2"), sym("a3")], [ParamPoly.one(K), sym("b3")]])
 
 
 def test_constructor_refuses_a_letter_that_is_no_generator():
@@ -159,9 +155,9 @@ def test_constructor_refuses_a_letter_that_is_no_generator():
 def test_exp_matrix_jordan_block():
     a1, a3 = sym("a1"), sym("a3")
     ap = gen(GEN_AP)
-    zero = FreeElement.zero(K)
-    e = exp_matrix2([[ap * a1, ap * -a3], [zero, ap * a1]])
-    expo = exp_element(ap * a1)
+    zero = ParamPoly.zero(K)
+    e = exp_matrix2(GEN_AP, [[a1, -a3], [zero, a1]])
+    expo = exp_on(GEN_AP, a1)
     assert e[0][0] == expo
     assert e[1][1] == expo
     assert not e[1][0]
@@ -170,30 +166,19 @@ def test_exp_matrix_jordan_block():
 
 def test_exp_matrix_diagonal():
     a2, b3 = sym("a2"), sym("b3")
-    m = gen(GEN_M)
-    zero = FreeElement.zero(K)
-    e = exp_matrix2([[m * a2, zero], [zero, m * b3]])
-    assert e[0][0] == exp_element(m * a2)
-    assert e[1][1] == exp_element(m * b3)
+    zero = ParamPoly.zero(K)
+    e = exp_matrix2(GEN_M, [[a2, zero], [zero, b3]])
+    assert e[0][0] == exp_on(GEN_M, a2)
+    assert e[1][1] == exp_on(GEN_M, b3)
     assert not e[0][1] and not e[1][0]
 
 
 def test_exp_matrix_determinant_identity():
     a2, a3, b2, b3 = (sym(n) for n in ("a2", "a3", "b2", "b3"))
-    m = gen(GEN_M)
-    e = exp_matrix2([[m * a2, m * a3], [m * b2, m * b3]])
+    e = exp_matrix2(GEN_M, [[a2, a3], [b2, b3]])
     rs = RewriteSystem.undeformed(K)
     det = normal_form(nc_mul(e[0][0], e[1][1]) - nc_mul(e[0][1], e[1][0]), rs)
-    assert det == exp_element(m * (a2 + b3))
-
-
-def test_exp_matrix_rejects_mixed_generators():
-    with pytest.raises(ValueError):
-        exp_matrix2([[gen(GEN_AP) * sym("a1"), gen(GEN_M) * sym("a2")],
-                     [FreeElement.zero(K), gen(GEN_AP) * sym("a1")]])
-    with pytest.raises(ValueError):
-        exp_matrix2([[FreeElement.from_word((GEN_M, GEN_M), K, coeff=sym("a2")),
-                      FreeElement.zero(K)], [FreeElement.zero(K), gen(GEN_M) * sym("b3")]])
+    assert det == exp_on(GEN_M, a2 + b3)
 
 
 # -- rewrite systems -------------------------------------------------------------------
@@ -393,12 +378,11 @@ def test_truncation_consistency_mul_and_normal_form():
 
 
 def test_truncation_consistency_exp():
-    x6 = gen(GEN_AP, 6) * sym("a1", 6)
-    assert truncated(exp_element(x6), 3) == exp_element(truncated(x6, 3))
-    zero6 = FreeElement.zero(6)
-    mat6 = [[x6, gen(GEN_AP, 6) * sym("a3", 6)], [zero6, x6]]
-    e6 = exp_matrix2(mat6)
-    e3 = exp_matrix2([[truncated(m, 3) for m in row] for row in mat6])
+    a1 = sym("a1", 6)
+    assert truncated(exp_on(GEN_AP, a1), 3) == exp_on(GEN_AP, cut(a1, 3))
+    mat6 = [[a1, sym("a3", 6)], [ParamPoly.zero(6), a1]]
+    e6 = exp_matrix2(GEN_AP, mat6)
+    e3 = exp_matrix2(GEN_AP, [[cut(c, 3) for c in row] for row in mat6])
     for i in range(2):
         for j in range(2):
             assert truncated(e6[i][j], 3) == e3[i][j]

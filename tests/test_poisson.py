@@ -35,6 +35,11 @@ def sym(name):
     return ParamPoly.symbol(name)
 
 
+def generic_structure():
+    """The structure with its six coefficients a1 .. b3 as independent symbols."""
+    return PoissonStructure(*(sym(n) for n in PoissonStructure._FIELDS))
+
+
 # -- the generic bracket and the group-law pullback ----------------------------------
 #
 # No check calls either on a whole polynomial: ``jacobi_check`` is a closed
@@ -116,7 +121,7 @@ def test_group_associativity_symbolic():
 # -- bracket ------------------------------------------------------------------------
 
 def test_bracket_on_generators():
-    ps = PoissonStructure.symbolic()
+    ps = generic_structure()
     am, ap, m = var("a_minus"), var("a_plus"), var("m")
     assert pl_bracket(am, ap, ps) == am * sym("a1") + ap * sym("b1")
     expected_am_m = (am * sym("a2") + ap * sym("b2") + m * sym("b1")
@@ -203,7 +208,7 @@ def test_homomorphism_vanishes_on_the_generic_six_parameter_structure():
     coordinates, the group-law pullback and the bracket it feeds), not the
     input; ``test_homomorphism_detects_perturbed_bracket`` shows that a
     wrong table makes it fail."""
-    report = poisson_homomorphism_check(PoissonStructure.symbolic())
+    report = poisson_homomorphism_check(generic_structure())
     assert len(report) == 3
     assert all(not residual for residual in report.values())
 
@@ -291,7 +296,7 @@ def test_linear_part_is_dual_bracket(tag):
 
 
 def test_linear_part_full_symbolic():
-    ps = PoissonStructure.symbolic()
+    ps = generic_structure()
     delta = constrained_symbolic()
     assert linear_bracket_table(ps) == dual_bracket_table(delta)
 
@@ -365,7 +370,7 @@ def same_terms(p, q):
 
 
 def symbolic_structures():
-    return [PoissonStructure.symbolic()] + [
+    return [generic_structure()] + [
         PoissonStructure.symbolic(tag) for tag in (TYPE_I_PLUS, TYPE_I_MINUS, TYPE_II)]
 
 
@@ -389,7 +394,7 @@ def random_structures(seed, count):
 
 def test_jacobi_closed_form_is_the_cyclic_sum_symbolically():
     """A polynomial identity in all six symbols: a_minus*J1 + a_plus*J2."""
-    ps = PoissonStructure.symbolic()
+    ps = generic_structure()
     closed = jacobi_check(ps)
     assert closed == cyclic_sum(ps)
     a1, a2, a3, b1, b2, b3 = (sym(n) for n in ("a1", "a2", "a3", "b1", "b2", "b3"))

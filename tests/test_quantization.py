@@ -7,8 +7,7 @@ import pytest
 
 from hweyl.params import PARAMS, ParamPoly
 from hweyl.freealg import (GEN_AM, GEN_AP, GEN_M, GENERATORS, FreeElement,
-                           RewriteSystem, commutator, exp_element, exp_matrix2,
-                           nc_mul, normal_form)
+                           RewriteSystem, commutator, exp_matrix2, nc_mul, normal_form)
 from hweyl.tensor import TensorElement, flip, outer, tensor_mul
 from hweyl.bialgebra import (FAMILIES, INVALID, TRIVIAL, TYPE_I_MINUS, TYPE_I_PLUS,
                              TYPE_II, BialgebraClass, Cocommutator)
@@ -22,7 +21,7 @@ from hweyl.quantization import (HopfPresentation, VerificationError,
                                 verify_coassoc, verify_counit,
                                 verify_homomorphism)
 
-from engine_helpers import specialized
+from engine_helpers import exp_on, specialized
 
 K = 3
 
@@ -49,46 +48,46 @@ def report_zero(report):
 
 def test_matrix_delta_type_i_plus():
     series = _Series(BialgebraClass.symbolic(TYPE_I_PLUS, K), K)
-    theta, vector = series.matrix, series.vector
-    ap = gen(GEN_AP)
+    theta, vector = series.theta, series.vector
+    assert series.prim == GEN_AP
     assert vector == (GEN_AM, GEN_M)
-    assert theta[0][0] == ap * -sym("a1")
-    assert theta[0][1] == ap * sym("a3")
+    assert theta[0][0] == -sym("a1")
+    assert theta[0][1] == sym("a3")
     assert not theta[1][0]
-    assert theta[1][1] == ap * -sym("a1")
+    assert theta[1][1] == -sym("a1")
 
 
 def test_matrix_delta_type_i_minus():
     series = _Series(BialgebraClass.symbolic(TYPE_I_MINUS, K), K)
-    theta, vector = series.matrix, series.vector
-    am = gen(GEN_AM)
+    theta, vector = series.theta, series.vector
+    assert series.prim == GEN_AM
     assert vector == (GEN_AP, GEN_M)
-    assert theta[0][0] == am * sym("b1")
-    assert theta[0][1] == am * sym("b2")
+    assert theta[0][0] == sym("b1")
+    assert theta[0][1] == sym("b2")
     assert not theta[1][0]
-    assert theta[1][1] == am * sym("b1")
+    assert theta[1][1] == sym("b1")
 
 
 def test_matrix_delta_type_ii():
     series = _Series(BialgebraClass.symbolic(TYPE_II, K), K)
-    theta, vector = series.matrix, series.vector
-    m = gen(GEN_M)
+    theta, vector = series.theta, series.vector
+    assert series.prim == GEN_M
     assert vector == (GEN_AM, GEN_AP)
-    assert theta[0][0] == m * -sym("a2")
-    assert theta[0][1] == m * -sym("a3")
-    assert theta[1][0] == m * -sym("b2")
-    assert theta[1][1] == m * -sym("b3")
+    assert theta[0][0] == -sym("a2")
+    assert theta[0][1] == -sym("a3")
+    assert theta[1][0] == -sym("b2")
+    assert theta[1][1] == -sym("b3")
 
 
 def test_matrix_delta_type_ii_zero_params():
     cls = BialgebraClass(TYPE_II, normalized=Cocommutator())
-    theta = _Series(cls, K).matrix
+    theta = _Series(cls, K).theta
     assert not any(e for row in theta for e in row)
 
 
 def test_matrix_delta_trivial_is_zero():
     series = _Series(BialgebraClass.symbolic(TRIVIAL, K), K)
-    theta, vector = series.matrix, series.vector
+    theta, vector = series.theta, series.vector
     assert vector == (GEN_AM, GEN_AP)
     assert not any(e for row in theta for e in row)
 
@@ -121,7 +120,7 @@ def test_coproduct_type_i_plus_closed_forms():
     cop = build_coproduct(_Series(BialgebraClass.symbolic(TYPE_I_PLUS, K), K))
     one = FreeElement.one(K)
     am, ap, m = gen(GEN_AM), gen(GEN_AP), gen(GEN_M)
-    e = exp_element(ap * sym("a1"))
+    e = exp_on(GEN_AP, sym("a1"))
     assert cop[GEN_AP] == outer(one, ap) + outer(ap, one)
     assert cop[GEN_M] == outer(one, m) + outer(m, e)
     expected_am = outer(one, am) + outer(am, e) \
@@ -212,7 +211,7 @@ def test_exprel_series_degenerate_scale():
 
 def test_series_have_one_word_per_power_up_to_the_order():
     # exp(a1 A+) has A+^0 .. A+^K; (exp(sM) - 1)/s has M^1 .. M^(K+1)
-    assert len(exp_element(gen(GEN_AP) * sym("a1")).terms) == K + 1
+    assert len(exp_on(GEN_AP, sym("a1")).terms) == K + 1
     assert len(exprel_series(sym("a2") + sym("b3"), K).terms) == K + 1
 
 
@@ -255,7 +254,7 @@ def test_antipode_type_i_plus_closed_form():
     order = 6
     hp = quantize(TYPE_I_PLUS, order=order)
     am, ap, m = gen(GEN_AM, order), gen(GEN_AP, order), gen(GEN_M, order)
-    e_neg = exp_element(ap * -sym("a1", order))
+    e_neg = exp_on(GEN_AP, -sym("a1", order))
     assert hp.antipode[GEN_AP] == -ap
     assert hp.antipode[GEN_M] == normal_form(-nc_mul(m, e_neg), hp.rewrite)
     expected = normal_form(
@@ -275,7 +274,7 @@ def test_antipode_type_i_minus_closed_form():
     order = 6
     hp = quantize(TYPE_I_MINUS, order=order)
     am, ap, m = gen(GEN_AM, order), gen(GEN_AP, order), gen(GEN_M, order)
-    e_pos = exp_element(am * sym("b1", order))
+    e_pos = exp_on(GEN_AM, sym("b1", order))
     assert hp.antipode[GEN_AM] == -am
     assert hp.antipode[GEN_M] == normal_form(-nc_mul(m, e_pos), hp.rewrite)
     expected = normal_form(
@@ -292,7 +291,7 @@ def test_antipode_type_ii_diagonal():
     gamma = build_antipode(series, rs)
     m = gen(GEN_M)
     expected = normal_form(
-        -nc_mul(gen(GEN_AM), exp_element(m * -sym("a2"))), rs)
+        -nc_mul(gen(GEN_AM), exp_on(GEN_M, -sym("a2"))), rs)
     assert gamma[GEN_AM] == expected
     assert gamma[GEN_M] == -m
 
@@ -426,7 +425,7 @@ def test_f_read_off_e_is_exp_theta_term_by_term(tag):
     for order in range(1, 9):
         for cls in _series_cases(tag, order, rng):
             series = _Series(cls, order)
-            direct = exp_matrix2(series.matrix)
+            direct = exp_matrix2(series.prim, series.theta)
             for i in range(2):
                 for j in range(2):
                     assert series.exp_pos[i][j].terms == direct[i][j].terms, (cls, order, i, j)
@@ -502,8 +501,7 @@ def test_specialization_commutes():
 def test_central_element_commutes_at_order_six():
     hp = quantize(TYPE_I_PLUS, order=6)
     c = central_element(hp)
-    expected = nc_mul(gen(GEN_M, 6),
-                      exp_element(gen(GEN_AP, 6) * (sym("a1", 6) * Fraction(-1, 2))))
+    expected = nc_mul(gen(GEN_M, 6), exp_on(GEN_AP, sym("a1", 6) * Fraction(-1, 2)))
     assert c == expected
     for name in GENERATORS:
         assert not commutator(c, gen(name, 6), hp.rewrite)
@@ -519,7 +517,7 @@ def test_central_element_relation_change():
     c = central_element(hp)
     am, ap = gen(GEN_AM, 5), gen(GEN_AP, 5)
     rhs = normal_form(
-        nc_mul(c, exp_element(ap * (sym("a1", 5) * Fraction(1, 2)))), hp.rewrite)
+        nc_mul(c, exp_on(GEN_AP, sym("a1", 5) * Fraction(1, 2))), hp.rewrite)
     assert commutator(am, ap, hp.rewrite) == rhs
     assert not commutator(ap, c, hp.rewrite)
     assert not commutator(am, c, hp.rewrite)
@@ -552,14 +550,13 @@ def test_counit_residuals_shape():
 
 @pytest.mark.parametrize("order", [2, 4, 6, 8])
 def test_type_ii_determinant_identity(order):
-    from hweyl.freealg import exp_matrix2
     cls = BialgebraClass.symbolic(TYPE_II, order)
-    theta = _Series(cls, order).matrix
-    e = exp_matrix2([[-x for x in row] for row in theta])
+    theta = _Series(cls, order).theta
+    e = exp_matrix2(GEN_M, [[-x for x in row] for row in theta])
     rs = RewriteSystem.undeformed(order)
     det = normal_form(nc_mul(e[0][0], e[1][1]) - nc_mul(e[0][1], e[1][0]), rs)
     scale = sym("a2", order) + sym("b3", order)
-    assert det == exp_element(gen(GEN_M, order) * scale)
+    assert det == exp_on(GEN_M, scale)
 
 
 # -- duality -------------------------------------------------------------------------------------

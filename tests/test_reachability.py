@@ -78,6 +78,11 @@ ALLOWED = {
                                        "runs it at K = 40",
         "quantization.HopfPresentation.from_json": "ROADMAP item 20 reads a "
                                                    "presentation back",
+    },
+    "read only by perfbench and the tests": {
+        "params.ParamPoly.terms": "the exponent-tuple view; perfbench's trace reads it "
+                                  "(spans._degree_histogram), and that file changes "
+                                  "only with the benchmark",
         "bialgebra.Cocommutator.coefficients": "perfbench's own test calls it, and that "
                                                "file changes only with the benchmark",
     },

@@ -26,7 +26,7 @@ RECORDS = {
     "Cocommutator-symbolic": lambda: Cocommutator(
         a1=ParamPoly.symbol("a1", 3), b2=ParamPoly.symbol("b2", 3)),
     "RMatrix": lambda: RMatrix(1, "1/2", -3),
-    "RMatrix-symbolic": lambda: RMatrix.symbolic(3),
+    "RMatrix-symbolic": lambda: RMatrix.symbolic(),
     "BialgebraClass": lambda: classify(Cocommutator(a1=2, a2=6, a3="-4/3", b1=3, b2=3, b3=2)),
     "BialgebraClass-invalid": lambda: classify(Cocommutator(a1=2, c1=3)),
     "GroupCoords": lambda: GroupCoords.point(1, "2/3", -4),

@@ -1,6 +1,6 @@
 """The series built by the shared element arithmetic, against sympy.
 
-``exp_element`` of a parameter multiple of one generator, the TYPE_II
+``exp_matrix2`` of a 1x1 matrix on one generator (``exp_on``), the TYPE_II
 bracket series ``exprel_series`` and the determinant of the TYPE_II
 coproduct matrix E = exp(-theta) are compared with sympy's own expansions
 of exp(x) and (exp(x) - 1)/x, truncated at parameter degree K.  Every
@@ -16,12 +16,11 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hweyl.params import PARAMS, ParamPoly  # noqa: E402
-from hweyl.freealg import (GEN_M, GENERATORS, FreeElement,  # noqa: E402
-                           exp_element, exp_matrix2)
+from hweyl.freealg import GEN_M, GENERATORS, exp_matrix2  # noqa: E402
 from hweyl.bialgebra import TYPE_II, BialgebraClass, Cocommutator  # noqa: E402
 from hweyl.quantization import _Series, exprel_series  # noqa: E402
 
-from engine_helpers import poly  # noqa: E402
+from engine_helpers import exp_on, poly  # noqa: E402
 
 PARAM_SYMS = sympy.symbols(PARAMS)
 G = sympy.Symbol("g")
@@ -88,7 +87,7 @@ def series_at(fn, arg, order):
 @given(cases(), st.sampled_from(GENERATORS))
 def test_exp_element_matches_sympy(case, letter):
     order, c = case
-    got = exp_element(FreeElement.generator(letter, order) * c)
+    got = exp_on(letter, c)
     want = series_at(sympy.exp(X), poly_to_sympy(c) * G, order)
     assert sympy.expand(element_to_sympy(got, letter) - want) == 0
 
@@ -109,9 +108,9 @@ def test_exprel_series_matches_sympy(case):
 def test_type_ii_coproduct_matrix_determinant(order, qs):
     a2, a3, b2, b3 = qs
     cls = BialgebraClass(TYPE_II, normalized=Cocommutator(a2=a2, a3=a3, b2=b2, b3=b3))
-    theta = _Series(cls, order).matrix
+    theta = _Series(cls, order).theta
     e = [[element_to_sympy(x, GEN_M) for x in row]
-         for row in exp_matrix2([[-x for x in row] for row in theta])]
+         for row in exp_matrix2(GEN_M, [[-x for x in row] for row in theta])]
     det = truncated(e[0][0] * e[1][1] - e[0][1] * e[1][0], order)
     # a rational parameter q is graded as q*t
     trace = (rational(a2) + rational(b3)) * PARAM_SYMS[PARAMS.index("t")]

@@ -104,15 +104,10 @@ def test_wedge2_skew():
 
 def test_wedge3_alternating():
     w = wedge3(gen(GEN_M), gen(GEN_AP), gen(GEN_AM))
-    assert w.is_alternating()
+    assert six_permutation_alternating(w)
     assert len(w.terms) == 6
     assert w.terms[((GEN_M,), (GEN_AP,), (GEN_AM,))] == ParamPoly.one(K)
     assert w.terms[((GEN_AP,), (GEN_M,), (GEN_AM,))] == -ParamPoly.one(K)
-
-
-def test_is_alternating_rejects_symmetric():
-    t = outer(gen(GEN_AP), gen(GEN_AP), gen(GEN_M))
-    assert not t.is_alternating()
 
 
 _PERMUTATIONS = {(0, 1, 2): 1, (0, 2, 1): -1, (1, 0, 2): -1,
@@ -129,75 +124,6 @@ def six_permutation_alternating(t):
             if t.terms.get(image, zero) != coeff * sign:
                 return False
     return True
-
-
-_WORDS = [(GEN_AM,), (GEN_AP,), (GEN_M,), (GEN_AP, GEN_AM), (GEN_M, GEN_M)]
-
-
-def _random_coeff(rng):
-    c = ParamPoly.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
-                                 rng.randint(1, 5)), K)
-    if rng.random() < 0.3:
-        c = c * ParamPoly.symbol(rng.choice(("xi", "a1", "beta_plus")), K) + c
-    return c
-
-
-def _random_alternating(rng):
-    """A sum of random multiples of x ^ y ^ z, each spread over its six slot
-    orders with the permutation signs."""
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        slots = tuple(rng.sample(_WORDS, 3))
-        c = _random_coeff(rng)
-        for perm, sign in _PERMUTATIONS.items():
-            key = tuple(slots[p] for p in perm)
-            acc = terms.get(key, ParamPoly.zero(K))
-            terms[key] = acc + (c if sign == 1 else -c)
-    return TensorElement(3, terms, K)
-
-
-def test_two_transpositions_match_six_permutations():
-    rng = random.Random(61)
-    seen = {True: 0, False: 0}
-    for n in range(300):
-        if n % 3:
-            t = _random_alternating(rng)
-        else:
-            t = TensorElement(3, {tuple(rng.choice(_WORDS) for _ in range(3)):
-                                  _random_coeff(rng) for _ in range(rng.randint(1, 6))}, K)
-        assert t.is_alternating() == six_permutation_alternating(t)
-        seen[t.is_alternating()] += 1
-    assert seen[True] > 100 and seen[False] > 50
-
-
-def test_alternating_mutants_are_rejected():
-    rng = random.Random(62)
-    for _ in range(50):
-        t = _random_alternating(rng)
-        if not t:
-            continue
-        assert t.is_alternating() and six_permutation_alternating(t)
-        key = rng.choice(sorted(t.terms))
-        dropped = TensorElement(3, {k: c for k, c in t.terms.items() if k != key}, K)
-        flipped = TensorElement(3, {**t.terms, key: -t.terms[key]}, K)
-        x, y = rng.sample(_WORDS, 2)
-        repeated = t + TensorElement(3, {(x, x, y): _random_coeff(rng)}, K)
-        for mutant in (dropped, flipped, repeated):
-            assert not mutant.is_alternating()
-            assert not six_permutation_alternating(mutant)
-
-
-def test_skew_in_one_slot_pair_only_is_not_alternating():
-    # each generating transposition is needed: skew under (0 1) alone or
-    # under (1 2) alone is not enough
-    rng = random.Random(63)
-    for _ in range(50):
-        x, y, z = rng.sample(_WORDS, 3)
-        c = _random_coeff(rng)
-        for swapped in ((y, x, z), (x, z, y)):
-            t = TensorElement(3, {(x, y, z): c, swapped: -c}, K)
-            assert not t.is_alternating()
-            assert not six_permutation_alternating(t)
 
 
 def test_truncation_consistency():

@@ -1,6 +1,6 @@
 """Oracles for the one per-family input of quantization, Theta read off delta.
 
-* theta = p * Theta (``_Series.matrix``) at random rational points of each
+* theta = p * Theta (``_Series.theta``) at random rational points of each
   family: the wedge sum_j theta_ij ^ v_j must equal
   ``Cocommutator.as_tensor(v_i)``.
 * Every printed closed form, expanded by sympy to parameter degree K, must
@@ -62,7 +62,8 @@ def _random_point(data, tag):
 def test_matrix_delta_is_the_cocommutator_at_random_points(tag, data):
     values = _random_point(data, tag)
     series = _Series(BialgebraClass(tag, normalized=Cocommutator(**values)), K)
-    theta, vector = series.matrix, series.vector
+    p, vector = FreeElement.generator(series.prim, K), series.vector
+    theta = [[p * c for c in row] for row in series.theta]
     t = ParamPoly.symbol(GRADING, K)
     graded = Cocommutator(**{n: t * q for n, q in values.items()})
     for i, vi in enumerate(vector):
@@ -161,11 +162,12 @@ def _check(hp):
 
     funcs, exponent = _matrix_funcs(forms)
     if exponent is not None:
-        theta = _Series(hp.bialgebra_class, K).matrix
+        theta = _Series(hp.bialgebra_class, K).theta
+        p = FreeElement.generator(prim, K)
         for i in range(2):
             for j in range(2):
                 got = FreeElement(_terms(exponent[i, j], prim, graded), K)
-                assert got == -theta[i][j], (i, j)
+                assert got == p * -theta[i][j], (i, j)
 
     checked = 0
     for line in forms["coproduct"]:
