@@ -12,17 +12,19 @@ index tensors:
 
 - the cocycle residuals are three linear forms (``_cocycle_forms``);
 - the co-Jacobi residuals are two quadrics (``_cojacobi_forms``);
-- a basis change B is an automorphism exactly when the image of M is
-  det(B restricted to A-, A+) times M (``check_automorphism``);
+- a basis change B = N / D is an automorphism exactly when the image of M
+  is det(B restricted to A-, A+) times M, an integer test on N, and it is
+  then singular exactly when N22 = 0 (``check_automorphism``);
 - the transport of delta by B needs the 2x2 minors of B^-1, which Jacobi's
   complementary-minor identity gives as signed entries of B over det B, so
   each new coefficient is one integer sum over one denominator
   (``apply_automorphism``).
 
-``classify`` evaluates the cocycle forms and the co-Jacobi quadrics on the
-integer numerators of the nine coefficients over their common denominator E
-(``Cocommutator.numerators``, which the transport reuses); only a reported
-co-Jacobi residual becomes a Fraction, j / E^2.
+``classify`` evaluates the cocycle forms, the co-Jacobi quadrics and the
+normalizing basis change N / d (``_normalizing_matrix``) on the integer
+numerators of the nine coefficients over their common denominator E
+(``Cocommutator.numerators``, which the transport reuses); E cancels from
+N / d, and only a reported co-Jacobi residual becomes a Fraction, j / E^2.
 
 On the coboundary side only the xi A+ ^ A- part of an r-matrix has a nonzero
 bracket, so every map is read off xi:
@@ -232,30 +234,30 @@ def dual_bracket_table(delta):
 
 # -- automorphisms ------------------------------------------------------------
 
-def _mat(rows):
-    out = tuple(tuple(as_fraction(v) for v in row) for row in rows)
-    if len(out) != 3 or any(len(r) != 3 for r in out):
-        raise ValueError("expected a 3x3 matrix")
-    return out
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
-
-_IDENTITY = ((Fraction(1), Fraction(0), Fraction(0)),
-             (Fraction(0), Fraction(1), Fraction(0)),
-             (Fraction(0), Fraction(0), Fraction(1)))
+_IDENTITY = ((_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ONE))
 
 
 def check_automorphism(basis_change):
-    """Raise unless the basis change preserves every Lie bracket.
+    """Raise unless the basis change B is an automorphism; return (N, D), its
+    entries as integer rows over their common denominator, B = N / D.
 
     With columns the images of (A-, A+, M), [A-, A+] = M is preserved exactly
-    when B02 = B12 = 0 and B22 = B00*B11 - B10*B01; the brackets with M then
-    vanish as they should.
+    when B02 = B12 = 0 and B22 = B00*B11 - B10*B01, that is N02 = N12 = 0 and
+    N22*D = N00*N11 - N10*N01; the brackets with M then vanish as they should,
+    and det B = B22^2 is 0 exactly when N22 = 0.
     """
-    B = _mat(basis_change)
-    if B[0][2] or B[1][2] or B[2][2] != B[0][0] * B[1][1] - B[1][0] * B[0][1]:
+    if len(basis_change) != 3 or any(len(row) != 3 for row in basis_change):
+        raise ValueError("expected a 3x3 matrix")
+    flat, D = _integers([as_fraction(v) for row in basis_change for v in row])
+    n00, n01, n02, n10, n11, n12, n20, n21, n22 = flat
+    if n02 or n12 or n22 * D != n00 * n11 - n10 * n01:
         raise ValueError(
             f"not an automorphism: bracket [{BASIS[0]}, {BASIS[1]}] is not preserved")
-    return B
+    if not n22:
+        raise ValueError("basis change is singular")
+    return ((n00, n01, n02), (n10, n11, n12), (n20, n21, n22)), D
 
 
 def _integers(values):
@@ -270,26 +272,20 @@ def apply_automorphism(delta, basis_change):
     ``basis_change`` columns are the images of (A-, A+, M) under phi, and the
     coefficients of delta must be rational.  On the wedge pairs n, m the 2x2
     minors of B^-1 are (-1)^(n+m) B[2-m][2-n] / det B, and det B = B22^2 for
-    an automorphism.  So with B = N / D and the coefficient rows R / E over
-    integers, new row j on pair n is
-    sum_m (-1)^(n+m) N[2-m][2-n] sum_i N[i][j] R[i][m] / (N22^2 E).
+    an automorphism, whose N02 = N12 = 0.  So with B = N / D and the
+    coefficient rows R / E over integers, new row j on pair n is
+    sum_m (-1)^(n+m) N[2-m][2-n] sum_i N[i][j] R[i][m] / (N22^2 E): D cancels.
     """
     if delta.is_symbolic:
         raise TypeError("automorphism transport needs rational coefficients")
-    B = check_automorphism(basis_change)
-    flat, _ = _integers([v for row in B for v in row])
-    N = [flat[3 * i:3 * i + 3] for i in range(3)]
-    if not N[2][2]:
-        raise ValueError("basis change is singular")
+    (n00, n01, _), (n10, n11, _), (n20, n21, n22) = check_automorphism(basis_change)[0]
     R, E = delta.numerators()
-    minors = [[(-1) ** (n + m) * N[2 - m][2 - n] for m in range(3)] for n in range(3)]
-    den = N[2][2] * N[2][2] * E
+    den = n22 * n22 * E
     new = []
-    for j in range(3):
-        mixed = [N[0][j] * R[m] + N[1][j] * R[3 + m] + N[2][j] * R[6 + m]
-                 for m in range(3)]
-        new += [Fraction(w[0] * mixed[0] + w[1] * mixed[1] + w[2] * mixed[2], den)
-                for w in minors]
+    for c0, c1, c2 in ((n00, n10, n20), (n01, n11, n21), (0, 0, n22)):
+        m0, m1, m2 = (c0 * R[m] + c1 * R[3 + m] + c2 * R[6 + m] for m in range(3))
+        for w in (n22 * m0, n11 * m1 - n21 * m0 - n01 * m2, n20 * m0 - n10 * m1 + n00 * m2):
+            new.append(Fraction(w, den) if w else _ZERO)
     return Cocommutator(*new[:6], c1=new[6], c2=new[7], c3=new[8])
 
 
@@ -385,20 +381,20 @@ class BialgebraClass(Record):
         return f"BialgebraClass({self.tag}, normalized={self.normalized!r})"
 
 
-def _normalizing_matrix(tag, a1, a2, a3, b1, b3):
-    """The basis change that ``classify`` uses to normalize a bialgebra of
-    family ``tag`` with these coefficients.
+def _normalizing_matrix(tag, R):
+    """(N, d), where B = N / d is the basis change that ``classify`` uses to
+    normalize a bialgebra of family ``tag``, TYPE_I_PLUS or else TYPE_I_MINUS
+    (TYPE_II keeps its basis), with the nine coefficients R.
 
-    Plain arithmetic on the values, so symbolic values can be fed; for
-    TYPE_I_PLUS a1 must be invertible, for TYPE_I_MINUS b1.
+    Ring operations only, so integer numerators (``Cocommutator.numerators``)
+    or symbols can be fed: B is homogeneous of degree 0 in R, so a common
+    denominator cancels.  a1 must be invertible for I+, b1 for I-.
     """
-    one, zero = Fraction(1), Fraction(0)
+    a1, a2, a3, b1, _, b3 = R[:6]
     if tag == TYPE_I_PLUS:
-        shift = b1 * a3 / a1 ** 2 + a2 / a1
-        return ((one, -b1 / a1, zero), (zero, one, zero), (zero, shift, one))
-    if tag == TYPE_I_MINUS:
-        return ((one, zero, zero), (zero, one, zero), (-b3 / b1, zero, one))
-    return _IDENTITY
+        d = a1 * a1
+        return ((d, -b1 * a1, 0), (0, d, 0), (0, b1 * a3 + a2 * a1, d)), d
+    return ((b1, 0, 0), (0, b1, 0), (-b3, 0, b1)), b1
 
 
 def classify(delta):
@@ -421,9 +417,13 @@ def classify(delta):
     if not any(R):
         return BialgebraClass(TRIVIAL, normalized=delta, rmatrix=RMatrix())
 
-    tag = TYPE_I_PLUS if delta.a1 else TYPE_I_MINUS if delta.b1 else TYPE_II
-    B = _normalizing_matrix(tag, delta.a1, delta.a2, delta.a3, delta.b1, delta.b3)
-    normalized = apply_automorphism(delta, B) if B is not _IDENTITY else delta
+    tag = TYPE_I_PLUS if R[0] else TYPE_I_MINUS if R[3] else TYPE_II
+    B, normalized = _IDENTITY, delta
+    if tag != TYPE_II:
+        N, d = _normalizing_matrix(tag, R)
+        B = tuple(tuple(_ONE if n == d else Fraction(n, d) if n else _ZERO for n in row)
+                  for row in N)
+        normalized = apply_automorphism(delta, B)
     kept = FAMILIES[tag][0]
     if any(getattr(normalized, n) for n in _COEFF_NAMES[:6] if n not in kept):
         raise RuntimeError(f"normalization failed for {tag}: {normalized}")

@@ -15,12 +15,15 @@
 - A polynomial written as {exponent tuple: rational}, and one cut to another
   truncation order, built on the packed storage of ``params``.
 - The six coefficients of a ``PoissonStructure``, read off its numerators.
+- The basis change that normalizes an I+ or I- bialgebra, in Fractions, an
+  oracle for ``bialgebra._normalizing_matrix``, which works on integers.
 """
 
 import math
 from fractions import Fraction
 
-from hweyl.bialgebra import _COEFF_NAMES, _cocycle_forms, _cojacobi_forms, _skew, _to_tensor
+from hweyl.bialgebra import (_COEFF_NAMES, TYPE_I_PLUS, _cocycle_forms, _cojacobi_forms, _skew,
+                             _to_tensor)
 from hweyl.freealg import exp_matrix2
 from hweyl.params import (_BITS, DEFAULT_ORDER, PARAMS, ParamPoly, _build, _check_order,
                           _pack, as_fraction)
@@ -143,3 +146,16 @@ def structure_coefficients(ps):
         p = _build(dict(num), den, math.inf, PARAMS)
         out.append(Fraction(p._num.get(0, 0), p._den) if p.is_constant() else p)
     return out
+
+
+def normalizing_matrix_oracle(tag, a1, a2, a3, b1, b3):
+    """The basis change that normalizes a TYPE_I_PLUS bialgebra (a1 != 0) or a
+    TYPE_I_MINUS one (a1 = 0, b1 != 0) with these coefficients, each entry a
+    Fraction formula in them; the columns are the images of (A-, A+, M).  For
+    I+, phi(A+) = A+ - b1/a1 A- + (b1 a3 / a1^2 + a2 / a1) M; for I-,
+    phi(A-) = A- - b3/b1 M."""
+    one, zero = Fraction(1), Fraction(0)
+    if tag == TYPE_I_PLUS:
+        shift = b1 * a3 / a1 ** 2 + a2 / a1
+        return ((one, -b1 / a1, zero), (zero, one, zero), (zero, shift, one))
+    return ((one, zero, zero), (zero, one, zero), (-b3 / b1, zero, one))

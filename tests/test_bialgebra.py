@@ -290,7 +290,8 @@ def test_closed_automorphism_check_matches_bracket_oracle():
         broken = broken_bracket_oracle(B)
         if broken is None:
             accepted += 1
-            assert check_automorphism(B) == tuple(map(tuple, B))
+            N, D = check_automorphism(B)
+            assert [[Fraction(n, D) for n in row] for row in N] == B
         else:
             rejected += 1
             assert broken == (0, 1)
@@ -441,9 +442,13 @@ def test_each_broken_automorphism_condition_is_rejected(entry, value):
 
 
 def test_singular_basis_change_rejected():
-    zero = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError, match="singular"):
-        apply_automorphism(Cocommutator(a1=1), zero)
+    # [A-, A+] = M holds on the nose (B22 = B00*B11 - B10*B01 = 0), yet
+    # det B = B22^2 = 0: no automorphism
+    for B in (((0, 0, 0), (0, 0, 0), (0, 0, 0)), ((1, 2, 0), (2, 4, 0), (5, 7, 0))):
+        with pytest.raises(ValueError, match="singular"):
+            check_automorphism(B)
+        with pytest.raises(ValueError, match="singular"):
+            apply_automorphism(Cocommutator(a1=1), B)
 
 
 # -- Lie structure ---------------------------------------------------------------

@@ -6,11 +6,14 @@ A nonzero a1 is the generator 1 - a1*t (t a fresh variable, so a1 is
 invertible modulo the ideal), a1 = 0 with b1 nonzero is a1, 1 - b1*t, and
 a1 = b1 = 0 is a1, b1.  The cocycle constraints c1 = 0, c2 = b1, c3 = -a1 hold
 on every input that reaches normalization, so they are substituted.  The
-basis change is the engine's own (``_normalizing_matrix`` fed with sympy
-symbols); the transport is independent of the engine's.  A normalized
-coefficient is a rational function whose denominator is a power of the
-inverted coefficient, so it vanishes on the branch exactly when its numerator
-reduces to 0 modulo a Groebner basis of the ideal.
+basis change is the engine's own: on the I+ and I- branches
+``_normalizing_matrix`` fed with the nine coefficients as sympy symbols
+returns a matrix N and a denominator d, B = N / d, built with ring operations
+only; TYPE_II keeps its basis.  The transport of B is independent of the
+engine's.  As N holds no division and d is a power of the inverted
+coefficient, a normalized coefficient is a rational function whose
+denominator is a power of that coefficient, so it vanishes on the branch
+exactly when its numerator reduces to 0 modulo a Groebner basis of the ideal.
 """
 
 import pytest
@@ -56,7 +59,11 @@ def remainders(tag, names):
     branch ideal."""
     extra, inverted = BRANCHES[tag]
     basis = sympy.groebner(QUADRICS + extra, *GENS, order="grevlex")
-    normalized = transport(_normalizing_matrix(tag, a1, a2, a3, b1, b3))
+    if tag == TYPE_II:
+        normalized = transport(sympy.eye(3))
+    else:
+        N, d = _normalizing_matrix(tag, [v for row in ROWS for v in row])
+        normalized = transport(sympy.Matrix(N) / d)
     out = {}
     for name in names:
         num, den = sympy.fraction(sympy.cancel(normalized[name]))
