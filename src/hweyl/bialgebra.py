@@ -234,14 +234,14 @@ def dual_bracket_table(delta):
 
 # -- automorphisms ------------------------------------------------------------
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-_IDENTITY = ((_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ONE))
+_IDENTITY = ((Fraction(1), Fraction(0), Fraction(0)),
+             (Fraction(0), Fraction(1), Fraction(0)),
+             (Fraction(0), Fraction(0), Fraction(1)))
 
 
 def check_automorphism(basis_change):
-    """Raise unless the basis change B is an automorphism; return (N, D), its
-    entries as integer rows over their common denominator, B = N / D.
+    """Raise unless the basis change B is an automorphism; return N, B's
+    entries as integer rows over their common denominator D, B = N / D.
 
     With columns the images of (A-, A+, M), [A-, A+] = M is preserved exactly
     when B02 = B12 = 0 and B22 = B00*B11 - B10*B01, that is N02 = N12 = 0 and
@@ -257,7 +257,7 @@ def check_automorphism(basis_change):
             f"not an automorphism: bracket [{BASIS[0]}, {BASIS[1]}] is not preserved")
     if not n22:
         raise ValueError("basis change is singular")
-    return ((n00, n01, n02), (n10, n11, n12), (n20, n21, n22)), D
+    return (n00, n01, n02), (n10, n11, n12), (n20, n21, n22)
 
 
 def _integers(values):
@@ -272,20 +272,22 @@ def apply_automorphism(delta, basis_change):
     ``basis_change`` columns are the images of (A-, A+, M) under phi, and the
     coefficients of delta must be rational.  On the wedge pairs n, m the 2x2
     minors of B^-1 are (-1)^(n+m) B[2-m][2-n] / det B, and det B = B22^2 for
-    an automorphism, whose N02 = N12 = 0.  So with B = N / D and the
-    coefficient rows R / E over integers, new row j on pair n is
-    sum_m (-1)^(n+m) N[2-m][2-n] sum_i N[i][j] R[i][m] / (N22^2 E): D cancels.
+    an automorphism.  So with B = N / D and the coefficient rows R / E over
+    integers, new row j on pair n is
+    sum_m (-1)^(n+m) N[2-m][2-n] sum_i N[i][j] R[i][m] / (N22^2 E).
     """
     if delta.is_symbolic:
         raise TypeError("automorphism transport needs rational coefficients")
-    (n00, n01, _), (n10, n11, _), (n20, n21, n22) = check_automorphism(basis_change)[0]
+    N = check_automorphism(basis_change)
     R, E = delta.numerators()
-    den = n22 * n22 * E
+    minors = [[(-1) ** (n + m) * N[2 - m][2 - n] for m in range(3)] for n in range(3)]
+    den = N[2][2] * N[2][2] * E
     new = []
-    for c0, c1, c2 in ((n00, n10, n20), (n01, n11, n21), (0, 0, n22)):
-        m0, m1, m2 = (c0 * R[m] + c1 * R[3 + m] + c2 * R[6 + m] for m in range(3))
-        for w in (n22 * m0, n11 * m1 - n21 * m0 - n01 * m2, n20 * m0 - n10 * m1 + n00 * m2):
-            new.append(Fraction(w, den) if w else _ZERO)
+    for j in range(3):
+        mixed = [N[0][j] * R[m] + N[1][j] * R[3 + m] + N[2][j] * R[6 + m]
+                 for m in range(3)]
+        new += [Fraction(w[0] * mixed[0] + w[1] * mixed[1] + w[2] * mixed[2], den)
+                for w in minors]
     return Cocommutator(*new[:6], c1=new[6], c2=new[7], c3=new[8])
 
 
@@ -383,12 +385,10 @@ class BialgebraClass(Record):
 
 def _normalizing_matrix(tag, R):
     """(N, d), where B = N / d is the basis change that ``classify`` uses to
-    normalize a bialgebra of family ``tag``, TYPE_I_PLUS or else TYPE_I_MINUS
-    (TYPE_II keeps its basis), with the nine coefficients R.
-
-    Ring operations only, so integer numerators (``Cocommutator.numerators``)
-    or symbols can be fed: B is homogeneous of degree 0 in R, so a common
-    denominator cancels.  a1 must be invertible for I+, b1 for I-.
+    normalize a TYPE_I_PLUS (a1 invertible) or TYPE_I_MINUS (b1 invertible)
+    bialgebra with the nine coefficients R, in ring operations only: integer
+    numerators (``Cocommutator.numerators``) or symbols can be fed, and their
+    common denominator cancels, as B is homogeneous of degree 0 in R.
     """
     a1, a2, a3, b1, _, b3 = R[:6]
     if tag == TYPE_I_PLUS:
@@ -421,8 +421,7 @@ def classify(delta):
     B, normalized = _IDENTITY, delta
     if tag != TYPE_II:
         N, d = _normalizing_matrix(tag, R)
-        B = tuple(tuple(_ONE if n == d else Fraction(n, d) if n else _ZERO for n in row)
-                  for row in N)
+        B = tuple(tuple(Fraction(n, d) for n in row) for row in N)
         normalized = apply_automorphism(delta, B)
     kept = FAMILIES[tag][0]
     if any(getattr(normalized, n) for n in _COEFF_NAMES[:6] if n not in kept):
