@@ -345,6 +345,11 @@ def build_parser():
                     "of at most K letters; the cost grows steeply "
                     "with K: from K = 16 up, quantize --family type2 "
                     "takes about 1.4 times longer per +2 in K")
+    # classify, coboundary and poisson compute exactly, with no series
+    unused_order = (f"accepted, 1 to {MAX_ORDER}, and not used: the results are "
+                    "exact rationals and polynomials, and the checks exact "
+                    "polynomial identities, not series, so they do not use the "
+                    "truncation order K")
 
     def common(p, with_input=False, with_family=None, order_help=series_order):
         p.add_argument("--order", type=int, default=DEFAULT_ORDER, help=order_help)
@@ -352,14 +357,14 @@ def build_parser():
         if with_input:
             p.add_argument("input", nargs="?", default=None,
                            help="inline JSON or a path to a JSON file")
-            p.add_argument("--input", dest="input_opt", default=None,
+            p.add_argument("--input", dest="input_opt", default=None, metavar="INPUT",
                            help="alternative to the positional input")
         if with_family:
             p.add_argument("--family", choices=with_family,
                            default=with_family[-1])
 
     p = sub.add_parser("classify", help="classify a cocommutator JSON")
-    common(p, with_input=True)
+    common(p, with_input=True, order_help=unused_order)
     p.set_defaults(handler=run_classify)
 
     p = sub.add_parser("quantize",
@@ -380,20 +385,12 @@ def build_parser():
     p = sub.add_parser("coboundary",
                        help="Schouten bracket, mCYBE, CYBE and induced "
                             "cocommutator of an r-matrix (symbolic without input)")
-    common(p, with_input=True,
-           order_help=f"accepted, 1 to {MAX_ORDER}, and not used: every map of "
-                      "the coboundary command is a polynomial of degree at most "
-                      "2 in the r-matrix coefficients, so the symbols are not "
-                      "truncated at K")
+    common(p, with_input=True, order_help=unused_order)
     p.set_defaults(handler=run_coboundary)
 
     p = sub.add_parser("poisson", help="group law and Poisson-Lie checks")
     # at K = 1 the quadratic Jacobi terms would be cut, so K is never read
-    common(p, with_family=_FAMILY_CHOICES,
-           order_help=f"accepted, 1 to {MAX_ORDER}, and not used: the poisson "
-                      "checks are exact polynomial identities, in the "
-                      "coordinates and in the symbolic coefficients, so they "
-                      "do not use the truncation order K")
+    common(p, with_family=_FAMILY_CHOICES, order_help=unused_order)
     p.add_argument("--check",
                    choices=("jacobi", "homomorphism", "linear", "grouplaw", "all"),
                    default="all")

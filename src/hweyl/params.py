@@ -583,80 +583,18 @@ class ParamPoly:
                 num[k - step] = c * e
         return _build(num, self._den, self._order, self._names)
 
-    def subs(self, values):
-        """Substitute variables by rationals or polynomials.
-
-        When every value is a rational or a polynomial over self's variables,
-        variables not named in ``values`` are left alone.  A polynomial value
-        over other variables moves the result into its ring.  Then the
-        variables without a value must be among the names both rings begin
-        with (PARAMS, for two coordinate rings): each key keeps those fields
-        and moves to the target ring as ``_lift`` moves a key.
-        """
-        unknown = set(values) - set(self._names)
-        if unknown:
-            raise ValueError(f"unknown variable {sorted(unknown)[0]!r}")
-        ring = next((v for v in values.values()
-                     if isinstance(v, ParamPoly) and v._names != self._names), self)
-        order, names = ring._order, ring._names
+    def at_one(self):
+        """self at t = 1, in one pass over the keys: the field of the grading
+        variable t is cleared (and its exponent taken off the total degree),
+        and the numerators of keys that then coincide are summed."""
         width = len(self._names)
-        shift = _BITS * width
-        common = next((i for i, (x, y) in enumerate(zip(self._names, names)) if x != y),
-                      min(width, len(names)))
-        drop, add = _BITS * (width - common), _BITS * (len(names) - common)
-        own, top = (1 << drop) - 1, _BITS * len(names)
-        images = [(_BITS * (width - 1 - i),
-                   val if isinstance(val, ParamPoly) else ParamPoly.const(val, order, names))
-                  for i, val in ((self._names.index(n), v) for n, v in values.items())]
-        powers = {}
-        out = ParamPoly.zero(order, names)
-        for key, c in self._num.items():
-            rest = key
-            factor = None
-            for pos, image in images:
-                e = (key >> pos) & MAX_ORDER
-                if not e:
-                    continue
-                rest -= (e << pos) + (e << shift)
-                power = powers.get((pos, e))
-                if power is None:
-                    power = powers[(pos, e)] = image ** e
-                factor = power if factor is None else factor * power
-                if not factor:
-                    break
-            if factor is not None and not factor:
-                continue
-            if rest & own:
-                missing = next(n for n, e in zip(self._names[common:],
-                                                 _unpack(rest, width)[common:]) if e)
-                raise ValueError(f"no image for variable {missing!r}")
-            rest = rest >> drop << add
-            if rest >> top > order:
-                continue
-            term = _make({rest: c}, 1, order, names)
-            out = out + (term if factor is None else term * factor)
-        return out if self._den == 1 else out * Fraction(1, self._den)
-
-    def at_one(self, names):
-        """self with each variable of ``names`` set to 1, in one pass over the
-        keys: the fields of those variables are cleared (and their exponents
-        taken off the total degree), and the numerators of keys that then
-        coincide are summed.  Equal to ``subs(dict.fromkeys(names, 1))``."""
-        unknown = set(names) - set(self._names)
-        if unknown:
-            raise ValueError(f"unknown variable {sorted(unknown)[0]!r}")
-        width = len(self._names)
-        shift = _BITS * width
-        mask = 0
-        for name in names:
-            mask |= MAX_ORDER << _BITS * (width - 1 - self._names.index(name))
+        pos, shift = _BITS * (width - 1 - self._names.index("t")), _BITS * width
         num = {}
         get = num.get
         for k, c in self._num.items():
-            cleared = k & mask
-            if cleared:
-                # one byte per exponent field, as _BITS is 8
-                k -= cleared + (sum(cleared.to_bytes(width, "big")) << shift)
+            e = (k >> pos) & MAX_ORDER
+            if e:
+                k -= (e << pos) + (e << shift)
             acc = get(k)
             num[k] = c if acc is None else acc + c
         return _build(num, self._den, self._order, self._names)

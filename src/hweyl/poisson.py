@@ -29,7 +29,9 @@ A bracket is one sum over a plan (``_plan``), the (table pair, factor key,
 int factor) terms from the partials of its arguments.  Built once, on first
 use (``_group_law``), as they do not depend on the input: the group-law
 images of the coordinates, the plans of their brackets, and the packed image
-of every monomial of degree <= 2 (those a table entry has).  Built on every
+of every monomial of degree <= 2 (those a table entry has).  The pullback is
+an algebra map, so a monomial's image is the product of the powers of the
+three coordinate images (``_monomial_image``).  Built on every
 call of ``poisson_homomorphism_check``: both tables (over COORD_RING and
 COORD_RING2) and, per coordinate pair, two numerator sums, the pullback of
 the base entry and the bracket of the images.
@@ -42,8 +44,8 @@ import itertools
 import math
 from operator import attrgetter
 
-from .params import (_BITS, PARAMS, ParamPoly, Record, ValueRecord, _build, _pack, as_scalar,
-                     ring)
+from .params import (_BITS, PARAMS, ParamPoly, Record, ValueRecord, _build, _pack, _unpack,
+                     as_scalar, ring)
 
 #: Coordinate functions on the group, dual to the basis (A-, A+, M).
 COORDS = ("a_minus", "a_plus", "m")
@@ -282,9 +284,16 @@ def _group_law():
 
 def _monomial_image(images, key):
     """The numerators over COORD_RING2 of the image of the monomial with
-    packed ``key`` over COORD_RING: its parameters stay, and each coordinate
-    goes to its image."""
-    return _build({key: 1}, 1, math.inf, COORD_RING).subs(images)._num
+    packed ``key`` over COORD_RING.  The pullback is an algebra map, so the
+    image is the monomial's parameter part times each coordinate image
+    (``images``, in the order of COORDS) to its exponent.  The images have
+    integer coefficients, so it does too."""
+    exps = _unpack(key, len(COORD_RING))
+    out = _build({_pack(exps[:_P] + (0,) * len(COORDS2)): 1}, 1, math.inf, COORD_RING2)
+    for image, e in zip(images.values(), exps[_P:]):
+        if e:
+            out = out * image ** e
+    return out._num
 
 
 def _pullback(num, scale) -> dict:
@@ -330,9 +339,13 @@ def poisson_homomorphism_check(ps: PoissonStructure) -> dict:
 def linear_bracket_table(ps: PoissonStructure):
     """The coordinate-degree-1 part of the generator brackets, as coefficient
     vectors over (a_minus, a_plus, m): the coefficient of x_k is d/dx_k at
-    the origin, a parameter polynomial in COORD_RING.  This is the dual Lie
+    the origin, the terms of the partial whose keys have no coordinate
+    field set, a parameter polynomial in COORD_RING.  This is the dual Lie
     bracket."""
-    origin = dict.fromkeys(COORDS, 0)
-    return {pair: {k: c for k, c in enumerate(d.subs(origin) for d in _partials(poly))
-                   if c._num}
-            for pair, poly in ps.bracket_table(COORD_RING).items()}
+    coords = (1 << _BITS * len(COORDS)) - 1  # a key's coordinate fields, its last ones
+    table = {}
+    for pair, poly in ps.bracket_table(COORD_RING).items():
+        at_origin = (_build({x: n for x, n in d._num.items() if not x & coords},
+                            d._den, math.inf, COORD_RING) for d in _partials(poly))
+        table[pair] = {k: c for k, c in enumerate(at_origin) if c._num}
+    return table

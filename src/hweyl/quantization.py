@@ -304,7 +304,7 @@ class HopfPresentation(Record):
     def __init__(self, series, rewrite, coproduct, counit, antipode):
         self._store(series, rewrite, coproduct, counit, antipode)
         object.__setattr__(self, "is_concrete", bool(series.values) and all(
-            val.at_one(("t",)).is_constant() for val in series.values.values()))
+            val.at_one().is_constant() for val in series.values.values()))
         one = FreeElement.one(series.order)
         object.__setattr__(self, "coproduct_map", WordMap(
             coproduct, lambda u, v: tensor_mul(u, v, rewrite), outer(one, one)))
@@ -330,7 +330,7 @@ class HopfPresentation(Record):
 
     def param_display(self):
         """Parameter values with t set to 1: rationals (concrete) or series."""
-        return {name: str(val.at_one(("t",))) for name, val in self.values.items()}
+        return {name: str(val.at_one()) for name, val in self.values.items()}
 
     def _display(self, obj):
         """``obj`` with t set to 1 when every parameter is concrete, as the
@@ -338,8 +338,8 @@ class HopfPresentation(Record):
         if not self.is_concrete:
             return obj
         if isinstance(obj, ParamPoly):
-            return obj.at_one(("t",))
-        return obj.map_coeffs(lambda c: c.at_one(("t",)))
+            return obj.at_one()
+        return obj.map_coeffs(lambda c: c.at_one())
 
     def _render(self, obj):
         """``obj`` as printed: series to parameter degree K or, with every parameter

@@ -9,6 +9,10 @@
   six slot orders with their permutation signs that it sums over.
 - The exponential of one parameter series times one generator, the 1x1 case
   of ``freealg.exp_matrix2``.
+- A naive substitution of rationals or polynomials for the variables of a
+  polynomial, term by term through ``ParamPoly`` arithmetic: the oracle of
+  the engine's closed forms, the group-law pullback of ``poisson`` and
+  ``ParamPoly.at_one``.  The engine has no general substitution.
 - A series element cut to a lower truncation order or with values
   substituted into its coefficients, and the total degree of a polynomial
   read off its ``terms`` view.
@@ -97,10 +101,39 @@ def truncated(x, order):
     return x._like({k: cut(c, order) for k, c in x.terms.items()}, order)
 
 
+def subs(p, values):
+    """The polynomial ``p`` with each variable named in ``values`` replaced
+    by its value, a rational or a polynomial, summed term by term over
+    ``p.terms``.  The result lives in the ring and at the order of the first
+    polynomial value over other names than ``p``'s, else in ``p``'s; a
+    variable without a value must be a name of that ring too."""
+    unknown = set(values) - set(p.names)
+    if unknown:
+        raise ValueError(f"unknown variable {sorted(unknown)[0]!r}")
+    target = next((v for v in values.values()
+                   if isinstance(v, ParamPoly) and v.names != p.names), p)
+    order, names = target.order, target.names
+    out = ParamPoly.zero(order, names)
+    for exps, coeff in p.terms.items():
+        term = ParamPoly.const(coeff, order, names)
+        for name, e in zip(p.names, exps):
+            if not e:
+                continue
+            if name in values:
+                value = values[name]
+            elif name in names:
+                value = ParamPoly.symbol(name, order, names)
+            else:
+                raise ValueError(f"no image for variable {name!r}")
+            term = term * value ** e
+        out = out + term
+    return out
+
+
 def specialized(x, values):
     """A free-algebra element or a tensor with ``values`` substituted into
-    every coefficient (``ParamPoly.subs``)."""
-    return x.map_coeffs(lambda c: c.subs(values))
+    every coefficient (``subs``)."""
+    return x.map_coeffs(lambda c: subs(c, values))
 
 
 def degree(p):

@@ -57,6 +57,24 @@ def test_classify_type_i_plus_automorphism(capsys):
     assert "A+ -> -A- +A+" in out or "A+ -> A+ - A-" in out or "-A-" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("doc", ['{"a1":"2","a2":"6","a3":"-4/3","b1":"3","b2":"3","b3":"2"}',
+                                 '{"a1":"1","a3":"1","b1":"1","b3":"2"}'])
+def test_classify_output_does_not_depend_on_the_order(capsys, doc, fmt):
+    _, default, _ = run(capsys, "classify", doc, "--format", fmt)
+    for order in ("1", "6", str(MAX_ORDER)):
+        _, out, _ = run(capsys, "classify", doc, "--order", order, "--format", fmt)
+        assert out == default
+
+
+def test_classify_help_says_the_order_is_not_used(capsys):
+    with pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"accepted, 1 to {MAX_ORDER}, and not used" in text
+    assert "grows steeply" not in text
+
+
 def test_classify_malformed_json_exits_1(capsys):
     code, _, err = run(capsys, "classify", "{not json")
     assert code == 1
@@ -485,7 +503,9 @@ def test_command_help_exits_0(capsys, command):
     with pytest.raises(SystemExit) as exn:
         main([command, "--help"])
     assert exn.value.code == 0
-    assert f"usage: hweyl {command}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"usage: hweyl {command}" in out
+    assert "INPUT_OPT" not in out  # the --input option shows as INPUT
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

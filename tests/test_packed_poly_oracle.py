@@ -6,9 +6,11 @@ scalars on either side), coordinate polynomials with parameter coefficients
 (one polynomial over a ring of PARAMS followed by the coordinates, a
 parameter polynomial entering it by a key shift), the packed-key field
 limit, the truncation cut-offs of the general product (against sympy and a
-naive Fraction pair loop), and setting grading symbols to 1 in one pass
-(against ``subs``).  Every result keeps the storage invariant: int
-numerators, a positive denominator, gcd 1."""
+naive Fraction pair loop), and setting the grading variable t to 1 in one
+pass (``ParamPoly.at_one``).  The reference for that last one is the tests'
+naive substitution (``engine_helpers.subs``), itself checked against sympy
+here.  Every result keeps the storage invariant: int numerators, a positive
+denominator, gcd 1."""
 
 import math
 from fractions import Fraction
@@ -26,7 +28,7 @@ from hweyl.params import MAX_ORDER, PARAMS, ParamPoly, ring  # noqa: E402
 from hweyl.poisson import COORD_RING, COORD_RING2, COORDS  # noqa: E402
 from hweyl.quantization import _X  # noqa: E402
 
-from engine_helpers import cut, degree, poly  # noqa: E402
+from engine_helpers import cut, degree, poly, subs  # noqa: E402
 
 #: A coordinate chart x1, x2, x3 of the group, the target of ``subs`` below.
 CHART = ("x1", "x2", "x3")
@@ -147,7 +149,7 @@ def test_subs_matches_sympy(args, value, by_poly):
     image = q if by_poly else value
     image_expr = to_sympy(q) if by_poly else sympy.Rational(value.numerator,
                                                           value.denominator)
-    out = p.subs({"a1": image, "b3": Fraction(1, 2)})
+    out = subs(p, {"a1": image, "b3": Fraction(1, 2)})
     expected = to_sympy(p).subs({PARAM_SYMS[0]: image_expr,
                                  PARAM_SYMS[5]: sympy.Rational(1, 2)},
                                 simultaneous=True)
@@ -162,7 +164,7 @@ def test_subs_into_another_ring_matches_sympy(terms):
     """The parameter fields, which lead both rings, move with each term."""
     f = coordinate_poly(terms)
     x1, x2, x3 = (ParamPoly.symbol(n, math.inf, CHART_RING) for n in CHART)
-    out = f.subs({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2 * Fraction(1, 3)})
+    out = subs(f, {"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2 * Fraction(1, 3)})
     X1, X2, X3 = CHART_SYMS
     expected = to_sympy(f).subs({COORD_SYMS[0]: X1, COORD_SYMS[1]: X2,
                                  COORD_SYMS[2]: X3 - X1 * X2 / 3}, simultaneous=True)
@@ -172,7 +174,7 @@ def test_subs_into_another_ring_matches_sympy(terms):
     # a coordinate without an image cannot move; the parameter a1 can
     a1_m = ParamPoly.symbol("m", math.inf, COORD_RING) * ParamPoly.symbol("a1", 3)
     with pytest.raises(ValueError, match="no image for variable 'm'"):
-        a1_m.subs({"a_minus": x1})
+        subs(a1_m, {"a_minus": x1})
 
 
 # -- canonical form ----------------------------------------------------------------
@@ -279,8 +281,7 @@ def test_storage_invariant_over_every_ring(args, coeff, value):
     names, p, q = args
     last = names[-1]
     results = [p + q, p - q, p * q, -p, p * value, p ** 2,
-               p.subs({last: value}), p.subs({last: q, "a1": value}),
-               p.at_one({last, "a1"}), cut(p, 3), p.homogeneous_part(2)]
+               p.at_one(), cut(p, 3), p.homogeneous_part(2)]
     results += [p.partial(i) for i in range(len(names))]
     if names is not PARAMS:
         results += [p * coeff, coeff * p, p + coeff, coeff - p]
@@ -677,14 +678,13 @@ def test_every_zero_carries_its_own_names_tuple(base, order):
             assert ParamPoly.zero(other, names).order == other
 
 
-# -- grading symbols set to 1 in one pass ------------------------------------------------
+# -- the grading variable t set to 1 in one pass ------------------------------------------
 
 @settings(examples, max_examples=60)
-@given(st.sampled_from((0, 3, 6, math.inf)).flatmap(lambda k: param_polys(k)),
-       st.sets(st.sampled_from([PARAMS[i] for i in POOL])))
-def test_at_one_equals_subs(p, names):
-    out = p.at_one(names)
-    expected = p.subs(dict.fromkeys(names, 1))
+@given(st.sampled_from((0, 3, 6, math.inf)).flatmap(lambda k: param_polys(k)))
+def test_at_one_equals_subs(p):
+    out = p.at_one()
+    expected = subs(p, {"t": 1})
     assert out == expected
     assert (out._num, out._den) == (expected._num, expected._den)
     assert str(out) == str(expected)
@@ -692,16 +692,11 @@ def test_at_one_equals_subs(p, names):
 
 
 @examples
-@given(mixed_coordinate_polys(),
-       st.sets(st.sampled_from(COORDS + ("a1", "b2", "lambda")), min_size=1))
-def test_at_one_on_coordinate_polynomials_equals_subs(mixed, names):
+@given(mixed_coordinate_polys())
+def test_at_one_on_coordinate_polynomials_equals_subs(mixed):
+    """Over COORD_RING the field of t has the coordinate fields below it."""
     _, f = mixed
-    out, expected = f.at_one(names), f.subs(dict.fromkeys(names, 1))
+    out, expected = f.at_one(), subs(f, {"t": 1})
     assert out == expected
     assert str(out) == str(expected)
     assert canonical(out)
-
-
-def test_at_one_refuses_an_unknown_variable():
-    with pytest.raises(ValueError, match="unknown variable 'zz'"):
-        ParamPoly.symbol("a1", 3).at_one({"zz"})

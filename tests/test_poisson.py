@@ -14,7 +14,7 @@ from hweyl.poisson import (COORD_RING, COORD_RING2, COORDS, GroupCoords,
                            group_compose, jacobi_check, linear_bracket_table,
                            poisson_homomorphism_check)
 
-from engine_helpers import cojacobi_residuals, degree, poly, structure_coefficients
+from engine_helpers import cojacobi_residuals, degree, poly, structure_coefficients, subs
 from symbolic_cocommutators import constrained_symbolic
 
 #: A chart of the group, x1 = a-, x2 = a+, x3 = m + a- a+, and its ring.
@@ -258,12 +258,12 @@ def chart_change(p):
     """Rewrite a coordinate polynomial in the chart x1 = a-, x2 = a+,
     x3 = m + a- a+."""
     x1, x2, x3 = (var(n, CHART_RING) for n in CHART)
-    return p.subs({"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2})
+    return subs(p, {"a_minus": x1, "a_plus": x2, "m": x3 - x1 * x2})
 
 
 def chart_change_inverse(p):
     am, ap, m = (var(n) for n in COORDS)
-    return p.subs({"x1": am, "x2": ap, "x3": m + am * ap})
+    return subs(p, {"x1": am, "x2": ap, "x3": m + am * ap})
 
 
 def test_chart_change_examples():
@@ -336,7 +336,7 @@ def cyclic_sum(ps):
 
 def pullback_by_subs(f):
     am, ap, m, amp, app, mp = _coords(COORD_RING2)
-    return f.subs({"m": m + mp - am * app, "a_minus": am + amp, "a_plus": ap + app})
+    return subs(f, {"m": m + mp - am * app, "a_minus": am + amp, "a_plus": ap + app})
 
 
 def homomorphism_oracle(ps):
